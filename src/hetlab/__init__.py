@@ -18,7 +18,6 @@ from .betamix import (
     expected_distance_matrix,
     optimal_threshold,
 )
-from .categorical import SoftAssignmentBatch, point_heterogeneity, rrh_decompose
 from .classic import (
     functional_hill,
     is_metric,
@@ -54,7 +53,6 @@ from .datasets import (
 from .decomposition import (
     DecompositionResult,
     SubsystemEnsemble,
-    between_heterogeneity,
     decompose,
     pooled_heterogeneity,
     within_heterogeneity,

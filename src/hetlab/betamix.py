@@ -24,7 +24,7 @@ from .classic import (
     similarity_from_distance,
 )
 from .core import check_order, renyi_heterogeneity
-from .errors import DegenerateDistanceError, ValidationError
+from .errors import DegenerateDistanceError, NumericalError, ValidationError
 from .special import BetaShape, beta_pdf, gen_reg_inc_beta, log_beta, log_gamma, reg_hyp3f2_unit
 
 _EQUAL_SHAPE_TOL = 1e-12
@@ -118,6 +118,12 @@ def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
         - log_beta(a1, b1)
         - log_beta(a2, b2)
     )
+    try:
+        eta = math.exp(log_eta)
+    except OverflowError:
+        raise NumericalError(
+            f"E|X - Y| for Beta({a1:g}, {b1:g}) and Beta({a2:g}, {b2:g}): the "
+            f"prefactor exp({log_eta:.6g}) overflows a float") from None
     phi_a = reg_hyp3f2_unit(
         (a1, a1 + a2 + 1.0, 1.0 - b1),
         (a1 + 1.0, a1 + a2 + b2 + 1.0),
@@ -126,7 +132,7 @@ def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
         (a1 + 1.0, a1 + a2 + 1.0, 1.0 - b1),
         (a1 + 2.0, a1 + a2 + b2 + 1.0),
     )
-    return mean_diff + math.exp(log_eta) * (phi_a - a1 * phi_b)
+    return mean_diff + eta * (phi_a - a1 * phi_b)
 
 
 def expected_distance_matrix(theta: BetaMixtureParams) -> np.ndarray:

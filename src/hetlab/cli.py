@@ -18,8 +18,8 @@ import sys
 import click
 
 from . import betamix, classic, datasets
-from .categorical import rrh_decompose
 from .core import renyi_heterogeneity
+from .decomposition import decompose
 from .errors import NumericalError, ValidationError
 
 _VALIDATION_EXIT = 3
@@ -307,16 +307,16 @@ def assignments_rrh(file, q, in_format, out, fmt):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
     with open(file) as fh:
-        ids, batch = datasets.read_assignments(fh, in_format)
+        ids, ensemble = datasets.read_assignments(fh, in_format)
     rows = []
     for qv in q_list:
-        res = rrh_decompose(batch, qv)
+        res = decompose(ensemble, qv)
         rows.append((qv, res.pooled, res.within, res.between, res.lande_warning))
     result = datasets.SweepResult(
         columns=("q", "pooled", "within", "between", "lande_warning"),
         rows=tuple(rows),
         metadata={"command": "assignments-rrh", "n_records": len(ids),
-                  "n_categories": batch.n_categories},
+                  "n_categories": ensemble.n_states},
     )
     _emit(result, out, fmt)
 

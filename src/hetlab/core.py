@@ -35,18 +35,36 @@ TABLE_INDICES = (
 _Q_REQUIRED = {"renyi_entropy", "tsallis_entropy", "generalized_entropy_index"}
 
 
+def first_invalid_row(table: np.ndarray, tol: float = PROB_TOL):
+    """``(index, reason)`` for the first row of a 2-D float table that is not
+    a probability distribution, or None when every row is one.
+
+    A row must be finite, then non-negative, then sum to 1 within ``tol``;
+    the reason names the first of these rules the row breaks.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = table.sum(axis=1)
+    # Entries >= 0 exclude NaN and -inf; a +inf entry makes the sum miss 1.
+    ok = (table >= 0).all(axis=1) & (np.abs(sums - 1.0) <= tol)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    row = table[i]
+    if not np.isfinite(row).all():
+        return i, "distribution entries must be finite"
+    if (row < 0).any():
+        return i, "distribution entries must be non-negative"
+    return i, f"distribution must sum to 1 within {tol}, got {float(sums[i])!r}"
+
+
 def as_distribution(p, tol: float = PROB_TOL) -> np.ndarray:
     """Validate a probability vector. Rejects rather than renormalizes."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError("distribution must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("distribution entries must be finite")
-    if np.any(arr < 0):
-        raise ValidationError("distribution entries must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"distribution must sum to 1 within {tol}, got {total!r}")
+    bad = first_invalid_row(arr[None, :], tol)
+    if bad is not None:
+        raise ValidationError(bad[1])
     return arr
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .categorical import SoftAssignmentBatch
+from .decomposition import SubsystemEnsemble
 from .errors import ValidationError
 from .gaussian import (
     GaussianComponent,
@@ -48,6 +49,15 @@ def format_number(v) -> str:
     if isinstance(v, (float, np.floating)):
         return _FMT % float(v)
     return str(v)
+
+
+def _skip_leading_comments(stream):
+    """The lines of a CSV stream after its leading ``#`` comment block.
+
+    Only lines before the header are comments; a later line starting with
+    ``#`` is a record whose id begins with ``#``.
+    """
+    return itertools.dropwhile(lambda line: line.startswith("#"), stream)
 
 
 def thread_count() -> int:
@@ -188,7 +198,7 @@ def read_embeddings(stream, fmt: str = "csv") -> EmbeddingDataset:
                 raise ValidationError(f"embedding record {i}: {exc}") from exc
         return EmbeddingDataset(records=tuple(records))
 
-    reader = csv.reader(line for line in stream if not line.startswith("#"))
+    reader = csv.reader(_skip_leading_comments(stream))
     try:
         header = next(reader)
     except StopIteration:
@@ -214,7 +224,7 @@ def read_embeddings(stream, fmt: str = "csv") -> EmbeddingDataset:
 
 
 def read_assignments(stream, fmt: str = "csv") -> tuple:
-    """Read a soft-assignment table; returns (ids, SoftAssignmentBatch)."""
+    """Read a soft-assignment table; returns (ids, SubsystemEnsemble)."""
     if fmt == "json":
         payload = json.load(stream)
         rows = payload.get("records", [])
@@ -229,7 +239,7 @@ def read_assignments(stream, fmt: str = "csv") -> tuple:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"assignment record {i}: {exc}") from exc
     else:
-        reader = csv.reader(line for line in stream if not line.startswith("#"))
+        reader = csv.reader(_skip_leading_comments(stream))
         try:
             header = next(reader)
         except StopIteration:
@@ -247,10 +257,10 @@ def read_assignments(stream, fmt: str = "csv") -> tuple:
             except ValueError as exc:
                 raise ValidationError(f"assignment row {i}: {exc}") from exc
     try:
-        batch = SoftAssignmentBatch(table=np.asarray(table, dtype=float))
+        ensemble = SubsystemEnsemble(table=np.asarray(table, dtype=float))
     except ValidationError as exc:
         raise ValidationError(f"assignment table rejected: {exc}") from exc
-    return ids, batch
+    return ids, ensemble
 
 
 @dataclass(frozen=True)

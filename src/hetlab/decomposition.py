@@ -11,14 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
-from .core import PROB_TOL, as_distribution, check_order, renyi_heterogeneity
+from .core import PROB_TOL, check_order, first_invalid_row, renyi_heterogeneity
 from .errors import ValidationError
-
-# Stand-in order for the q -> inf limit of the within-group formula, whose
-# closed form is not available; results at q=inf are a numeric approximation.
-_WITHIN_INF_ORDER = 1e6
 
 _WEIGHT_EQUAL_TOL = 1e-12
 
@@ -34,11 +30,9 @@ class SubsystemEnsemble:
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValidationError("ensemble table must be a non-empty N x n matrix")
-        for i in range(table.shape[0]):
-            try:
-                as_distribution(table[i])
-            except ValidationError as exc:
-                raise ValidationError(f"row {i} is not a valid distribution: {exc}") from exc
+        bad = first_invalid_row(table)
+        if bad is not None:
+            raise ValidationError(f"row {bad[0]} is not a valid distribution: {bad[1]}")
         if self.weights is None:
             weights = np.full(table.shape[0], 1.0 / table.shape[0])
         else:
@@ -88,9 +82,10 @@ def pooled_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
 def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
     """Effective number of unique states contributed per subsystem.
 
-    The q=1 branch is the limit exp(sum_i w_i H(p_i)); q=inf has no known
-    closed form and is approximated by evaluating the generic formula at a
-    very large finite order.
+    Rows with zero weight are left out. For generic q this is
+    (sum_i w_i^q sum_j p_ij^q / sum_i w_i^q)^(1/(1-q)). The limits are
+    exact: q=0 is the mean support size of the rows, q=1 is
+    exp(sum_i w_i H(p_i)), and q=inf is max_i w_i / max_ij (w_i p_ij).
     """
     qf = check_order(q)
     keep = ensemble.weights > 0.0
@@ -101,18 +96,15 @@ def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
         richness = np.count_nonzero(table > 0.0, axis=1).astype(float)
         return float(richness.mean())
     if qf == 1.0:
-        ent = np.zeros(len(table))
-        for i, row in enumerate(table):
-            pos = row[row > 0.0]
-            ent[i] = -float(np.dot(pos, np.log(pos)))
+        ent = -xlogy(table, table).sum(axis=1)
         return float(np.exp(np.dot(weights, ent)))
     if math.isinf(qf):
-        qf = _WITHIN_INF_ORDER
+        return float(weights.max() / (weights * table.max(axis=1)).max())
 
+    # Zero entries become -inf, which logsumexp counts as exp(-inf) = 0.
+    log_p = np.log(table, out=np.full(table.shape, -np.inf), where=table > 0.0)
+    log_row_sums = logsumexp(qf * log_p, axis=1)
     log_w = np.log(weights)
-    log_row_sums = np.array([
-        logsumexp(qf * np.log(row[row > 0.0])) for row in table
-    ])
     log_num = logsumexp(qf * log_w + log_row_sums)
     log_den = logsumexp(qf * log_w)
     return float(np.exp((log_num - log_den) / (1.0 - qf)))
@@ -127,8 +119,3 @@ def decompose(ensemble: SubsystemEnsemble, q) -> DecompositionResult:
     warn = (not ensemble.has_equal_weights()) and qf not in (0.0, 1.0)
     return DecompositionResult(pooled=pooled, within=within, between=between,
                                lande_warning=warn)
-
-
-def between_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
-    """Effective number of completely distinct subsystems (pooled / within)."""
-    return decompose(ensemble, q).between

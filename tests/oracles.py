@@ -124,3 +124,26 @@ def random_distribution(rng: np.random.Generator, n: int, zeros: bool = False) -
             idx = rng.choice(n, size=k, replace=False)
             p[idx] = 0.0
     return p / p.sum()
+
+
+def within_heterogeneity_loop(table, weights, q: float) -> float:
+    """Within-group Renyi heterogeneity at finite q > 0, one row at a time:
+    the per-row entropy sum at q = 1, else a per-row logsumexp over the
+    positive entries. Zero-weight rows are dropped first."""
+    table = np.asarray(table, float)
+    weights = np.asarray(weights, float)
+    keep = weights > 0.0
+    table, weights = table[keep], weights[keep]
+    if q == 1.0:
+        ent = np.zeros(len(table))
+        for i, row in enumerate(table):
+            pos = row[row > 0.0]
+            ent[i] = -float(np.dot(pos, np.log(pos)))
+        return float(np.exp(np.dot(weights, ent)))
+    log_w = np.log(weights)
+    log_row_sums = np.array([
+        special.logsumexp(q * np.log(row[row > 0.0])) for row in table
+    ])
+    log_num = special.logsumexp(q * log_w + log_row_sums)
+    log_den = special.logsumexp(q * log_w)
+    return float(np.exp((log_num - log_den) / (1.0 - q)))

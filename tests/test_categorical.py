@@ -5,43 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from hetlab.categorical import SoftAssignmentBatch, point_heterogeneity, rrh_decompose
 from hetlab.core import renyi_heterogeneity
+from hetlab.decomposition import SubsystemEnsemble, decompose
 from hetlab.errors import ValidationError
 
 
 class TestPointHeterogeneity:
     def test_one_hot(self):
         for q in (0.5, 1.0, 2.0, math.inf):
-            assert point_heterogeneity([0.0, 1.0, 0.0], q) == pytest.approx(1.0)
+            assert renyi_heterogeneity([0.0, 1.0, 0.0], q) == pytest.approx(1.0)
 
     def test_uniform(self):
         for nz in (2, 5, 9):
             row = np.full(nz, 1.0 / nz)
-            assert point_heterogeneity(row, 1.0) == pytest.approx(nz)
+            assert renyi_heterogeneity(row, 1.0) == pytest.approx(nz)
 
     def test_hand_value(self):
-        assert point_heterogeneity([0.8, 0.2], 2.0) == pytest.approx(
+        assert renyi_heterogeneity([0.8, 0.2], 2.0) == pytest.approx(
             1.0 / 0.68, rel=1e-12)
 
 
 class TestBatch:
-    def test_aliases(self):
-        batch = SoftAssignmentBatch(table=[[0.5, 0.5], [1.0, 0.0]])
-        assert batch.n_points == 2
-        assert batch.n_categories == 2
-        assert np.allclose(batch.assignments, batch.table)
+    def test_shape_properties(self):
+        ens = SubsystemEnsemble(table=[[0.5, 0.5], [1.0, 0.0]])
+        assert ens.n_subsystems == 2
+        assert ens.n_states == 2
+        assert np.array_equal(ens.table, [[0.5, 0.5], [1.0, 0.0]])
 
     def test_invalid_rows(self):
         with pytest.raises(ValidationError):
-            SoftAssignmentBatch(table=[[0.6, 0.6]])
+            SubsystemEnsemble(table=[[0.6, 0.6]])
 
 
 class TestRrhDecompose:
     def test_identical_onehot_rows(self):
-        batch = SoftAssignmentBatch(table=np.tile([0.0, 1.0, 0.0], (5, 1)))
+        ens = SubsystemEnsemble(table=np.tile([0.0, 1.0, 0.0], (5, 1)))
         for q in (0.0, 1.0, 2.0):
-            res = rrh_decompose(batch, q)
+            res = decompose(ens, q)
             assert res.between == pytest.approx(1.0)
             assert res.pooled == pytest.approx(1.0)
 
@@ -53,21 +53,21 @@ class TestRrhDecompose:
             row = np.zeros(3)
             row[j] = 1.0
             rows.extend([row] * c)
-        batch = SoftAssignmentBatch(table=np.stack(rows))
+        ens = SubsystemEnsemble(table=np.stack(rows))
         freqs = np.array(counts) / sum(counts)
         for q in (0.0, 0.5, 1.0, 2.0):
-            res = rrh_decompose(batch, q)
+            res = decompose(ens, q)
             assert res.within == pytest.approx(1.0, rel=1e-9)
             assert res.between == pytest.approx(
                 renyi_heterogeneity(freqs, q), rel=1e-9)
 
     def test_uniform_rows_between_one(self):
-        batch = SoftAssignmentBatch(table=np.full((4, 3), 1 / 3))
+        ens = SubsystemEnsemble(table=np.full((4, 3), 1 / 3))
         for q in (0.5, 1.0, 2.0):
-            res = rrh_decompose(batch, q)
+            res = decompose(ens, q)
             assert res.between == pytest.approx(1.0, rel=1e-9)
             assert res.within == pytest.approx(3.0, rel=1e-9)
 
     def test_single_row(self):
-        batch = SoftAssignmentBatch(table=[[0.3, 0.7]])
-        assert rrh_decompose(batch, 2.0).between == pytest.approx(1.0)
+        ens = SubsystemEnsemble(table=[[0.3, 0.7]])
+        assert decompose(ens, 2.0).between == pytest.approx(1.0)

@@ -122,6 +122,17 @@ class TestEmbeddingIO:
         ds = read_embeddings(io.StringIO(text), "csv")
         assert len(ds) == 1 and ds.records[0].label == "x"
 
+    def test_hash_id_round_trip(self):
+        ds = EmbeddingDataset(records=(
+            rec("x", "0", [0.0], [-1.0]),
+            rec("#y", "0", [1.0], [-1.5]),
+            rec("z", "1", [2.0], [-2.0]),
+        ))
+        buf = io.StringIO()
+        write_embeddings(ds, buf, "csv")
+        back = read_embeddings(io.StringIO(buf.getvalue()), "csv")
+        assert [r.id for r in back.records] == ["x", "#y", "z"]
+
     @pytest.mark.parametrize("text", [
         "",
         "id,m_1,s_1\na,1.0,-1.0\n",                     # missing label column
@@ -144,16 +155,23 @@ class TestEmbeddingIO:
 class TestAssignmentIO:
     def test_csv(self):
         text = "id,p_1,p_2\na,0.3,0.7\nb,1.0,0.0\n"
-        ids, batch = read_assignments(io.StringIO(text), "csv")
+        ids, ens = read_assignments(io.StringIO(text), "csv")
         assert ids == ["a", "b"]
-        assert batch.n_points == 2 and batch.n_categories == 2
+        assert ens.n_subsystems == 2 and ens.n_states == 2
+        assert np.array_equal(ens.table, [[0.3, 0.7], [1.0, 0.0]])
+
+    def test_csv_hash_ids_after_header(self):
+        text = "# exported\nid,p_1,p_2\nr1,0.5,0.5\n#r2,1,0\nr3,0,1\n"
+        ids, ens = read_assignments(io.StringIO(text), "csv")
+        assert ids == ["r1", "#r2", "r3"]
+        assert np.array_equal(ens.table, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
 
     def test_json(self):
         text = json.dumps({"records": [
             {"id": "a", "p_1": 0.25, "p_2": 0.75},
         ]})
-        ids, batch = read_assignments(io.StringIO(text), "json")
-        assert ids == ["a"] and batch.n_points == 1
+        ids, ens = read_assignments(io.StringIO(text), "json")
+        assert ids == ["a"] and ens.n_subsystems == 1
 
     @pytest.mark.parametrize("text", [
         "",
@@ -352,6 +370,12 @@ class TestCliSweeps:
         assert len(rrh) == 5
         assert all(1.0 - 1e-9 <= v <= 2.0 + 1e-9 for v in rrh)
 
+    def test_bmm_sweep_distance_overflow_exits_4(self):
+        res = self.run(["bmm-sweep", "--grid", "0.5", "--theta2", "12",
+                        "--theta3", "150", "--q", "1"])
+        assert res.exit_code == 4
+        assert "overflows" in res.output
+
     def test_grid_parsing_inclusive_stop(self):
         res = self.run(["three-state-sweep", "--grid", "0.1:0.3:0.1",
                         "--q", "1", "--format", "json"])
@@ -460,7 +484,7 @@ class TestCliAssignments:
         path.write_text("id,p_1,p_2\na,0.5,0.5\n")
         def boom(*a, **k):
             raise SingularityError("forced")
-        monkeypatch.setattr(cli, "rrh_decompose", boom)
+        monkeypatch.setattr(cli, "decompose", boom)
         res = self.run(["assignments", "rrh", str(path)])
         assert res.exit_code == 4
         assert "forced" in res.output

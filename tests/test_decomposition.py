@@ -16,6 +16,8 @@ from hetlab.decomposition import (
 )
 from hetlab.errors import ValidationError
 
+from oracles import random_distribution, within_heterogeneity_loop
+
 
 def random_ensemble(rng, n_rows=None, n_states=None, equal_weights=True):
     n_rows = n_rows or rng.integers(1, 6)
@@ -32,6 +34,22 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             SubsystemEnsemble(table=[[0.5, 0.5], [0.5, 0.4]])
         assert "row 1" in str(err.value)
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0.5, 0.5], [0.5, 0.4], [-0.5, 1.5]],
+         "row 1 is not a valid distribution: "
+         "distribution must sum to 1 within 1e-09, got 0.9"),
+        ([[0.5, 0.5], [1.5, -0.5], [math.nan, 1.0]],
+         "row 1 is not a valid distribution: distribution entries must be non-negative"),
+        ([[0.5, 0.5], [1.0, 0.0], [-math.inf, math.nan]],
+         "row 2 is not a valid distribution: distribution entries must be finite"),
+        ([[math.inf, 0.0], [0.6, 0.6]],
+         "row 0 is not a valid distribution: distribution entries must be finite"),
+    ])
+    def test_first_bad_row_message(self, table, message):
+        with pytest.raises(ValidationError) as err:
+            SubsystemEnsemble(table=table)
+        assert str(err.value) == message
 
     def test_bad_weights(self):
         with pytest.raises(ValidationError):
@@ -97,6 +115,37 @@ class TestBranches:
         approx = within_heterogeneity(ens, math.inf)
         at_large = within_heterogeneity(ens, 1e5)
         assert approx == pytest.approx(at_large, rel=1e-3)
+
+    def test_inf_within_exact_with_ties(self):
+        # w_i * max_j p_ij ties at 0.16 across the weighted rows, row 0 ties
+        # within itself, and the zero-weight last row has the largest entry.
+        table = [[0.4, 0.4, 0.2], [0.4, 0.3, 0.3], [0.1, 0.1, 0.8], [1.0, 0.0, 0.0]]
+        ens = SubsystemEnsemble(table=table, weights=[0.4, 0.4, 0.2, 0.0])
+        exact = within_heterogeneity(ens, math.inf)
+        assert exact == pytest.approx(0.4 / 0.16, rel=1e-12)
+        gaps = [abs(within_heterogeneity(ens, q) - exact) for q in (1e2, 1e3, 1e4)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        assert gaps[2] < 1e-3 * exact
+
+    def test_inf_within_uniform_weights_is_inverse_max(self):
+        rng = np.random.default_rng(19)
+        ens = random_ensemble(rng, 6, 4)
+        assert within_heterogeneity(ens, math.inf) == pytest.approx(
+            1.0 / ens.table.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_within_matches_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, n_states = rng.integers(2, 9), rng.integers(2, 12)
+        table = np.stack([random_distribution(rng, n_states, zeros=True)
+                          for _ in range(n_rows)])
+        weights = rng.dirichlet(np.ones(n_rows))
+        weights[rng.integers(n_rows)] = 0.0
+        weights /= weights.sum()
+        ens = SubsystemEnsemble(table=table, weights=weights)
+        for q in (0.5, 1.0, 2.0, 10.0):
+            assert within_heterogeneity(ens, q) == pytest.approx(
+                within_heterogeneity_loop(table, weights, q), rel=1e-12)
 
     def test_pooled_matches_direct(self):
         rng = np.random.default_rng(17)
