@@ -40,7 +40,6 @@ from .core import (
 )
 from .datasets import (
     EmbeddingDataset,
-    EmbeddingRecord,
     SweepResult,
     group_decomposition,
     neighborhood_between,
@@ -88,6 +87,6 @@ from .special import (
     reg_inc_beta,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .core import as_distribution, check_order
+from .core import SYM_TOL, as_distribution, check_order
 from .errors import (
     DegenerateDistanceError,
     SingularityError,
@@ -18,7 +18,6 @@ from .errors import (
 )
 
 DEFAULT_METRIC_TOL = 1e-9
-_SYM_TOL = 1e-12
 
 
 def as_distance_matrix(d, *, require_zero_diagonal: bool = True) -> np.ndarray:
@@ -35,9 +34,9 @@ def as_distance_matrix(d, *, require_zero_diagonal: bool = True) -> np.ndarray:
         raise ValidationError("distance matrix entries must be finite")
     if np.any(arr < 0):
         raise ValidationError("distances must be non-negative")
-    if np.max(np.abs(arr - arr.T)) > _SYM_TOL:
+    if np.max(np.abs(arr - arr.T)) > SYM_TOL:
         raise ValidationError("distance matrix must be symmetric")
-    if require_zero_diagonal and np.any(np.abs(np.diag(arr)) > _SYM_TOL):
+    if require_zero_diagonal and np.any(np.abs(np.diag(arr)) > SYM_TOL):
         raise ValidationError("distance matrix must have a zero diagonal")
     return arr
 
@@ -49,7 +48,7 @@ def as_similarity_matrix(s, *, require_unit_diagonal: bool = True) -> np.ndarray
         raise ValidationError("similarity matrix must be square and non-empty")
     if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
         raise ValidationError("similarities must lie in [0, 1]")
-    if require_unit_diagonal and np.any(np.abs(np.diag(arr) - 1.0) > _SYM_TOL):
+    if require_unit_diagonal and np.any(np.abs(np.diag(arr) - 1.0) > SYM_TOL):
         raise ValidationError("similarity matrix must have a unit diagonal")
     return arr
 
@@ -82,7 +81,7 @@ def neqrqe(d, p, *, require_zero_diagonal: bool = True) -> float:
     rejected rather than silently rescaled.
     """
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
-    if np.any(dm > 1.0 + _SYM_TOL):
+    if np.any(dm > 1.0 + SYM_TOL):
         raise ValidationError("neqrqe requires a distance matrix rescaled to [0, 1]")
     q1 = rqe(dm, p, 1.0, require_zero_diagonal=require_zero_diagonal)
     if q1 >= 1.0 - 1e-12:

@@ -221,7 +221,7 @@ def embeddings():
 def embeddings_decompose(file, q, group_by, in_format, out, fmt):
     """Pooled/within/between heterogeneity per label group."""
     q_list = _parse_floats(q, "q")
-    with open(file) as fh:
+    with open(file, newline="") as fh:
         dataset = datasets.read_embeddings(fh, in_format)
     result = datasets.group_decomposition(dataset, q_list, group_by_label=group_by)
     _emit(result, out, fmt)
@@ -241,7 +241,7 @@ def embeddings_decompose(file, q, group_by, in_format, out, fmt):
 @_exit_codes
 def embeddings_neighborhoods(file, k, q, top, in_format, out, fmt):
     """Heterogeneity of each record's k-nearest-neighbor neighborhood."""
-    with open(file) as fh:
+    with open(file, newline="") as fh:
         dataset = datasets.read_embeddings(fh, in_format)
     if not 1 <= k < len(dataset):
         raise click.UsageError(f"--k must satisfy 1 <= k < N={len(dataset)}")
@@ -306,7 +306,7 @@ def assignments():
 def assignments_rrh(file, q, in_format, out, fmt):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
-    with open(file) as fh:
+    with open(file, newline="") as fh:
         ids, ensemble = datasets.read_assignments(fh, in_format)
     rows = []
     for qv in q_list:

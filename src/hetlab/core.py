@@ -18,6 +18,7 @@ from scipy.special import logsumexp
 from .errors import UndefinedOrderError, ValidationError
 
 PROB_TOL = 1e-9
+SYM_TOL = 1e-12
 
 TABLE_INDICES = (
     "richness",
@@ -66,6 +67,21 @@ def as_distribution(p, tol: float = PROB_TOL) -> np.ndarray:
     if bad is not None:
         raise ValidationError(bad[1])
     return arr
+
+
+def check_weights(weights, n: int, members: str) -> np.ndarray:
+    """Validate the weights of an ensemble of ``n`` ``members`` (None means
+    uniform): finite, non-negative and summing to 1 within PROB_TOL."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValidationError(f"weights length must match the number of {members}")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValidationError("weights must be finite and non-negative")
+    if abs(float(w.sum()) - 1.0) > PROB_TOL:
+        raise ValidationError("weights must sum to 1")
+    return w
 
 
 def normalize(p) -> np.ndarray:

@@ -17,9 +17,7 @@ import io
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,89 +58,69 @@ def _skip_leading_comments(stream):
     return itertools.dropwhile(lambda line: line.startswith("#"), stream)
 
 
-def thread_count() -> int:
-    """Parallelism cap from HETLAB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("HETLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"HETLAB_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValidationError("HETLAB_THREADS must be >= 0")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+def _csv_writerow(stream):
+    """A ``writerow`` for ``\\n``-terminated CSV that reads back losslessly.
 
+    csv quotes a field only when it holds the delimiter, the quote or a
+    character of the line terminator, so a bare ``\\r`` would go out
+    unquoted; a row holding one is written fully quoted instead.
+    """
+    plain = csv.writer(stream, lineterminator="\n")
+    quoted = csv.writer(stream, lineterminator="\n", quoting=csv.QUOTE_ALL)
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """One embedded observation: diagonal-Gaussian posterior mean and
-    log-variance."""
-
-    id: str
-    label: Optional[str]
-    mean: np.ndarray
-    log_variance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        logvar = np.asarray(self.log_variance, dtype=float)
-        if mean.ndim != 1 or mean.size < 1 or not np.all(np.isfinite(mean)):
-            raise ValidationError(f"record {self.id!r}: mean must be a finite vector")
-        if logvar.shape != mean.shape or not np.all(np.isfinite(logvar)):
-            raise ValidationError(
-                f"record {self.id!r}: log-variance must be a finite vector matching the mean"
-            )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_variance", logvar)
-
-    def component(self) -> GaussianComponent:
-        return GaussianComponent(mean=self.mean, covariance=np.exp(self.log_variance))
+    def writerow(row):
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
+    return writerow
 
 
 @dataclass(frozen=True)
 class EmbeddingDataset:
-    """A list of embedding records with shared dimension and optional
-    weights (default uniform)."""
+    """N embedded observations: diagonal-Gaussian posterior means and
+    log-variances as ``(N, n)`` arrays, with an id and an optional label
+    per row."""
 
-    records: tuple
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    ids: tuple
+    labels: tuple
+    means: np.ndarray
+    log_var: np.ndarray
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if not records:
+        ids, labels = tuple(self.ids), tuple(self.labels)
+        if not ids:
             raise ValidationError("embedding dataset must contain at least one record")
-        nz = records[0].mean.size
-        if any(r.mean.size != nz for r in records):
-            raise ValidationError("all records must share the same latent dimension")
-        if self.weights is None:
-            weights = np.full(len(records), 1.0 / len(records))
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (len(records),):
-                raise ValidationError("weights length must match the number of records")
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValidationError("weights must be finite and non-negative")
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "weights", weights)
+        try:
+            means = np.asarray(self.means, dtype=float)
+            log_var = np.asarray(self.log_var, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise ValidationError("all records must share the same latent dimension") from exc
+        if len(labels) != len(ids) or means.ndim != 2 or means.shape[0] != len(ids):
+            raise ValidationError("ids, labels and mean rows must correspond one to one")
+        if log_var.shape != means.shape:
+            raise ValidationError("log-variances must have the shape of the means")
+        bad_mean = (means.shape[1] < 1) | ~np.isfinite(means).all(axis=1)
+        bad = bad_mean | ~np.isfinite(log_var).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = ("mean must be a finite vector" if bad_mean[i] else
+                    "log-variance must be a finite vector matching the mean")
+            raise ValidationError(f"record {ids[i]!r}: {what}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "log_var", log_var)
 
     @property
     def n_z(self) -> int:
-        return self.records[0].mean.size
+        return self.means.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def labels(self) -> list:
-        return [r.label for r in self.records]
+        return len(self.ids)
 
     def ensemble(self, indices: Optional[Sequence[int]] = None) -> GaussianEnsemble:
         """Uniform-weight Gaussian ensemble over all records or a subset."""
-        if indices is None:
-            recs = self.records
-        else:
-            recs = [self.records[i] for i in indices]
-        comps = tuple(r.component() for r in recs)
+        rows = slice(None) if indices is None else np.asarray(indices)
+        comps = tuple(GaussianComponent(mean=m, covariance=c)
+                      for m, c in zip(self.means[rows], np.exp(self.log_var[rows])))
         return GaussianEnsemble(components=comps)
 
 
@@ -153,24 +131,18 @@ def _embedding_header(nz: int) -> list:
 
 
 def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> None:
-    nz = dataset.n_z
+    header = _embedding_header(dataset.n_z)
+    values = np.hstack([dataset.means, dataset.log_var]).tolist()
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_embedding_header(nz))
-        for r in dataset.records:
-            writer.writerow(
-                [r.id, r.label if r.label is not None else ""]
-                + [format_number(v) for v in r.mean]
-                + [format_number(v) for v in r.log_variance]
-            )
+        writerow = _csv_writerow(stream)
+        writerow(header)
+        for rid, label, row in zip(dataset.ids, dataset.labels, values):
+            writerow([rid, label or ""] + [_FMT % v for v in row])
     elif fmt == "json":
         records = []
-        for r in dataset.records:
-            rec = {"id": r.id, "label": r.label}
-            for j in range(nz):
-                rec[f"m_{j + 1}"] = float(_FMT % r.mean[j])
-            for j in range(nz):
-                rec[f"s_{j + 1}"] = float(_FMT % r.log_variance[j])
+        for rid, label, row in zip(dataset.ids, dataset.labels, values):
+            rec = {"id": rid, "label": label}
+            rec.update(zip(header[2:], (float(_FMT % v) for v in row)))
             records.append(rec)
         json.dump({"records": records}, stream, indent=1)
         stream.write("\n")
@@ -179,48 +151,47 @@ def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> Non
 
 
 def read_embeddings(stream, fmt: str = "csv") -> EmbeddingDataset:
+    """Read an embedding file. A CSV stream should be opened with
+    ``newline=""`` so that line breaks inside quoted ids survive."""
+    ids, labels, values = [], [], []
     if fmt == "json":
         payload = json.load(stream)
         rows = payload.get("records", [])
         if not rows:
             raise ValidationError("embedding file holds no records")
         nz = sum(1 for k in rows[0] if k.startswith("m_"))
-        records = []
+        keys = _embedding_header(nz)[2:]
         for i, rec in enumerate(rows):
             try:
-                records.append(EmbeddingRecord(
-                    id=str(rec["id"]),
-                    label=rec.get("label") or None,
-                    mean=[float(rec[f"m_{j + 1}"]) for j in range(nz)],
-                    log_variance=[float(rec[f"s_{j + 1}"]) for j in range(nz)],
-                ))
+                ids.append(str(rec["id"]))
+                labels.append(rec.get("label") or None)
+                values.append([float(rec[k]) for k in keys])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"embedding record {i}: {exc}") from exc
-        return EmbeddingDataset(records=tuple(records))
-
-    reader = csv.reader(_skip_leading_comments(stream))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("embedding file is empty")
-    nz = sum(1 for h in header if h.startswith("m_"))
-    if nz < 1 or header[:2] != ["id", "label"] or header != _embedding_header(nz):
-        raise ValidationError("embedding header must be id,label,m_1..m_n,s_1..s_n")
-    records = []
-    for i, row in enumerate(reader):
-        if len(row) != 2 + 2 * nz:
-            raise ValidationError(f"embedding row {i}: expected {2 + 2 * nz} fields, got {len(row)}")
+    else:
+        reader = csv.reader(_skip_leading_comments(stream))
         try:
-            mean = [float(v) for v in row[2:2 + nz]]
-            logvar = [float(v) for v in row[2 + nz:]]
-        except ValueError as exc:
-            raise ValidationError(f"embedding row {i}: {exc}") from exc
-        records.append(EmbeddingRecord(
-            id=row[0], label=row[1] or None, mean=mean, log_variance=logvar,
-        ))
-    if not records:
-        raise ValidationError("embedding file holds no records")
-    return EmbeddingDataset(records=tuple(records))
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError("embedding file is empty")
+        nz = sum(1 for h in header if h.startswith("m_"))
+        if nz < 1 or header[:2] != ["id", "label"] or header != _embedding_header(nz):
+            raise ValidationError("embedding header must be id,label,m_1..m_n,s_1..s_n")
+        width = 2 + 2 * nz
+        for i, row in enumerate(reader):
+            if len(row) != width:
+                raise ValidationError(f"embedding row {i}: expected {width} fields, got {len(row)}")
+            try:
+                values.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValidationError(f"embedding row {i}: {exc}") from exc
+            ids.append(row[0])
+            labels.append(row[1] or None)
+        if not ids:
+            raise ValidationError("embedding file holds no records")
+    arr = np.asarray(values, dtype=float)
+    return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels),
+                            means=arr[:, :nz], log_var=arr[:, nz:])
 
 
 def read_assignments(stream, fmt: str = "csv") -> tuple:
@@ -275,10 +246,10 @@ class SweepResult:
         if fmt == "csv":
             for key, value in self.metadata.items():
                 stream.write(f"# {key}={format_number(value)}\n")
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(self.columns)
+            writerow = _csv_writerow(stream)
+            writerow(self.columns)
             for row in self.rows:
-                writer.writerow([format_number(v) for v in row])
+                writerow([format_number(v) for v in row])
         elif fmt == "json":
             def cell(v):
                 if isinstance(v, (float, np.floating)):
@@ -330,17 +301,16 @@ def synth_embeddings(n_labels: int, per_label: int, n_z: int, seed: int, *,
 
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_labels, n_z)) * separation
-    records = []
+    means, log_var = [], []
     for lab in range(n_labels):
         scale = spread / contract_factor if lab == contract_label else spread
-        means = centers[lab] + rng.standard_normal((per_label, n_z)) * scale
-        logvars = rng.uniform(lo, hi, size=(per_label, n_z))
-        for j in range(per_label):
-            records.append(EmbeddingRecord(
-                id=f"{lab}-{j}", label=str(lab),
-                mean=means[j], log_variance=logvars[j],
-            ))
-    return EmbeddingDataset(records=tuple(records))
+        means.append(centers[lab] + rng.standard_normal((per_label, n_z)) * scale)
+        log_var.append(rng.uniform(lo, hi, size=(per_label, n_z)))
+    return EmbeddingDataset(
+        ids=tuple(f"{lab}-{j}" for lab in range(n_labels) for j in range(per_label)),
+        labels=tuple(str(lab) for lab in range(n_labels) for _ in range(per_label)),
+        means=np.concatenate(means), log_var=np.concatenate(log_var),
+    )
 
 
 def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
@@ -352,11 +322,11 @@ def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
     ``singleton`` flag set.
     """
     if group_by_label:
-        if any(r.label is None for r in dataset.records):
+        if None in dataset.labels:
             raise ValidationError("group-by requires every record to carry a label")
         groups = {}
-        for i, r in enumerate(dataset.records):
-            groups.setdefault(r.label, []).append(i)
+        for i, label in enumerate(dataset.labels):
+            groups.setdefault(label, []).append(i)
         items = sorted(groups.items())
     else:
         items = [("*", list(range(len(dataset))))]
@@ -364,9 +334,9 @@ def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
     rows = []
     for label, idx in items:
         if len(idx) == 1:
-            comp = dataset.records[idx[0]].component()
+            cov = np.exp(dataset.log_var[idx[0]])
             for q in q_list:
-                val = gaussian_renyi(comp.covariance, q)
+                val = gaussian_renyi(cov, q)
                 rows.append((label, 1, float(q), val, val, 1.0, True))
             continue
         ens = dataset.ensemble(idx)
@@ -398,42 +368,32 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
     qf = float(q)
     if not (qf > 0 and math.isfinite(qf)):
         raise ValidationError("neighborhood heterogeneity requires q in (0, inf)")
-    means = np.stack([r.mean for r in dataset.records])
-
-    def one(i: int) -> float:
+    means = dataset.means
+    vals = np.empty(n)
+    for i in range(n):
         d = np.linalg.norm(means - means[i], axis=1)
         d[i] = -1.0  # the record itself always leads the ordering
         order = np.argsort(d, kind="stable")  # stable sort = index tie-break
         ens = dataset.ensemble(order[: k + 1])
         pooled = gaussian_renyi(gaussian_pool(ens).covariance, qf)
-        return pooled / gaussian_within(ens, qf)
-
-    workers = thread_count()
-    if workers > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(one, range(n)))
-    else:
-        vals = [one(i) for i in range(n)]
-    return np.asarray(vals)
+        vals[i] = pooled / gaussian_within(ens, qf)
+    return vals
 
 
 def neighborhood_sweep(dataset: EmbeddingDataset, k: int, q: float,
                        top: int = 10) -> SweepResult:
     """Per-record neighborhood heterogeneity, reporting the ``top`` highest
-    and lowest neighborhoods (record index breaks score ties)."""
+    and lowest neighborhoods (ascending record index breaks score ties in
+    both lists)."""
     if top < 1:
         raise ValidationError("top must be >= 1")
     between = neighborhood_between(dataset, k, q)
     n = len(dataset)
-    order_low = np.argsort(between, kind="stable")
-    order_high = order_low[::-1]
     rows = []
-    for rank, i in enumerate(order_high[: min(top, n)], start=1):
-        r = dataset.records[int(i)]
-        rows.append(("high", rank, r.id, r.label, float(between[i])))
-    for rank, i in enumerate(order_low[: min(top, n)], start=1):
-        r = dataset.records[int(i)]
-        rows.append(("low", rank, r.id, r.label, float(between[i])))
+    for kind, key in (("high", -between), ("low", between)):
+        order = np.argsort(key, kind="stable")[:top]  # stable = index tie-break
+        rows += [(kind, rank, dataset.ids[i], dataset.labels[i], float(between[i]))
+                 for rank, i in enumerate(order, start=1)]
     return SweepResult(
         columns=("kind", "rank", "id", "label", "between"),
         rows=tuple(rows),

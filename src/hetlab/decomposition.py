@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
-from .core import PROB_TOL, check_order, first_invalid_row, renyi_heterogeneity
+from .core import check_order, check_weights, first_invalid_row, renyi_heterogeneity
 from .errors import ValidationError
 
 _WEIGHT_EQUAL_TOL = 1e-12
@@ -33,18 +33,9 @@ class SubsystemEnsemble:
         bad = first_invalid_row(table)
         if bad is not None:
             raise ValidationError(f"row {bad[0]} is not a valid distribution: {bad[1]}")
-        if self.weights is None:
-            weights = np.full(table.shape[0], 1.0 / table.shape[0])
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (table.shape[0],):
-                raise ValidationError("weights length must match the number of rows")
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValidationError("weights must be finite and non-negative")
-            if abs(float(weights.sum()) - 1.0) > PROB_TOL:
-                raise ValidationError("weights must sum to 1")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights",
+                           check_weights(self.weights, table.shape[0], "rows"))
 
     @property
     def n_subsystems(self) -> int:

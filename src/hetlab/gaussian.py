@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import PROB_TOL, check_order
+from .core import SYM_TOL, check_order, check_weights
 from .errors import DegeneratePoolError, UndefinedOrderError, ValidationError
 
 _PIVOT_FLOOR = 1e-10
-_SYM_TOL = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -44,7 +43,7 @@ def _validate_cov(cov) -> tuple[np.ndarray, float]:
         return arr, float(np.sum(np.log(arr)))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValidationError("covariance must be a square matrix or a diagonal vector")
-    if np.max(np.abs(arr - arr.T)) > _SYM_TOL:
+    if np.max(np.abs(arr - arr.T)) > SYM_TOL:
         raise ValidationError("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(arr)
@@ -121,18 +120,9 @@ class GaussianEnsemble:
         dim = comps[0].dim
         if any(c.dim != dim for c in comps):
             raise ValidationError("all components must share the same dimension")
-        if self.weights is None:
-            weights = np.full(len(comps), 1.0 / len(comps))
-        else:
-            weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (len(comps),):
-                raise ValidationError("weights length must match the number of components")
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValidationError("weights must be finite and non-negative")
-            if abs(float(weights.sum()) - 1.0) > PROB_TOL:
-                raise ValidationError("weights must sum to 1")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights",
+                           check_weights(self.weights, len(comps), "components"))
 
     @property
     def dim(self) -> int:
@@ -216,7 +206,7 @@ def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
     cov_full = 0.5 * (cov_full + cov_full.T)
     # Collapse back to diagonal storage when pooling kept it diagonal.
     off = cov_full - np.diag(np.diag(cov_full))
-    cov_out = np.diag(cov_full) if np.max(np.abs(off)) <= _SYM_TOL else cov_full
+    cov_out = np.diag(cov_full) if np.max(np.abs(off)) <= SYM_TOL else cov_full
     try:
         return GaussianComponent(mean=mu, covariance=cov_out)
     except ValidationError as exc:

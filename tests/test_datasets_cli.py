@@ -8,12 +8,13 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetlab import cli
 from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
-    EmbeddingRecord,
     SweepResult,
     format_number,
     group_decomposition,
@@ -22,25 +23,40 @@ from hetlab.datasets import (
     read_assignments,
     read_embeddings,
     synth_embeddings,
-    thread_count,
     write_embeddings,
 )
 from hetlab.errors import SingularityError, ValidationError
 from hetlab.gaussian import gaussian_renyi
 
 
-def rec(rid, label, mean, logvar):
-    return EmbeddingRecord(id=rid, label=label, mean=mean, log_variance=logvar)
+def make_dataset(*records):
+    """An EmbeddingDataset from (id, label, mean, log-variance) tuples."""
+    ids, labels, means, log_var = zip(*records)
+    return EmbeddingDataset(ids=ids, labels=labels, means=means, log_var=log_var)
+
+
+SMALL = (
+    ("a", "0", [0.0, 0.0], [-1.0, -1.0]),
+    ("b", "0", [0.5, 0.0], [-1.5, -1.0]),
+    ("c", "1", [10.0, 10.0], [-1.0, -2.0]),
+    ("d", "1", [10.5, 10.0], [-1.2, -1.1]),
+    ("e", None, [5.0, 5.0], [-1.0, -1.0]),
+)
 
 
 def small_dataset():
-    return EmbeddingDataset(records=(
-        rec("a", "0", [0.0, 0.0], [-1.0, -1.0]),
-        rec("b", "0", [0.5, 0.0], [-1.5, -1.0]),
-        rec("c", "1", [10.0, 10.0], [-1.0, -2.0]),
-        rec("d", "1", [10.5, 10.0], [-1.2, -1.1]),
-        rec("e", None, [5.0, 5.0], [-1.0, -1.0]),
-    ))
+    return make_dataset(*SMALL)
+
+
+# ids and labels built from the characters that CSV quoting and the leading
+# comment-block skip treat specially; a label is non-empty or None
+_ID_TEXT = st.text(st.sampled_from(list('ab ,"#\n\r')), max_size=6)
+
+
+def assert_same_dataset(back, ds):
+    assert back.ids == ds.ids and back.labels == ds.labels
+    assert np.allclose(back.means, ds.means, rtol=1e-11, atol=0)
+    assert np.allclose(back.log_var, ds.log_var, rtol=1e-11, atol=0)
 
 
 class TestFormatNumber:
@@ -54,46 +70,31 @@ class TestFormatNumber:
         assert format_number("x") == "x"
 
 
-class TestThreadCount:
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("HETLAB_THREADS", raising=False)
-        assert 1 <= thread_count() <= 8
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("HETLAB_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("HETLAB_THREADS", "two")
-        with pytest.raises(ValidationError):
-            thread_count()
-        monkeypatch.setenv("HETLAB_THREADS", "-1")
-        with pytest.raises(ValidationError):
-            thread_count()
-
-
 class TestRecordsAndDataset:
     def test_record_validation(self):
+        with pytest.raises(ValidationError, match="record 'x': mean"):
+            make_dataset(("x", None, [1.0, math.nan], [0.0, 0.0]))
         with pytest.raises(ValidationError):
-            rec("x", None, [1.0, math.nan], [0.0, 0.0])
-        with pytest.raises(ValidationError):
-            rec("x", None, [1.0, 2.0], [0.0])
+            make_dataset(("x", None, [1.0, 2.0], [0.0]))
+        # the first bad record is named
+        with pytest.raises(ValidationError, match="record 'b': log-variance"):
+            make_dataset(("a", None, [0.0], [0.0]),
+                         ("b", None, [1.0], [math.inf]),
+                         ("c", None, [math.nan], [0.0]))
 
     def test_dataset_validation(self):
         with pytest.raises(ValidationError):
-            EmbeddingDataset(records=())
+            EmbeddingDataset(ids=(), labels=(), means=np.zeros((0, 1)),
+                             log_var=np.zeros((0, 1)))
         with pytest.raises(ValidationError):
-            EmbeddingDataset(records=(
-                rec("a", None, [0.0], [0.0]),
-                rec("b", None, [0.0, 1.0], [0.0, 0.0]),
-            ))
+            make_dataset(("a", None, [0.0], [0.0]),
+                         ("b", None, [0.0, 1.0], [0.0, 0.0]))
         with pytest.raises(ValidationError):
-            EmbeddingDataset(records=(rec("a", None, [0.0], [0.0]),),
-                             weights=[0.5, 0.5])
+            EmbeddingDataset(ids=("a", "b"), labels=(None,),
+                             means=np.zeros((2, 1)), log_var=np.zeros((2, 1)))
 
     def test_component_covariance(self):
-        r = rec("a", None, [1.0], [-2.0])
-        comp = r.component()
+        comp = make_dataset(("a", None, [1.0], [-2.0])).ensemble().components[0]
         assert comp.covariance[0] == pytest.approx(math.exp(-2.0))
 
 
@@ -103,12 +104,28 @@ class TestEmbeddingIO:
         ds = small_dataset()
         buf = io.StringIO()
         write_embeddings(ds, buf, fmt)
-        back = read_embeddings(io.StringIO(buf.getvalue()), fmt)
-        assert len(back) == len(ds)
-        for r0, r1 in zip(ds.records, back.records):
-            assert r1.id == r0.id and r1.label == r0.label
-            assert np.allclose(r1.mean, r0.mean)
-            assert np.allclose(r1.log_variance, r0.log_variance)
+        assert_same_dataset(read_embeddings(io.StringIO(buf.getvalue()), fmt), ds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(
+        st.tuples(_ID_TEXT, st.none() | _ID_TEXT.filter(bool),
+                  st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+                  st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)),
+        min_size=1, max_size=4))
+    def test_special_characters_round_trip(self, records):
+        ds = make_dataset(*records)
+        for fmt in ("csv", "json"):
+            buf = io.StringIO()
+            write_embeddings(ds, buf, fmt)
+            assert_same_dataset(read_embeddings(io.StringIO(buf.getvalue()), fmt), ds)
+
+    def test_unquoted_fields_unchanged(self):
+        buf = io.StringIO()
+        write_embeddings(make_dataset(("a b", "#x", [0.5], [-1.0]),
+                                      ("c,d", None, [1.0], [-2.0])), buf, "csv")
+        assert buf.getvalue() == ('id,label,m_1,s_1\n'
+                                  'a b,#x,0.5,-1\n'
+                                  '"c,d",,1,-2\n')
 
     def test_csv_header(self):
         buf = io.StringIO()
@@ -120,18 +137,18 @@ class TestEmbeddingIO:
                 "id,label,m_1,s_1\n"
                 "a,x,1.0,-1.0\n")
         ds = read_embeddings(io.StringIO(text), "csv")
-        assert len(ds) == 1 and ds.records[0].label == "x"
+        assert len(ds) == 1 and ds.labels == ("x",)
 
     def test_hash_id_round_trip(self):
-        ds = EmbeddingDataset(records=(
-            rec("x", "0", [0.0], [-1.0]),
-            rec("#y", "0", [1.0], [-1.5]),
-            rec("z", "1", [2.0], [-2.0]),
-        ))
+        ds = make_dataset(
+            ("x", "0", [0.0], [-1.0]),
+            ("#y", "0", [1.0], [-1.5]),
+            ("z", "1", [2.0], [-2.0]),
+        )
         buf = io.StringIO()
         write_embeddings(ds, buf, "csv")
         back = read_embeddings(io.StringIO(buf.getvalue()), "csv")
-        assert [r.id for r in back.records] == ["x", "#y", "z"]
+        assert back.ids == ("x", "#y", "z")
 
     @pytest.mark.parametrize("text", [
         "",
@@ -142,6 +159,15 @@ class TestEmbeddingIO:
     ])
     def test_csv_rejects(self, text):
         with pytest.raises(ValidationError):
+            read_embeddings(io.StringIO(text), "csv")
+
+    @pytest.mark.parametrize("row,what", [
+        ("b,x,nan,-1.0", "mean"),
+        ("b,x,1.0,inf", "log-variance"),
+    ])
+    def test_non_finite_names_record(self, row, what):
+        text = f"id,label,m_1,s_1\na,x,1.0,-1.0\n{row}\n"
+        with pytest.raises(ValidationError, match=f"record 'b': {what}"):
             read_embeddings(io.StringIO(text), "csv")
 
     def test_json_rejects(self):
@@ -210,34 +236,33 @@ class TestSynth:
     def test_deterministic(self):
         a = synth_embeddings(3, 4, 2, seed=7)
         b = synth_embeddings(3, 4, 2, seed=7)
-        for r0, r1 in zip(a.records, b.records):
-            assert r0.id == r1.id
-            assert np.array_equal(r0.mean, r1.mean)
-            assert np.array_equal(r0.log_variance, r1.log_variance)
+        assert a.ids == b.ids and a.labels == b.labels
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.log_var, b.log_var)
 
     def test_seed_changes_data(self):
         a = synth_embeddings(3, 4, 2, seed=7)
         b = synth_embeddings(3, 4, 2, seed=8)
-        assert not np.allclose(a.records[0].mean, b.records[0].mean)
+        assert not np.allclose(a.means[0], b.means[0])
 
     def test_shapes_and_labels(self):
         ds = synth_embeddings(3, 5, 2, seed=0)
         assert len(ds) == 15 and ds.n_z == 2
-        assert ds.records[0].id == "0-0" and ds.records[-1].id == "2-4"
-        assert sorted(set(ds.labels())) == ["0", "1", "2"]
+        assert ds.means.shape == ds.log_var.shape == (15, 2)
+        assert ds.ids[0] == "0-0" and ds.ids[-1] == "2-4"
+        assert ds.labels == ("0",) * 5 + ("1",) * 5 + ("2",) * 5
 
     def test_contraction_shrinks_mean_spread_only(self):
         base = synth_embeddings(2, 200, 2, seed=3)
         contracted = synth_embeddings(2, 200, 2, seed=3, contract_label=1,
                                       contract_factor=10.0)
         def spread(ds, lab):
-            pts = np.stack([r.mean for r in ds.records if r.label == lab])
+            pts = ds.means[np.array(ds.labels) == lab]
             return pts.std(axis=0).mean()
         assert spread(contracted, "0") == pytest.approx(spread(base, "0"))
         assert spread(contracted, "1") == pytest.approx(spread(base, "1") / 10.0,
                                                         rel=1e-9)
-        for r0, r1 in zip(base.records, contracted.records):
-            assert np.array_equal(r0.log_variance, r1.log_variance)
+        assert np.array_equal(base.log_var, contracted.log_var)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -250,8 +275,7 @@ class TestSynth:
 
 class TestGroupDecomposition:
     def test_identity_and_columns(self):
-        ds = EmbeddingDataset(records=tuple(
-            r for r in small_dataset().records if r.label is not None))
+        ds = make_dataset(*(r for r in SMALL if r[1] is not None))
         res = group_decomposition(ds, [1.0, 2.0])
         assert res.columns == ("label", "n", "q", "pooled", "within",
                                "between", "singleton")
@@ -260,11 +284,11 @@ class TestGroupDecomposition:
             assert not singleton
 
     def test_singleton_group(self):
-        ds = EmbeddingDataset(records=(
-            rec("a", "0", [0.0], [-1.0]),
-            rec("b", "1", [1.0], [-1.0]),
-            rec("c", "1", [2.0], [-1.0]),
-        ))
+        ds = make_dataset(
+            ("a", "0", [0.0], [-1.0]),
+            ("b", "1", [1.0], [-1.0]),
+            ("c", "1", [2.0], [-1.0]),
+        )
         res = group_decomposition(ds, [1.0])
         row0 = res.rows[0]
         assert row0[0] == "0" and row0[6] is True
@@ -289,10 +313,19 @@ class TestNeighborhoods:
             neighborhood_between(ds, 5, 1.0)
 
     def test_identical_records_give_one(self):
-        ds = EmbeddingDataset(records=tuple(
-            rec(f"r{i}", None, [1.0, 2.0], [-1.0, -1.0]) for i in range(4)))
+        ds = make_dataset(*(
+            (f"r{i}", None, [1.0, 2.0], [-1.0, -1.0]) for i in range(4)))
         vals = neighborhood_between(ds, 3, 1.0)
         assert np.allclose(vals, 1.0, atol=1e-9)
+
+    def test_tie_order_ascending_index(self):
+        # identical records: every score ties, so both lists follow index order
+        ds = make_dataset(*(
+            (f"r{i}", None, [1.0, 2.0], [-1.0, -1.0]) for i in range(5)))
+        res = neighborhood_sweep(ds, 2, 1.0, top=3)
+        assert len(set(r[4] for r in res.rows)) == 1
+        assert [r[2] for r in res.rows if r[0] == "high"] == ["r0", "r1", "r2"]
+        assert [r[2] for r in res.rows if r[0] == "low"] == ["r0", "r1", "r2"]
 
     def test_two_cluster_contrast(self):
         # points inside a tight cluster see low between-heterogeneity;
@@ -300,14 +333,6 @@ class TestNeighborhoods:
         ds = small_dataset()
         vals = neighborhood_between(ds, 1, 1.0)
         assert vals[0] < vals[4]
-
-    def test_thread_invariance(self, monkeypatch):
-        ds = synth_embeddings(3, 20, 2, seed=5)
-        monkeypatch.setenv("HETLAB_THREADS", "1")
-        serial = neighborhood_between(ds, 5, 1.0)
-        monkeypatch.setenv("HETLAB_THREADS", "4")
-        threaded = neighborhood_between(ds, 5, 1.0)
-        assert np.array_equal(serial, threaded)
 
     def test_sweep_shape(self):
         ds = synth_embeddings(2, 10, 2, seed=1)
@@ -438,6 +463,23 @@ class TestCliEmbeddings:
         res = self.run(["embeddings", "decompose", str(bad)])
         assert res.exit_code == 3
         assert "error:" in res.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_ids_survive_file_round_trip(self, tmp_path, fmt):
+        # ids and labels with line breaks, quotes, commas and "#", written to
+        # a file and read back by the CLI, reach the output unchanged
+        records = [(rid, label, [float(i), 0.0], [-1.0, -1.0]) for i, (rid, label)
+                   in enumerate([("a\rb", "x\ry"), ("c\r\nd", None), ("e,f", '"q"'),
+                                 ("#g", "#"), ("h\ni", "l\r\n")])]
+        path = tmp_path / f"emb.{fmt}"
+        with open(path, "w", newline="") as fh:
+            write_embeddings(make_dataset(*records), fh, fmt)
+        res = self.run(["embeddings", "neighborhoods", str(path), "--in-format", fmt,
+                        "--k", "1", "--top", "5", "--format", "json"])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(res.output)["rows"]
+        got = sorted((r[2], r[3]) for r in rows if r[0] == "low")
+        assert got == sorted((rid, label) for rid, label, _, _ in records)
 
     def test_missing_file_exits_2(self):
         res = self.run(["embeddings", "decompose", "/nonexistent.csv"])
