@@ -156,9 +156,6 @@ class ComparisonRow:
     fhn: float
     neqrqe: Optional[float]
     lci: float
-    theta: BetaMixtureParams
-    q: float
-    u: float
 
 
 def bmm_index_comparison(theta: BetaMixtureParams, q, u: float = 1.0) -> ComparisonRow:
@@ -188,5 +185,4 @@ def bmm_index_comparison(theta: BetaMixtureParams, q, u: float = 1.0) -> Compari
             neq = neqrqe(scaled, prior, require_zero_diagonal=False)
         except DegenerateDistanceError:
             neq = None
-    return ComparisonRow(rrh=rrh, fhn=fhn, neqrqe=neq, lci=lci,
-                         theta=theta, q=qf, u=float(u))
+    return ComparisonRow(rrh=rrh, fhn=fhn, neqrqe=neq, lci=lci)

@@ -59,6 +59,17 @@ def _parse_floats(text: str, name: str, *, allow_inf: bool = False) -> list:
     return vals
 
 
+def _read_input(path: str, reader, in_format: str):
+    """Parse an input file with ``reader``. The file is read as UTF-8 with
+    ``newline=""`` so that line breaks inside quoted CSV fields survive; a
+    byte sequence that is not UTF-8 is a validation error naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return reader(fh, in_format)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _emit(result: datasets.SweepResult, out, fmt: str) -> None:
     text = result.to_string(fmt)
     if out is None:
@@ -221,8 +232,7 @@ def embeddings():
 def embeddings_decompose(file, q, group_by, in_format, out, fmt):
     """Pooled/within/between heterogeneity per label group."""
     q_list = _parse_floats(q, "q")
-    with open(file, newline="") as fh:
-        dataset = datasets.read_embeddings(fh, in_format)
+    dataset = _read_input(file, datasets.read_embeddings, in_format)
     result = datasets.group_decomposition(dataset, q_list, group_by_label=group_by)
     _emit(result, out, fmt)
 
@@ -241,8 +251,7 @@ def embeddings_decompose(file, q, group_by, in_format, out, fmt):
 @_exit_codes
 def embeddings_neighborhoods(file, k, q, top, in_format, out, fmt):
     """Heterogeneity of each record's k-nearest-neighbor neighborhood."""
-    with open(file, newline="") as fh:
-        dataset = datasets.read_embeddings(fh, in_format)
+    dataset = _read_input(file, datasets.read_embeddings, in_format)
     if not 1 <= k < len(dataset):
         raise click.UsageError(f"--k must satisfy 1 <= k < N={len(dataset)}")
     if top < 1:
@@ -306,8 +315,7 @@ def assignments():
 def assignments_rrh(file, q, in_format, out, fmt):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
-    with open(file, newline="") as fh:
-        ids, ensemble = datasets.read_assignments(fh, in_format)
+    ids, ensemble = _read_input(file, datasets.read_assignments, in_format)
     rows = []
     for qv in q_list:
         res = decompose(ensemble, qv)

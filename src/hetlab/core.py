@@ -20,6 +20,9 @@ from .errors import UndefinedOrderError, ValidationError
 PROB_TOL = 1e-9
 SYM_TOL = 1e-12
 
+# Orders with |q - 1| below this use the expm1/log1p form of the Renyi sum.
+_NEAR_ONE = 1e-2
+
 TABLE_INDICES = (
     "richness",
     "perplexity",
@@ -121,8 +124,14 @@ def renyi_heterogeneity(p, q) -> float:
     log_pos = np.log(pos)
     if qf == 1.0:
         return float(np.exp(-np.dot(pos, log_pos)))
-    # Log-domain evaluation avoids under/overflow at extreme q or small p.
-    return float(np.exp(logsumexp(qf * log_pos) / (1.0 - qf)))
+    if abs(qf - 1.0) < _NEAR_ONE:
+        # sum p^q = 1 + sum p (p^(q-1) - 1): expm1/log1p keep the digits that
+        # log(sum p^q) loses to cancellation before the division by 1 - q.
+        log_sum = math.log1p(float(np.dot(pos, np.expm1((qf - 1.0) * log_pos))))
+    else:
+        # Log-domain evaluation avoids under/overflow at extreme q or small p.
+        log_sum = logsumexp(qf * log_pos)
+    return float(np.exp(log_sum / (1.0 - qf)))
 
 
 class IndexValue(NamedTuple):

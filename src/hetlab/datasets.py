@@ -25,14 +25,13 @@ import numpy as np
 from .decomposition import SubsystemEnsemble
 from .errors import ValidationError
 from .gaussian import (
-    GaussianComponent,
+    PIVOT_FLOOR,
     GaussianEnsemble,
+    gaussian_between,
     gaussian_pool,
     gaussian_renyi,
     gaussian_within,
 )
-
-_FMT = "%.12g"
 
 
 def format_number(v) -> str:
@@ -45,8 +44,36 @@ def format_number(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _FMT % float(v)
+        return "%.12g" % float(v)
     return str(v)
+
+
+def _json_cell(v):
+    """The JSON value of a cell: floats rounded as `format_number` renders
+    them, numpy scalars as plain Python values."""
+    if isinstance(v, (float, np.floating)):
+        return float(format_number(v))
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return v
+
+
+def _json_records(stream, what: str) -> list:
+    """The ``records`` of a JSON document: an object whose ``records`` is a
+    non-empty list of objects."""
+    try:
+        payload = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} file is not valid JSON: {exc}") from exc
+    rows = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValidationError(
+            f'{what} file must be a JSON object whose "records" is a list of objects')
+    if not rows:
+        raise ValidationError(f"{what} file holds no records")
+    return rows
 
 
 def _skip_leading_comments(stream):
@@ -98,11 +125,14 @@ class EmbeddingDataset:
         if log_var.shape != means.shape:
             raise ValidationError("log-variances must have the shape of the means")
         bad_mean = (means.shape[1] < 1) | ~np.isfinite(means).all(axis=1)
-        bad = bad_mean | ~np.isfinite(log_var).all(axis=1)
+        with np.errstate(over="ignore"):
+            var = np.exp(log_var)  # nan, inf or 0 where a log-variance is not finite
+        bad = bad_mean | ~((var >= PIVOT_FLOOR) & (var < np.inf)).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             what = ("mean must be a finite vector" if bad_mean[i] else
-                    "log-variance must be a finite vector matching the mean")
+                    "log-variance must be a finite vector matching the mean, "
+                    f"with every exp(s) finite and >= {PIVOT_FLOOR}")
             raise ValidationError(f"record {ids[i]!r}: {what}")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "labels", labels)
@@ -119,9 +149,8 @@ class EmbeddingDataset:
     def ensemble(self, indices: Optional[Sequence[int]] = None) -> GaussianEnsemble:
         """Uniform-weight Gaussian ensemble over all records or a subset."""
         rows = slice(None) if indices is None else np.asarray(indices)
-        comps = tuple(GaussianComponent(mean=m, covariance=c)
-                      for m, c in zip(self.means[rows], np.exp(self.log_var[rows])))
-        return GaussianEnsemble(components=comps)
+        return GaussianEnsemble(means=self.means[rows],
+                                covariances=np.exp(self.log_var[rows]))
 
 
 def _embedding_header(nz: int) -> list:
@@ -137,12 +166,12 @@ def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> Non
         writerow = _csv_writerow(stream)
         writerow(header)
         for rid, label, row in zip(dataset.ids, dataset.labels, values):
-            writerow([rid, label or ""] + [_FMT % v for v in row])
+            writerow([rid, label or ""] + [format_number(v) for v in row])
     elif fmt == "json":
         records = []
         for rid, label, row in zip(dataset.ids, dataset.labels, values):
             rec = {"id": rid, "label": label}
-            rec.update(zip(header[2:], (float(_FMT % v) for v in row)))
+            rec.update(zip(header[2:], map(_json_cell, row)))
             records.append(rec)
         json.dump({"records": records}, stream, indent=1)
         stream.write("\n")
@@ -155,16 +184,16 @@ def read_embeddings(stream, fmt: str = "csv") -> EmbeddingDataset:
     ``newline=""`` so that line breaks inside quoted ids survive."""
     ids, labels, values = [], [], []
     if fmt == "json":
-        payload = json.load(stream)
-        rows = payload.get("records", [])
-        if not rows:
-            raise ValidationError("embedding file holds no records")
+        rows = _json_records(stream, "embedding")
         nz = sum(1 for k in rows[0] if k.startswith("m_"))
         keys = _embedding_header(nz)[2:]
         for i, rec in enumerate(rows):
             try:
                 ids.append(str(rec["id"]))
-                labels.append(rec.get("label") or None)
+                label = rec.get("label")
+                if not isinstance(label, (str, type(None))):
+                    raise TypeError(f"label must be a string or null, got {label!r}")
+                labels.append(label or None)
                 values.append([float(rec[k]) for k in keys])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"embedding record {i}: {exc}") from exc
@@ -197,10 +226,7 @@ def read_embeddings(stream, fmt: str = "csv") -> EmbeddingDataset:
 def read_assignments(stream, fmt: str = "csv") -> tuple:
     """Read a soft-assignment table; returns (ids, SubsystemEnsemble)."""
     if fmt == "json":
-        payload = json.load(stream)
-        rows = payload.get("records", [])
-        if not rows:
-            raise ValidationError("assignment file holds no records")
+        rows = _json_records(stream, "assignment")
         nz = sum(1 for k in rows[0] if k.startswith("p_"))
         ids, table = [], []
         for i, rec in enumerate(rows):
@@ -251,18 +277,10 @@ class SweepResult:
             for row in self.rows:
                 writerow([format_number(v) for v in row])
         elif fmt == "json":
-            def cell(v):
-                if isinstance(v, (float, np.floating)):
-                    return float(_FMT % float(v))
-                if isinstance(v, (bool, np.bool_)):
-                    return bool(v)
-                if isinstance(v, (int, np.integer)):
-                    return int(v)
-                return v
             payload = {
-                "metadata": {k: cell(v) for k, v in self.metadata.items()},
+                "metadata": {k: _json_cell(v) for k, v in self.metadata.items()},
                 "columns": list(self.columns),
-                "rows": [[cell(v) for v in row] for row in self.rows],
+                "rows": [[_json_cell(v) for v in row] for row in self.rows],
             }
             json.dump(payload, stream, indent=1)
             stream.write("\n")
@@ -374,9 +392,7 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
         d = np.linalg.norm(means - means[i], axis=1)
         d[i] = -1.0  # the record itself always leads the ordering
         order = np.argsort(d, kind="stable")  # stable sort = index tie-break
-        ens = dataset.ensemble(order[: k + 1])
-        pooled = gaussian_renyi(gaussian_pool(ens).covariance, qf)
-        vals[i] = pooled / gaussian_within(ens, qf)
+        vals[i] = gaussian_between(dataset.ensemble(order[: k + 1]), qf)
     return vals
 
 

@@ -5,9 +5,11 @@ heterogeneity of a weighted Gaussian ensemble, moment-matched parametric
 pooling, their ratio (between), and a grid-quadrature oracle for the
 non-parametric model-average pool.
 
-Covariances may be stored as full symmetric matrices or as 1-D arrays of
-diagonal entries (the common encoder output); the diagonal form gets a
-fast path throughout.
+A `GaussianEnsemble` holds its N members as stacked arrays: means
+``(N, n)`` and covariances, either ``(N, n)`` diagonal entries (the common
+encoder output) or ``(N, n, n)`` full symmetric matrices. One batched
+validator checks a whole stack and returns the per-member
+log-determinants; a single `GaussianComponent` is checked as a stack of one.
 """
 
 from __future__ import annotations
@@ -21,39 +23,41 @@ from scipy.special import logsumexp
 from .core import SYM_TOL, check_order, check_weights
 from .errors import DegeneratePoolError, UndefinedOrderError, ValidationError
 
-_PIVOT_FLOOR = 1e-10
+PIVOT_FLOOR = 1e-10
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _validate_cov(cov) -> tuple[np.ndarray, float]:
-    """Validate a covariance (full or diagonal storage); return it together
-    with its log-determinant. Positive definiteness means every factorization
-    pivot stays above 1e-10."""
-    arr = np.asarray(cov, dtype=float)
+def _validate_covariances(covs) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack of covariances, ``(N, n)`` diagonal entries or
+    ``(N, n, n)`` full matrices; return it together with the per-member
+    log-determinants. Positive definiteness means every factorization pivot
+    stays above PIVOT_FLOOR."""
+    arr = np.asarray(covs, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("covariance entries must be finite")
-    if arr.ndim == 1:
-        if arr.size < 1:
+    if arr.ndim == 2:
+        if arr.shape[1] < 1:
             raise ValidationError("diagonal covariance must be non-empty")
-        if np.any(arr < _PIVOT_FLOOR):
+        if np.any(arr < PIVOT_FLOOR):
             raise ValidationError(
-                f"diagonal covariance entries must be >= {_PIVOT_FLOOR}"
+                f"diagonal covariance entries must be >= {PIVOT_FLOOR}"
             )
-        return arr, float(np.sum(np.log(arr)))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        return arr, np.sum(np.log(arr), axis=1)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
         raise ValidationError("covariance must be a square matrix or a diagonal vector")
-    if np.max(np.abs(arr - arr.T)) > SYM_TOL:
+    if np.max(np.abs(arr - arr.transpose(0, 2, 1))) > SYM_TOL:
         raise ValidationError("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise ValidationError("covariance is not positive-definite") from exc
-    if np.any(np.diag(chol) ** 2 < _PIVOT_FLOOR):
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    if np.any(pivots ** 2 < PIVOT_FLOOR):
         raise ValidationError(
-            f"covariance factorization pivot fell below {_PIVOT_FLOOR}"
+            f"covariance factorization pivot fell below {PIVOT_FLOOR}"
         )
-    return arr, float(2.0 * np.sum(np.log(np.diag(chol))))
+    return arr, 2.0 * np.sum(np.log(pivots), axis=1)
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,14 @@ class GaussianComponent:
 
     mean: np.ndarray
     covariance: np.ndarray
+    logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.ndim != 1 or mean.size < 1 or not np.all(np.isfinite(mean)):
-            raise ValidationError("mean must be a finite non-empty vector")
-        cov, logdet = _validate_cov(self.covariance)
-        n = mean.size
-        if (cov.ndim == 1 and cov.size != n) or (cov.ndim == 2 and cov.shape[0] != n):
-            raise ValidationError("mean and covariance dimensions disagree")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_logdet", logdet)
+        one = GaussianEnsemble(means=np.asarray(self.mean, dtype=float)[None],
+                               covariances=np.asarray(self.covariance, dtype=float)[None])
+        object.__setattr__(self, "mean", one.means[0])
+        object.__setattr__(self, "covariance", one.covariances[0])
+        object.__setattr__(self, "logdet", float(one.logdets[0]))
 
     @property
     def dim(self) -> int:
@@ -84,52 +84,48 @@ class GaussianComponent:
     def is_diagonal(self) -> bool:
         return self.covariance.ndim == 1
 
-    @property
-    def logdet(self) -> float:
-        return self._logdet  # type: ignore[attr-defined]
-
     def full_covariance(self) -> np.ndarray:
         if self.is_diagonal:
             return np.diag(self.covariance)
         return self.covariance
 
-    def log_density(self, points: np.ndarray) -> np.ndarray:
-        """Log density at an (M, n) array of points."""
-        diff = np.atleast_2d(points) - self.mean
-        if self.is_diagonal:
-            maha = np.sum(diff * diff / self.covariance, axis=1)
-        else:
-            sol = np.linalg.solve(self.full_covariance(), diff.T)
-            maha = np.sum(diff.T * sol, axis=0)
-        return -0.5 * (self.dim * _LOG_2PI + self.logdet + maha)
-
 
 @dataclass(frozen=True)
 class GaussianEnsemble:
-    """N Gaussian components of a shared dimension with normalized weights."""
+    """N Gaussians of a shared dimension n with normalized weights: means
+    ``(N, n)``, covariances ``(N, n)`` (diagonal entries) or ``(N, n, n)``
+    (full), weights ``(N,)`` (None means uniform), and the derived
+    per-member log-determinants ``logdets``. A `GaussianComponent` is
+    validated as an ensemble of one."""
 
-    components: tuple
+    means: np.ndarray
+    covariances: np.ndarray
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    logdets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValidationError("ensemble needs at least one component")
-        if not all(isinstance(c, GaussianComponent) for c in comps):
-            raise ValidationError("components must be GaussianComponent instances")
-        dim = comps[0].dim
-        if any(c.dim != dim for c in comps):
-            raise ValidationError("all components must share the same dimension")
-        object.__setattr__(self, "components", comps)
+        means = np.asarray(self.means, dtype=float)
+        if means.ndim != 2 or means.size < 1 or not np.all(np.isfinite(means)):
+            raise ValidationError("means must be finite non-empty vectors")
+        covs, logdets = _validate_covariances(self.covariances)
+        if covs.shape[:2] != means.shape:
+            raise ValidationError("mean and covariance dimensions disagree")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "covariances", covs)
+        object.__setattr__(self, "logdets", logdets)
         object.__setattr__(self, "weights",
-                           check_weights(self.weights, len(comps), "components"))
+                           check_weights(self.weights, len(means), "members"))
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.means.shape[1]
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.covariances.ndim == 2
 
     def __len__(self) -> int:
-        return len(self.components)
+        return self.means.shape[0]
 
 
 def _check_positive_order(q) -> float:
@@ -147,9 +143,9 @@ def gaussian_renyi(cov, q) -> float:
     (2*pi)^(n/2) sqrt|Sigma|. Values below 1 are meaningful (small volume).
     """
     qf = _check_positive_order(q)
-    arr, logdet = _validate_cov(cov)
-    n = arr.shape[0]
-    log_val = 0.5 * (n * _LOG_2PI + logdet)
+    covs, logdets = _validate_covariances(np.asarray(cov, dtype=float)[None])
+    n = covs.shape[1]
+    log_val = 0.5 * (n * _LOG_2PI + logdets[0])
     if qf == 1.0:
         log_val += 0.5 * n
     elif not math.isinf(qf):
@@ -171,9 +167,7 @@ def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
     n = ensemble.dim
     keep = ensemble.weights > 0.0
     weights = ensemble.weights[keep]
-    logdets_2pi = np.array(
-        [n * _LOG_2PI + c.logdet for c, k in zip(ensemble.components, keep) if k]
-    )
+    logdets_2pi = n * _LOG_2PI + ensemble.logdets[keep]
     if qf == 1.0:
         return math.exp(0.5 * (n + float(np.dot(weights, logdets_2pi))))
     log_w = np.log(weights)
@@ -191,18 +185,12 @@ def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
 
     mu* = sum w_i mu_i; Sigma* = -mu* mu*^T + sum w_i (Sigma_i + mu_i mu_i^T).
     """
-    w = ensemble.weights
-    means = np.stack([c.mean for c in ensemble.components])
+    w, means = ensemble.weights, ensemble.means
     mu = w @ means
-    all_diag = all(c.is_diagonal for c in ensemble.components)
-    if all_diag:
-        variances = np.stack([c.covariance for c in ensemble.components])
-        cross = np.einsum("i,ij,ik->jk", w, means, means)
-        cov_full = np.diag(w @ variances) + cross - np.outer(mu, mu)
-    else:
-        cov_full = -np.outer(mu, mu)
-        for wi, c in zip(w, ensemble.components):
-            cov_full += wi * (c.full_covariance() + np.outer(c.mean, c.mean))
+    mixed = np.tensordot(w, ensemble.covariances, 1)
+    if ensemble.is_diagonal:
+        mixed = np.diag(mixed)
+    cov_full = mixed + np.einsum("i,ij,ik->jk", w, means, means) - np.outer(mu, mu)
     cov_full = 0.5 * (cov_full + cov_full.T)
     # Collapse back to diagonal storage when pooling kept it diagonal.
     off = cov_full - np.diag(np.diag(cov_full))
@@ -241,12 +229,19 @@ class GridSpec:
 
 
 def _mixture_log_density(ensemble: GaussianEnsemble, points: np.ndarray) -> np.ndarray:
+    """Log density of the weighted mixture at an (M, n) array of points,
+    one member at a time to bound the memory of the grid."""
     log_w = np.log(ensemble.weights, where=ensemble.weights > 0,
                    out=np.full(len(ensemble), -np.inf))
-    stacked = np.stack([
-        c.log_density(points) for c in ensemble.components
-    ])
-    return logsumexp(stacked + log_w[:, None], axis=0)
+    terms = np.empty((len(ensemble), len(points)))
+    for i, (mean, cov) in enumerate(zip(ensemble.means, ensemble.covariances)):
+        diff = points - mean
+        if ensemble.is_diagonal:
+            maha = np.sum(diff * diff / cov, axis=1)
+        else:
+            maha = np.sum(diff.T * np.linalg.solve(cov, diff.T), axis=0)
+        terms[i] = log_w[i] - 0.5 * (ensemble.dim * _LOG_2PI + ensemble.logdets[i] + maha)
+    return logsumexp(terms, axis=0)
 
 
 def model_average_pooled_numeric(ensemble: GaussianEnsemble, q,

@@ -147,3 +147,17 @@ def within_heterogeneity_loop(table, weights, q: float) -> float:
     log_num = special.logsumexp(q * log_w + log_row_sums)
     log_den = special.logsumexp(q * log_w)
     return float(np.exp((log_num - log_den) / (1.0 - q)))
+
+
+def gaussian_pool_loop(means, covariances, weights) -> tuple:
+    """Moment-matched pool (mean, full covariance) of a weighted Gaussian
+    ensemble, one member at a time: Sigma* = -mu* mu*^T +
+    sum_i w_i (Sigma_i + mu_i mu_i^T), with diagonal storage expanded."""
+    means = np.asarray(means, float)
+    weights = np.asarray(weights, float)
+    mu = weights @ means
+    cov = -np.outer(mu, mu)
+    for wi, m, c in zip(weights, means, np.asarray(covariances, float)):
+        full = np.diag(c) if c.ndim == 1 else c
+        cov += wi * (full + np.outer(m, m))
+    return mu, cov

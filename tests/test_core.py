@@ -51,7 +51,9 @@ class TestRenyiHeterogeneity:
     def test_uniform_gives_n(self):
         for n in (1, 2, 5, 100):
             p = np.full(n, 1.0 / n)
-            for q in (0.0, 0.5, 1.0, 2.0, 5.0, math.inf):
+            # orders within a few ulps of 1 divide a cancelled log-sum by 1 - q
+            for q in (0.0, 0.5, 1.0 - 2.0 ** -53, 1.0 - 1e-9, 1.0, 1.0 + 2.0 ** -52,
+                      1.005, 2.0, 5.0, math.inf):
                 assert renyi_heterogeneity(p, q) == pytest.approx(n, rel=1e-12)
 
     def test_degenerate_gives_one(self):

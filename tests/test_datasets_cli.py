@@ -26,7 +26,7 @@ from hetlab.datasets import (
     write_embeddings,
 )
 from hetlab.errors import SingularityError, ValidationError
-from hetlab.gaussian import gaussian_renyi
+from hetlab.gaussian import GaussianComponent, gaussian_renyi
 
 
 def make_dataset(*records):
@@ -69,6 +69,15 @@ class TestFormatNumber:
         assert format_number(1.0 / 3.0) == "0.333333333333"
         assert format_number("x") == "x"
 
+    def test_writers_share_the_format(self):
+        ds = make_dataset(("a", None, [1.0 / 3.0], [2.0 / 3.0]))
+        sweep = SweepResult(columns=("v",), rows=((1.0 / 3.0,),), metadata={})
+        for fmt in ("csv", "json"):
+            buf = io.StringIO()
+            write_embeddings(ds, buf, fmt)
+            for text in (buf.getvalue(), sweep.to_string(fmt)):
+                assert "0.333333333333" in text and "0.3333333333333" not in text
+
 
 class TestRecordsAndDataset:
     def test_record_validation(self):
@@ -82,6 +91,12 @@ class TestRecordsAndDataset:
                          ("b", None, [1.0], [math.inf]),
                          ("c", None, [math.nan], [0.0]))
 
+    @pytest.mark.parametrize("s", [-30.0, 800.0])
+    def test_unusable_log_variance_names_record(self, s):
+        # exp(-30) is below the covariance floor; exp(800) overflows
+        with pytest.raises(ValidationError, match=r"record 'b': .*exp\(s\)"):
+            make_dataset(("a", None, [0.0], [0.0]), ("b", None, [1.0], [s]))
+
     def test_dataset_validation(self):
         with pytest.raises(ValidationError):
             EmbeddingDataset(ids=(), labels=(), means=np.zeros((0, 1)),
@@ -94,8 +109,8 @@ class TestRecordsAndDataset:
                              means=np.zeros((2, 1)), log_var=np.zeros((2, 1)))
 
     def test_component_covariance(self):
-        comp = make_dataset(("a", None, [1.0], [-2.0])).ensemble().components[0]
-        assert comp.covariance[0] == pytest.approx(math.exp(-2.0))
+        ens = make_dataset(("a", None, [1.0], [-2.0])).ensemble()
+        assert ens.covariances[0, 0] == pytest.approx(math.exp(-2.0))
 
 
 class TestEmbeddingIO:
@@ -176,6 +191,11 @@ class TestEmbeddingIO:
         bad = '{"records": [{"id": "a", "label": null, "m_1": 1.0}]}'
         with pytest.raises(ValidationError):
             read_embeddings(io.StringIO(bad), "json")
+        # a non-string label would later fail to sort or hash into a group
+        for label in ("5", "[\"y\"]"):
+            bad = f'{{"records": [{{"id": "a", "label": {label}, "m_1": 1.0, "s_1": 0.0}}]}}'
+            with pytest.raises(ValidationError, match="record 0: label"):
+                read_embeddings(io.StringIO(bad), "json")
 
 
 class TestAssignmentIO:
@@ -326,6 +346,19 @@ class TestNeighborhoods:
         assert len(set(r[4] for r in res.rows)) == 1
         assert [r[2] for r in res.rows if r[0] == "high"] == ["r0", "r1", "r2"]
         assert [r[2] for r in res.rows if r[0] == "low"] == ["r0", "r1", "r2"]
+
+    def test_builds_at_most_one_component_per_record(self, monkeypatch):
+        # members stay in arrays; only each neighborhood's pool is an object
+        built = []
+        original = GaussianComponent.__post_init__
+
+        def counted(self):
+            built.append(1)
+            original(self)
+        monkeypatch.setattr(GaussianComponent, "__post_init__", counted)
+        ds = synth_embeddings(2, 10, 2, seed=1)
+        neighborhood_between(ds, 4, 1.0)
+        assert 0 < len(built) <= len(ds)
 
     def test_two_cluster_contrast(self):
         # points inside a tight cluster see low between-heterogeneity;
@@ -530,6 +563,44 @@ class TestCliAssignments:
         res = self.run(["assignments", "rrh", str(path)])
         assert res.exit_code == 4
         assert "forced" in res.output
+
+
+_EMBEDDING_BYTES = b"id,label,m_1,s_1\na\xff,0,1.0,-1.0\nb,0,2.0,-1.0\n"
+
+
+class TestCliMalformedInput:
+    """Malformed input files exit 3 with an error line, never a traceback."""
+
+    def run(self, args):
+        return CliRunner().invoke(cli.main, args)
+
+    def assert_exit_3(self, res):
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("text", [
+        '{"records": [', "[1,2]", '{"records": [1]}', '{"records": {"a": 1}}'],
+        ids=["truncated", "array", "non-object-record", "records-object"])
+    @pytest.mark.parametrize("command", [["embeddings", "decompose"],
+                                         ["assignments", "rrh"]],
+                             ids=["decompose", "rrh"])
+    def test_malformed_json(self, tmp_path, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        self.assert_exit_3(self.run(command + [str(path), "--in-format", "json"]))
+
+    @pytest.mark.parametrize("command,data", [
+        (["embeddings", "decompose"], _EMBEDDING_BYTES),
+        (["embeddings", "neighborhoods", "--k", "1"], _EMBEDDING_BYTES),
+        (["assignments", "rrh"], b"id,p_1,p_2\nr\xff,0.5,0.5\n"),
+    ], ids=["decompose", "neighborhoods", "rrh"])
+    def test_non_utf8_names_file(self, tmp_path, command, data):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(data)
+        res = self.run(command + [str(path)])
+        self.assert_exit_3(res)
+        assert "bytes.csv" in res.output
 
 
 class TestCliDeterminism:

@@ -21,12 +21,17 @@ from hetlab.gaussian import (
     model_average_pooled_numeric,
 )
 
-from oracles import gaussian_renyi_quad, random_pd_cov
+from oracles import gaussian_pool_loop, gaussian_renyi_quad, random_pd_cov
 
 
 def comp(mean, cov):
     return GaussianComponent(mean=np.asarray(mean, float),
                              covariance=np.asarray(cov, float))
+
+
+def ens(means, covs, weights=None):
+    return GaussianEnsemble(means=np.asarray(means, float),
+                            covariances=np.asarray(covs, float), weights=weights)
 
 
 class TestComponentValidation:
@@ -57,6 +62,59 @@ class TestComponentValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             comp([0.0, 0.0], [1.0])
+
+
+class TestEnsembleValidation:
+    def test_arrays_and_logdets(self):
+        covs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]]])
+        e = ens([[0.0, 0.0], [1.0, 1.0]], covs)
+        assert len(e) == 2 and e.dim == 2 and not e.is_diagonal
+        assert np.allclose(e.logdets, [math.log(1.75), math.log(3.0)], rtol=1e-12)
+        assert np.array_equal(e.weights, [0.5, 0.5])
+        d = ens([[0.0, 0.0]], [[1.0, 4.0]])
+        assert d.is_diagonal and d.logdets[0] == pytest.approx(math.log(4.0))
+
+    @pytest.mark.parametrize("means,covs", [
+        ([[0.0, 0.0]], [[1.0]]),                  # diagonal of the wrong dimension
+        ([[0.0], [1.0]], [[1.0]]),                # fewer covariances than means
+        ([[0.0, 0.0]], [np.eye(3)]),              # full matrix of the wrong dimension
+    ])
+    def test_shape_mismatch(self, means, covs):
+        with pytest.raises(ValidationError, match="dimensions disagree"):
+            ens(means, covs)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            ens(np.zeros((0, 1)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean(self, bad):
+        with pytest.raises(ValidationError, match="means"):
+            ens([[0.0, 0.0], [1.0, bad]], [[1.0, 1.0], [1.0, 1.0]])
+
+    def test_asymmetric_member(self):
+        covs = np.stack([np.eye(2), [[1.0, 0.3], [0.1, 1.0]], np.eye(2)])
+        with pytest.raises(ValidationError, match="symmetric"):
+            ens(np.zeros((3, 2)), covs)
+
+    def test_not_pd_member(self):
+        covs = np.stack([np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(ValidationError, match="positive-definite"):
+            ens(np.zeros((3, 2)), covs)
+
+    def test_diagonal_floor(self):
+        with pytest.raises(ValidationError, match="1e-10"):
+            ens([[0.0], [1.0]], [[1.0], [1e-12]])
+
+    @pytest.mark.parametrize("weights,what", [
+        ([1.0], "length"),
+        ([0.5, 0.6], "sum to 1"),
+        ([1.5, -0.5], "non-negative"),
+        ([math.nan, 1.0], "finite"),
+    ])
+    def test_bad_weights(self, weights, what):
+        with pytest.raises(ValidationError, match=what):
+            ens([[0.0], [1.0]], [[1.0], [1.0]], weights)
 
 
 class TestGaussianRenyi:
@@ -110,51 +168,47 @@ class TestGaussianRenyi:
 class TestGaussianWithin:
     def test_single_component_collapses(self):
         cov = np.array([[1.5, 0.2], [0.2, 0.8]])
-        ens = GaussianEnsemble(components=(comp([0.0, 0.0], cov),))
+        e = ens([[0.0, 0.0]], [cov])
         for q in (0.5, 1.0, 2.0, 9.0):
-            assert gaussian_within(ens, q) == pytest.approx(
+            assert gaussian_within(e, q) == pytest.approx(
                 gaussian_renyi(cov, q), rel=1e-12)
 
     def test_identical_components_q1(self):
         cov = np.array([2.0, 0.5])
-        comps = tuple(comp([i, -i], cov) for i in range(4))
-        ens = GaussianEnsemble(components=comps)
-        assert gaussian_within(ens, 1.0) == pytest.approx(
+        e = ens([[i, -i] for i in range(4)], [cov] * 4)
+        assert gaussian_within(e, 1.0) == pytest.approx(
             gaussian_renyi(cov, 1.0), rel=1e-12)
 
     def test_inf_is_zero(self):
-        ens = GaussianEnsemble(components=(comp([0.0], [1.0]), comp([3.0], [2.0])))
-        assert gaussian_within(ens, math.inf) == 0.0
+        e = ens([[0.0], [3.0]], [[1.0], [2.0]])
+        assert gaussian_within(e, math.inf) == 0.0
 
     def test_q1_continuity(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            comps = tuple(comp(rng.standard_normal(2), random_pd_cov(rng, 2))
-                          for _ in range(3))
+            means, covs = zip(*[(rng.standard_normal(2), random_pd_cov(rng, 2))
+                                for _ in range(3)])
             w = rng.dirichlet(np.ones(3))
-            ens = GaussianEnsemble(components=comps, weights=w)
-            at_one = gaussian_within(ens, 1.0)
+            e = ens(means, covs, w)
+            at_one = gaussian_within(e, 1.0)
             for eps in (1e-6, -1e-6):
-                assert gaussian_within(ens, 1.0 + eps) == pytest.approx(
+                assert gaussian_within(e, 1.0 + eps) == pytest.approx(
                     at_one, rel=1e-4)
 
     def test_q0_undefined(self):
-        ens = GaussianEnsemble(components=(comp([0.0], [1.0]),))
         with pytest.raises(UndefinedOrderError):
-            gaussian_within(ens, 0.0)
+            gaussian_within(ens([[0.0]], [[1.0]]), 0.0)
 
 
 class TestGaussianPool:
     def test_identical_components(self):
         cov = np.array([[1.0, 0.3], [0.3, 2.0]])
-        comps = tuple(comp([1.0, -2.0], cov) for _ in range(3))
-        pool = gaussian_pool(GaussianEnsemble(components=comps))
+        pool = gaussian_pool(ens([[1.0, -2.0]] * 3, [cov] * 3))
         assert np.allclose(pool.mean, [1.0, -2.0])
         assert np.allclose(pool.full_covariance(), cov)
 
     def test_hand_example_1d(self):
-        ens = GaussianEnsemble(components=(comp([0.0], [1.0]), comp([2.0], [1.0])))
-        pool = gaussian_pool(ens)
+        pool = gaussian_pool(ens([[0.0], [2.0]], [[1.0], [1.0]]))
         assert pool.mean[0] == pytest.approx(1.0)
         assert float(pool.covariance[0]) == pytest.approx(2.0)
 
@@ -162,24 +216,22 @@ class TestGaussianPool:
         rng = np.random.default_rng(9)
         covs = [random_pd_cov(rng, 2) for _ in range(3)]
         w = rng.dirichlet(np.ones(3))
-        comps = tuple(comp([0.0, 0.0], c) for c in covs)
-        pool = gaussian_pool(GaussianEnsemble(components=comps, weights=w))
+        pool = gaussian_pool(ens(np.zeros((3, 2)), covs, w))
         expected = sum(wi * c for wi, c in zip(w, covs))
         assert np.allclose(pool.full_covariance(), expected)
 
     def test_monte_carlo_moments(self):
         # oracle: mixture sampling cross-check of the moment-matched pool
         rng = np.random.default_rng(10)
-        comps = (comp([0.0, 1.0], [1.0, 0.5]), comp([3.0, -1.0], [0.5, 2.0]))
         w = np.array([0.3, 0.7])
-        ens = GaussianEnsemble(components=comps, weights=w)
-        pool = gaussian_pool(ens)
+        e = ens([[0.0, 1.0], [3.0, -1.0]], [[1.0, 0.5], [0.5, 2.0]], w)
+        pool = gaussian_pool(e)
         n_samp = 1_000_000
         which = rng.random(n_samp) < w[1]
         samples = np.where(
             which[:, None],
-            comps[1].mean + rng.standard_normal((n_samp, 2)) * np.sqrt(comps[1].covariance),
-            comps[0].mean + rng.standard_normal((n_samp, 2)) * np.sqrt(comps[0].covariance),
+            e.means[1] + rng.standard_normal((n_samp, 2)) * np.sqrt(e.covariances[1]),
+            e.means[0] + rng.standard_normal((n_samp, 2)) * np.sqrt(e.covariances[0]),
         )
         mc_mean = samples.mean(axis=0)
         mc_cov = np.cov(samples.T)
@@ -188,35 +240,43 @@ class TestGaussianPool:
         # covariance entries: generous 3-sigma-ish bound via 1/sqrt(N) scaling
         assert np.max(np.abs(mc_cov - pool.full_covariance())) < 0.02
 
+    def test_matches_per_member_loop(self):
+        rng = np.random.default_rng(12)
+        for n_members in (1, 2, 5, 20):
+            for n in (1, 2, 3, 4):
+                means = 3.0 * rng.standard_normal((n_members, n))
+                covs = np.stack([random_pd_cov(rng, n) for _ in range(n_members)])
+                w = rng.dirichlet(np.ones(n_members))
+                pool = gaussian_pool(ens(means, covs, w))
+                mu, cov = gaussian_pool_loop(means, covs, w)
+                assert np.array_equal(pool.mean, mu)
+                err = np.max(np.abs(pool.full_covariance() - cov))
+                assert err <= 1e-12 * np.max(np.abs(cov))
+
     def test_diagonal_preserved_when_exact(self):
-        comps = (comp([0.0, 0.0], [1.0, 2.0]), comp([0.0, 0.0], [2.0, 1.0]))
-        pool = gaussian_pool(GaussianEnsemble(components=comps))
+        pool = gaussian_pool(ens([[0.0, 0.0]] * 2, [[1.0, 2.0], [2.0, 1.0]]))
         assert pool.is_diagonal
 
     def test_pool_never_below_component_floor(self):
         # moment matching dominates the component covariances in PSD order,
         # so a pool of valid components stays valid
-        comps = (comp([0.0], [1e-10]), comp([0.0], [1e-10]))
-        pool = gaussian_pool(GaussianEnsemble(components=comps))
+        pool = gaussian_pool(ens([[0.0]] * 2, [[1e-10]] * 2))
         assert float(pool.covariance[0]) >= 1e-10
         assert DegeneratePoolError is not None  # defensive path kept for roundoff
 
 
 class TestGaussianBetween:
     def test_identical_components_one(self):
-        comps = tuple(comp([1.0, 2.0], [1.0, 1.0]) for _ in range(4))
-        ens = GaussianEnsemble(components=comps)
+        e = ens([[1.0, 2.0]] * 4, [[1.0, 1.0]] * 4)
         for q in (0.5, 1.0, 2.0):
-            assert gaussian_between(ens, q) == pytest.approx(1.0, rel=1e-9)
+            assert gaussian_between(e, q) == pytest.approx(1.0, rel=1e-9)
 
     def test_two_separated_components(self):
         # the parametric (moment-matched) ratio grows with separation,
         # exceeding 2: the Gaussian re-fit inflates the pooled volume
         prev = 1.0
         for sep in (0.0, 2.0, 5.0, 10.0, 30.0):
-            ens = GaussianEnsemble(components=(comp([0.0], [1.0]),
-                                               comp([sep], [1.0])))
-            val = gaussian_between(ens, 1.0)
+            val = gaussian_between(ens([[0.0], [sep]], [[1.0], [1.0]]), 1.0)
             assert val >= prev - 1e-12
             prev = val
         assert val == pytest.approx(math.sqrt(1.0 + 30.0 ** 2 / 4.0), rel=1e-9)
@@ -226,45 +286,42 @@ class TestGaussianBetween:
         # replication limit: ratio in (1, 2], approaching 2 with separation
         prev = 1.0
         for sep in (1.0, 3.0, 6.0, 12.0):
-            ens = GaussianEnsemble(components=(comp([0.0], [1.0]),
-                                               comp([sep], [1.0])))
-            val = model_average_pooled_numeric(ens, 1.0) / gaussian_within(ens, 1.0)
+            e = ens([[0.0], [sep]], [[1.0], [1.0]])
+            val = model_average_pooled_numeric(e, 1.0) / gaussian_within(e, 1.0)
             assert val >= prev - 1e-9
             prev = val
         assert 1.0 < val <= 2.0 + 1e-6
         assert val == pytest.approx(2.0, rel=1e-4)
 
     def test_orders_rejected(self):
-        ens = GaussianEnsemble(components=(comp([0.0], [1.0]),))
+        e = ens([[0.0]], [[1.0]])
         with pytest.raises(UndefinedOrderError):
-            gaussian_between(ens, 0.0)
+            gaussian_between(e, 0.0)
         with pytest.raises(UndefinedOrderError):
-            gaussian_between(ens, math.inf)
+            gaussian_between(e, math.inf)
 
 
 class TestModelAveragePool:
     def test_single_component_matches_closed_form(self):
         cov = np.array([[1.2, 0.3], [0.3, 0.7]])
-        ens = GaussianEnsemble(components=(comp([0.5, -1.0], cov),))
+        e = ens([[0.5, -1.0]], [cov])
         for q in (0.5, 1.0, 2.0, math.inf):
-            assert model_average_pooled_numeric(ens, q, GridSpec(501)) == \
+            assert model_average_pooled_numeric(e, q, GridSpec(501)) == \
                 pytest.approx(gaussian_renyi(cov, q), rel=1e-4)
 
     def test_two_identical_components(self):
-        c = comp([1.0], [2.0])
-        ens = GaussianEnsemble(components=(c, c))
-        assert model_average_pooled_numeric(ens, 1.0) == pytest.approx(
-            gaussian_renyi(c.covariance, 1.0), rel=1e-4)
+        e = ens([[1.0]] * 2, [[2.0]] * 2)
+        assert model_average_pooled_numeric(e, 1.0) == pytest.approx(
+            gaussian_renyi(np.array([2.0]), 1.0), rel=1e-4)
 
     def test_model_average_below_parametric(self):
         # moment-matched Gaussian is the max-entropy fit, so its q=1
         # heterogeneity dominates the mixture's
-        ens = GaussianEnsemble(components=(comp([0.0], [1.0]), comp([3.0], [1.0])))
-        parametric = gaussian_renyi(gaussian_pool(ens).covariance, 1.0)
-        averaged = model_average_pooled_numeric(ens, 1.0)
+        e = ens([[0.0], [3.0]], [[1.0], [1.0]])
+        parametric = gaussian_renyi(gaussian_pool(e).covariance, 1.0)
+        averaged = model_average_pooled_numeric(e, 1.0)
         assert averaged <= parametric * (1 + 1e-9)
 
     def test_dimension_cap(self):
-        c = comp([0.0] * 4, [1.0] * 4)
         with pytest.raises(ValidationError):
-            model_average_pooled_numeric(GaussianEnsemble(components=(c,)), 1.0)
+            model_average_pooled_numeric(ens([[0.0] * 4], [[1.0] * 4]), 1.0)
