@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .classic import (
-    functional_hill,
+    functional_hill_or_none,
     leinster_cobbold,
     neqrqe,
     rescale_distance,
@@ -153,7 +153,7 @@ class ComparisonRow:
     """One row of the head-to-head index comparison at a given (theta, q, u)."""
 
     rrh: float
-    fhn: float
+    fhn: Optional[float]
     neqrqe: Optional[float]
     lci: float
 
@@ -164,7 +164,9 @@ def bmm_index_comparison(theta: BetaMixtureParams, q, u: float = 1.0) -> Compari
 
     The quadratic-entropy column is filled only at q=2 and only when the
     expected-distance matrix is non-constant (it cannot be rescaled
-    otherwise); in both other cases it is reported absent (None).
+    otherwise); in both other cases it is reported absent (None). The
+    functional Hill number is None where `functional_hill_or_none` says so,
+    which here means q=inf.
     """
     qf = check_order(q)
     if u < 0:
@@ -174,7 +176,7 @@ def bmm_index_comparison(theta: BetaMixtureParams, q, u: float = 1.0) -> Compari
 
     tau = optimal_threshold(theta)
     rrh = bmm_between_rrh(theta, tau, qf)
-    fhn = functional_hill(dist, prior, qf, require_zero_diagonal=False)
+    fhn = functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False)
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
     lci = leinster_cobbold(sim, prior, qf, require_unit_diagonal=False)
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .core import SYM_TOL, as_distribution, check_order
+from .core import SYM_TOL, _log_hill, as_distribution, check_order
 from .errors import (
     DegenerateDistanceError,
     SingularityError,
@@ -100,13 +100,24 @@ def functional_hill(d, p, q, *, require_zero_diagonal: bool = True) -> float:
     q1 = rqe(dm, pv, 1.0, require_zero_diagonal=require_zero_diagonal)
     if q1 <= 0.0:
         raise SingularityError("functional Hill number undefined when Q_1 = 0")
-    if qf == 1.0:
-        pp = np.outer(pv, pv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(pp > 0.0, pp * np.log(pp), 0.0)
-        return float(np.exp(-np.sum(dm * term) / (2.0 * q1)))
-    qq = rqe(dm, pv, qf, require_zero_diagonal=require_zero_diagonal)
-    return float((qq / q1) ** (1.0 / (2.0 * (1.0 - qf))))
+    # Q_q / Q_1 is a power mean of p_i p_j with weights D_ij p_i p_j / Q_1.
+    pp = np.outer(pv, pv)
+    log_pp = np.log(pp, out=np.full(pp.shape, -np.inf), where=pp > 0.0)
+    return float(np.exp(0.5 * _log_hill(log_pp, dm * pp / q1, qf)))
+
+
+def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
+    """`functional_hill`, or None where it is undefined: at q=inf and when
+    Q_1 = 0, as for a point mass. Near a point mass Q_q / Q_1 behaves like
+    (p_i p_j)^(q-1), so the number grows like (p_i p_j)^(-1/2) and has no
+    finite limit to stand in. The sweep commands print None as an empty cell.
+    """
+    if math.isinf(check_order(q)):
+        return None
+    try:
+        return functional_hill(d, p, q, require_zero_diagonal=require_zero_diagonal)
+    except SingularityError:
+        return None
 
 
 def similarity_from_distance(d, u: float, *, require_zero_diagonal: bool = True) -> np.ndarray:
@@ -128,10 +139,7 @@ def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True) -> float:
     support = pv > 0.0
     if math.isinf(qf):
         return float(1.0 / np.max(sp[support]))
-    if qf == 1.0:
-        return float(np.exp(-np.dot(pv[support], np.log(sp[support]))))
-    total = float(np.dot(pv[support], sp[support] ** (qf - 1.0)))
-    return float(total ** (1.0 / (1.0 - qf)))
+    return float(np.exp(_log_hill(np.log(sp[support]), pv[support], qf)))
 
 
 def is_metric(d, tol: float = DEFAULT_METRIC_TOL) -> bool:

@@ -123,8 +123,7 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
             qe = classic.neqrqe(scaled, p)
             for qv in q_list:
                 rrh = renyi_heterogeneity(p, qv)
-                fhn = (classic.functional_hill(dist, p, qv)
-                       if not math.isinf(qv) else None)
+                fhn = classic.functional_hill_or_none(dist, p, qv)
                 for uv in u_list:
                     sim = classic.similarity_from_distance(dist, uv)
                     lci = classic.leinster_cobbold(sim, p, qv)

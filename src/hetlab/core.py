@@ -3,8 +3,9 @@ classical diversity/inequality indices it generalizes or transforms into.
 
 The elasticity order q is a plain non-negative float. The values 0.0, 1.0
 and math.inf are distinguished encodings selecting the richness, perplexity
-and Berger-Parker branches; any other float (including values numerically
-close to 1) goes through the generic formula.
+and Berger-Parker branches. Every other order goes through `_log_hill`, the
+one power-mean kernel behind all numbers-equivalent indices of the package:
+it keeps full accuracy for orders close to 1 and log-sum-exp elsewhere.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import UndefinedOrderError, ValidationError
 
 PROB_TOL = 1e-9
 SYM_TOL = 1e-12
 
-# Orders with |q - 1| below this use the expm1/log1p form of the Renyi sum.
-_NEAR_ONE = 1e-2
+_NEAR_ONE = 1e-2  # |q - 1| below which _log_hill uses its expm1/log1p form
 
 TABLE_INDICES = (
     "richness",
@@ -108,6 +107,42 @@ def check_order(q) -> float:
     return qf
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (None: every entry), in the steps of
+    SciPy 1.17's logsumexp, so the two agree bit for bit: the m entries tied
+    at the maximum leave the shifted sum s and the result is
+    log1p(s / m) + log(m) + max, or the maximum itself where it is -inf, inf
+    or NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    if axis is None:
+        a, axis = a.ravel(), 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = at_max.sum(axis=axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        out = np.where(np.isfinite(a_max), np.log1p(s / m) + np.log(m), 0.0) + a_max
+    return out.squeeze(axis)[()]
+
+
+def _log_hill(log_p, w, q: float) -> float:
+    """log (sum_i w_i p_i^(q-1))^(1/(1-q)) over the entries with w_i > 0, for
+    weights summing to 1 and finite q: the power mean behind every
+    numbers-equivalent index of the package. Near q=1 the sum is
+    1 + sum w expm1((q-1) log p), which keeps the digits that its log would
+    lose to cancellation before the division by 1 - q; other orders are
+    summed in the log domain, so no power under- or overflows.
+    """
+    keep = w > 0.0
+    w, log_p = w[keep], log_p[keep]
+    if q == 1.0:
+        return -float(np.dot(w, log_p))
+    if abs(q - 1.0) < _NEAR_ONE:
+        return math.log1p(float(np.dot(w, np.expm1((q - 1.0) * log_p)))) / (1.0 - q)
+    return float(logsumexp(np.log(w) + (q - 1.0) * log_p)) / (1.0 - q)
+
+
 def renyi_heterogeneity(p, q) -> float:
     """Effective number of equally probable states of order q.
 
@@ -121,17 +156,7 @@ def renyi_heterogeneity(p, q) -> float:
     if math.isinf(qf):
         return float(1.0 / arr.max())
     pos = arr[arr > 0.0]
-    log_pos = np.log(pos)
-    if qf == 1.0:
-        return float(np.exp(-np.dot(pos, log_pos)))
-    if abs(qf - 1.0) < _NEAR_ONE:
-        # sum p^q = 1 + sum p (p^(q-1) - 1): expm1/log1p keep the digits that
-        # log(sum p^q) loses to cancellation before the division by 1 - q.
-        log_sum = math.log1p(float(np.dot(pos, np.expm1((qf - 1.0) * log_pos))))
-    else:
-        # Log-domain evaluation avoids under/overflow at extreme q or small p.
-        log_sum = logsumexp(qf * log_pos)
-    return float(np.exp(log_sum / (1.0 - qf)))
+    return float(np.exp(_log_hill(np.log(pos), pos, qf)))
 
 
 class IndexValue(NamedTuple):
@@ -176,11 +201,12 @@ def table1_index(p, index: str, q=None) -> IndexValue:
     if math.isinf(qf):
         raise UndefinedOrderError(f"{index} is not defined at q=inf")
 
+    # Both indices are expm1 of (1 - q) log pi, which stays accurate as q -> 1.
     if index == "tsallis_entropy":
         if qf == 1.0:
             return IndexValue(math.log(renyi_heterogeneity(arr, 1.0)), limit_branch=True)
-        pi = renyi_heterogeneity(arr, qf)
-        return IndexValue((1.0 - pi ** (1.0 - qf)) / (qf - 1.0))
+        log_pi = math.log(renyi_heterogeneity(arr, qf))
+        return IndexValue(-math.expm1((1.0 - qf) * log_pi) / (qf - 1.0))
 
     # generalized_entropy_index
     n = arr.size
@@ -194,5 +220,5 @@ def table1_index(p, index: str, q=None) -> IndexValue:
             return IndexValue(math.inf, limit_branch=True)
         mld = -math.log(n) - float(np.mean(np.log(arr)))
         return IndexValue(mld, limit_branch=True)
-    pi = renyi_heterogeneity(arr, qf)
-    return IndexValue(((pi / n) ** (1.0 - qf) - 1.0) / (qf * (qf - 1.0)))
+    log_pi_n = math.log(renyi_heterogeneity(arr, qf) / n)
+    return IndexValue(math.expm1((1.0 - qf) * log_pi_n) / (qf * (qf - 1.0)))

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
-from .core import check_order, check_weights, first_invalid_row, renyi_heterogeneity
+from .core import _log_hill, check_order, check_weights, first_invalid_row, renyi_heterogeneity
 from .errors import ValidationError
 
 _WEIGHT_EQUAL_TOL = 1e-12
@@ -74,7 +73,8 @@ def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
     """Effective number of unique states contributed per subsystem.
 
     Rows with zero weight are left out. For generic q this is
-    (sum_i w_i^q sum_j p_ij^q / sum_i w_i^q)^(1/(1-q)). The limits are
+    (sum_i w_i^q sum_j p_ij^q / sum_i w_i^q)^(1/(1-q)), the heterogeneity of
+    the joint distribution w_i p_ij over that of the weights. The limits are
     exact: q=0 is the mean support size of the rows, q=1 is
     exp(sum_i w_i H(p_i)), and q=inf is max_i w_i / max_ij (w_i p_ij).
     """
@@ -84,21 +84,15 @@ def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
     weights = ensemble.weights[keep]
 
     if qf == 0.0:
-        richness = np.count_nonzero(table > 0.0, axis=1).astype(float)
-        return float(richness.mean())
-    if qf == 1.0:
-        ent = -xlogy(table, table).sum(axis=1)
-        return float(np.exp(np.dot(weights, ent)))
+        return float(np.count_nonzero(table > 0.0, axis=1).mean())
     if math.isinf(qf):
         return float(weights.max() / (weights * table.max(axis=1)).max())
 
-    # Zero entries become -inf, which logsumexp counts as exp(-inf) = 0.
-    log_p = np.log(table, out=np.full(table.shape, -np.inf), where=table > 0.0)
-    log_row_sums = logsumexp(qf * log_p, axis=1)
-    log_w = np.log(weights)
-    log_num = logsumexp(qf * log_w + log_row_sums)
-    log_den = logsumexp(qf * log_w)
-    return float(np.exp((log_num - log_den) / (1.0 - qf)))
+    # w_i^q itself, which can underflow for every row but one, is never formed.
+    joint = weights[:, None] * table
+    log_joint = np.log(joint, out=np.full(joint.shape, -np.inf), where=joint > 0.0)
+    return float(np.exp(_log_hill(log_joint, joint, qf)
+                        - _log_hill(np.log(weights), weights, qf)))
 
 
 def decompose(ensemble: SubsystemEnsemble, q) -> DecompositionResult:

@@ -14,13 +14,13 @@ log-determinants; a single `GaussianComponent` is checked as a stack of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import SYM_TOL, check_order, check_weights
+from .core import SYM_TOL, _log_hill, check_order, check_weights, logsumexp
 from .errors import DegeneratePoolError, UndefinedOrderError, ValidationError
 
 PIVOT_FLOOR = 1e-10
@@ -165,19 +165,14 @@ def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
     if math.isinf(qf):
         return 0.0
     n = ensemble.dim
-    keep = ensemble.weights > 0.0
-    weights = ensemble.weights[keep]
-    logdets_2pi = n * _LOG_2PI + ensemble.logdets[keep]
-    if qf == 1.0:
-        return math.exp(0.5 * (n + float(np.dot(weights, logdets_2pi))))
-    log_w = np.log(weights)
-    log_terms = (
-        qf * log_w
-        - 0.5 * n * math.log(qf)
-        + 0.5 * (1.0 - qf) * logdets_2pi
-    )
-    log_sum = logsumexp(log_terms) - logsumexp(qf * log_w)
-    return math.exp(log_sum / (1.0 - qf))
+    # As for categorical subsystems, the power mean of w_i p_i over that of w_i, with
+    # p_i = |2 pi Sigma_i|^(-1/2); the factor q^(-n/2) adds (n/2) log q / (q-1).
+    w = ensemble.weights
+    log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)
+    log_wp = log_w - 0.5 * (n * _LOG_2PI + ensemble.logdets)
+    log_q_factor = 1.0 if qf == 1.0 else math.log(qf) / (qf - 1.0)
+    return math.exp(_log_hill(log_wp, w, qf) - _log_hill(log_w, w, qf)
+                    + 0.5 * n * log_q_factor)
 
 
 def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
@@ -269,15 +264,7 @@ def model_average_pooled_numeric(ensemble: GaussianEnsemble, q,
     if math.isinf(qf):
         return math.exp(-float(np.max(log_f)))
 
-    shape = (grid_spec.points_per_dim,) * n
-    if qf == 1.0:
-        integrand = np.where(np.isfinite(log_f), -np.exp(log_f) * log_f, 0.0)
-    else:
-        integrand = np.exp(qf * log_f)
-    grid_vals = integrand.reshape(shape)
-    for axis in reversed(range(n)):
-        grid_vals = np.trapezoid(grid_vals, x=axes[axis], axis=axis)
-    total = float(grid_vals)
-    if qf == 1.0:
-        return math.exp(total)
-    return total ** (1.0 / (1.0 - qf))
+    # With trapezoid cells dx, the integral of f^q is a power mean of f weighted by f dx.
+    cell = functools.reduce(np.multiply.outer,
+                            [np.convolve(np.diff(ax), [0.5, 0.5]) for ax in axes])
+    return math.exp(_log_hill(log_f, np.exp(log_f) * cell.ravel(), qf))

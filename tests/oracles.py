@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, optimize, special
 
@@ -161,3 +162,106 @@ def gaussian_pool_loop(means, covariances, weights) -> tuple:
         full = np.diag(c) if c.ndim == 1 else c
         cov += wi * (full + np.outer(m, m))
     return mu, cov
+
+
+# Orders around 1 for the q -> 1 continuity checks: one ulp either side of 1,
+# held to the q = 1 value, and orders whose value a 50-digit mpmath
+# evaluation of the plain power sum provides.
+ULP_ORDERS = (1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52)
+MP_ORDERS = (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-3, 1.0 + 1e-3)
+NEAR_ONE_REL = 1e-12
+
+
+def assert_near_one(value_at, reference_at) -> None:
+    """``value_at(q)`` within NEAR_ONE_REL of ``value_at(1)`` at ULP_ORDERS
+    and of ``reference_at(q)`` at MP_ORDERS."""
+    at_one = value_at(1.0)
+    for q in ULP_ORDERS:
+        got = value_at(q)
+        assert math.isclose(got, at_one, rel_tol=NEAR_ONE_REL), (q, got, at_one)
+    for q in MP_ORDERS:
+        got, ref = value_at(q), reference_at(q)
+        assert math.isclose(got, ref, rel_tol=NEAR_ONE_REL), (q, got, ref)
+
+
+def _mp_distribution(p) -> list:
+    """The float entries as mpf values, renormalized in mpmath: the
+    distribution the float vector stands for. Left unnormalized, a sum that
+    misses 1 by an ulp would move the reference by that ulp over |1 - q|."""
+    p = [mpmath.mpf(float(x)) for x in np.ravel(p)]
+    total = sum(p)
+    return [x / total for x in p]
+
+
+def _mp_hill(power_sum, q: float) -> float:
+    """power_sum(q)^(1/(1-q)), with power_sum evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        return float(power_sum(qm) ** (1 / (1 - qm)))
+
+
+def renyi_mp(p, q: float) -> float:
+    """(sum_i p_i^q)^(1/(1-q))."""
+    return _mp_hill(lambda qm: sum(x ** qm for x in _mp_distribution(p) if x > 0), q)
+
+
+def within_mp(table, weights, q: float) -> float:
+    """(sum_i w_i^q sum_j p_ij^q / sum_i w_i^q)^(1/(1-q)) over the rows with
+    w_i > 0, each row renormalized."""
+    def power_sum(qm):
+        rows = [(mpmath.mpf(float(w)), _mp_distribution(r))
+                for w, r in zip(weights, np.asarray(table, float)) if w > 0]
+        num = sum(w ** qm * sum(x ** qm for x in r if x > 0) for w, r in rows)
+        return num / sum(w ** qm for w, _ in rows)
+    return _mp_hill(power_sum, q)
+
+
+def gaussian_within_mp(weights, covariances, q: float) -> float:
+    """[sum_i w_i^q q^(-n/2) |2 pi Sigma_i|^((1-q)/2) / sum_i w_i^q]^(1/(1-q))
+    for full covariance matrices."""
+    def power_sum(qm):
+        num = den = 0
+        for w, cov in zip(weights, covariances):
+            w = mpmath.mpf(float(w))
+            det = mpmath.det(2 * mpmath.pi * mpmath.matrix(np.asarray(cov).tolist()))
+            num += w ** qm * qm ** (-mpmath.mpf(len(cov)) / 2) * det ** ((1 - qm) / 2)
+            den += w ** qm
+        return num / den
+    return _mp_hill(power_sum, q)
+
+
+def leinster_cobbold_mp(s, p, q: float) -> float:
+    """[sum_i p_i (Sp)_i^(q-1)]^(1/(1-q)) over the support of p."""
+    def power_sum(qm):
+        pm = _mp_distribution(p)
+        sp = [sum(mpmath.mpf(float(x)) * y for x, y in zip(row, pm)) for row in s]
+        return sum(x * y ** (qm - 1) for x, y in zip(pm, sp) if x > 0)
+    return _mp_hill(power_sum, q)
+
+
+def functional_hill_mp(d, p, q: float) -> float:
+    """(Q_q / Q_1)^(1/(2(1-q))) with Q_q = sum_ij D_ij (p_i p_j)^q."""
+    def power_sum(qm):
+        pm = _mp_distribution(p)
+        pairs = [(mpmath.mpf(float(d[i][j])), pm[i] * pm[j])
+                 for i in range(len(pm)) for j in range(len(pm)) if pm[i] * pm[j] > 0]
+        return sum(x * y ** qm for x, y in pairs) / sum(x * y for x, y in pairs)
+    return _mp_hill(lambda qm: mpmath.sqrt(power_sum(qm)), q)
+
+
+def tsallis_mp(p, q: float) -> float:
+    """(1 - sum_i p_i^q) / (q - 1)."""
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        return float((1 - sum(x ** qm for x in _mp_distribution(p) if x > 0)) / (qm - 1))
+
+
+def gei_mp(p, q: float) -> float:
+    """Generalized entropy index (sum_i n^(q-1) p_i^q - 1) / (q (q - 1)),
+    which is ((pi / n)^(1-q) - 1) / (q (q-1)) for the Renyi heterogeneity pi."""
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        pm = _mp_distribution(p)
+        n = len(pm)
+        return float((sum(n ** (qm - 1) * x ** qm for x in pm if x > 0) - 1)
+                     / (qm * (qm - 1)))

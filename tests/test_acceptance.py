@@ -41,11 +41,15 @@ from hetlab.gaussian import gaussian_renyi
 from hetlab.special import BetaShape
 
 from oracles import (
+    MP_ORDERS,
+    NEAR_ONE_REL,
+    ULP_ORDERS,
     beta_abs_distance_dblquad,
     beta_abs_distance_quad,
     bmm_threshold_bisect,
     gaussian_renyi_quad,
     random_pd_cov,
+    renyi_mp,
 )
 
 _APEX = math.sqrt(3.0) / 2.0
@@ -253,6 +257,12 @@ def test_criterion_6_property_suites(capsys):
         for eps in (1e-6, -1e-6):
             near = renyi_heterogeneity(p, 1.0 + eps)
             continuity &= abs(near - at_one) <= 1e-4 * at_one
+        for q in ULP_ORDERS:
+            continuity &= math.isclose(renyi_heterogeneity(p, q), at_one,
+                                       rel_tol=NEAR_ONE_REL)
+        for q in MP_ORDERS:
+            continuity &= math.isclose(renyi_heterogeneity(p, q), renyi_mp(p, q),
+                                       rel_tol=NEAR_ONE_REL)
 
     identity = True
     lande = True

@@ -239,6 +239,11 @@ class TestIndexComparison:
                 if row.neqrqe is not None:
                     assert row.neqrqe >= 1.0 - 1e-9
 
+    def test_fhn_absent_at_q_inf(self):
+        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), math.inf)
+        assert row.fhn is None
+        assert row.rrh == pytest.approx(2.0) and row.lci >= 1.0
+
     def test_distance_matrix_shape(self):
         d = expected_distance_matrix(BetaMixtureParams(0.5, 5.0, 20.0))
         assert d.shape == (2, 2)

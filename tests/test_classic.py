@@ -7,6 +7,7 @@ import pytest
 
 from hetlab.classic import (
     functional_hill,
+    functional_hill_or_none,
     is_metric,
     is_ultrametric,
     leinster_cobbold,
@@ -24,6 +25,8 @@ from hetlab.errors import (
     UndefinedOrderError,
     ValidationError,
 )
+
+from oracles import assert_near_one, functional_hill_mp, leinster_cobbold_mp
 
 CATEGORICAL_3 = 1.0 - np.eye(3)
 ROOT3_2 = math.sqrt(3.0) / 2.0
@@ -152,14 +155,17 @@ class TestFunctionalHill:
 
     def test_q1_limit_continuity(self):
         rng = np.random.default_rng(3)
+        cases = [(1.0 - np.eye(2), np.array([0.5, 0.5]))]
         for _ in range(20):
             n = int(rng.integers(3, 7))
-            d = random_distance(rng, n)
-            p = rng.dirichlet(np.ones(n))
+            cases.append((random_distance(rng, n), rng.dirichlet(np.ones(n))))
+        for d, p in cases:
             at_one = functional_hill(d, p, 1.0)
             for eps in (1e-6, -1e-6):
                 assert functional_hill(d, p, 1.0 + eps) == pytest.approx(
                     at_one, rel=1e-4)
+            assert_near_one(lambda q: functional_hill(d, p, q),
+                            lambda q: functional_hill_mp(d, p, q))
 
     def test_exceeds_state_count(self):
         # skewed 3-state system with a squashed triangle
@@ -181,6 +187,17 @@ class TestFunctionalHill:
     def test_inf_rejected(self):
         with pytest.raises(UndefinedOrderError):
             functional_hill(CATEGORICAL_3, np.full(3, 1 / 3), math.inf)
+
+    def test_or_none_where_undefined(self):
+        d = three_state_distance(0.4, 1.0)
+        p = three_state_probs(4.0)
+        for q in (0.0, 0.5, 1.0, 2.0):
+            assert functional_hill_or_none(d, p, q) == functional_hill(d, p, q)
+        assert functional_hill_or_none(d, p, math.inf) is None
+        for point_mass in (three_state_probs(0.0), three_state_probs(math.inf)):
+            assert functional_hill_or_none(d, point_mass, 1.0) is None
+        with pytest.raises(UndefinedOrderError):
+            functional_hill_or_none(d, p, -1.0)
 
 
 class TestSimilarity:
@@ -244,14 +261,17 @@ class TestLeinsterCobbold:
 
     def test_q1_limit_continuity(self):
         rng = np.random.default_rng(7)
+        cases = [(np.eye(2), np.array([0.5, 0.5]))]
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            s = random_similarity(rng, n)
-            p = rng.dirichlet(np.ones(n))
+            cases.append((random_similarity(rng, n), rng.dirichlet(np.ones(n))))
+        for s, p in cases:
             at_one = leinster_cobbold(s, p, 1.0)
             for eps in (1e-6, -1e-6):
                 assert leinster_cobbold(s, p, 1.0 + eps) == pytest.approx(
                     at_one, rel=1e-4)
+            assert_near_one(lambda q: leinster_cobbold(s, p, q),
+                            lambda q: leinster_cobbold_mp(s, p, q))
 
 
 class TestMetricPredicates:

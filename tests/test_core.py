@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from hetlab.core import (
     TABLE_INDICES,
     as_distribution,
+    logsumexp,
     normalize,
     renyi_heterogeneity,
     table1_index,
 )
 from hetlab.errors import UndefinedOrderError, ValidationError
+
+from oracles import assert_near_one, gei_mp, renyi_mp, tsallis_mp
 
 distributions = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12).map(
     lambda v: np.array(v) / np.sum(v))
@@ -45,6 +49,27 @@ class TestValidation:
             renyi_heterogeneity([1.0], -1.0)
         with pytest.raises(UndefinedOrderError):
             renyi_heterogeneity([1.0], math.nan)
+
+
+class TestLogSumExp:
+    def test_bitwise_equal_to_scipy(self):
+        # Rounded entries tie at the maximum; -inf entries, whole -inf rows
+        # and inf or NaN entries take the path of a non-finite maximum.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 40)))
+            a = rng.standard_normal(shape) * float(rng.choice([1.0, 30.0, 800.0]))
+            if rng.random() < 0.5:
+                a = np.round(a)
+            a[rng.random(shape) < 0.2] = -np.inf
+            if rng.random() < 0.3:
+                a[int(rng.integers(shape[0]))] = -np.inf
+            if rng.random() < 0.1:
+                a[rng.random(shape) < 0.05] = rng.choice([np.inf, np.nan])
+            for axis in (None, 0, 1):
+                ours, ref = logsumexp(a, axis), special.logsumexp(a, axis=axis)
+                assert type(ours) is type(ref)
+                assert np.array_equal(ours, ref, equal_nan=True), (a, axis)
 
 
 class TestRenyiHeterogeneity:
@@ -107,6 +132,7 @@ class TestRenyiHeterogeneity:
         for eps in (1e-6, -1e-6):
             assert renyi_heterogeneity(p, 1.0 + eps) == pytest.approx(
                 at_one, rel=1e-4)
+        assert_near_one(lambda q: renyi_heterogeneity(p, q), lambda q: renyi_mp(p, q))
 
     def test_replication(self):
         # N copies of a system on disjoint supports multiply heterogeneity by N
@@ -170,6 +196,9 @@ class TestTable1Indices:
         # continuity against nearby generic q
         near = table1_index(self.p, "tsallis_entropy", q=1.0 + 1e-7).value
         assert near == pytest.approx(res.value, abs=1e-6)
+        for p in (self.p, np.array([0.2, 0.3, 0.5])):
+            assert_near_one(lambda q: table1_index(p, "tsallis_entropy", q=q).value,
+                            lambda q: tsallis_mp(p, q))
 
     def test_gei_generic_and_limits(self):
         n = self.p.size
@@ -185,6 +214,10 @@ class TestTable1Indices:
         assert theil.value == pytest.approx(math.log(n) - h, rel=1e-12)
         near = table1_index(self.p, "generalized_entropy_index", q=1.0 + 1e-7).value
         assert near == pytest.approx(theil.value, abs=1e-6)
+        for p in (self.p, np.array([0.2, 0.3, 0.5])):
+            assert_near_one(
+                lambda q: table1_index(p, "generalized_entropy_index", q=q).value,
+                lambda q: gei_mp(p, q))
 
         mld = table1_index(self.p, "generalized_entropy_index", q=0.0)
         assert mld.limit_branch

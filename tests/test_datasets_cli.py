@@ -4,6 +4,8 @@ analyses, and the command-line interface."""
 import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -395,6 +397,24 @@ class TestCliSweeps:
         inf_rows = [l for l in lines if ",inf," in l]
         assert inf_rows and all(l.split(",")[6] == "" for l in inf_rows)
 
+    @pytest.mark.parametrize("args", [
+        ["bmm-sweep", "--grid", "0.5", "--q", "inf"],
+        ["three-state-sweep", "--grid", "1", "--kappa", "inf", "--q", "1"],
+        ["three-state-sweep", "--grid", "1", "--kappa", "0", "--q", "1"],
+    ], ids=["bmm-q-inf", "point-mass-kappa-inf", "point-mass-kappa-0"])
+    def test_undefined_fhn_is_an_empty_cell(self, args):
+        csv_res = self.run(args)
+        assert csv_res.exit_code == 0, csv_res.output
+        lines = [l for l in csv_res.output.splitlines() if not l.startswith("#")]
+        header, row = lines[0].split(","), lines[1].split(",")
+        assert row[header.index("fhn")] == ""
+        json_res = self.run(args + ["--format", "json"])
+        assert json_res.exit_code == 0, json_res.output
+        payload = json.loads(json_res.output)
+        row = dict(zip(payload["columns"], payload["rows"][0]))
+        assert row["fhn"] is None
+        assert all(v is not None for k, v in row.items() if k not in ("fhn", "neqrqe"))
+
     def test_three_state_even_probs_rrh(self):
         res = self.run(["three-state-sweep", "--grid", "1.0", "--kappa", "1",
                         "--q", "1", "--format", "json"])
@@ -601,6 +621,62 @@ class TestCliMalformedInput:
         res = self.run(command + [str(path)])
         self.assert_exit_3(res)
         assert "bytes.csv" in res.output
+
+
+def _fuzz_cases():
+    """(command, input format, valid input bytes) for each file-reading command."""
+    cases = []
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        write_embeddings(small_dataset(), buf, fmt)
+        emb = buf.getvalue().encode()
+        cases.append((["embeddings", "decompose", "--q", "0.5,1,2"], fmt, emb))
+        cases.append((["embeddings", "neighborhoods", "--k", "1"], fmt, emb))
+    assign = [("a", 0.5, 0.5, 0.0), ("b", 0.2, 0.3, 0.5), ("c", 0.0, 0.0, 1.0),
+              ("d", 1.0, 0.0, 0.0)]
+    csv_text = "id,p_1,p_2,p_3\n" + "".join(f"{i},{a},{b},{c}\n" for i, a, b, c in assign)
+    json_text = json.dumps({"records": [{"id": i, "p_1": a, "p_2": b, "p_3": c}
+                                        for i, a, b, c in assign]})
+    for fmt, text in (("csv", csv_text), ("json", json_text)):
+        cases.append((["assignments", "rrh", "--q", "0,1,2,inf"], fmt, text.encode()))
+    return cases
+
+
+# Bytes that CSV, JSON and number parsing treat specially, plus any byte at all.
+_FUZZ_BYTE = st.one_of(st.sampled_from(list(b',"#\n\r{}[]:.-+eE0123456789 ')),
+                       st.integers(0, 255))
+_MUTATIONS = st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                st.sampled_from(["replace", "insert", "delete"]),
+                                _FUZZ_BYTE), min_size=1, max_size=4)
+
+
+class TestCliIngestionFuzz:
+    """Byte-mutated input files end in success, a validation error (3) or a
+    numerical error (4), never in a traceback."""
+
+    @given(st.sampled_from(_fuzz_cases()), _MUTATIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_input_exits_cleanly(self, case, mutations):
+        command, fmt, data = case
+        data = bytearray(data)
+        for pos, op, byte in mutations:
+            pos %= len(data) + 1
+            if op == "insert":
+                data.insert(pos, byte)
+            elif pos < len(data):
+                if op == "replace":
+                    data[pos] = byte
+                else:
+                    del data[pos]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input")
+            with open(path, "wb") as fh:
+                fh.write(bytes(data))
+            res = CliRunner().invoke(cli.main, command[:2] + [path] + command[2:]
+                                     + ["--in-format", fmt])
+        assert res.exit_code in (0, 3, 4), (bytes(data), res.output, res.exception)
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
 
 
 class TestCliDeterminism:

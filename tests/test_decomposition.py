@@ -16,7 +16,7 @@ from hetlab.decomposition import (
 )
 from hetlab.errors import ValidationError
 
-from oracles import random_distribution, within_heterogeneity_loop
+from oracles import assert_near_one, random_distribution, within_heterogeneity_loop, within_mp
 
 
 def random_ensemble(rng, n_rows=None, n_states=None, equal_weights=True):
@@ -102,12 +102,17 @@ class TestBranches:
 
     def test_q1_continuity(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            ens = random_ensemble(rng, equal_weights=False)
+        ensembles = [random_ensemble(rng, equal_weights=False) for _ in range(20)]
+        ensembles.append(SubsystemEnsemble(table=[[0.5, 0.5], [0.5, 0.5]]))
+        ensembles.append(SubsystemEnsemble(table=[[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]],
+                                           weights=[0.9, 0.1]))
+        for ens in ensembles:
             at_one = within_heterogeneity(ens, 1.0)
             for eps in (1e-6, -1e-6):
                 assert within_heterogeneity(ens, 1.0 + eps) == pytest.approx(
                     at_one, rel=1e-4)
+            assert_near_one(lambda q: within_heterogeneity(ens, q),
+                            lambda q: within_mp(ens.table, ens.weights, q))
 
     def test_inf_within_matches_large_q(self):
         rng = np.random.default_rng(13)

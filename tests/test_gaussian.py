@@ -21,7 +21,13 @@ from hetlab.gaussian import (
     model_average_pooled_numeric,
 )
 
-from oracles import gaussian_pool_loop, gaussian_renyi_quad, random_pd_cov
+from oracles import (
+    assert_near_one,
+    gaussian_pool_loop,
+    gaussian_renyi_quad,
+    gaussian_within_mp,
+    random_pd_cov,
+)
 
 
 def comp(mean, cov):
@@ -185,15 +191,20 @@ class TestGaussianWithin:
 
     def test_q1_continuity(self):
         rng = np.random.default_rng(8)
+        cases = []
         for _ in range(10):
             means, covs = zip(*[(rng.standard_normal(2), random_pd_cov(rng, 2))
                                 for _ in range(3)])
-            w = rng.dirichlet(np.ones(3))
+            cases.append((means, covs, rng.dirichlet(np.ones(3))))
+        cases.append(([[0.0], [3.0]], [[[1.0]], [[1.0]]], None))
+        for means, covs, w in cases:
             e = ens(means, covs, w)
             at_one = gaussian_within(e, 1.0)
             for eps in (1e-6, -1e-6):
                 assert gaussian_within(e, 1.0 + eps) == pytest.approx(
                     at_one, rel=1e-4)
+            assert_near_one(lambda q: gaussian_within(e, q),
+                            lambda q: gaussian_within_mp(e.weights, covs, q))
 
     def test_q0_undefined(self):
         with pytest.raises(UndefinedOrderError):

@@ -141,15 +141,20 @@ class TestRegHyp3F2Unit:
         # oracle: non-integer beta parameters force the infinite series.
         # Relative only: the second case is of order 1e-63, so any absolute
         # tolerance would accept a wrong value.
+        # The references are mp_reg_hyp3f2(num, den) at mpmath.mp.dps = 80,
+        # stored because mpmath takes about 40 s over the four; dps = 100
+        # gives the same floats. Do not recompute them at lower precision:
+        # for the second case mpmath silently returns 4.6515e-77 at dps 50
+        # and 60, and agrees on 5.2532428303783627e-63 at dps 70, 80, 100
+        # and 120; the kernel gives 5.253242830378354e-63.
         cases = [
-            ((0.5, 3.5, 0.5), (1.5, 6.0)),
-            ((5.0, 26.0, -19.5), (6.0, 46.5)),
-            ((0.5, 2.0, 0.5), (1.5, 3.0)),
-            ((2.5, 9.0, -3.5), (3.5, 15.0)),
+            ((0.5, 3.5, 0.5), (1.5, 6.0), 0.010831716252909573),
+            ((5.0, 26.0, -19.5), (6.0, 46.5), 5.253242830378363e-63),
+            ((0.5, 2.0, 0.5), (1.5, 3.0), 0.6801340485612273),
+            ((2.5, 9.0, -3.5), (3.5, 15.0), 6.503382536646298e-13),
         ]
-        for num, den in cases:
-            assert reg_hyp3f2_unit(num, den) == pytest.approx(
-                mp_reg_hyp3f2(num, den), rel=1e-9)
+        for num, den, ref in cases:
+            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-9)
 
     def test_divergent_rejected(self):
         with pytest.raises(ConvergenceError):
