@@ -53,13 +53,19 @@ def as_similarity_matrix(s, *, require_unit_diagonal: bool = True) -> np.ndarray
     return arr
 
 
-def rqe(d, p, q=1.0, *, require_zero_diagonal: bool = True) -> float:
-    """Generalized Rao quadratic entropy: sum_ij D_ij (p_i p_j)^q."""
+def _distance_and_distribution(d, p, require_zero_diagonal: bool) -> tuple:
+    """A validated distance matrix and distribution of matching size."""
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
     pv = as_distribution(p)
-    qf = check_order(q)
     if dm.shape[0] != pv.size:
         raise ValidationError("distance matrix and distribution sizes disagree")
+    return dm, pv
+
+
+def rqe(d, p, q=1.0, *, require_zero_diagonal: bool = True) -> float:
+    """Generalized Rao quadratic entropy: sum_ij D_ij (p_i p_j)^q."""
+    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
+    qf = check_order(q)
     pp = np.outer(pv, pv)
     return float(np.sum(dm * pp ** qf))
 
@@ -80,10 +86,10 @@ def neqrqe(d, p, *, require_zero_diagonal: bool = True) -> float:
     The caller is responsible for rescaling; entries outside [0, 1] are
     rejected rather than silently rescaled.
     """
-    dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
+    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     if np.any(dm > 1.0 + SYM_TOL):
         raise ValidationError("neqrqe requires a distance matrix rescaled to [0, 1]")
-    q1 = rqe(dm, p, 1.0, require_zero_diagonal=require_zero_diagonal)
+    q1 = float(np.sum(dm * np.outer(pv, pv)))
     if q1 >= 1.0 - 1e-12:
         raise SingularityError(f"quadratic entropy {q1} too close to 1")
     return 1.0 / (1.0 - q1)
@@ -92,16 +98,15 @@ def neqrqe(d, p, *, require_zero_diagonal: bool = True) -> float:
 def functional_hill(d, p, q, *, require_zero_diagonal: bool = True) -> float:
     """Functional Hill number (Q_q / Q_1)^(1/(2(1-q))), with the analytic
     q=1 limit exp(-sum_ij D_ij p_i p_j log(p_i p_j) / (2 Q_1))."""
-    dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
-    pv = as_distribution(p)
+    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     qf = check_order(q)
     if math.isinf(qf):
         raise UndefinedOrderError("functional Hill numbers are computed at finite q")
-    q1 = rqe(dm, pv, 1.0, require_zero_diagonal=require_zero_diagonal)
+    pp = np.outer(pv, pv)
+    q1 = float(np.sum(dm * pp))
     if q1 <= 0.0:
         raise SingularityError("functional Hill number undefined when Q_1 = 0")
     # Q_q / Q_1 is a power mean of p_i p_j with weights D_ij p_i p_j / Q_1.
-    pp = np.outer(pv, pv)
     log_pp = np.log(pp, out=np.full(pp.shape, -np.inf), where=pp > 0.0)
     return float(np.exp(0.5 * _log_hill(log_pp, dm * pp / q1, qf)))
 
@@ -112,7 +117,7 @@ def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
     (p_i p_j)^(q-1), so the number grows like (p_i p_j)^(-1/2) and has no
     finite limit to stand in. The sweep commands print None as an empty cell.
     """
-    if math.isinf(check_order(q)):
+    if float(q) == math.inf:  # functional_hill validates q itself
         return None
     try:
         return functional_hill(d, p, q, require_zero_diagonal=require_zero_diagonal)

@@ -5,6 +5,10 @@ neighborhoods / synth), assignments (rrh). Output is a CSV table with
 ``# key=value`` metadata comment lines, or an equivalent JSON document;
 both are byte-identical across runs with identical inputs and seeds.
 
+Input files are read as UTF-8, with or without a byte-order mark, and
+their format is taken from the content: a file whose first non-blank
+character is ``{`` or ``[`` is JSON, anything else is CSV.
+
 Exit codes: 0 success, 2 usage error, 3 validation/ingestion error,
 4 numerical error.
 """
@@ -59,13 +63,14 @@ def _parse_floats(text: str, name: str, *, allow_inf: bool = False) -> list:
     return vals
 
 
-def _read_input(path: str, reader, in_format: str):
+def _read_input(path: str, reader):
     """Parse an input file with ``reader``. The file is read as UTF-8 with
     ``newline=""`` so that line breaks inside quoted CSV fields survive; a
-    byte sequence that is not UTF-8 is a validation error naming the file."""
+    leading byte-order mark is dropped, and a byte sequence that is not
+    UTF-8 is a validation error naming the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return reader(fh, in_format)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return reader(fh)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -153,7 +158,11 @@ def _parse_grid(text: str, name: str) -> list:
             raise click.UsageError(f"--{name}: cannot parse range {text!r}")
         if step <= 0 or stop < start:
             raise click.UsageError(f"--{name}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        steps = (stop - start) / step
+        if not all(map(math.isfinite, (start, stop, step, steps))):
+            raise click.UsageError(
+                f"--{name}: range {text!r} must be finite, in finitely many steps")
+        count = int(math.floor(steps + 0.5)) + 1
         return [start + i * step for i in range(count)]
     return _parse_floats(text, name)
 
@@ -179,8 +188,8 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
     index comparison per theta1, grid mode emits the RRH curve over tau."""
     q_list = _parse_floats(q, "q", allow_inf=True)
     grid_vals = _parse_grid(grid, "grid")
-    if u < 0:
-        raise click.UsageError("--u must be >= 0")
+    if not 0 <= u < math.inf:
+        raise click.UsageError(f"--u: value {u!r} out of range, need 0 <= u < inf")
 
     rows = []
     if tau_mode == "optimal":
@@ -223,15 +232,13 @@ def embeddings():
 @click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
 @click.option("--group-by/--whole", "group_by", default=True, show_default=True,
               help="Decompose per label group or over the whole dataset.")
-@click.option("--in-format", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
 @_out_option
 @_format_option
 @_exit_codes
-def embeddings_decompose(file, q, group_by, in_format, out, fmt):
+def embeddings_decompose(file, q, group_by, out, fmt):
     """Pooled/within/between heterogeneity per label group."""
     q_list = _parse_floats(q, "q")
-    dataset = _read_input(file, datasets.read_embeddings, in_format)
+    dataset = _read_input(file, datasets.read_embeddings)
     result = datasets.group_decomposition(dataset, q_list, group_by_label=group_by)
     _emit(result, out, fmt)
 
@@ -243,14 +250,12 @@ def embeddings_decompose(file, q, group_by, in_format, out, fmt):
 @click.option("--q", type=float, default=1.0, show_default=True)
 @click.option("--top", type=int, default=10, show_default=True,
               help="How many highest and lowest neighborhoods to report.")
-@click.option("--in-format", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
 @_out_option
 @_format_option
 @_exit_codes
-def embeddings_neighborhoods(file, k, q, top, in_format, out, fmt):
+def embeddings_neighborhoods(file, k, q, top, out, fmt):
     """Heterogeneity of each record's k-nearest-neighbor neighborhood."""
-    dataset = _read_input(file, datasets.read_embeddings, in_format)
+    dataset = _read_input(file, datasets.read_embeddings)
     if not 1 <= k < len(dataset):
         raise click.UsageError(f"--k must satisfy 1 <= k < N={len(dataset)}")
     if top < 1:
@@ -306,15 +311,13 @@ def assignments():
 @assignments.command("rrh")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
-@click.option("--in-format", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
 @_out_option
 @_format_option
 @_exit_codes
-def assignments_rrh(file, q, in_format, out, fmt):
+def assignments_rrh(file, q, out, fmt):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
-    ids, ensemble = _read_input(file, datasets.read_assignments, in_format)
+    ids, ensemble = _read_input(file, datasets.read_assignments)
     rows = []
     for qv in q_list:
         res = decompose(ensemble, qv)

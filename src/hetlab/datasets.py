@@ -5,9 +5,17 @@ File formats
 ------------
 Embedding CSV: header ``id,label,m_1..m_{nz},s_1..s_{nz}``, one record per
 row; ``label`` may be empty. Soft-assignment CSV: header ``id,p_1..p_{nz}``.
-Both have JSON mirrors with the same field names. All numeric output is
-written with 12 significant digits and no timestamps, so identical inputs
-produce byte-identical files.
+Both have JSON mirrors ``{"records": [...]}`` with the same field names
+(``label`` may be null). The readers take the format from the content: a
+file whose first non-blank character is ``{`` or ``[`` is JSON, anything
+else is CSV after an optional leading ``#`` comment block (a ``#`` line
+after the header is a record whose id starts with ``#``). Both formats go
+through one header check and one row loop, so their errors read alike
+(``record {i}`` counts records from 0). The readers take a text stream, so
+a UTF-8 byte-order mark is the opener's to drop: the CLI opens inputs with
+``encoding="utf-8-sig"``. All numeric output is written with
+12 significant digits and no timestamps, so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -58,31 +66,6 @@ def _json_cell(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     return v
-
-
-def _json_records(stream, what: str) -> list:
-    """The ``records`` of a JSON document: an object whose ``records`` is a
-    non-empty list of objects."""
-    try:
-        payload = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{what} file is not valid JSON: {exc}") from exc
-    rows = payload.get("records") if isinstance(payload, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise ValidationError(
-            f'{what} file must be a JSON object whose "records" is a list of objects')
-    if not rows:
-        raise ValidationError(f"{what} file holds no records")
-    return rows
-
-
-def _skip_leading_comments(stream):
-    """The lines of a CSV stream after its leading ``#`` comment block.
-
-    Only lines before the header are comments; a later line starting with
-    ``#`` is a record whose id begins with ``#``.
-    """
-    return itertools.dropwhile(lambda line: line.startswith("#"), stream)
 
 
 def _csv_writerow(stream):
@@ -153,10 +136,65 @@ class EmbeddingDataset:
                                 covariances=np.exp(self.log_var[rows]))
 
 
+def _header(text: tuple, prefixes: tuple, n: int) -> list:
+    """The canonical header: the text columns, then ``n`` numbered columns
+    per prefix."""
+    return list(text) + [f"{p}{j}" for p in prefixes for j in range(1, n + 1)]
+
+
 def _embedding_header(nz: int) -> list:
-    return (["id", "label"]
-            + [f"m_{j + 1}" for j in range(nz)]
-            + [f"s_{j + 1}" for j in range(nz)])
+    return _header(("id", "label"), ("m_", "s_"), nz)
+
+
+def _table_rows(stream, what: str, text: tuple, prefixes: tuple):
+    """Yield ``(i, row, numbers)`` for each record of an input file whose
+    format is read from the content (see the module docstring). CSV streams
+    line by line; a JSON record becomes a row under the canonical header, a
+    missing field making it short, so one loop checks the header, the row
+    width and the floats after the ``text`` columns for both formats."""
+    head = []
+    for line in stream:
+        head.append(line)
+        if not line.isspace():
+            break
+    if head and head[-1].lstrip()[:1] in ("{", "["):
+        try:
+            payload = json.loads("".join(head) + stream.read())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} file is not valid JSON: {exc}") from exc
+        records = payload.get("records") if isinstance(payload, dict) else None
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ValidationError(
+                f'{what} file must be a JSON object whose "records" is a list of objects')
+        if not records:
+            raise ValidationError(f"{what} file holds no records")
+        header = _header(text, prefixes,
+                         sum(1 for key in records[0] if key.startswith(prefixes[0])))
+        rows = ([rec[key] for key in header if key in rec] for rec in records)
+    else:
+        lines = itertools.dropwhile(lambda line: line.startswith("#"),
+                                    itertools.chain(head, stream))
+        rows = csv.reader(lines)
+        header = next(rows, None)
+        if header is None:
+            raise ValidationError(f"{what} file is empty")
+    n = sum(1 for h in header if h.startswith(prefixes[0]))
+    if n < 1 or header != _header(text, prefixes, n):
+        layout = ",".join([*text, *(f"{p}1..{p}n" for p in prefixes)])
+        raise ValidationError(f"{what} header must be {layout}")
+    width = len(header)
+    i = -1
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError(
+                f"{what} record {i}: expected {width} fields, got {len(row)}")
+        try:
+            numbers = [float(v) for v in row[len(text):]]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} record {i}: {exc}") from exc
+        yield i, row, numbers
+    if i < 0:
+        raise ValidationError(f"{what} file holds no records")
 
 
 def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> None:
@@ -179,80 +217,31 @@ def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> Non
         raise ValidationError(f"unknown format {fmt!r}")
 
 
-def read_embeddings(stream, fmt: str = "csv") -> EmbeddingDataset:
-    """Read an embedding file. A CSV stream should be opened with
-    ``newline=""`` so that line breaks inside quoted ids survive."""
+def read_embeddings(stream) -> EmbeddingDataset:
+    """Read an embedding file, CSV or JSON. A file stream should be opened
+    with ``newline=""`` so that line breaks inside quoted CSV ids survive."""
     ids, labels, values = [], [], []
-    if fmt == "json":
-        rows = _json_records(stream, "embedding")
-        nz = sum(1 for k in rows[0] if k.startswith("m_"))
-        keys = _embedding_header(nz)[2:]
-        for i, rec in enumerate(rows):
-            try:
-                ids.append(str(rec["id"]))
-                label = rec.get("label")
-                if not isinstance(label, (str, type(None))):
-                    raise TypeError(f"label must be a string or null, got {label!r}")
-                labels.append(label or None)
-                values.append([float(rec[k]) for k in keys])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"embedding record {i}: {exc}") from exc
-    else:
-        reader = csv.reader(_skip_leading_comments(stream))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("embedding file is empty")
-        nz = sum(1 for h in header if h.startswith("m_"))
-        if nz < 1 or header[:2] != ["id", "label"] or header != _embedding_header(nz):
-            raise ValidationError("embedding header must be id,label,m_1..m_n,s_1..s_n")
-        width = 2 + 2 * nz
-        for i, row in enumerate(reader):
-            if len(row) != width:
-                raise ValidationError(f"embedding row {i}: expected {width} fields, got {len(row)}")
-            try:
-                values.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ValidationError(f"embedding row {i}: {exc}") from exc
-            ids.append(row[0])
-            labels.append(row[1] or None)
-        if not ids:
-            raise ValidationError("embedding file holds no records")
+    for i, row, numbers in _table_rows(stream, "embedding", ("id", "label"), ("m_", "s_")):
+        label = row[1]
+        if not isinstance(label, (str, type(None))):
+            raise ValidationError(
+                f"embedding record {i}: label must be a string or null, got {label!r}")
+        ids.append(str(row[0]))
+        labels.append(label or None)
+        values.append(numbers)
     arr = np.asarray(values, dtype=float)
+    nz = arr.shape[1] // 2
     return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels),
                             means=arr[:, :nz], log_var=arr[:, nz:])
 
 
-def read_assignments(stream, fmt: str = "csv") -> tuple:
-    """Read a soft-assignment table; returns (ids, SubsystemEnsemble)."""
-    if fmt == "json":
-        rows = _json_records(stream, "assignment")
-        nz = sum(1 for k in rows[0] if k.startswith("p_"))
-        ids, table = [], []
-        for i, rec in enumerate(rows):
-            try:
-                ids.append(str(rec["id"]))
-                table.append([float(rec[f"p_{j + 1}"]) for j in range(nz)])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"assignment record {i}: {exc}") from exc
-    else:
-        reader = csv.reader(_skip_leading_comments(stream))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("assignment file is empty")
-        nz = len(header) - 1
-        if nz < 1 or header != ["id"] + [f"p_{j + 1}" for j in range(nz)]:
-            raise ValidationError("assignment header must be id,p_1..p_n")
-        ids, table = [], []
-        for i, row in enumerate(reader):
-            if len(row) != 1 + nz:
-                raise ValidationError(f"assignment row {i}: expected {1 + nz} fields")
-            try:
-                ids.append(row[0])
-                table.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ValidationError(f"assignment row {i}: {exc}") from exc
+def read_assignments(stream) -> tuple:
+    """Read a soft-assignment table, CSV or JSON; returns
+    (ids, SubsystemEnsemble)."""
+    ids, table = [], []
+    for _, row, numbers in _table_rows(stream, "assignment", ("id",), ("p_",)):
+        ids.append(str(row[0]))
+        table.append(numbers)
     try:
         ensemble = SubsystemEnsemble(table=np.asarray(table, dtype=float))
     except ValidationError as exc:

@@ -81,6 +81,28 @@ class TestRqe:
         with pytest.raises(ValidationError):
             rqe(CATEGORICAL_3, [0.5, 0.5])
 
+    _INDICES = pytest.mark.parametrize("index", [
+        neqrqe, lambda d, p: functional_hill(d, p, 2.0),
+        lambda d, p: functional_hill_or_none(d, p, 2.0)],
+        ids=["neqrqe", "functional_hill", "functional_hill_or_none"])
+
+    @_INDICES
+    def test_dimension_mismatch_in_each_index(self, index):
+        with pytest.raises(ValidationError, match="sizes disagree"):
+            index(CATEGORICAL_3, [0.5, 0.5])
+
+    @_INDICES
+    def test_validates_inputs_once(self, index, monkeypatch):
+        import hetlab.classic as classic
+        calls = []
+        for name in ("as_distance_matrix", "as_distribution", "check_order"):
+            def counted(*a, _f=getattr(classic, name), _name=name, **k):
+                calls.append(_name)
+                return _f(*a, **k)
+            monkeypatch.setattr(classic, name, counted)
+        index(three_state_distance(0.4, 1.0) / 2.0, three_state_probs(4.0))
+        assert len(calls) == len(set(calls)), calls
+
 
 class TestRescale:
     def test_identity_on_unit_matrix(self):
@@ -115,7 +137,7 @@ class TestNeqrqe:
         d = rescale_distance(three_state_distance(0.5, 1.0))
         p = np.full(3, 1 / 3)
         q1 = rqe(d, p, 1)
-        assert neqrqe(d, p) == pytest.approx(1.0 / (1.0 - q1), rel=1e-12)
+        assert neqrqe(d, p) == 1.0 / (1.0 - q1)  # the same Q_1, bit for bit
 
     def test_unscaled_rejected(self):
         with pytest.raises(ValidationError):

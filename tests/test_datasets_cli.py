@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -121,7 +123,7 @@ class TestEmbeddingIO:
         ds = small_dataset()
         buf = io.StringIO()
         write_embeddings(ds, buf, fmt)
-        assert_same_dataset(read_embeddings(io.StringIO(buf.getvalue()), fmt), ds)
+        assert_same_dataset(read_embeddings(io.StringIO(buf.getvalue())), ds)
 
     @settings(max_examples=60, deadline=None)
     @given(records=st.lists(
@@ -134,7 +136,7 @@ class TestEmbeddingIO:
         for fmt in ("csv", "json"):
             buf = io.StringIO()
             write_embeddings(ds, buf, fmt)
-            assert_same_dataset(read_embeddings(io.StringIO(buf.getvalue()), fmt), ds)
+            assert_same_dataset(read_embeddings(io.StringIO(buf.getvalue())), ds)
 
     def test_unquoted_fields_unchanged(self):
         buf = io.StringIO()
@@ -150,11 +152,30 @@ class TestEmbeddingIO:
         assert buf.getvalue().splitlines()[0] == "id,label,m_1,m_2,s_1,s_2"
 
     def test_comment_lines_skipped(self):
-        text = ("# produced by a sweep\n"
+        # only the block before the header is comments; "#a" is a record
+        text = ("# produced by a sweep\n#\n"
                 "id,label,m_1,s_1\n"
-                "a,x,1.0,-1.0\n")
-        ds = read_embeddings(io.StringIO(text), "csv")
-        assert len(ds) == 1 and ds.labels == ("x",)
+                "#a,x,1.0,-1.0\n"
+                "b,#y,2.0,-1.0\n")
+        ds = read_embeddings(io.StringIO(text))
+        assert ds.ids == ("#a", "b") and ds.labels == ("x", "#y")
+
+    def test_json_after_blank_lines_is_json(self):
+        buf = io.StringIO()
+        write_embeddings(small_dataset(), buf, "json")
+        text = "\n \t\n  " + buf.getvalue()
+        assert_same_dataset(read_embeddings(io.StringIO(text)), small_dataset())
+
+    def test_json_missing_field_fails_like_short_row(self):
+        short_csv = "id,label,m_1,m_2,s_1,s_2\na,x,1.0,2.0,-1.0\n"
+        short_json = json.dumps({"records": [
+            {"id": "a", "label": "x", "m_1": 1.0, "m_2": 2.0, "s_1": -1.0}]})
+        messages = []
+        for text in (short_csv, short_json):
+            with pytest.raises(ValidationError) as err:
+                read_embeddings(io.StringIO(text))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "embedding record 0: expected 6 fields, got 5"
 
     def test_hash_id_round_trip(self):
         ds = make_dataset(
@@ -164,7 +185,7 @@ class TestEmbeddingIO:
         )
         buf = io.StringIO()
         write_embeddings(ds, buf, "csv")
-        back = read_embeddings(io.StringIO(buf.getvalue()), "csv")
+        back = read_embeddings(io.StringIO(buf.getvalue()))
         assert back.ids == ("x", "#y", "z")
 
     @pytest.mark.parametrize("text", [
@@ -176,7 +197,7 @@ class TestEmbeddingIO:
     ])
     def test_csv_rejects(self, text):
         with pytest.raises(ValidationError):
-            read_embeddings(io.StringIO(text), "csv")
+            read_embeddings(io.StringIO(text))
 
     @pytest.mark.parametrize("row,what", [
         ("b,x,nan,-1.0", "mean"),
@@ -185,32 +206,32 @@ class TestEmbeddingIO:
     def test_non_finite_names_record(self, row, what):
         text = f"id,label,m_1,s_1\na,x,1.0,-1.0\n{row}\n"
         with pytest.raises(ValidationError, match=f"record 'b': {what}"):
-            read_embeddings(io.StringIO(text), "csv")
+            read_embeddings(io.StringIO(text))
 
     def test_json_rejects(self):
         with pytest.raises(ValidationError):
-            read_embeddings(io.StringIO('{"records": []}'), "json")
+            read_embeddings(io.StringIO('{"records": []}'))
         bad = '{"records": [{"id": "a", "label": null, "m_1": 1.0}]}'
         with pytest.raises(ValidationError):
-            read_embeddings(io.StringIO(bad), "json")
+            read_embeddings(io.StringIO(bad))
         # a non-string label would later fail to sort or hash into a group
         for label in ("5", "[\"y\"]"):
             bad = f'{{"records": [{{"id": "a", "label": {label}, "m_1": 1.0, "s_1": 0.0}}]}}'
             with pytest.raises(ValidationError, match="record 0: label"):
-                read_embeddings(io.StringIO(bad), "json")
+                read_embeddings(io.StringIO(bad))
 
 
 class TestAssignmentIO:
     def test_csv(self):
         text = "id,p_1,p_2\na,0.3,0.7\nb,1.0,0.0\n"
-        ids, ens = read_assignments(io.StringIO(text), "csv")
+        ids, ens = read_assignments(io.StringIO(text))
         assert ids == ["a", "b"]
         assert ens.n_subsystems == 2 and ens.n_states == 2
         assert np.array_equal(ens.table, [[0.3, 0.7], [1.0, 0.0]])
 
     def test_csv_hash_ids_after_header(self):
         text = "# exported\nid,p_1,p_2\nr1,0.5,0.5\n#r2,1,0\nr3,0,1\n"
-        ids, ens = read_assignments(io.StringIO(text), "csv")
+        ids, ens = read_assignments(io.StringIO(text))
         assert ids == ["r1", "#r2", "r3"]
         assert np.array_equal(ens.table, [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
 
@@ -218,8 +239,16 @@ class TestAssignmentIO:
         text = json.dumps({"records": [
             {"id": "a", "p_1": 0.25, "p_2": 0.75},
         ]})
-        ids, ens = read_assignments(io.StringIO(text), "json")
+        ids, ens = read_assignments(io.StringIO(text))
         assert ids == ["a"] and ens.n_subsystems == 1
+
+    def test_json_missing_field_fails_like_short_row(self):
+        for text in ("id,p_1,p_2\na,1.0\n",
+                     json.dumps({"records": [{"id": "a", "p_1": 1.0, "p_3": 0.0},
+                                             {"id": "b"}]})):
+            with pytest.raises(ValidationError,
+                               match="assignment record 0: expected 3 fields, got 2"):
+                read_assignments(io.StringIO(text))
 
     @pytest.mark.parametrize("text", [
         "",
@@ -229,7 +258,7 @@ class TestAssignmentIO:
     ])
     def test_rejects(self, text):
         with pytest.raises(ValidationError):
-            read_assignments(io.StringIO(text), "csv")
+            read_assignments(io.StringIO(text))
 
 
 class TestSweepResult:
@@ -454,6 +483,25 @@ class TestCliSweeps:
         assert res.exit_code == 4
         assert "overflows" in res.output
 
+    @pytest.mark.parametrize("args", [
+        ["three-state-sweep", "--grid", "nan:1:0.1"],
+        ["three-state-sweep", "--grid", "0:inf:1"],
+        ["three-state-sweep", "--grid", "0.1:1:nan"],
+        ["three-state-sweep", "--grid", "0.5:1:inf"],
+        ["bmm-sweep", "--grid", "0.5:inf:0.1"],
+        ["three-state-sweep", "--grid", "0:1e300:1e-300"],  # finite parts, inf steps
+    ])
+    def test_non_finite_grid_range_is_a_usage_error(self, args):
+        res = self.run(args)
+        assert res.exit_code == 2, res.output
+        assert "must be finite" in res.output
+
+    @pytest.mark.parametrize("u", ["nan", "inf", "-inf", "-1"])
+    def test_bmm_u_out_of_range_is_a_usage_error(self, u):
+        res = self.run(["bmm-sweep", "--grid", "0.5", "--u", u])
+        assert res.exit_code == 2, res.output
+        assert "--u" in res.output and "Traceback" not in res.output
+
     def test_grid_parsing_inclusive_stop(self):
         res = self.run(["three-state-sweep", "--grid", "0.1:0.3:0.1",
                         "--q", "1", "--format", "json"])
@@ -527,7 +575,7 @@ class TestCliEmbeddings:
         path = tmp_path / f"emb.{fmt}"
         with open(path, "w", newline="") as fh:
             write_embeddings(make_dataset(*records), fh, fmt)
-        res = self.run(["embeddings", "neighborhoods", str(path), "--in-format", fmt,
+        res = self.run(["embeddings", "neighborhoods", str(path),
                         "--k", "1", "--top", "5", "--format", "json"])
         assert res.exit_code == 0, res.output
         rows = json.loads(res.output)["rows"]
@@ -543,8 +591,7 @@ class TestCliEmbeddings:
         res = self.run(["embeddings", "synth", "--labels", "2", "--per-label",
                         "3", "--seed", "4", "--format", "json", "--out", str(out)])
         assert res.exit_code == 0
-        res = self.run(["embeddings", "decompose", str(out), "--in-format",
-                        "json", "--q", "1"])
+        res = self.run(["embeddings", "decompose", str(out), "--q", "1"])
         assert res.exit_code == 0
 
 
@@ -589,7 +636,8 @@ _EMBEDDING_BYTES = b"id,label,m_1,s_1\na\xff,0,1.0,-1.0\nb,0,2.0,-1.0\n"
 
 
 class TestCliMalformedInput:
-    """Malformed input files exit 3 with an error line, never a traceback."""
+    """Malformed input files exit 3 with an error line, never a traceback.
+    No flag names the format: a file starting with ``{`` or ``[`` is JSON."""
 
     def run(self, args):
         return CliRunner().invoke(cli.main, args)
@@ -608,7 +656,9 @@ class TestCliMalformedInput:
     def test_malformed_json(self, tmp_path, command, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        self.assert_exit_3(self.run(command + [str(path), "--in-format", "json"]))
+        res = self.run(command + [str(path)])
+        self.assert_exit_3(res)
+        assert "JSON" in res.output  # read as JSON, not as a CSV without a header
 
     @pytest.mark.parametrize("command,data", [
         (["embeddings", "decompose"], _EMBEDDING_BYTES),
@@ -623,8 +673,77 @@ class TestCliMalformedInput:
         assert "bytes.csv" in res.output
 
 
+def _assignment_text(fmt):
+    rows = [("a", 0.5, 0.5), ("b", 0.2, 0.8), ("#c", 1.0, 0.0)]
+    if fmt == "json":
+        return json.dumps({"records": [{"id": i, "p_1": a, "p_2": b}
+                                       for i, a, b in rows]})
+    return "# exported\nid,p_1,p_2\n" + "".join(f"{i},{a},{b}\n" for i, a, b in rows)
+
+
+def _embedding_text(fmt):
+    buf = io.StringIO()
+    write_embeddings(synth_embeddings(2, 4, 2, seed=3), buf, fmt)
+    return buf.getvalue()
+
+
+_FILE_COMMANDS = [
+    (["embeddings", "decompose"], ["--q", "0.5,1,2"], _embedding_text),
+    (["embeddings", "neighborhoods"], ["--k", "2", "--top", "3"], _embedding_text),
+    (["assignments", "rrh"], ["--q", "0,1,inf"], _assignment_text),
+]
+
+
+class TestCliInputDetection:
+    """The input format is read from the file; a UTF-8 byte-order mark is
+    dropped."""
+
+    def run(self, command, path, flags):
+        res = CliRunner().invoke(cli.main, command + [str(path)] + flags)
+        assert res.exit_code == 0, res.output
+        return res.output
+
+    @pytest.mark.parametrize("command,flags,make", _FILE_COMMANDS,
+                             ids=["decompose", "neighborhoods", "rrh"])
+    def test_json_named_csv_reads_as_json(self, tmp_path, command, flags, make):
+        plain = tmp_path / "in.json"
+        plain.write_text(make("json"))
+        misnamed = tmp_path / "in.csv"
+        misnamed.write_text(make("json"))
+        assert self.run(command, misnamed, flags) == self.run(command, plain, flags)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command,flags,make", _FILE_COMMANDS,
+                             ids=["decompose", "neighborhoods", "rrh"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, command, flags, make, fmt):
+        plain = tmp_path / "plain"
+        plain.write_text(make(fmt), encoding="utf-8")
+        bom = tmp_path / "bom"
+        bom.write_text(make(fmt), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert self.run(command, bom, flags) == self.run(command, plain, flags)
+
+    def test_module_entry_point_matches_cli_runner(self, tmp_path):
+        # `python -m hetlab.cli` is the entry the benchmark times
+        emb = tmp_path / "emb.json"
+        emb.write_text(_embedding_text("json"))
+        assign = tmp_path / "assign.csv"
+        assign.write_text(_assignment_text("csv"), encoding="utf-8-sig")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for args in (["embeddings", "decompose", str(emb), "--q", "1,2"],
+                     ["assignments", "rrh", str(assign), "--q", "0,1,2,inf"]):
+            proc = subprocess.run([sys.executable, "-m", "hetlab.cli"] + args,
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            res = CliRunner().invoke(cli.main, args)
+            assert res.exit_code == 0 and proc.stdout == res.stdout_bytes
+
+
 def _fuzz_cases():
-    """(command, input format, valid input bytes) for each file-reading command."""
+    """(command, input format, valid input bytes) for each file-reading
+    command; the format only names the seed, the reader detects it."""
     cases = []
     for fmt in ("csv", "json"):
         buf = io.StringIO()
@@ -657,7 +776,7 @@ class TestCliIngestionFuzz:
     @given(st.sampled_from(_fuzz_cases()), _MUTATIONS)
     @settings(max_examples=300, deadline=None)
     def test_mutated_input_exits_cleanly(self, case, mutations):
-        command, fmt, data = case
+        command, _, data = case
         data = bytearray(data)
         for pos, op, byte in mutations:
             pos %= len(data) + 1
@@ -672,8 +791,7 @@ class TestCliIngestionFuzz:
             path = os.path.join(tmp, "input")
             with open(path, "wb") as fh:
                 fh.write(bytes(data))
-            res = CliRunner().invoke(cli.main, command[:2] + [path] + command[2:]
-                                     + ["--in-format", fmt])
+            res = CliRunner().invoke(cli.main, command[:2] + [path] + command[2:])
         assert res.exit_code in (0, 3, 4), (bytes(data), res.output, res.exception)
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
