@@ -96,8 +96,7 @@ def bmm_between_rrh(theta: BetaMixtureParams, tau: float, q) -> float:
     identically 1 and between equals the pooled heterogeneity of the
     expected assignment mass. Always in [1, 2].
     """
-    qf = check_order(q)
-    return renyi_heterogeneity(assignment_mass(theta, tau), qf)
+    return renyi_heterogeneity(assignment_mass(theta, tau), q)
 
 
 def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
@@ -139,28 +138,38 @@ def expected_distance_matrix(theta: BetaMixtureParams) -> np.ndarray:
     """2x2 expected absolute distance between draws of the two components.
 
     The diagonal holds the (positive) expected distance between two
-    independent draws of the same component.
+    independent draws of the same component. Component 2 is component 1
+    mirrored by x -> 1 - x, so both diagonal entries are one value,
+    evaluated on the component with alpha <= beta (the more accurate
+    orientation of the closed form).
     """
     c1, c2 = theta.component1, theta.component2
-    d11 = beta_abs_distance(c1, c1)
+    same = c1 if theta.theta2 <= theta.theta3 else c2
+    d_same = beta_abs_distance(same, same)
     d12 = beta_abs_distance(c1, c2)
-    d22 = beta_abs_distance(c2, c2)
-    return np.array([[d11, d12], [d12, d22]])
+    return np.array([[d_same, d12], [d12, d_same]])
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One row of the head-to-head index comparison at a given (theta, q, u)."""
+    """One row of the head-to-head index comparison at a given (theta, q, u),
+    with the optimal threshold tau the rrh column is taken at."""
 
+    tau: float
     rrh: float
     fhn: Optional[float]
     neqrqe: Optional[float]
     lci: float
 
 
-def bmm_index_comparison(theta: BetaMixtureParams, q, u: float = 1.0) -> ComparisonRow:
+def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> list:
     """Evaluate the categorical and non-categorical indices on the same
-    analytic two-component problem.
+    analytic two-component problem: one `ComparisonRow` per order in
+    ``q_list``, in that order.
+
+    Only the last step depends on q: the prior, the expected-distance
+    matrix, the optimal threshold, the assignment mass and the similarity
+    matrix are computed once per call.
 
     The quadratic-entropy column is filled only at q=2 and only when the
     expected-distance matrix is non-constant (it cannot be rescaled
@@ -168,23 +177,24 @@ def bmm_index_comparison(theta: BetaMixtureParams, q, u: float = 1.0) -> Compari
     functional Hill number is None where `functional_hill_or_none` says so,
     which here means q=inf.
     """
-    qf = check_order(q)
+    orders = [check_order(q) for q in q_list]
     if u < 0:
         raise ValidationError(f"u must be >= 0, got {u}")
     prior = np.array([1.0 - theta.theta1, theta.theta1])
     dist = expected_distance_matrix(theta)
-
     tau = optimal_threshold(theta)
-    rrh = bmm_between_rrh(theta, tau, qf)
-    fhn = functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False)
+    mass = assignment_mass(theta, tau)
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
-    lci = leinster_cobbold(sim, prior, qf, require_unit_diagonal=False)
 
     neq = None
-    if qf == 2.0:
+    if 2.0 in orders:
         try:
             scaled = rescale_distance(dist, require_zero_diagonal=False)
             neq = neqrqe(scaled, prior, require_zero_diagonal=False)
         except DegenerateDistanceError:
-            neq = None
-    return ComparisonRow(rrh=rrh, fhn=fhn, neqrqe=neq, lci=lci)
+            pass
+    return [ComparisonRow(tau, renyi_heterogeneity(mass, qf),
+                          functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False),
+                          neq if qf == 2.0 else None,
+                          leinster_cobbold(sim, prior, qf, require_unit_diagonal=False))
+            for qf in orders]

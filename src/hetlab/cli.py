@@ -114,8 +114,8 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
     kappa_list = _parse_floats(kappa, "kappa", allow_inf=True)
     q_list = _parse_floats(q, "q", allow_inf=True)
     u_list = _parse_floats(u, "u")
-    if b <= 0:
-        raise click.UsageError("--b must be positive")
+    if not 0 < b < math.inf:
+        raise click.UsageError(f"--b: value {b!r} out of range, need 0 < b < inf")
 
     rows = []
     for h in h_list:
@@ -123,14 +123,14 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
         scaled = classic.rescale_distance(dist)
         metric = classic.is_metric(dist)
         ultra = classic.is_ultrametric(dist)
+        sims = [(uv, classic.similarity_from_distance(dist, uv)) for uv in u_list]
         for kap in kappa_list:
             p = classic.three_state_probs(kap)
             qe = classic.neqrqe(scaled, p)
             for qv in q_list:
                 rrh = renyi_heterogeneity(p, qv)
                 fhn = classic.functional_hill_or_none(dist, p, qv)
-                for uv in u_list:
-                    sim = classic.similarity_from_distance(dist, uv)
+                for uv, sim in sims:
                     lci = classic.leinster_cobbold(sim, p, qv)
                     rows.append((h, b, kap, qv, uv, qe, fhn, lci, rrh,
                                  metric, ultra))
@@ -197,11 +197,8 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
             if not 0.0 < t1 < 1.0:
                 raise click.UsageError(f"--grid: theta1 value {t1} outside (0, 1)")
             theta = betamix.BetaMixtureParams(t1, theta2, theta3)
-            tau = betamix.optimal_threshold(theta)
-            for qv in q_list:
-                row = betamix.bmm_index_comparison(theta, qv, u)
-                rows.append((t1, theta2, theta3, qv, u, tau,
-                             row.rrh, row.fhn, row.neqrqe, row.lci))
+            rows += [(t1, theta2, theta3, qv, u, r.tau, r.rrh, r.fhn, r.neqrqe, r.lci)
+                     for qv, r in zip(q_list, betamix.bmm_index_comparison(theta, q_list, u))]
         columns = ("theta1", "theta2", "theta3", "q", "u", "tau",
                    "rrh", "fhn", "neqrqe", "lci")
     else:

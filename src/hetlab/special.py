@@ -180,17 +180,17 @@ def _fraction_log_abs(fr: Fraction) -> float:
     return math.log(abs(fr.numerator)) - math.log(fr.denominator)
 
 
-def reg_hyp3f2_unit(num, den, *, rel_tol: float = _SERIES_REL_TOL,
-                    max_terms: int = _SERIES_MAX_TERMS) -> float:
+def reg_hyp3f2_unit(num, den) -> float:
     """Regularized 3F~2(num; den; 1) = sum_k prod (num)_k / [Gamma(den_1+k) Gamma(den_2+k) k!].
 
     Terminating series (a numerator parameter is a non-positive integer) are
     summed exactly in rational arithmetic. Otherwise any sign-alternating
     prefix (negative numerator parameters) is summed exactly, and the
-    same-sign remainder is summed until the running term drops below
-    ``rel_tol`` relative to the partial sum, with a cap of ``max_terms``;
-    a slowly decaying polynomial tail is closed with a two-parameter
-    Hurwitz-zeta estimate.
+    same-sign remainder is summed until the estimated rest of the series,
+    |t_k| (k + 1) / s for terms decaying like k^-(1+s) with
+    s = sum(den) - sum(num), drops below ``_SERIES_REL_TOL`` relative to
+    the partial sum, with a cap of ``_SERIES_MAX_TERMS``; a slowly decaying
+    polynomial tail is closed with a two-parameter Hurwitz-zeta estimate.
     """
     a = [_snap_nonpositive_int(float(v)) for v in num]
     b = [float(v) for v in den]
@@ -224,14 +224,14 @@ def reg_hyp3f2_unit(num, den, *, rel_tol: float = _SERIES_REL_TOL,
     negs = [-v for v in a if v < 0]
     if negs:
         k_min = int(math.ceil(max(negs))) + 1
-    if k_min > max_terms - 3:
+    if k_min > _SERIES_MAX_TERMS - 3:
         raise ConvergenceError(
-            f"sign-alternating prefix of {k_min} terms exceeds the {max_terms}-term budget"
+            f"sign-alternating prefix of {k_min} terms exceeds the {_SERIES_MAX_TERMS}-term budget"
         )
     prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min, budget=300)
 
     # Same-sign remainder via a vectorized log-magnitude recurrence.
-    n_rest = max_terms - k0
+    n_rest = _SERIES_MAX_TERMS - k0
     k = np.arange(n_rest - 1, dtype=float) + k0
     ratio = ((a[0] + k) * (a[1] + k) * (a[2] + k)) / ((b[0] + k) * (b[1] + k) * (k + 1.0))
     sign = 1.0 if c_k0 > 0 else -1.0
@@ -243,8 +243,11 @@ def reg_hyp3f2_unit(num, den, *, rel_tol: float = _SERIES_REL_TOL,
 
     base = float(prefix_sum)
     partial = base + np.cumsum(terms)
-    small = np.abs(terms) <= rel_tol * np.abs(partial)
-    # Require two consecutive small terms to guard against odd/even dips.
+    # The unsummed rest after t_k is about |t_k| k / s, not |t_k|: at unit
+    # argument the terms decay only polynomially. Require two consecutive
+    # small estimates to guard against odd/even dips.
+    rest = np.abs(terms) * ((np.arange(n_rest) + (k0 + 1.0)) / s_exp)
+    small = rest <= _SERIES_REL_TOL * np.abs(partial)
     converged = np.flatnonzero(small[1:] & small[:-1])
     if converged.size:
         stop = converged[0] + 1
@@ -270,7 +273,7 @@ def reg_hyp3f2_unit(num, den, *, rel_tol: float = _SERIES_REL_TOL,
     err_bound = abs(uc) * big_k * z3 * 10.0
     if err_bound > max(1e-14, 1e-6 * abs(result)):
         raise PrecisionError(
-            f"series truncated at {max_terms} terms with estimated tail error {err_bound:.3g}",
+            f"series truncated at {_SERIES_MAX_TERMS} terms, estimated tail error {err_bound:.3g}",
             partial=prefactor * result,
         )
     return prefactor * result

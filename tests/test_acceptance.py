@@ -123,7 +123,7 @@ def test_criterion_3_bmm_index_comparison(capsys):
     at u=1; overlapping components give between-RRH 1 everywhere; < 1 min."""
     t0 = time.time()
     grid = [0.5 + 0.05 * i for i in range(10)]
-    rows = [bmm_index_comparison(BetaMixtureParams(t1, 5.0, 20.0), 1.0, 1.0)
+    rows = [bmm_index_comparison(BetaMixtureParams(t1, 5.0, 20.0), [1.0], 1.0)[0]
             for t1 in grid]
     rrh = [r.rrh for r in rows]
     fhn = [r.fhn for r in rows]
@@ -133,7 +133,7 @@ def test_criterion_3_bmm_index_comparison(capsys):
     overlap_ok = True
     for t1 in grid:
         for q in (1.0, 2.0):
-            row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), q, 1.0)
+            row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), [q], 1.0)[0]
             overlap_ok &= abs(row.rrh - 1.0) <= 1e-9
 
     checks = [

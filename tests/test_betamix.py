@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from hetlab import betamix
 from hetlab.betamix import (
     BetaMixtureParams,
     assignment_mass,
@@ -198,22 +199,22 @@ class TestBetaAbsDistance:
 class TestIndexComparison:
     def test_equal_shapes_rrh_one(self):
         for t1 in (0.2, 0.5, 0.8):
-            row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), 1.0)
+            row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), [1.0])[0]
             assert row.rrh == pytest.approx(1.0, rel=1e-9)
 
     def test_peak_row(self):
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), 1.0, 1.0)
+        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0], 1.0)[0]
         assert row.rrh == pytest.approx(2.0, abs=1e-9)
         assert row.lci < 2.0
         assert row.neqrqe is None  # only defined at q=2
 
     def test_neqrqe_at_q2(self):
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), 2.0, 1.0)
+        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [2.0], 1.0)[0]
         assert row.neqrqe is not None and row.neqrqe >= 1.0 - 1e-9
 
     def test_neqrqe_absent_for_constant_distance(self):
         # equal shapes make all four expected distances identical
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 3.0, 3.0), 2.0, 1.0)
+        row = bmm_index_comparison(BetaMixtureParams(0.5, 3.0, 3.0), [2.0], 1.0)[0]
         assert row.neqrqe is None
 
     def test_fhn_paradoxical_increase(self):
@@ -221,11 +222,11 @@ class TestIndexComparison:
         # Hill estimate above the 2-component truth, even though the true
         # heterogeneity falls; it returns to 1 only as one component vanishes
         grid = np.arange(0.5, 0.86, 0.05)
-        vals = [bmm_index_comparison(BetaMixtureParams(t1, 5.0, 20.0), 1.0).fhn
+        vals = [bmm_index_comparison(BetaMixtureParams(t1, 5.0, 20.0), [1.0])[0].fhn
                 for t1 in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         assert max(vals) > 2.0
-        near_one = bmm_index_comparison(BetaMixtureParams(1 - 1e-6, 5.0, 20.0), 1.0).fhn
+        near_one = bmm_index_comparison(BetaMixtureParams(1 - 1e-6, 5.0, 20.0), [1.0])[0].fhn
         assert near_one == pytest.approx(1.0, abs=1e-3)
 
     def test_values_at_least_one(self):
@@ -233,16 +234,34 @@ class TestIndexComparison:
         for _ in range(30):
             theta = BetaMixtureParams(rng.uniform(0.05, 0.95), 5.0, 20.0)
             for q in (1.0, 2.0):
-                row = bmm_index_comparison(theta, q, rng.uniform(0, 4))
+                row = bmm_index_comparison(theta, [q], rng.uniform(0, 4))[0]
                 for v in (row.rrh, row.fhn, row.lci):
                     assert v >= 1.0 - 1e-9
                 if row.neqrqe is not None:
                     assert row.neqrqe >= 1.0 - 1e-9
 
     def test_fhn_absent_at_q_inf(self):
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), math.inf)
+        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [math.inf])[0]
         assert row.fhn is None
         assert row.rrh == pytest.approx(2.0) and row.lci >= 1.0
+
+    def test_rows_match_single_order_calls(self):
+        orders = [0.5, 1.0, 2.0, math.inf]
+        for theta, u in [(BetaMixtureParams(0.3, 5.0, 20.0), 1.0),
+                         (BetaMixtureParams(0.7, 2.5, 20.5), 0.0),
+                         (BetaMixtureParams(0.5, 3.0, 3.0), 2.5)]:
+            rows = bmm_index_comparison(theta, orders, u)
+            assert rows == [bmm_index_comparison(theta, [q], u)[0] for q in orders]
+            assert [r.tau for r in rows] == [optimal_threshold(theta)] * len(orders)
+            assert [r.neqrqe is None for r in rows] == [
+                True, True, theta.theta2 == theta.theta3, True]
+
+    def test_orders_validated_before_any_work(self, monkeypatch):
+        def fail(theta):
+            raise AssertionError("distance matrix computed before validation")
+        monkeypatch.setattr(betamix, "expected_distance_matrix", fail)
+        with pytest.raises(ValidationError):
+            bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0, -1.0])
 
     def test_distance_matrix_shape(self):
         d = expected_distance_matrix(BetaMixtureParams(0.5, 5.0, 20.0))
@@ -250,3 +269,30 @@ class TestIndexComparison:
         assert d[0, 0] > 0.0  # same-component expected distance is positive
         assert d[0, 1] == d[1, 0]
         assert d[0, 1] > d[0, 0]
+
+
+class TestExpectedDistanceMatrix:
+    # 2 * integral of F (1 - F) over [0, 1] for the Beta(alpha, beta) CDF F,
+    # with alpha <= beta, at mpmath.mp.dps = 30:
+    # 2 * mp.quad(lambda x: F(x) * (1 - F(x)), [0, alpha / (alpha + beta), 1])
+    # with F = lambda x: mp.betainc(alpha, beta, 0, x, regularized=True);
+    # dps = 45 agrees to 1e-32.
+    SAME_COMPONENT = {
+        (0.2, 0.9): 0.256405693783467780303322494394,
+        (1.5, 7.25): 0.132064457684420157949437625683,
+        (2.0, 40.0): 0.0348483882620428805167760991054,
+        (0.7, 12.0): 0.0610548620402461724472104953713,
+    }
+
+    def test_equal_diagonal(self):
+        # component 2 is component 1 mirrored, so E|X - X'| is one value
+        for t2, t3 in [(2.5, 20.5), (20.5, 2.5), (0.3, 0.45), (5.0, 20.0)]:
+            d = expected_distance_matrix(BetaMixtureParams(0.4, t2, t3))
+            assert d[0, 0] == d[1, 1]
+
+    def test_diagonal_against_mpmath(self):
+        for (a, b), ref in self.SAME_COMPONENT.items():
+            for t2, t3 in [(a, b), (b, a)]:
+                d = expected_distance_matrix(BetaMixtureParams(0.5, t2, t3))
+                assert d[0, 0] == pytest.approx(ref, rel=5e-13), (t2, t3)
+                assert d[1, 1] == pytest.approx(ref, rel=5e-13), (t2, t3)

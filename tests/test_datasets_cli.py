@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlab import cli
+from hetlab import betamix, classic, cli
 from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
@@ -501,6 +501,37 @@ class TestCliSweeps:
         res = self.run(["bmm-sweep", "--grid", "0.5", "--u", u])
         assert res.exit_code == 2, res.output
         assert "--u" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("b", ["nan", "inf", "-inf", "0", "-1"])
+    def test_b_out_of_range_is_a_usage_error(self, b):
+        res = self.run(["three-state-sweep", "--grid", "1", "--b", b])
+        assert res.exit_code == 2, res.output
+        assert "--b" in res.output and "Traceback" not in res.output
+
+    def test_bmm_sweep_one_distance_matrix_per_theta1(self, monkeypatch):
+        calls = []
+        original = betamix.expected_distance_matrix
+
+        def counted(theta):
+            calls.append(theta.theta1)
+            return original(theta)
+        monkeypatch.setattr(betamix, "expected_distance_matrix", counted)
+        res = self.run(["bmm-sweep", "--grid", "0.2,0.5,0.8", "--q", "0.5,1,2,inf"])
+        assert res.exit_code == 0, res.output
+        assert calls == [0.2, 0.5, 0.8]
+
+    def test_three_state_sweep_one_similarity_per_height_and_u(self, monkeypatch):
+        calls = []
+        original = classic.similarity_from_distance
+
+        def counted(d, u, **kwargs):
+            calls.append(u)
+            return original(d, u, **kwargs)
+        monkeypatch.setattr(classic, "similarity_from_distance", counted)
+        res = self.run(["three-state-sweep", "--grid", "1,2", "--kappa", "0.25,1",
+                        "--q", "1,2", "--u", "0.5,1,2"])
+        assert res.exit_code == 0, res.output
+        assert calls == [0.5, 1.0, 2.0] * 2
 
     def test_grid_parsing_inclusive_stop(self):
         res = self.run(["three-state-sweep", "--grid", "0.1:0.3:0.1",

@@ -156,6 +156,19 @@ class TestRegHyp3F2Unit:
         for num, den, ref in cases:
             assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-9)
 
+    def test_slow_tail_remainder_against_mpmath(self):
+        # oracle: mpmath.hyp3f2(*num, *den, 1) / (gamma(den[0]) gamma(den[1]))
+        # at mpmath.mp.dps = 40 (60 gives the same digits). Both series take
+        # the exact-prefix path and decay like k^-(1+s) with s = 2.1 and 3:
+        # stopping at the first tiny term, not on the estimated rest
+        # |t_k| k / s, left errors of 3.5e-11 and 7.8e-12.
+        cases = [
+            ((0.2, 1.4, 1 - 0.9), (1.2, 2.3), 0.9469921539842810201901165),
+            ((7.25, 15.5, -0.5), (8.25, 17.0), 2.435607558986250207937529e-18),
+        ]
+        for num, den, ref in cases:
+            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-12)
+
     def test_divergent_rejected(self):
         with pytest.raises(ConvergenceError):
             reg_hyp3f2_unit((2.0, 2.0, 2.0), (1.5, 1.5))
