@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .classic import (
     functional_hill_or_none,
@@ -74,8 +73,11 @@ def optimal_threshold(theta: BetaMixtureParams) -> float:
     if abs(diff) < _EQUAL_SHAPE_TOL:
         return 0.0 if theta.theta1 > 0.5 else 1.0
     log_r = (math.log1p(-theta.theta1) - math.log(theta.theta1)) / diff
-    # 1/(1+e^t) = expit(-t), stable for both signs of log_r.
-    return float(expit(-log_r))
+    # tau = 1/(1 + r); where r overflows a float, tau is 0 to double precision.
+    try:
+        return 1.0 / (1.0 + math.exp(log_r))
+    except OverflowError:
+        return 0.0
 
 
 def assignment_mass(theta: BetaMixtureParams, tau: float) -> np.ndarray:
@@ -89,14 +91,17 @@ def assignment_mass(theta: BetaMixtureParams, tau: float) -> np.ndarray:
     return np.array([1.0 - mass2, mass2])
 
 
-def bmm_between_rrh(theta: BetaMixtureParams, tau: float, q) -> float:
-    """Between-component heterogeneity of the thresholded assignments.
+def bmm_between_rrh(theta: BetaMixtureParams, tau: float, q_list) -> list:
+    """Between-component heterogeneity of the thresholded assignments, one
+    value per order in ``q_list``, in that order.
 
     Every observation is assigned with certainty, so the within term is
     identically 1 and between equals the pooled heterogeneity of the
-    expected assignment mass. Always in [1, 2].
+    expected assignment mass, which is computed once per call. Always in
+    [1, 2].
     """
-    return renyi_heterogeneity(assignment_mass(theta, tau), q)
+    mass = assignment_mass(theta, tau)
+    return [renyi_heterogeneity(mass, q) for q in q_list]
 
 
 def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
@@ -183,7 +188,7 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> li
     prior = np.array([1.0 - theta.theta1, theta.theta1])
     dist = expected_distance_matrix(theta)
     tau = optimal_threshold(theta)
-    mass = assignment_mass(theta, tau)
+    rrh = bmm_between_rrh(theta, tau, orders)
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
 
     neq = None
@@ -193,8 +198,8 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> li
             neq = neqrqe(scaled, prior, require_zero_diagonal=False)
         except DegenerateDistanceError:
             pass
-    return [ComparisonRow(tau, renyi_heterogeneity(mass, qf),
+    return [ComparisonRow(tau, rrh_q,
                           functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False),
                           neq if qf == 2.0 else None,
                           leinster_cobbold(sim, prior, qf, require_unit_diagonal=False))
-            for qf in orders]
+            for qf, rrh_q in zip(orders, rrh)]

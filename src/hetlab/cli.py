@@ -206,9 +206,8 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
         for tau in grid_vals:
             if not 0.0 <= tau <= 1.0:
                 raise click.UsageError(f"--grid: tau value {tau} outside [0, 1]")
-            for qv in q_list:
-                rows.append((theta1, theta2, theta3, tau, qv,
-                             betamix.bmm_between_rrh(theta, tau, qv)))
+            rows += [(theta1, theta2, theta3, tau, qv, rrh)
+                     for qv, rrh in zip(q_list, betamix.bmm_between_rrh(theta, tau, q_list))]
         columns = ("theta1", "theta2", "theta3", "tau", "q", "rrh")
     result = datasets.SweepResult(
         columns=columns, rows=tuple(rows),

@@ -2,7 +2,8 @@
 
 Provides log-gamma, the beta density, the (generalized) regularized
 incomplete beta function, and the regularized hypergeometric 3F~2 at unit
-argument. All functions are pure and deterministic.
+argument. All functions are pure and deterministic. The kernel is
+self-contained: it needs only ``math``, ``fractions`` and numpy, no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import ConvergenceError, PrecisionError, ValidationError
 
@@ -22,7 +22,13 @@ _FPMIN = 1e-300
 
 _SERIES_REL_TOL = 1e-15
 _SERIES_MAX_TERMS = 100_000
+_SERIES_CHUNK = 1024
 _INT_SNAP_TOL = 1e-12
+
+# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients.
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
+_EM_SHIFT = 20.0
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,31 @@ def gen_reg_inc_beta(x0: float, x1: float, shape: BetaShape) -> float:
     if x0 > x1:
         raise ValidationError(f"gen_reg_inc_beta requires x0 <= x1, got x0={x0} x1={x1}")
     return reg_inc_beta(x1, shape) - reg_inc_beta(x0, shape)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta(s, a) = sum_k (a + k)^-s for s > 1 and a > 0.
+
+    Sums terms directly until a >= 20, then closes the rest with
+    Euler-Maclaurin: a^(1-s)/(s-1) + a^-s/2 + sum_j B_2j/(2j)!
+    s(s+1)...(s+2j-2) a^(-s-2j+1), stopping once a correction is below
+    1e-17 of the sum.
+    """
+    total = 0.0
+    while a < _EM_SHIFT:
+        total += a ** -s
+        a += 1.0
+    total += a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s
+    rising = s
+    power = a ** (-s - 1.0)
+    for j, coeff in enumerate(_EM_COEFFS):
+        term = coeff * rising * power
+        total += term
+        if abs(term) < 1e-17 * abs(total):
+            break
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+        power /= a * a
+    return total
 
 
 def _snap_nonpositive_int(a: float) -> float:
@@ -230,42 +261,53 @@ def reg_hyp3f2_unit(num, den) -> float:
         )
     prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min, budget=300)
 
-    # Same-sign remainder via a vectorized log-magnitude recurrence.
+    # Same-sign remainder via a vectorized log-magnitude recurrence, built in
+    # chunks of doubling length so that a fast-converging series stops after
+    # its first chunk. Each chunk's cumulative sums are seeded with the value
+    # carried from the previous chunk, so every partial sum is bitwise the
+    # one a single pass over all terms gives.
     n_rest = _SERIES_MAX_TERMS - k0
-    k = np.arange(n_rest - 1, dtype=float) + k0
-    ratio = ((a[0] + k) * (a[1] + k) * (a[2] + k)) / ((b[0] + k) * (b[1] + k) * (k + 1.0))
     sign = 1.0 if c_k0 > 0 else -1.0
     log_c0 = _fraction_log_abs(c_k0)
-    log_terms = log_c0 + np.concatenate(([0.0], np.cumsum(np.log(ratio))))
-    if np.max(log_terms) > 700.0:
-        raise ConvergenceError("series terms overflow double precision")
-    terms = sign * np.exp(log_terms)
-
     base = float(prefix_sum)
-    partial = base + np.cumsum(terms)
-    # The unsummed rest after t_k is about |t_k| k / s, not |t_k|: at unit
-    # argument the terms decay only polynomially. Require two consecutive
-    # small estimates to guard against odd/even dips.
-    rest = np.abs(terms) * ((np.arange(n_rest) + (k0 + 1.0)) / s_exp)
-    small = rest <= _SERIES_REL_TOL * np.abs(partial)
-    converged = np.flatnonzero(small[1:] & small[:-1])
-    if converged.size:
-        stop = converged[0] + 1
-        return prefactor * float(partial[stop])
+    log_sum, term_sum, prev_small = 0.0, 0.0, False
+    last_terms = np.empty(0)
+    lo, size = 0, _SERIES_CHUNK
+    while lo < n_rest:
+        hi = min(lo + size, n_rest)
+        k = np.arange(lo, hi, dtype=float) + k0
+        ratio = ((a[0] + k) * (a[1] + k) * (a[2] + k)) / ((b[0] + k) * (b[1] + k) * (k + 1.0))
+        log_sums = np.cumsum(np.concatenate(([log_sum], np.log(ratio))))
+        log_terms = log_c0 + log_sums[:-1]
+        if np.max(log_terms) > 700.0:
+            raise ConvergenceError("series terms overflow double precision")
+        terms = sign * np.exp(log_terms)
+        term_sums = np.cumsum(np.concatenate(([term_sum], terms)))
+        partial = base + term_sums[1:]
+        # The unsummed rest after t_k is about |t_k| k / s, not |t_k|: at unit
+        # argument the terms decay only polynomially. Require two consecutive
+        # small estimates to guard against odd/even dips.
+        rest = np.abs(terms) * ((np.arange(lo, hi) + (k0 + 1.0)) / s_exp)
+        small = np.concatenate(([prev_small], rest <= _SERIES_REL_TOL * np.abs(partial)))
+        converged = np.flatnonzero(small[1:] & small[:-1])
+        if converged.size:
+            return prefactor * float(partial[converged[0]])
+        log_sum, term_sum, prev_small = log_sums[-1], term_sums[-1], small[-1]
+        last_terms = np.concatenate((last_terms, terms))[-2:]
+        lo, size = hi, 2 * size
 
     # Cap reached: close the k^-(1+s) tail with a Hurwitz-zeta fit through the
     # last two terms, t_k ~ c k^-(1+s) (1 + e1/k).
-    total = float(partial[-1])
+    total = base + float(term_sum)
     big_k = float(k0 + n_rest - 1)
-    t_last = float(terms[-1])
-    t_prev = float(terms[-2])
+    t_prev, t_last = map(float, last_terms)
     c0_last = t_last * big_k ** (1.0 + s_exp)
     c0_prev = t_prev * (big_k - 1.0) ** (1.0 + s_exp)
     uc = (c0_prev - c0_last) * big_k * (big_k - 1.0)
     c = c0_last - uc / big_k
-    z1 = float(_hurwitz_zeta(1.0 + s_exp, big_k + 1.0))
-    z2 = float(_hurwitz_zeta(2.0 + s_exp, big_k + 1.0))
-    z3 = float(_hurwitz_zeta(3.0 + s_exp, big_k + 1.0))
+    z1 = _hurwitz_zeta(1.0 + s_exp, big_k + 1.0)
+    z2 = _hurwitz_zeta(2.0 + s_exp, big_k + 1.0)
+    z3 = _hurwitz_zeta(3.0 + s_exp, big_k + 1.0)
     tail = c * z1 + uc * z2
     result = total + tail
     # Residual of the two-term tail model; generous factor for the unfit

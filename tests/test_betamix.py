@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import expit
 
 from hetlab import betamix
 from hetlab.betamix import (
@@ -71,6 +72,23 @@ class TestOptimalThreshold:
         assert optimal_threshold(BetaMixtureParams(0.3, 5.0, 5.0)) == 1.0
         assert optimal_threshold(BetaMixtureParams(0.5, 5.0, 5.0)) == 1.0
 
+    def test_logistic_matches_expit_bitwise(self):
+        # oracle: scipy's expit(-log r) = 1/(1 + e^(log r)); shape gaps down
+        # to about 1e-9 relative push log r past the exp overflow
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            t1 = rng.uniform(0.01, 0.99)
+            t2 = math.exp(rng.uniform(-2.0, 4.0))
+            t3 = t2 * math.exp(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(-20.0, 1.0)))
+            log_r = (math.log1p(-t1) - math.log(t1)) / (t2 - t3)
+            assert optimal_threshold(BetaMixtureParams(t1, t2, t3)) == float(expit(-log_r))
+
+    def test_logistic_overflow_edges(self):
+        # log r = -log(3/7) / 1e-11: e^(log r) overflows, so tau is exactly 0
+        # (and no OverflowError escapes); the mirrored prior gives exactly 1
+        assert optimal_threshold(BetaMixtureParams(0.7, 5.0, 5.0 + 1e-11)) == 0.0
+        assert optimal_threshold(BetaMixtureParams(0.3, 5.0, 5.0 + 1e-11)) == 1.0
+
     def test_against_bisection(self):
         # oracle: posterior-equality root found independently by brentq
         cases = [(0.7, 5.0, 20.0), (0.9, 2.0, 8.0), (0.2, 20.0, 5.0),
@@ -110,11 +128,11 @@ class TestBetweenRrh:
             theta = BetaMixtureParams(t1, 6.0, 6.0)
             tau = optimal_threshold(theta)
             for q in (0.5, 1.0, 2.0, math.inf):
-                assert bmm_between_rrh(theta, tau, q) == pytest.approx(1.0, rel=1e-9)
+                assert bmm_between_rrh(theta, tau, [q])[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_peak_of_two(self):
         theta = BetaMixtureParams(0.5, 5.0, 20.0)
-        assert bmm_between_rrh(theta, optimal_threshold(theta), 1.0) == \
+        assert bmm_between_rrh(theta, optimal_threshold(theta), [1.0])[0] == \
             pytest.approx(2.0, abs=1e-9)
 
     def test_range(self):
@@ -125,14 +143,14 @@ class TestBetweenRrh:
                                       math.exp(rng.uniform(-1, 3)))
             tau = rng.uniform(0, 1)
             q = rng.choice([0.5, 1.0, 2.0, 7.0])
-            val = bmm_between_rrh(theta, tau, float(q))
+            val = bmm_between_rrh(theta, tau, [float(q)])[0]
             assert 1.0 - 1e-9 <= val <= 2.0 + 1e-9
 
     def test_sweep_maximized_near_optimum(self):
         theta = BetaMixtureParams(0.5, 2.0, 8.0)
         taus = np.linspace(0.01, 0.99, 99)
         for q in (1.0, 2.0, math.inf):
-            vals = [bmm_between_rrh(theta, t, q) for t in taus]
+            vals = [bmm_between_rrh(theta, t, [q])[0] for t in taus]
             best = taus[int(np.argmax(vals))]
             assert abs(best - optimal_threshold(theta)) < 0.05
 
@@ -141,8 +159,8 @@ class TestBetweenRrh:
             th = BetaMixtureParams(t1, a, b)
             sw = BetaMixtureParams(1.0 - t1, b, a)
             for q in (1.0, 2.0):
-                v1 = bmm_between_rrh(th, optimal_threshold(th), q)
-                v2 = bmm_between_rrh(sw, optimal_threshold(sw), q)
+                v1 = bmm_between_rrh(th, optimal_threshold(th), [q])[0]
+                v2 = bmm_between_rrh(sw, optimal_threshold(sw), [q])[0]
                 assert v1 == pytest.approx(v2, abs=1e-9)
 
 

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlab import betamix, classic, cli
+from hetlab import betamix, classic, cli, special
 from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
@@ -476,6 +476,22 @@ class TestCliSweeps:
         rrh = [r[5] for r in payload["rows"]]
         assert len(rrh) == 5
         assert all(1.0 - 1e-9 <= v <= 2.0 + 1e-9 for v in rrh)
+
+    def test_bmm_sweep_tau_grid_one_mass_per_tau(self, monkeypatch):
+        # the assignment mass takes four reg_inc_beta calls and depends on
+        # tau only: 2 taus x 4 orders make 8 calls, not 32
+        calls = []
+        inner = special.reg_inc_beta
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(special, "reg_inc_beta", counting)
+        res = self.run(["bmm-sweep", "--tau-mode", "grid", "--grid", "0.2,0.5",
+                        "--q", "0,1,2,inf"])
+        assert res.exit_code == 0
+        assert len(calls) == 8
 
     def test_bmm_sweep_distance_overflow_exits_4(self):
         res = self.run(["bmm-sweep", "--grid", "0.5", "--theta2", "12",

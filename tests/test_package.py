@@ -2,15 +2,30 @@
 
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import hetlab
+from hetlab import cli
 
 tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code):
+    """Run ``python -c code`` in a fresh interpreter that imports hetlab from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=120)
 
 
 def test_version_has_one_source():
@@ -38,3 +53,43 @@ def test_tracer_targets_exist():
             assert callable(vars(getattr(module, cls_name)).get(meth)), attr
         else:
             assert callable(getattr(module, attr, None)), (mod_name, attr)
+
+
+def test_scipy_is_a_test_dependency_only():
+    config = tomllib.loads(PYPROJECT.read_text())
+
+    def names(reqs):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group(0).lower() for r in reqs}
+
+    assert "scipy" not in names(config["project"]["dependencies"])
+    assert "scipy" in names(config["project"]["optional-dependencies"]["test"])
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _python("import sys, hetlab.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"[]"
+
+
+def test_tail_path_runs_with_scipy_blocked():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError;
+    # (0.3, 0.45) takes the 3F~2 tail closure, counted through _hurwitz_zeta
+    args = ["bmm-sweep", "--grid", "0.3,0.6", "--theta2", "0.3", "--theta3", "0.45",
+            "--q", "1,2"]
+    proc = _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from hetlab import cli, special\n"
+        "inner = special._hurwitz_zeta\n"
+        "calls = []\n"
+        "special._hurwitz_zeta = lambda s, a: calls.append(s) or inner(s, a)\n"
+        "try:\n"
+        f"    cli.main({args!r})\n"
+        "finally:\n"
+        "    sys.stderr.write(f'zeta calls: {len(calls)}')\n")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.decode().rsplit(": ", 1)[1]) > 0
+    normal = CliRunner().invoke(cli.main, args)
+    assert normal.exit_code == 0
+    assert proc.stdout == normal.stdout_bytes

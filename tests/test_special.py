@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
+from hetlab import special
+from hetlab.betamix import BetaMixtureParams, expected_distance_matrix
 from hetlab.errors import ConvergenceError, ValidationError
 from hetlab.special import (
     BetaShape,
+    _hurwitz_zeta,
     beta_pdf,
     gen_reg_inc_beta,
     log_beta,
@@ -120,6 +123,29 @@ class TestGenRegIncBeta:
         assert gen_reg_inc_beta(0.1, 0.4, s) == pytest.approx(ref, abs=1e-13)
 
 
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 3.75])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 17.0, 1e5 + 1])
+    def test_against_mpmath(self, s, a):
+        # oracle: mpmath.zeta(s, a) at the module's 80 digits
+        assert _hurwitz_zeta(s, a) == pytest.approx(float(mpmath.zeta(s, a)), rel=1e-14)
+
+    def test_tail_closure_arguments(self, monkeypatch):
+        # the (s, a) pairs the 3F~2 tail closure evaluates for the
+        # Beta(0.3, 0.45) mixture, against the same oracle
+        seen = []
+
+        def record(s, a):
+            seen.append((s, a))
+            return _hurwitz_zeta(s, a)
+
+        monkeypatch.setattr(special, "_hurwitz_zeta", record)
+        expected_distance_matrix(BetaMixtureParams(0.5, 0.3, 0.45))
+        assert seen
+        for s, a in seen:
+            assert _hurwitz_zeta(s, a) == pytest.approx(float(mpmath.zeta(s, a)), rel=1e-14)
+
+
 class TestRegHyp3F2Unit:
     def test_terminating_simple(self):
         # num contains 0 => single term 1/(Gamma(b1) Gamma(b2))
@@ -168,6 +194,20 @@ class TestRegHyp3F2Unit:
         ]
         for num, den, ref in cases:
             assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("num,den,value", [
+        # stops at its second remainder term, inside the first chunk
+        ((5.0, 26.0, -19.5), (6.0, 46.5), 5.253242830378354e-63),
+        # stops in the fifth chunk
+        ((1.0, 1.0, 1.5), (3.0, 4.0), 0.09813847226610678),
+        # runs to the term cap and closes the tail with Hurwitz zeta
+        ((0.3, 1.75, 0.55), (1.3, 2.2), 1.2427749800096595),
+    ])
+    def test_chunked_remainder_matches_one_pass(self, num, den, value):
+        # the floats that summing the whole 100,000-term remainder in one
+        # vectorized pass gives: seeding each chunk's cumulative sums with
+        # the carried value keeps the result bitwise equal
+        assert reg_hyp3f2_unit(num, den) == value
 
     def test_divergent_rejected(self):
         with pytest.raises(ConvergenceError):
