@@ -91,16 +91,20 @@ def assignment_mass(theta: BetaMixtureParams, tau: float) -> np.ndarray:
     return np.array([1.0 - mass2, mass2])
 
 
-def bmm_between_rrh(theta: BetaMixtureParams, tau: float, q_list) -> list:
+def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> list:
     """Between-component heterogeneity of the thresholded assignments, one
-    value per order in ``q_list``, in that order.
+    value per order in ``q_list``, in that order. ``tau`` is one threshold,
+    giving floats, or a sequence of them, giving one array over the
+    thresholds per order.
 
     Every observation is assigned with certainty, so the within term is
     identically 1 and between equals the pooled heterogeneity of the
-    expected assignment mass, which is computed once per call. Always in
-    [1, 2].
+    expected assignment mass, which is computed once per threshold. Always
+    in [1, 2].
     """
-    mass = assignment_mass(theta, tau)
+    taus = np.asarray(tau, dtype=float)
+    mass = np.array([assignment_mass(theta, t) for t in taus.ravel().tolist()])
+    mass = mass.reshape(taus.shape + (2,))
     return [renyi_heterogeneity(mass, q) for q in q_list]
 
 

@@ -1,6 +1,13 @@
 """The existing non-categorical numbers-equivalent indices (quadratic
 entropy, functional Hill numbers, Leinster-Cobbold), distance/similarity
 utilities, metric predicates, and the parametric 3-state testbed.
+
+The validators, indices and predicates take one n x n matrix or an
+(..., n, n) stack of them with one distribution shared by all members, so
+a sweep makes one call per index over its whole grid. One matrix gives a
+float (a bool for the predicates); a stack gives an array of its leading
+shape, validated as a whole, with each member held to the single-matrix
+rules and messages.
 """
 
 from __future__ import annotations
@@ -20,67 +27,91 @@ from .errors import (
 DEFAULT_METRIC_TOL = 1e-9
 
 
+def _square_stack(m, what: str) -> np.ndarray:
+    """``m`` as a float n x n matrix or (..., n, n) stack of them, n >= 1;
+    a ragged stack, whose members differ in size, is not one."""
+    try:
+        arr = np.asarray(m, dtype=float)
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.size < 1:
+        raise ValidationError(f"{what} matrix must be square and non-empty")
+    return arr
+
+
 def as_distance_matrix(d, *, require_zero_diagonal: bool = True) -> np.ndarray:
-    """Validate a square symmetric non-negative dissimilarity matrix.
+    """Validate a square symmetric non-negative dissimilarity matrix, or an
+    (..., n, n) stack of them, each held to the same rules.
 
     The beta-mixture comparison uses expected-distance matrices whose
     diagonal is legitimately positive; those callers disable the
     zero-diagonal check.
     """
-    arr = np.asarray(d, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValidationError("distance matrix must be square and non-empty")
+    arr = _square_stack(d, "distance")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("distance matrix entries must be finite")
     if np.any(arr < 0):
         raise ValidationError("distances must be non-negative")
-    if np.max(np.abs(arr - arr.T)) > SYM_TOL:
+    if np.max(np.abs(arr - arr.swapaxes(-1, -2))) > SYM_TOL:
         raise ValidationError("distance matrix must be symmetric")
-    if require_zero_diagonal and np.any(np.abs(np.diag(arr)) > SYM_TOL):
+    diag = np.diagonal(arr, axis1=-2, axis2=-1)
+    if require_zero_diagonal and np.any(np.abs(diag) > SYM_TOL):
         raise ValidationError("distance matrix must have a zero diagonal")
     return arr
 
 
 def as_similarity_matrix(s, *, require_unit_diagonal: bool = True) -> np.ndarray:
-    """Validate a square affinity matrix with entries in [0, 1]."""
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValidationError("similarity matrix must be square and non-empty")
+    """Validate a square affinity matrix with entries in [0, 1], or an
+    (..., n, n) stack of them."""
+    arr = _square_stack(s, "similarity")
     if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
         raise ValidationError("similarities must lie in [0, 1]")
-    if require_unit_diagonal and np.any(np.abs(np.diag(arr) - 1.0) > SYM_TOL):
+    diag = np.diagonal(arr, axis1=-2, axis2=-1)
+    if require_unit_diagonal and np.any(np.abs(diag - 1.0) > SYM_TOL):
         raise ValidationError("similarity matrix must have a unit diagonal")
     return arr
 
 
 def _distance_and_distribution(d, p, require_zero_diagonal: bool) -> tuple:
-    """A validated distance matrix and distribution of matching size."""
+    """A validated distance matrix (or stack) and distribution of matching size."""
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
     pv = as_distribution(p)
-    if dm.shape[0] != pv.size:
+    if dm.shape[-1] != pv.size:
         raise ValidationError("distance matrix and distribution sizes disagree")
     return dm, pv
 
 
-def rqe(d, p, q=1.0, *, require_zero_diagonal: bool = True) -> float:
+def _per_member(x, m: np.ndarray, kind=float):
+    """``x`` as a ``kind`` scalar when ``m`` is one matrix, else as the array
+    of the stack's leading shape."""
+    return kind(x) if m.ndim == 2 else x
+
+
+def _pair_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of the entries of each n x n member of an (..., n, n) stack."""
+    return np.asarray(a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1))
+
+
+def rqe(d, p, q=1.0, *, require_zero_diagonal: bool = True):
     """Generalized Rao quadratic entropy: sum_ij D_ij (p_i p_j)^q."""
     dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     qf = check_order(q)
     pp = np.outer(pv, pv)
-    return float(np.sum(dm * pp ** qf))
+    return _per_member(_pair_sum(dm * pp ** qf), dm)
 
 
 def rescale_distance(d, *, require_zero_diagonal: bool = True) -> np.ndarray:
-    """Affine rescaling (D - min) / (max - min) onto [0, 1]."""
+    """Affine rescaling (D - min) / (max - min) onto [0, 1]; each member of a
+    stack by its own min and max."""
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
-    lo = float(dm.min())
-    hi = float(dm.max())
-    if hi <= lo:
+    lo = dm.min(axis=(-2, -1), keepdims=True)
+    hi = dm.max(axis=(-2, -1), keepdims=True)
+    if np.any(hi <= lo):
         raise DegenerateDistanceError("constant distance matrix cannot be rescaled")
     return (dm - lo) / (hi - lo)
 
 
-def neqrqe(d, p, *, require_zero_diagonal: bool = True) -> float:
+def neqrqe(d, p, *, require_zero_diagonal: bool = True):
     """Numbers-equivalent quadratic entropy 1/(1 - Q_1) on a [0,1]-scaled D.
 
     The caller is responsible for rescaling; entries outside [0, 1] are
@@ -89,26 +120,40 @@ def neqrqe(d, p, *, require_zero_diagonal: bool = True) -> float:
     dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     if np.any(dm > 1.0 + SYM_TOL):
         raise ValidationError("neqrqe requires a distance matrix rescaled to [0, 1]")
-    q1 = float(np.sum(dm * np.outer(pv, pv)))
-    if q1 >= 1.0 - 1e-12:
-        raise SingularityError(f"quadratic entropy {q1} too close to 1")
-    return 1.0 / (1.0 - q1)
+    q1 = _pair_sum(dm * np.outer(pv, pv))
+    near_one = q1 >= 1.0 - 1e-12
+    if np.any(near_one):
+        raise SingularityError(f"quadratic entropy {q1[near_one].flat[0]} too close to 1")
+    return _per_member(1.0 / (1.0 - q1), dm)
 
 
-def functional_hill(d, p, q, *, require_zero_diagonal: bool = True) -> float:
+def _functional_hill(dm: np.ndarray, pv: np.ndarray, q: float) -> np.ndarray:
+    """Functional Hill numbers of a validated matrix or stack at finite q,
+    NaN where Q_1 = 0."""
+    # Pairs off the support carry no weight; leaving them out keeps log p_i p_j finite.
+    support = pv > 0.0
+    dm = dm[..., support, :][..., support]
+    pp = np.outer(pv[support], pv[support])
+    q1 = _pair_sum(dm * pp)
+    # Q_q / Q_1 is a power mean of p_i p_j with weights D_ij p_i p_j / Q_1.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dm * pp / q1[..., None, None]).reshape(q1.shape + (-1,))
+        log_w = np.log(w, out=np.full(w.shape, -np.inf), where=w > 0.0)
+        value = np.exp(0.5 * _log_hill(np.log(pp).ravel(), w, q, log_w))
+    return np.where(q1 > 0.0, value, np.nan)
+
+
+def functional_hill(d, p, q, *, require_zero_diagonal: bool = True):
     """Functional Hill number (Q_q / Q_1)^(1/(2(1-q))), with the analytic
     q=1 limit exp(-sum_ij D_ij p_i p_j log(p_i p_j) / (2 Q_1))."""
     dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     qf = check_order(q)
     if math.isinf(qf):
         raise UndefinedOrderError("functional Hill numbers are computed at finite q")
-    pp = np.outer(pv, pv)
-    q1 = float(np.sum(dm * pp))
-    if q1 <= 0.0:
+    value = _functional_hill(dm, pv, qf)
+    if np.any(np.isnan(value)):
         raise SingularityError("functional Hill number undefined when Q_1 = 0")
-    # Q_q / Q_1 is a power mean of p_i p_j with weights D_ij p_i p_j / Q_1.
-    log_pp = np.log(pp, out=np.full(pp.shape, -np.inf), where=pp > 0.0)
-    return float(np.exp(0.5 * _log_hill(log_pp, dm * pp / q1, qf)))
+    return _per_member(value, dm)
 
 
 def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
@@ -116,57 +161,62 @@ def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
     Q_1 = 0, as for a point mass. Near a point mass Q_q / Q_1 behaves like
     (p_i p_j)^(q-1), so the number grows like (p_i p_j)^(-1/2) and has no
     finite limit to stand in. The sweep commands print None as an empty cell.
+
+    A stack gives nested lists of its leading shape, a float or None per
+    member.
     """
-    if float(q) == math.inf:  # functional_hill validates q itself
-        return None
-    try:
-        return functional_hill(d, p, q, require_zero_diagonal=require_zero_diagonal)
-    except SingularityError:
-        return None
+    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
+    qf = check_order(q)
+    if math.isinf(qf):
+        value = np.full(dm.shape[:-2], np.nan)
+    else:
+        value = _functional_hill(dm, pv, qf)
+    return np.where(np.isnan(value), None, value).tolist()
 
 
-def similarity_from_distance(d, u: float, *, require_zero_diagonal: bool = True) -> np.ndarray:
-    """Entrywise affinity transform S_ij = exp(-u D_ij), u >= 0."""
+def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.ndarray:
+    """Entrywise affinity transform S_ij = exp(-u D_ij), u >= 0. ``u`` may be
+    an array that broadcasts against the distance matrix or stack, such as
+    a (U, 1, 1) column of factors giving one similarity matrix per factor."""
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
-    if u < 0:
-        raise ValidationError(f"similarity scaling factor must be >= 0, got {u}")
+    if np.any(np.less(u, 0)):
+        raise ValidationError(f"similarity scaling factor must be >= 0, got {np.min(u)}")
     return np.exp(-u * dm)
 
 
-def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True) -> float:
+def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True):
     """Similarity-sensitive heterogeneity [sum_i p_i (Sp)_i^(q-1)]^(1/(1-q))."""
     sm = as_similarity_matrix(s, require_unit_diagonal=require_unit_diagonal)
     pv = as_distribution(p)
     qf = check_order(q)
-    if sm.shape[0] != pv.size:
+    if sm.shape[-1] != pv.size:
         raise ValidationError("similarity matrix and distribution sizes disagree")
-    sp = sm @ pv
     support = pv > 0.0
+    sp = (sm @ pv)[..., support]
     if math.isinf(qf):
-        return float(1.0 / np.max(sp[support]))
-    return float(np.exp(_log_hill(np.log(sp[support]), pv[support], qf)))
+        return _per_member(1.0 / sp.max(axis=-1), sm)
+    pv = pv[support]
+    return _per_member(np.exp(_log_hill(np.log(sp), pv, qf, np.log(pv))), sm)
 
 
-def is_metric(d, tol: float = DEFAULT_METRIC_TOL) -> bool:
+def is_metric(d, tol: float = DEFAULT_METRIC_TOL):
     """True iff off-diagonal distances exceed tol (distinct states are at
-    nonzero distance) and every triangle inequality holds within tol."""
+    nonzero distance) and every triangle inequality holds within tol; one
+    bool per member of a stack."""
     dm = as_distance_matrix(d)
-    n = dm.shape[0]
-    off = dm[~np.eye(n, dtype=bool)]
-    if off.size and np.any(off <= tol):
-        return False
+    n = dm.shape[-1]
+    distinct = np.all(dm[..., ~np.eye(n, dtype=bool)] > tol, axis=-1)
     # d(x,z) <= d(x,y) + d(y,z) + tol over all triples, vectorized over y.
-    detours = (dm[:, :, None] + dm[None, :, :]).min(axis=1)
-    return bool(np.all(dm <= detours + tol))
+    detours = (dm[..., :, :, None] + dm[..., None, :, :]).min(axis=-2)
+    return _per_member(distinct & np.all(dm <= detours + tol, axis=(-2, -1)), dm, bool)
 
 
-def is_ultrametric(d, tol: float = DEFAULT_METRIC_TOL) -> bool:
+def is_ultrametric(d, tol: float = DEFAULT_METRIC_TOL):
     """True iff is_metric and d(x,z) <= max(d(x,y), d(y,z)) + tol holds."""
     dm = as_distance_matrix(d)
-    if not is_metric(dm, tol):
-        return False
-    maxes = np.maximum(dm[:, :, None], dm[None, :, :]).min(axis=1)
-    return bool(np.all(dm <= maxes + tol))
+    maxes = np.maximum(dm[..., :, :, None], dm[..., None, :, :]).min(axis=-2)
+    return _per_member(is_metric(dm, tol) & np.all(dm <= maxes + tol, axis=(-2, -1)),
+                       dm, bool)
 
 
 def three_state_probs(kappa: float) -> np.ndarray:

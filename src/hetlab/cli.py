@@ -20,6 +20,7 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from . import betamix, classic, datasets
 from .core import renyi_heterogeneity
@@ -116,24 +117,31 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
     u_list = _parse_floats(u, "u")
     if not 0 < b < math.inf:
         raise click.UsageError(f"--b: value {b!r} out of range, need 0 < b < inf")
-
-    rows = []
     for h in h_list:
-        dist = classic.three_state_distance(h, b)
-        scaled = classic.rescale_distance(dist)
-        metric = classic.is_metric(dist)
-        ultra = classic.is_ultrametric(dist)
-        sims = [(uv, classic.similarity_from_distance(dist, uv)) for uv in u_list]
-        for kap in kappa_list:
-            p = classic.three_state_probs(kap)
-            qe = classic.neqrqe(scaled, p)
-            for qv in q_list:
-                rrh = renyi_heterogeneity(p, qv)
-                fhn = classic.functional_hill_or_none(dist, p, qv)
-                for uv, sim in sims:
-                    lci = classic.leinster_cobbold(sim, p, qv)
-                    rows.append((h, b, kap, qv, uv, qe, fhn, lci, rrh,
-                                 metric, ultra))
+        if not h > 0:
+            raise click.UsageError(f"--grid: height {h!r} out of range, need h > 0")
+    for uv in u_list:
+        if uv < 0:
+            raise click.UsageError(f"--u: value {uv!r} out of range, need 0 <= u < inf")
+
+    # Every index is evaluated once per (kappa, q) on the stack of all heights
+    # (and scaling factors): dist is (H, 3, 3), sims (H, U, 3, 3).
+    dist = np.stack([classic.three_state_distance(h, b) for h in h_list])
+    scaled = classic.rescale_distance(dist)
+    metric = classic.is_metric(dist).tolist()
+    ultra = classic.is_ultrametric(dist).tolist()
+    sims = classic.similarity_from_distance(dist[:, None], np.array(u_list)[:, None, None])
+    per_kappa = []
+    for kap in kappa_list:
+        p = classic.three_state_probs(kap)
+        per_kappa.append((classic.neqrqe(scaled, p).tolist(), [
+            (renyi_heterogeneity(p, qv), classic.functional_hill_or_none(dist, p, qv),
+             classic.leinster_cobbold(sims, p, qv).tolist()) for qv in q_list]))
+    rows = [(h, b, kap, qv, uv, qe[i], fhn[i], lci[i][k], rrh, metric[i], ultra[i])
+            for i, h in enumerate(h_list)
+            for kap, (qe, per_q) in zip(kappa_list, per_kappa)
+            for qv, (rrh, fhn, lci) in zip(q_list, per_q)
+            for k, uv in enumerate(u_list)]
     result = datasets.SweepResult(
         columns=("h", "b", "kappa", "q", "u", "qe", "fhn", "lci", "rrh",
                  "metric", "ultrametric"),
@@ -206,8 +214,9 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
         for tau in grid_vals:
             if not 0.0 <= tau <= 1.0:
                 raise click.UsageError(f"--grid: tau value {tau} outside [0, 1]")
-            rows += [(theta1, theta2, theta3, tau, qv, rrh)
-                     for qv, rrh in zip(q_list, betamix.bmm_between_rrh(theta, tau, q_list))]
+        rrh = [r.tolist() for r in betamix.bmm_between_rrh(theta, grid_vals, q_list)]
+        rows = [(theta1, theta2, theta3, tau, qv, r[i])
+                for i, tau in enumerate(grid_vals) for qv, r in zip(q_list, rrh)]
         columns = ("theta1", "theta2", "theta3", "tau", "q", "rrh")
     result = datasets.SweepResult(
         columns=columns, rows=tuple(rows),

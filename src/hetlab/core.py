@@ -126,37 +126,60 @@ def logsumexp(a, axis=None):
     return out.squeeze(axis)[()]
 
 
-def _log_hill(log_p, w, q: float) -> float:
-    """log (sum_i w_i p_i^(q-1))^(1/(1-q)) over the entries with w_i > 0, for
-    weights summing to 1 and finite q: the power mean behind every
-    numbers-equivalent index of the package. Near q=1 the sum is
-    1 + sum w expm1((q-1) log p), which keeps the digits that its log would
-    lose to cancellation before the division by 1 - q; other orders are
-    summed in the log domain, so no power under- or overflows.
+def _dot(a, b):
+    """sum_i a_i b_i along the last axis, one value per leading index: the
+    BLAS dot of `np.dot` on each row, through `np.matmul` (whose vector-vector
+    case is that dot on numpy 1.x and 2.x alike)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _log_hill(log_p, w, q: float, log_w=None):
+    """log (sum_i w_i p_i^(q-1))^(1/(1-q)) along the last axis, one value per
+    leading index, for weights summing to 1 along it and finite q: the power
+    mean behind every numbers-equivalent index of the package. ``log_w`` is
+    log w, -inf where w_i = 0; None means w = p, whose generic term is
+    q log p_i. log p_i may be -inf where w_i = 0 only when ``log_w`` is None.
+
+    Near q=1 the sum is 1 + sum w expm1((q-1) log p), which keeps the digits
+    that its log would lose to cancellation before the division by 1 - q;
+    there and at q=1 a zero weight takes log p_i = 0. Other orders are summed
+    in the log domain, so no power under- or overflows, and a zero weight is
+    a -inf term that needs no mask.
     """
-    keep = w > 0.0
-    w, log_p = w[keep], log_p[keep]
-    if q == 1.0:
-        return -float(np.dot(w, log_p))
     if abs(q - 1.0) < _NEAR_ONE:
-        return math.log1p(float(np.dot(w, np.expm1((q - 1.0) * log_p)))) / (1.0 - q)
-    return float(logsumexp(np.log(w) + (q - 1.0) * log_p)) / (1.0 - q)
+        log_p = np.where(w > 0.0, log_p, 0.0)
+        if q == 1.0:
+            return -_dot(w, log_p)
+        return np.log1p(_dot(w, np.expm1((q - 1.0) * log_p))) / (1.0 - q)
+    term = q * log_p if log_w is None else log_w + (q - 1.0) * log_p
+    return logsumexp(term, axis=-1) / (1.0 - q)
 
 
-def renyi_heterogeneity(p, q) -> float:
+def renyi_heterogeneity(p, q):
     """Effective number of equally probable states of order q.
 
     (sum p_i^q)^(1/(1-q)) for generic q; support count at q=0, perplexity
     at q=1, inverse maximum probability at q=inf. Always in [1, n].
+
+    ``p`` is one distribution, giving a float, or an (..., n) stack of them,
+    giving an array of the leading shape; every row is validated as
+    `as_distribution` validates one.
     """
-    arr = as_distribution(p)
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim < 1 or arr.size < 1:
+        raise ValidationError("distribution must be a non-empty 1-D vector")
+    bad = first_invalid_row(arr.reshape(-1, arr.shape[-1]))
+    if bad is not None:
+        raise ValidationError(bad[1])
     qf = check_order(q)
     if qf == 0.0:
-        return float(np.count_nonzero(arr > 0.0))
-    if math.isinf(qf):
-        return float(1.0 / arr.max())
-    pos = arr[arr > 0.0]
-    return float(np.exp(_log_hill(np.log(pos), pos, qf)))
+        out = np.count_nonzero(arr > 0.0, axis=-1).astype(float)
+    elif math.isinf(qf):
+        out = 1.0 / arr.max(axis=-1)
+    else:
+        log_p = np.log(arr, out=np.full(arr.shape, -np.inf), where=arr > 0.0)
+        out = np.exp(_log_hill(log_p, arr, qf))
+    return float(out) if arr.ndim == 1 else out
 
 
 class IndexValue(NamedTuple):

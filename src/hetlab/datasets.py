@@ -47,12 +47,13 @@ def format_number(v) -> str:
     booleans as true/false, missing values as the empty string."""
     if v is None:
         return ""
-    if isinstance(v, bool) or isinstance(v, np.bool_):
+    # Floats first: they fill most cells, and bool and np.bool_ are not floats.
+    if isinstance(v, (float, np.floating)):
+        return "%.12g" % float(v)
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.12g" % float(v)
     return str(v)
 
 

@@ -89,9 +89,10 @@ def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
         return float(weights.max() / (weights * table.max(axis=1)).max())
 
     # w_i^q itself, which can underflow for every row but one, is never formed.
-    joint = weights[:, None] * table
-    log_joint = np.log(joint, out=np.full(joint.shape, -np.inf), where=joint > 0.0)
-    return float(np.exp(_log_hill(log_joint, joint, qf)
+    # Zero cells carry no weight; dropping them once spares every later pass.
+    joint = (weights[:, None] * table).ravel()
+    joint = joint[joint > 0.0]
+    return float(np.exp(_log_hill(np.log(joint), joint, qf)
                         - _log_hill(np.log(weights), weights, qf)))
 
 

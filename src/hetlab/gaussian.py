@@ -167,11 +167,13 @@ def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
     n = ensemble.dim
     # As for categorical subsystems, the power mean of w_i p_i over that of w_i, with
     # p_i = |2 pi Sigma_i|^(-1/2); the factor q^(-n/2) adds (n/2) log q / (q-1).
+    # A zero-weight member keeps a finite log(w_i p_i), which _log_hill needs
+    # once it is given log w.
     w = ensemble.weights
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)
-    log_wp = log_w - 0.5 * (n * _LOG_2PI + ensemble.logdets)
+    log_wp = np.where(w > 0.0, log_w, 0.0) - 0.5 * (n * _LOG_2PI + ensemble.logdets)
     log_q_factor = 1.0 if qf == 1.0 else math.log(qf) / (qf - 1.0)
-    return math.exp(_log_hill(log_wp, w, qf) - _log_hill(log_w, w, qf)
+    return math.exp(_log_hill(log_wp, w, qf, log_w) - _log_hill(log_w, w, qf)
                     + 0.5 * n * log_q_factor)
 
 
@@ -267,4 +269,5 @@ def model_average_pooled_numeric(ensemble: GaussianEnsemble, q,
     # With trapezoid cells dx, the integral of f^q is a power mean of f weighted by f dx.
     cell = functools.reduce(np.multiply.outer,
                             [np.convolve(np.diff(ax), [0.5, 0.5]) for ax in axes])
-    return math.exp(_log_hill(log_f, np.exp(log_f) * cell.ravel(), qf))
+    log_w = log_f + np.log(cell.ravel())
+    return math.exp(_log_hill(log_f, np.exp(log_w), qf, log_w))

@@ -154,6 +154,17 @@ class TestBetweenRrh:
             best = taus[int(np.argmax(vals))]
             assert abs(best - optimal_threshold(theta)) < 0.05
 
+    def test_tau_array_matches_single_thresholds(self):
+        # Thresholds 0 and 1 put all the mass on one component.
+        theta = BetaMixtureParams(0.37, 5.0, 20.0)
+        taus = [0.0, 0.2, 0.5, 0.9, 1.0]
+        qs = [0.0, 0.5, 1.0, 2.0, math.inf]
+        for q, vals in zip(qs, bmm_between_rrh(theta, taus, qs)):
+            assert vals.shape == (len(taus),)
+            for tau, val in zip(taus, vals):
+                assert val == pytest.approx(bmm_between_rrh(theta, tau, [q])[0],
+                                            rel=1e-15, abs=0)
+
     def test_component_swap_symmetry(self):
         for t1, a, b in [(0.3, 2.0, 8.0), (0.7, 5.0, 20.0)]:
             th = BetaMixtureParams(t1, a, b)

@@ -347,3 +347,177 @@ class TestThreeState:
             three_state_distance(0.0, 1.0)
         with pytest.raises(ValidationError):
             three_state_distance(1.0, -1.0)
+
+
+STACK_QS = (0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0, 7.5, math.inf)
+# kappa = 0 and inf are point masses: p has zeros and Q_1 = 0.
+STACK_PS = [three_state_probs(k) for k in (0.0, 0.25, 1.0, 4.0, math.inf)]
+
+
+def distance_stack(rng, shape=(4, 2)):
+    hs = rng.uniform(0.05, 3.0, size=shape)
+    return np.stack([three_state_distance(h, 1.3) for h in hs.ravel()]).reshape(
+        shape + (3, 3))
+
+
+def relaxed_stack(rng, shape=(3, 2)):
+    """Symmetric 3 x 3 matrices with entries in (0, 1) and a diagonal that is
+    neither zero nor one."""
+    m = rng.uniform(0.05, 0.95, size=shape + (3, 3))
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def assert_members(stacked, single, shape):
+    """Every member of ``stacked`` equals ``single(index)`` to 1e-15 relative."""
+    stacked = np.array(stacked, dtype=object)
+    assert stacked.shape == shape
+    for idx in np.ndindex(*shape):
+        want, got = single(idx), stacked[idx]
+        if want is None:
+            assert got is None, idx
+        else:
+            assert isinstance(got, float)
+            assert got == pytest.approx(want, rel=1e-15, abs=0), idx
+
+
+class TestStacks:
+    """Each kernel on an (..., n, n) stack equals a loop of single-matrix calls."""
+
+    def test_rescale_per_member(self):
+        d = distance_stack(np.random.default_rng(30))
+        d[1, 0] *= 7.0
+        out = rescale_distance(d)
+        for idx in np.ndindex(4, 2):
+            assert np.array_equal(out[idx], rescale_distance(d[idx]))
+
+    def test_similarity_broadcasts_factors(self):
+        d = distance_stack(np.random.default_rng(31), (5,))
+        us = np.array([0.0, 0.5, 3.0])
+        sims = similarity_from_distance(d[:, None], us[:, None, None])
+        assert sims.shape == (5, 3, 3, 3)
+        for i, j in np.ndindex(5, 3):
+            assert np.array_equal(sims[i, j], similarity_from_distance(d[i], us[j]))
+        with pytest.raises(ValidationError, match="must be >= 0, got -0.5"):
+            similarity_from_distance(d, np.array([[[1.0]], [[-0.5]]]))
+
+    def test_quadratic_entropies(self):
+        d = rescale_distance(distance_stack(np.random.default_rng(32)))
+        for p in STACK_PS:
+            assert_members(neqrqe(d, p), lambda i: neqrqe(d[i], p), (4, 2))
+            for q in (0.0, 0.5, 1.0, 2.0):
+                assert_members(rqe(d, p, q), lambda i: rqe(d[i], p, q), (4, 2))
+
+    @pytest.mark.parametrize("q", STACK_QS)
+    def test_functional_hill(self, q):
+        d = distance_stack(np.random.default_rng(33))
+        for p in STACK_PS:
+            assert_members(functional_hill_or_none(d, p, q),
+                           lambda i: functional_hill_or_none(d[i], p, q), (4, 2))
+            if math.isfinite(q) and np.count_nonzero(p) > 1:
+                assert_members(functional_hill(d, p, q),
+                               lambda i: functional_hill(d[i], p, q), (4, 2))
+
+    @pytest.mark.parametrize("q", STACK_QS)
+    def test_leinster_cobbold(self, q):
+        d = distance_stack(np.random.default_rng(34), (4,))
+        us = np.array([0.0, 0.5, 2.0, 800.0])  # 800: exp(-u D) underflows to 0
+        sims = similarity_from_distance(d[:, None], us[:, None, None])
+        for p in STACK_PS:
+            assert_members(leinster_cobbold(sims, p, q),
+                           lambda i: leinster_cobbold(sims[i], p, q), (4, 4))
+
+    @pytest.mark.parametrize("q", STACK_QS)
+    def test_relaxed_diagonals(self, q):
+        rng = np.random.default_rng(35)
+        d, s = relaxed_stack(rng), relaxed_stack(rng)
+        p = np.array([0.2, 0.0, 0.8])
+        assert_members(leinster_cobbold(s, p, q, require_unit_diagonal=False),
+                       lambda i: leinster_cobbold(s[i], p, q, require_unit_diagonal=False),
+                       (3, 2))
+        assert_members(functional_hill_or_none(d, p, q, require_zero_diagonal=False),
+                       lambda i: functional_hill_or_none(d[i], p, q,
+                                                         require_zero_diagonal=False),
+                       (3, 2))
+        scaled = rescale_distance(d, require_zero_diagonal=False)
+        assert_members(neqrqe(scaled, p, require_zero_diagonal=False),
+                       lambda i: neqrqe(scaled[i], p, require_zero_diagonal=False), (3, 2))
+
+    def test_or_none_per_member(self):
+        # A zero-diagonal stack with one all-zero member: Q_1 = 0 for that member only.
+        d = distance_stack(np.random.default_rng(36), (3,))
+        d[1] = 0.0
+        p = three_state_probs(4.0)
+        out = functional_hill_or_none(d, p, 2.0)
+        assert out[1] is None
+        for i in (0, 2):
+            assert out[i] == pytest.approx(functional_hill(d[i], p, 2.0), rel=1e-15, abs=0)
+        assert functional_hill_or_none(d, p, math.inf) == [None] * 3
+        assert functional_hill_or_none(d, three_state_probs(0.0), 1.0) == [None] * 3
+        with pytest.raises(SingularityError):
+            functional_hill(d, p, 2.0)
+
+    def test_metric_predicates(self):
+        d = distance_stack(np.random.default_rng(37))
+        d[0, 1] = [[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]]
+        d[2, 0] = 0.0
+        for predicate in (is_metric, is_ultrametric):
+            out = predicate(d)
+            assert out.shape == (4, 2)
+            for idx in np.ndindex(4, 2):
+                assert out[idx] == predicate(d[idx])
+        assert is_ultrametric(d).any() and not is_ultrametric(d).all()
+
+    _BAD_DISTANCE = {
+        "asymmetric": lambda m: m + np.triu(np.full(m.shape, 0.1), 1),
+        "negative": lambda m: np.where(np.eye(3, dtype=bool), m, -m),
+        "nan": lambda m: np.where(np.eye(3, dtype=bool), m, np.nan),
+        "diagonal": lambda m: m + 0.25 * np.eye(3),
+        "size": lambda m: m[:, :2],
+    }
+    _BAD_SIMILARITY = {
+        "above one": lambda m: m + 0.8 * (1.0 - np.eye(3)),
+        "negative": lambda m: m - 0.8 * (1.0 - np.eye(3)),
+        "nan": lambda m: np.where(np.eye(3, dtype=bool), m, np.nan),
+        "diagonal": lambda m: m - 0.25 * np.eye(3),
+        "size": lambda m: m[:, :2],
+    }
+
+    @staticmethod
+    def assert_stack_raises_member_message(index, good, member):
+        with pytest.raises(ValidationError) as single:
+            index(member)
+        stack = [good[0], member, good[2]]
+        if member.shape == good[0].shape:
+            stack = np.array(stack)
+        with pytest.raises(ValidationError) as stacked:
+            index(stack)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_DISTANCE))
+    @pytest.mark.parametrize("index", [
+        lambda d: neqrqe(d, three_state_probs(4.0)),
+        lambda d: functional_hill(d, three_state_probs(4.0), 2.0),
+        lambda d: functional_hill_or_none(d, three_state_probs(4.0), 2.0),
+        rescale_distance,
+        lambda d: similarity_from_distance(d, 1.0),
+        is_metric,
+    ], ids=["neqrqe", "functional_hill", "functional_hill_or_none", "rescale_distance",
+            "similarity_from_distance", "is_metric"])
+    def test_one_bad_distance_member_raises_its_message(self, bad, index):
+        good = [rescale_distance(three_state_distance(h, 1.0)) for h in (0.2, 0.9, 2.0)]
+        self.assert_stack_raises_member_message(index, good, self._BAD_DISTANCE[bad](good[1]))
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_SIMILARITY))
+    def test_one_bad_similarity_member_raises_its_message(self, bad):
+        good = [similarity_from_distance(three_state_distance(h, 1.0), 1.0)
+                for h in (0.2, 0.9, 2.0)]
+        self.assert_stack_raises_member_message(
+            lambda s: leinster_cobbold(s, three_state_probs(4.0), 2.0), good,
+            self._BAD_SIMILARITY[bad](good[1]))
+
+    def test_distribution_size_must_match_the_members(self):
+        d = distance_stack(np.random.default_rng(38))
+        for index in (neqrqe, lambda d, p: functional_hill(d, p, 1.0),
+                      lambda d, p: leinster_cobbold(np.exp(-d), p, 1.0)):
+            with pytest.raises(ValidationError, match="sizes disagree"):
+                index(d, [0.5, 0.5])

@@ -152,6 +152,46 @@ class TestRenyiHeterogeneity:
             assert renyi_heterogeneity(p2, q) > renyi_heterogeneity(p, q)
 
 
+class TestRenyiRows:
+    """renyi_heterogeneity on an (..., n) stack of distributions."""
+
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(8)
+        rows = rng.dirichlet(np.full(4, 0.5), size=(3, 5))
+        rows[0, 1] = [0.0, 1.0, 0.0, 0.0]
+        rows[2, 3] = [0.5, 0.0, 0.0, 0.5]
+        for q in (0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0, 7.5, math.inf):
+            out = renyi_heterogeneity(rows, q)
+            assert out.shape == (3, 5)
+            for idx in np.ndindex(3, 5):
+                assert out[idx] == pytest.approx(renyi_heterogeneity(rows[idx], q),
+                                                 rel=1e-15, abs=0), (q, idx)
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]])
+    def test_bad_row_raises_its_message(self, bad):
+        with pytest.raises(ValidationError) as single:
+            renyi_heterogeneity(bad, 2.0)
+        with pytest.raises(ValidationError) as stacked:
+            renyi_heterogeneity([[0.5, 0.5], bad, [1.0, 0.0]], 2.0)
+        assert str(stacked.value) == str(single.value)
+
+    def test_empty_rejected(self):
+        for empty in ([], np.zeros((0, 3)), np.zeros((2, 0)), 1.0):
+            with pytest.raises(ValidationError):
+                renyi_heterogeneity(empty, 2.0)
+
+    def test_orders_near_one_need_no_numpy_2_api(self, monkeypatch):
+        # pyproject allows numpy 1.24, which has no np.vecdot: the q = 1 and
+        # near-1 branches must give the same values without it.
+        rows = np.array([[0.5, 0.25, 0.25], [0.0, 0.3, 0.7]])
+        expected = {q: renyi_heterogeneity(rows, q) for q in (1.0, 1.001)}
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        for q, want in expected.items():
+            np.testing.assert_array_equal(renyi_heterogeneity(rows, q), want)
+        assert renyi_heterogeneity(rows[0], 1.0) == pytest.approx(
+            math.exp(-(0.5 * math.log(0.5) + 0.5 * math.log(0.25))), rel=1e-15)
+
+
 class TestTable1Indices:
     p = np.array([0.5, 0.25, 0.25])
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ class TestFormatNumber:
         assert format_number(0.1) == "0.1"
         assert format_number(1.0 / 3.0) == "0.333333333333"
         assert format_number("x") == "x"
+
+    @pytest.mark.parametrize("value,text", [
+        (None, ""), (True, "true"), (False, "false"),
+        (np.bool_(True), "true"), (np.bool_(False), "false"),
+        (0, "0"), (-7, "-7"), (np.int64(2 ** 40), "1099511627776"),
+        (np.float32(0.1), "0.10000000149"), (np.float64(2.5), "2.5"),
+        (-0.0, "-0"), (1e300, "1e+300"), (math.inf, "inf"), ("x", "x"),
+    ])
+    def test_each_cell_type(self, value, text):
+        # Floats are tested first; bools, ints and strings keep their renderings.
+        assert format_number(value) == text
 
     def test_writers_share_the_format(self):
         ds = make_dataset(("a", None, [1.0 / 3.0], [2.0 / 3.0]))
@@ -518,6 +530,16 @@ class TestCliSweeps:
         assert res.exit_code == 2, res.output
         assert "--u" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("option,value", [
+        ("--u", "-1"), ("--u", "0.5,-0.5"), ("--u", "nan"), ("--u", "inf"),
+        ("--grid", "0"), ("--grid", "1,-1"), ("--grid", "-1:1:0.5"), ("--grid", "0:1:0.5"),
+    ])
+    def test_three_state_out_of_range_is_a_usage_error(self, option, value):
+        args = {"--grid": "1", option: value}
+        res = self.run(["three-state-sweep", *(t for kv in args.items() for t in kv)])
+        assert res.exit_code == 2, res.output
+        assert option in res.output and "Traceback" not in res.output
+
     @pytest.mark.parametrize("b", ["nan", "inf", "-inf", "0", "-1"])
     def test_b_out_of_range_is_a_usage_error(self, b):
         res = self.run(["three-state-sweep", "--grid", "1", "--b", b])
@@ -536,18 +558,48 @@ class TestCliSweeps:
         assert res.exit_code == 0, res.output
         assert calls == [0.2, 0.5, 0.8]
 
-    def test_three_state_sweep_one_similarity_per_height_and_u(self, monkeypatch):
-        calls = []
-        original = classic.similarity_from_distance
-
-        def counted(d, u, **kwargs):
-            calls.append(u)
-            return original(d, u, **kwargs)
-        monkeypatch.setattr(classic, "similarity_from_distance", counted)
+    def test_three_state_sweep_one_kernel_call_per_kappa_and_q(self, monkeypatch):
+        # Each index takes the stack of all heights (and scaling factors) at once.
+        calls = Counter()
+        for module, name in ((classic, "similarity_from_distance"),
+                             (classic, "leinster_cobbold"), (cli, "renyi_heterogeneity")):
+            def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         res = self.run(["three-state-sweep", "--grid", "1,2", "--kappa", "0.25,1",
-                        "--q", "1,2", "--u", "0.5,1,2"])
+                        "--q", "1,2,inf", "--u", "0.5,1,2"])
         assert res.exit_code == 0, res.output
-        assert calls == [0.5, 1.0, 2.0] * 2
+        assert calls == {"similarity_from_distance": 1, "leinster_cobbold": 2 * 3,
+                         "renyi_heterogeneity": 2 * 3}
+
+    def test_three_state_rows_match_single_matrix_calls(self):
+        # The rows the stacked sweep emits, in order, against the per-member loop.
+        hs, b, kappas, qs, us = (0.3, 0.8660254, 2.0), 1.5, (0.0, 0.25, math.inf), \
+            (0.0, 0.5, 1.0, 2.0, math.inf), (0.0, 1.0, 40.0)
+        res = self.run(["three-state-sweep", "--grid", ",".join(map(repr, hs)),
+                        "--b", repr(b), "--kappa", "0,0.25,inf", "--q", "0,0.5,1,2,inf",
+                        "--u", "0,1,40", "--format", "json"])
+        assert res.exit_code == 0, res.output
+        expected = []
+        for h in hs:
+            dist = classic.three_state_distance(h, b)
+            for kap in kappas:
+                p = classic.three_state_probs(kap)
+                qe = classic.neqrqe(classic.rescale_distance(dist), p)
+                for q in qs:
+                    fhn = classic.functional_hill_or_none(dist, p, q)
+                    for u in us:
+                        lci = classic.leinster_cobbold(
+                            classic.similarity_from_distance(dist, u), p, q)
+                        expected.append([h, b, kap, q, u, qe, fhn, lci,
+                                         renyi_heterogeneity(p, q), classic.is_metric(dist),
+                                         classic.is_ultrametric(dist)])
+        rows = json.loads(res.output)["rows"]
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            want = [float(format_number(v)) if isinstance(v, float) else v for v in want]
+            assert row == want
 
     def test_grid_parsing_inclusive_stop(self):
         res = self.run(["three-state-sweep", "--grid", "0.1:0.3:0.1",

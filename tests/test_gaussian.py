@@ -206,6 +206,15 @@ class TestGaussianWithin:
             assert_near_one(lambda q: gaussian_within(e, q),
                             lambda q: gaussian_within_mp(e.weights, covs, q))
 
+    def test_zero_weight_member_drops_out(self):
+        # Below q = 1 a zero weight must not meet log(w p) = -inf in the power mean.
+        means, covs = [[0.0], [1.0], [3.0]], [[1.0], [2.0], [0.5]]
+        with_zero = ens(means, covs, [0.5, 0.5, 0.0])
+        without = ens(means[:2], covs[:2], [0.5, 0.5])
+        for q in (0.3, 0.995, 1.0, 1.005, 2.0, 7.5):
+            assert gaussian_within(with_zero, q) == pytest.approx(
+                gaussian_within(without, q), rel=1e-15)
+
     def test_q0_undefined(self):
         with pytest.raises(UndefinedOrderError):
             gaussian_within(ens([[0.0]], [[1.0]]), 0.0)
