@@ -62,7 +62,6 @@ from .errors import (
     DegeneratePoolError,
     HetlabError,
     NumericalError,
-    PrecisionError,
     SingularityError,
     UndefinedOrderError,
     ValidationError,

@@ -29,17 +29,6 @@ class ConvergenceError(NumericalError):
     """A series or iteration does not converge for the given parameters."""
 
 
-class PrecisionError(NumericalError):
-    """An iteration cap was reached before the accuracy target.
-
-    Carries the best partial value computed so far.
-    """
-
-    def __init__(self, message: str, partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class DegenerateDistanceError(NumericalError):
     """A constant distance matrix cannot be rescaled to [0, 1]."""
 

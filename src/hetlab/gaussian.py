@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SYM_TOL, _log_hill, check_order, check_weights, logsumexp
-from .errors import DegeneratePoolError, UndefinedOrderError, ValidationError
+from .errors import DegeneratePoolError, NumericalError, UndefinedOrderError, ValidationError
 
 PIVOT_FLOOR = 1e-10
 
@@ -135,6 +135,14 @@ def _check_positive_order(q) -> float:
     return qf
 
 
+def _exp_volume(log_val: float) -> float:
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise NumericalError(
+            f"Gaussian heterogeneity exp({log_val:.6g}) overflows a float") from None
+
+
 def gaussian_renyi(cov, q) -> float:
     """Effective latent volume of a single Gaussian with covariance cov.
 
@@ -150,7 +158,7 @@ def gaussian_renyi(cov, q) -> float:
         log_val += 0.5 * n
     elif not math.isinf(qf):
         log_val += n * math.log(qf) / (2.0 * (qf - 1.0))
-    return math.exp(log_val)
+    return _exp_volume(log_val)
 
 
 def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
@@ -173,8 +181,8 @@ def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)
     log_wp = np.where(w > 0.0, log_w, 0.0) - 0.5 * (n * _LOG_2PI + ensemble.logdets)
     log_q_factor = 1.0 if qf == 1.0 else math.log(qf) / (qf - 1.0)
-    return math.exp(_log_hill(log_wp, w, qf, log_w) - _log_hill(log_w, w, qf)
-                    + 0.5 * n * log_q_factor)
+    return _exp_volume(_log_hill(log_wp, w, qf, log_w) - _log_hill(log_w, w, qf)
+                       + 0.5 * n * log_q_factor)
 
 
 def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:

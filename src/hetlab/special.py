@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, PrecisionError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
@@ -22,10 +22,12 @@ _FPMIN = 1e-300
 
 _SERIES_REL_TOL = 1e-15
 _SERIES_MAX_TERMS = 100_000
-_SERIES_CHUNK = 1024
+# expansion terms the tail keeps; the next one is its error estimate
+_TAIL_TERMS = 12
 _INT_SNAP_TOL = 1e-12
 
-# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients.
+# B_2j / (2j)! for j = 1..8: the Euler-Maclaurin correction coefficients and
+# the Bernoulli numbers of the 3F~2 tail expansion.
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
 _EM_SHIFT = 20.0
@@ -211,17 +213,42 @@ def _fraction_log_abs(fr: Fraction) -> float:
     return math.log(abs(fr.numerator)) - math.log(fr.denominator)
 
 
+def _gamma_ratio_expansion(a, b):
+    """e_0 ... e_N of t_k ~ C k^-(1+s) sum_j e_j k^-j, the asymptotic series
+    of the 3F~2 terms (DLMF 5.11.8), e_N being the first term the tail
+    leaves out. The e_j are the coefficients of exp(sum_m d_m x^m) with
+    d_m = (-1)^(m+1) / (m(m+1)) [sum_i B_{m+1}(a_i) - B_{m+1}(b_1)
+    - B_{m+1}(b_2) - B_{m+1}(1)]. The parameters' power sums are exact
+    integers over a common power-of-two denominator: their leading terms
+    cancel.
+    """
+    ratios = [v.as_integer_ratio() for v in (*a, *b, 1.0)]
+    den = max(d for _, d in ratios)
+    ints = [num * (den // d) for num, d in ratios]
+    power = [(sum(x ** p for x in ints[:3]) - sum(x ** p for x in ints[3:])) / den ** p
+             for p in range(_TAIL_TERMS + 2)]
+    bern = [1.0, -0.5] + [v for c in _EM_COEFFS for v in (c, 0.0)]  # B_i / i!
+    d = [0.0] + [(-1) ** (m + 1) * math.factorial(m - 1)
+                 * sum(bern[i] * power[m + 1 - i] / math.factorial(m + 1 - i) for i in range(m + 2))
+                 for m in range(1, _TAIL_TERMS + 1)]
+    e = [1.0]
+    for j in range(1, _TAIL_TERMS + 1):
+        e.append(sum(m * d[m] * e[j - m] for m in range(1, j + 1)) / j)
+    return e
+
+
 def reg_hyp3f2_unit(num, den) -> float:
     """Regularized 3F~2(num; den; 1) = sum_k prod (num)_k / [Gamma(den_1+k) Gamma(den_2+k) k!].
 
     Terminating series (a numerator parameter is a non-positive integer) are
     summed exactly in rational arithmetic. Otherwise any sign-alternating
-    prefix (negative numerator parameters) is summed exactly, and the
-    same-sign remainder is summed until the estimated rest of the series,
-    |t_k| (k + 1) / s for terms decaying like k^-(1+s) with
-    s = sum(den) - sum(num), drops below ``_SERIES_REL_TOL`` relative to
-    the partial sum, with a cap of ``_SERIES_MAX_TERMS``; a slowly decaying
-    polynomial tail is closed with a two-parameter Hurwitz-zeta estimate.
+    prefix (negative numerator parameters) is summed exactly up to k0, the
+    float head t_k0 ... t_{K-1} with ``math.fsum``, and the same-sign tail
+    as C sum_j e_j zeta(1 + s + j, K) from the asymptotic series of its
+    terms, s = sum(den) - sum(num). K doubles from k0 + 64 until the first
+    omitted term is below ``_SERIES_REL_TOL`` / 10 of the result; no tail is
+    needed once the rest estimate |t_K| (K + 1) / s is below
+    ``_SERIES_REL_TOL``.
     """
     a = [_snap_nonpositive_int(float(v)) for v in num]
     b = [float(v) for v in den]
@@ -255,67 +282,40 @@ def reg_hyp3f2_unit(num, den) -> float:
     negs = [-v for v in a if v < 0]
     if negs:
         k_min = int(math.ceil(max(negs))) + 1
-    if k_min > _SERIES_MAX_TERMS - 3:
+    if k_min > _SERIES_MAX_TERMS:
         raise ConvergenceError(
             f"sign-alternating prefix of {k_min} terms exceeds the {_SERIES_MAX_TERMS}-term budget"
         )
     prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min, budget=300)
 
-    # Same-sign remainder via a vectorized log-magnitude recurrence, built in
-    # chunks of doubling length so that a fast-converging series stops after
-    # its first chunk. Each chunk's cumulative sums are seeded with the value
-    # carried from the previous chunk, so every partial sum is bitwise the
-    # one a single pass over all terms gives.
-    n_rest = _SERIES_MAX_TERMS - k0
+    # Same-sign remainder: float terms t_k0 ... t_K, then the tail from K on.
     sign = 1.0 if c_k0 > 0 else -1.0
     log_c0 = _fraction_log_abs(c_k0)
-    base = float(prefix_sum)
-    log_sum, term_sum, prev_small = 0.0, 0.0, False
-    last_terms = np.empty(0)
-    lo, size = 0, _SERIES_CHUNK
-    while lo < n_rest:
-        hi = min(lo + size, n_rest)
-        k = np.arange(lo, hi, dtype=float) + k0
-        ratio = ((a[0] + k) * (a[1] + k) * (a[2] + k)) / ((b[0] + k) * (b[1] + k) * (k + 1.0))
-        log_sums = np.cumsum(np.concatenate(([log_sum], np.log(ratio))))
-        log_terms = log_c0 + log_sums[:-1]
+    e = None
+    n = 64
+    while n <= _SERIES_MAX_TERMS:
+        big_k = float(k0 + n)
+        k = np.arange(k0, big_k)
+        # log(t_{k+1} / t_k) in log1p form, whose rounding does not grow with k
+        log_terms = log_c0 + np.concatenate(([0.0], np.cumsum(
+            np.log1p((a[0] - b[0]) / (b[0] + k)) + np.log1p((a[1] - b[1]) / (b[1] + k))
+            + np.log1p((a[2] - 1.0) / (k + 1.0)))))
         if np.max(log_terms) > 700.0:
             raise ConvergenceError("series terms overflow double precision")
-        terms = sign * np.exp(log_terms)
-        term_sums = np.cumsum(np.concatenate(([term_sum], terms)))
-        partial = base + term_sums[1:]
-        # The unsummed rest after t_k is about |t_k| k / s, not |t_k|: at unit
-        # argument the terms decay only polynomially. Require two consecutive
-        # small estimates to guard against odd/even dips.
-        rest = np.abs(terms) * ((np.arange(lo, hi) + (k0 + 1.0)) / s_exp)
-        small = np.concatenate(([prev_small], rest <= _SERIES_REL_TOL * np.abs(partial)))
-        converged = np.flatnonzero(small[1:] & small[:-1])
-        if converged.size:
-            return prefactor * float(partial[converged[0]])
-        log_sum, term_sum, prev_small = log_sums[-1], term_sums[-1], small[-1]
-        last_terms = np.concatenate((last_terms, terms))[-2:]
-        lo, size = hi, 2 * size
-
-    # Cap reached: close the k^-(1+s) tail with a Hurwitz-zeta fit through the
-    # last two terms, t_k ~ c k^-(1+s) (1 + e1/k).
-    total = base + float(term_sum)
-    big_k = float(k0 + n_rest - 1)
-    t_prev, t_last = map(float, last_terms)
-    c0_last = t_last * big_k ** (1.0 + s_exp)
-    c0_prev = t_prev * (big_k - 1.0) ** (1.0 + s_exp)
-    uc = (c0_prev - c0_last) * big_k * (big_k - 1.0)
-    c = c0_last - uc / big_k
-    z1 = _hurwitz_zeta(1.0 + s_exp, big_k + 1.0)
-    z2 = _hurwitz_zeta(2.0 + s_exp, big_k + 1.0)
-    z3 = _hurwitz_zeta(3.0 + s_exp, big_k + 1.0)
-    tail = c * z1 + uc * z2
-    result = total + tail
-    # Residual of the two-term tail model; generous factor for the unfit
-    # next-order coefficient.
-    err_bound = abs(uc) * big_k * z3 * 10.0
-    if err_bound > max(1e-14, 1e-6 * abs(result)):
-        raise PrecisionError(
-            f"series truncated at {_SERIES_MAX_TERMS} terms, estimated tail error {err_bound:.3g}",
-            partial=prefactor * result,
-        )
-    return prefactor * result
+        *head, t_big = (sign * np.exp(log_terms)).tolist()
+        head = math.fsum([float(prefix_sum), *head])
+        # At unit argument the terms decay only like k^-(1+s), so the rest
+        # after t_K is about |t_K| K / s, not |t_K|.
+        if abs(t_big) * (big_k + 1.0) / s_exp <= _SERIES_REL_TOL * abs(head + t_big):
+            return prefactor * (head + t_big)
+        e = e or _gamma_ratio_expansion(a, b)
+        if (1.0 + s_exp + _TAIL_TERMS) * math.log(big_k) > 700.0:  # K^(1+s), zeta out of range
+            raise ConvergenceError("series tail underflows double precision")
+        # C = t_K / A(K) with A(K) = K^-(1+s) sum_j e_j K^-j
+        amp = t_big * big_k ** (1.0 + s_exp) / sum(c * big_k ** -j for j, c in enumerate(e[:-1]))
+        zetas = [_hurwitz_zeta(1.0 + s_exp + j, big_k) for j in range(len(e))]
+        result = head + amp * math.fsum(c * z for c, z in zip(e[:-1], zetas))
+        if abs(amp * e[-1] * zetas[-1]) <= 0.1 * _SERIES_REL_TOL * abs(result):
+            return prefactor * result
+        n *= 2
+    raise ConvergenceError(f"series tail expansion not converged within {_SERIES_MAX_TERMS} terms")

@@ -681,6 +681,19 @@ class TestCliEmbeddings:
         got = sorted((r[2], r[3]) for r in rows if r[0] == "low")
         assert got == sorted((rid, label) for rid, label, _, _ in records)
 
+    @pytest.mark.parametrize("command", [["decompose"], ["neighborhoods", "--k", "3"]])
+    def test_overflowing_volume_exits_4(self, tmp_path, command):
+        # a valid file whose log-variances near 700 in 4 dimensions put the
+        # latent volume near exp(1400), beyond a float
+        path = tmp_path / "emb.csv"
+        res = self.run(["embeddings", "synth", "--labels", "2", "--per-label", "5",
+                        "--nz", "4", "--log-var-min", "690", "--log-var-max", "700",
+                        "--out", str(path)])
+        assert res.exit_code == 0
+        res = self.run(["embeddings", command[0], str(path), *command[1:]])
+        assert res.exit_code == 4
+        assert "overflows a float" in res.output
+
     def test_missing_file_exits_2(self):
         res = self.run(["embeddings", "decompose", "/nonexistent.csv"])
         assert res.exit_code == 2

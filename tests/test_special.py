@@ -161,7 +161,7 @@ class TestRegHyp3F2Unit:
         ]
         for num, den in cases:
             assert reg_hyp3f2_unit(num, den) == pytest.approx(
-                mp_reg_hyp3f2(num, den), rel=1e-12)
+                mp_reg_hyp3f2(num, den), rel=1e-12, abs=0)
 
     def test_nonterminating_against_mpmath(self):
         # oracle: non-integer beta parameters force the infinite series.
@@ -180,7 +180,7 @@ class TestRegHyp3F2Unit:
             ((2.5, 9.0, -3.5), (3.5, 15.0), 6.503382536646298e-13),
         ]
         for num, den, ref in cases:
-            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-9)
+            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_slow_tail_remainder_against_mpmath(self):
         # oracle: mpmath.hyp3f2(*num, *den, 1) / (gamma(den[0]) gamma(den[1]))
@@ -193,21 +193,28 @@ class TestRegHyp3F2Unit:
             ((7.25, 15.5, -0.5), (8.25, 17.0), 2.435607558986250207937529e-18),
         ]
         for num, den, ref in cases:
-            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-12)
+            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("num,den,value", [
-        # stops at its second remainder term, inside the first chunk
-        ((5.0, 26.0, -19.5), (6.0, 46.5), 5.253242830378354e-63),
-        # stops in the fifth chunk
-        ((1.0, 1.0, 1.5), (3.0, 4.0), 0.09813847226610678),
-        # runs to the term cap and closes the tail with Hurwitz zeta
-        ((0.3, 1.75, 0.55), (1.3, 2.2), 1.2427749800096595),
+        # mpmath.hyp3f2(*num, *den, 1) / (gamma(den[0]) gamma(den[1])): dps 40
+        # and 60 agree on these digits, except on the first case, where both
+        # give 4.65e-77 and dps 80 and 100 agree on the value below
+        ((5.0, 26.0, -19.5), (6.0, 46.5), 5.253242830378363e-63),
+        ((1.0, 1.0, 1.5), (3.0, 4.0), 0.09813847226611976),
+        ((0.3, 1.75, 0.55), (1.3, 2.2), 1.2427749800096892),
+        # s = 0.452: terms decay only like k^-1.452
+        ((8.045, 19.16, 0.702), (9.045, 19.314), 1.3971267791140446e-20),
+        # large parameters: the expansion needs K well past k0 + 64
+        ((47.553, 48.056, 0.87), (48.553, 49.043), 8.619757586186131e-121),
     ])
-    def test_chunked_remainder_matches_one_pass(self, num, den, value):
-        # the floats that summing the whole 100,000-term remainder in one
-        # vectorized pass gives: seeding each chunk's cumulative sums with
-        # the carried value keeps the result bitwise equal
-        assert reg_hyp3f2_unit(num, den) == value
+    def test_remainder_against_mpmath(self, num, den, value):
+        assert reg_hyp3f2_unit(num, den) == pytest.approx(value, rel=1e-14, abs=0)
+
+    def test_tail_past_the_term_limit_rejected(self):
+        # parameters near 30,000: the expansion does not converge for any
+        # K within 100,000 terms of k0
+        with pytest.raises(ConvergenceError, match="100000 terms"):
+            reg_hyp3f2_unit((30000.3, 30001.0, 0.2), (30001.3, 30000.6))
 
     def test_divergent_rejected(self):
         with pytest.raises(ConvergenceError):
