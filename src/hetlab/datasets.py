@@ -41,6 +41,8 @@ from .gaussian import (
     gaussian_within,
 )
 
+_NEIGHBOR_BLOCK = 256  # records per block of neighbor distances: 256 x N x n floats
+
 
 def format_number(v) -> str:
     """Render a cell deterministically: floats at 12 significant digits,
@@ -131,7 +133,8 @@ class EmbeddingDataset:
         return len(self.ids)
 
     def ensemble(self, indices: Optional[Sequence[int]] = None) -> GaussianEnsemble:
-        """Uniform-weight Gaussian ensemble over all records or a subset."""
+        """Uniform-weight Gaussian ensemble over all records or a subset; a
+        2-D ``(B, m)`` index array gives a stack of B ensembles of m members."""
         rows = slice(None) if indices is None else np.asarray(indices)
         return GaussianEnsemble(means=self.means[rows],
                                 covariances=np.exp(self.log_var[rows]))
@@ -368,7 +371,7 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
 
     The neighborhood is the record plus its k nearest records by Euclidean
     distance on means (distance ties broken by ascending record index);
-    uniform weights over the k + 1 members.
+    uniform weights over the k + 1 members, pooled as one stacked ensemble.
     """
     n = len(dataset)
     if not 1 <= k < n:
@@ -376,14 +379,13 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
     qf = float(q)
     if not (qf > 0 and math.isfinite(qf)):
         raise ValidationError("neighborhood heterogeneity requires q in (0, inf)")
-    means = dataset.means
-    vals = np.empty(n)
-    for i in range(n):
-        d = np.linalg.norm(means - means[i], axis=1)
-        d[i] = -1.0  # the record itself always leads the ordering
-        order = np.argsort(d, kind="stable")  # stable sort = index tie-break
-        vals[i] = gaussian_between(dataset.ensemble(order[: k + 1]), qf)
-    return vals
+    members = np.empty((n, k + 1), dtype=np.intp)
+    for start in range(0, n, _NEIGHBOR_BLOCK):
+        rows = np.arange(start, min(start + _NEIGHBOR_BLOCK, n))
+        d = np.linalg.norm(dataset.means - dataset.means[rows, None], axis=-1)
+        d[rows - start, rows] = -1.0  # the record itself always leads the ordering
+        members[rows] = np.argsort(d, kind="stable")[:, : k + 1]  # stable = index tie-break
+    return gaussian_between(dataset.ensemble(members), qf)
 
 
 def neighborhood_sweep(dataset: EmbeddingDataset, k: int, q: float,

@@ -5,11 +5,11 @@ heterogeneity of a weighted Gaussian ensemble, moment-matched parametric
 pooling, their ratio (between), and a grid-quadrature oracle for the
 non-parametric model-average pool.
 
-A `GaussianEnsemble` holds its N members as stacked arrays: means
-``(N, n)`` and covariances, either ``(N, n)`` diagonal entries (the common
-encoder output) or ``(N, n, n)`` full symmetric matrices. One batched
-validator checks a whole stack and returns the per-member
-log-determinants; a single `GaussianComponent` is checked as a stack of one.
+A `GaussianEnsemble` holds its N members as arrays with optional leading
+stack axes: means ``(..., N, n)`` and covariances, diagonal entries of the
+means' shape or ``(..., N, n, n)`` full matrices. The pool, within and
+between functions reduce the member axis, so one code path serves one
+ensemble and a stack. One validator checks ensembles and components.
 """
 
 from __future__ import annotations
@@ -28,75 +28,65 @@ PIVOT_FLOOR = 1e-10
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _validate_covariances(covs) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a stack of covariances, ``(N, n)`` diagonal entries or
-    ``(N, n, n)`` full matrices; return it together with the per-member
-    log-determinants. Positive definiteness means every factorization pivot
-    stays above PIVOT_FLOOR."""
-    arr = np.asarray(covs, dtype=float)
+def _validate_gaussians(means, covs, min_ndim: int) -> tuple:
+    """Validate means ``(..., n)`` of at least ``min_ndim`` axes and their
+    covariances: diagonal entries of the same shape, or ``(..., n, n)`` full
+    matrices. Return both with the log-determinants ``(...)``. Positive
+    definiteness means every factorization pivot stays above PIVOT_FLOOR."""
+    means = np.asarray(means, dtype=float)
+    if means.ndim < min_ndim or means.size < 1 or not np.all(np.isfinite(means)):
+        raise ValidationError("means must be finite non-empty vectors")
+    arr, shape = np.asarray(covs, dtype=float), means.shape
+    if arr.shape not in (shape, shape + shape[-1:]):
+        raise ValidationError("mean and covariance dimensions disagree")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("covariance entries must be finite")
-    if arr.ndim == 2:
-        if arr.shape[1] < 1:
-            raise ValidationError("diagonal covariance must be non-empty")
+    if arr.shape == shape:
         if np.any(arr < PIVOT_FLOOR):
             raise ValidationError(
                 f"diagonal covariance entries must be >= {PIVOT_FLOOR}"
             )
-        return arr, np.sum(np.log(arr), axis=1)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
-        raise ValidationError("covariance must be a square matrix or a diagonal vector")
-    if np.max(np.abs(arr - arr.transpose(0, 2, 1))) > SYM_TOL:
+        return means, arr, np.sum(np.log(arr), axis=-1)
+    if np.max(np.abs(arr - arr.swapaxes(-1, -2))) > SYM_TOL:
         raise ValidationError("covariance must be symmetric")
     try:
         chol = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise ValidationError("covariance is not positive-definite") from exc
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1)
     if np.any(pivots ** 2 < PIVOT_FLOOR):
         raise ValidationError(
             f"covariance factorization pivot fell below {PIVOT_FLOOR}"
         )
-    return arr, 2.0 * np.sum(np.log(pivots), axis=1)
+    return means, arr, 2.0 * np.sum(np.log(pivots), axis=-1)
 
 
 @dataclass(frozen=True)
 class GaussianComponent:
-    """One multivariate Gaussian (mean, covariance); covariance may be a
-    full symmetric positive-definite matrix or a vector of diagonal entries."""
+    """One multivariate Gaussian or a stack: mean ``(..., n)``, covariance of
+    its shape (diagonal entries) or ``(..., n, n)``, and ``logdet`` ``(...)``."""
 
     mean: np.ndarray
     covariance: np.ndarray
     logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        one = GaussianEnsemble(means=np.asarray(self.mean, dtype=float)[None],
-                               covariances=np.asarray(self.covariance, dtype=float)[None])
-        object.__setattr__(self, "mean", one.means[0])
-        object.__setattr__(self, "covariance", one.covariances[0])
-        object.__setattr__(self, "logdet", float(one.logdets[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
+        mean, cov, logdet = _validate_gaussians(self.mean, self.covariance, 1)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "logdet", logdet[()])
 
     @property
     def is_diagonal(self) -> bool:
-        return self.covariance.ndim == 1
-
-    def full_covariance(self) -> np.ndarray:
-        if self.is_diagonal:
-            return np.diag(self.covariance)
-        return self.covariance
+        return self.covariance.shape == self.mean.shape
 
 
 @dataclass(frozen=True)
 class GaussianEnsemble:
-    """N Gaussians of a shared dimension n with normalized weights: means
-    ``(N, n)``, covariances ``(N, n)`` (diagonal entries) or ``(N, n, n)``
-    (full), weights ``(N,)`` (None means uniform), and the derived
-    per-member log-determinants ``logdets``. A `GaussianComponent` is
-    validated as an ensemble of one."""
+    """N Gaussians of a shared dimension n: means ``(..., N, n)``, covariances
+    ``(..., N, n)`` (diagonal entries) or ``(..., N, n, n)`` (full), weights
+    ``(N,)`` shared by the stack (None means uniform), and the derived
+    per-member log-determinants ``logdets`` ``(..., N)``."""
 
     means: np.ndarray
     covariances: np.ndarray
@@ -104,28 +94,23 @@ class GaussianEnsemble:
     logdets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        if means.ndim != 2 or means.size < 1 or not np.all(np.isfinite(means)):
-            raise ValidationError("means must be finite non-empty vectors")
-        covs, logdets = _validate_covariances(self.covariances)
-        if covs.shape[:2] != means.shape:
-            raise ValidationError("mean and covariance dimensions disagree")
+        means, covs, logdets = _validate_gaussians(self.means, self.covariances, 2)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "logdets", logdets)
         object.__setattr__(self, "weights",
-                           check_weights(self.weights, len(means), "members"))
+                           check_weights(self.weights, len(self), "members"))
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
     @property
     def is_diagonal(self) -> bool:
-        return self.covariances.ndim == 2
+        return self.covariances.shape == self.means.shape
 
     def __len__(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
 
 
 def _check_positive_order(q) -> float:
@@ -135,12 +120,24 @@ def _check_positive_order(q) -> float:
     return qf
 
 
-def _exp_volume(log_val: float) -> float:
-    try:
-        return math.exp(log_val)
+def _exp_volume(log_val):
+    try:  # math.exp per entry: numpy's SIMD exp differs in the last bit on some inputs
+        vals = np.vectorize(math.exp, otypes=[float])(log_val)
     except OverflowError:
         raise NumericalError(
-            f"Gaussian heterogeneity exp({log_val:.6g}) overflows a float") from None
+            f"Gaussian heterogeneity exp({np.max(log_val):.6g}) overflows a float") from None
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _log_volume(logdet, n: int, qf: float):
+    """Log effective volume of an n-dimensional Gaussian with log|Sigma| =
+    logdet (a float or an array) at a positive order qf."""
+    log_val = 0.5 * (n * _LOG_2PI + logdet)
+    if qf == 1.0:
+        log_val += 0.5 * n
+    elif not math.isinf(qf):
+        log_val += n * math.log(qf) / (2.0 * (qf - 1.0))
+    return log_val
 
 
 def gaussian_renyi(cov, q) -> float:
@@ -151,27 +148,11 @@ def gaussian_renyi(cov, q) -> float:
     (2*pi)^(n/2) sqrt|Sigma|. Values below 1 are meaningful (small volume).
     """
     qf = _check_positive_order(q)
-    covs, logdets = _validate_covariances(np.asarray(cov, dtype=float)[None])
-    n = covs.shape[1]
-    log_val = 0.5 * (n * _LOG_2PI + logdets[0])
-    if qf == 1.0:
-        log_val += 0.5 * n
-    elif not math.isinf(qf):
-        log_val += n * math.log(qf) / (2.0 * (qf - 1.0))
-    return _exp_volume(log_val)
+    mean, _, logdet = _validate_gaussians(np.zeros(np.shape(cov)[:1]), cov, 1)
+    return _exp_volume(_log_volume(logdet, mean.size, qf))
 
 
-def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
-    """Within-observation heterogeneity of a weighted Gaussian ensemble.
-
-    Generic branch: [sum_i wbar_i^q * q^(-n/2) |2 pi Sigma_i|^((1-q)/2)]^(1/(1-q))
-    with wbar_i^q = w_i^q / sum_j w_j^q. The q=1 limit is
-    exp{(n + sum_i w_i ln|2 pi Sigma_i|) / 2}. The q=inf value is reported
-    as 0 by convention.
-    """
-    qf = _check_positive_order(q)
-    if math.isinf(qf):
-        return 0.0
+def _log_within(ensemble: GaussianEnsemble, qf: float):
     n = ensemble.dim
     # As for categorical subsystems, the power mean of w_i p_i over that of w_i, with
     # p_i = |2 pi Sigma_i|^(-1/2); the factor q^(-n/2) adds (n/2) log q / (q-1).
@@ -181,38 +162,55 @@ def gaussian_within(ensemble: GaussianEnsemble, q) -> float:
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)
     log_wp = np.where(w > 0.0, log_w, 0.0) - 0.5 * (n * _LOG_2PI + ensemble.logdets)
     log_q_factor = 1.0 if qf == 1.0 else math.log(qf) / (qf - 1.0)
-    return _exp_volume(_log_hill(log_wp, w, qf, log_w) - _log_hill(log_w, w, qf)
-                       + 0.5 * n * log_q_factor)
+    return (_log_hill(log_wp, w, qf, log_w) - _log_hill(log_w, w, qf)
+            + 0.5 * n * log_q_factor)
+
+
+def gaussian_within(ensemble: GaussianEnsemble, q):
+    """Within-observation heterogeneity of a weighted Gaussian ensemble.
+
+    Generic branch: [sum_i wbar_i^q * q^(-n/2) |2 pi Sigma_i|^((1-q)/2)]^(1/(1-q))
+    with wbar_i^q = w_i^q / sum_j w_j^q. The q=1 limit is
+    exp{(n + sum_i w_i ln|2 pi Sigma_i|) / 2}. The q=inf value is reported
+    as 0 by convention.
+    """
+    qf = _check_positive_order(q)
+    if math.isinf(qf):
+        return np.zeros(ensemble.logdets.shape[:-1])[()]
+    return _exp_volume(_log_within(ensemble, qf))
 
 
 def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
-    """Moment-matched parametric pool of a Gaussian ensemble.
+    """Moment-matched parametric pool of a Gaussian ensemble (stack).
 
-    mu* = sum w_i mu_i; Sigma* = -mu* mu*^T + sum w_i (Sigma_i + mu_i mu_i^T).
+    mu* = sum w_i mu_i; Sigma* = -mu* mu*^T + sum w_i (Sigma_i + mu_i mu_i^T),
+    stored diagonal only when every pool of the stack is (within SYM_TOL).
     """
-    w, means = ensemble.weights, ensemble.means
+    w, means, n = ensemble.weights, ensemble.means, ensemble.dim
     mu = w @ means
-    mixed = np.tensordot(w, ensemble.covariances, 1)
+    mixed = w @ ensemble.covariances.reshape(means.shape[:-1] + (-1,))
     if ensemble.is_diagonal:
-        mixed = np.diag(mixed)
-    cov_full = mixed + np.einsum("i,ij,ik->jk", w, means, means) - np.outer(mu, mu)
-    cov_full = 0.5 * (cov_full + cov_full.T)
-    # Collapse back to diagonal storage when pooling kept it diagonal.
-    off = cov_full - np.diag(np.diag(cov_full))
-    cov_out = np.diag(cov_full) if np.max(np.abs(off)) <= SYM_TOL else cov_full
+        mixed = mixed[..., None] * np.eye(n)
+    cov = (mixed.reshape(mu.shape + (n,)) + np.einsum("i,...ij,...ik->...jk", w, means, means)
+           - mu[..., :, None] * mu[..., None, :])
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    off = np.where(np.eye(n, dtype=bool), 0.0, cov)
+    if np.max(np.abs(off)) <= SYM_TOL:
+        cov = np.diagonal(cov, axis1=-2, axis2=-1).copy()
     try:
-        return GaussianComponent(mean=mu, covariance=cov_out)
+        return GaussianComponent(mean=mu, covariance=cov)
     except ValidationError as exc:
         raise DegeneratePoolError(f"pooled covariance is numerically singular: {exc}") from exc
 
 
-def gaussian_between(ensemble: GaussianEnsemble, q) -> float:
-    """Effective number of distinct observations: pooled / within at q in (0, inf)."""
+def gaussian_between(ensemble: GaussianEnsemble, q):
+    """Effective number of distinct observations at q in (0, inf):
+    exp(log pooled - log within), finite where both volumes overflow."""
     qf = _check_positive_order(q)
     if math.isinf(qf):
         raise UndefinedOrderError("between-observation heterogeneity requires finite q")
     pool = gaussian_pool(ensemble)
-    return gaussian_renyi(pool.covariance, qf) / gaussian_within(ensemble, qf)
+    return _exp_volume(_log_volume(pool.logdet, ensemble.dim, qf) - _log_within(ensemble, qf))
 
 
 @dataclass(frozen=True)

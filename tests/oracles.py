@@ -13,6 +13,8 @@ import mpmath
 import numpy as np
 from scipy import integrate, optimize, special
 
+from hetlab.gaussian import gaussian_pool, gaussian_renyi, gaussian_within
+
 
 def gaussian_logpdf(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Multivariate normal log density, full covariance, via slogdet/solve."""
@@ -162,6 +164,54 @@ def gaussian_pool_loop(means, covariances, weights) -> tuple:
         full = np.diag(c) if c.ndim == 1 else c
         cov += wi * (full + np.outer(m, m))
     return mu, cov
+
+
+def neighborhood_members(means, i: int, k: int) -> np.ndarray:
+    """Record i, then its k nearest records by Euclidean distance on means,
+    distance ties broken by ascending index: a full stable argsort of one
+    row of distances."""
+    d = np.linalg.norm(means - means[i], axis=1)
+    d[i] = -1.0
+    return np.argsort(d, kind="stable")[: k + 1]
+
+
+def neighborhood_between_loop(dataset, k: int, q: float) -> np.ndarray:
+    """Between heterogeneity of each record's neighborhood, one record at a
+    time: the pooled volume of its single-ensemble pool over its within
+    volume, each through its own closed form."""
+    vals = np.empty(len(dataset))
+    for i in range(len(dataset)):
+        ens = dataset.ensemble(neighborhood_members(dataset.means, i, k))
+        vals[i] = gaussian_renyi(gaussian_pool(ens).covariance, q) / gaussian_within(ens, q)
+    return vals
+
+
+def gaussian_log_between_mp(means, variances, q: float, dps: int = 50):
+    """log(pooled / within), as an mpf at ``dps`` digits, of the uniform-weight
+    ensemble of diagonal Gaussians with float means and variances ``(N, n)``:
+    the moment-matched pool is built and its determinant taken in mpmath.
+    The q-dependent factors of the two volumes cancel, leaving
+    (n log 2pi + log|S|)/2 minus the order-q power mean of log|2 pi Sigma_i|/2."""
+    with mpmath.workdps(dps):
+        m = mpmath.matrix(np.asarray(means, float).tolist())
+        v = mpmath.matrix(np.asarray(variances, float).tolist())
+        size, n = m.rows, m.cols
+        mu = [sum(m[i, j] for i in range(size)) / size for j in range(n)]
+        pool = mpmath.matrix(n, n)
+        for j in range(n):
+            pool[j, j] = sum(v[i, j] for i in range(size)) / size
+            for l in range(n):
+                pool[j, l] += sum(m[i, j] * m[i, l] for i in range(size)) / size - mu[j] * mu[l]
+        log_2pi = mpmath.log(2 * mpmath.pi)
+        half_log_dets = [(n * log_2pi + sum(mpmath.log(v[i, j]) for j in range(n))) / 2
+                         for i in range(size)]
+        if q == 1.0:
+            log_within = sum(half_log_dets) / size
+        else:
+            qm = mpmath.mpf(q)
+            log_within = mpmath.log(sum(mpmath.exp((1 - qm) * h) for h in half_log_dets)
+                                    / size) / (1 - qm)
+        return (n * log_2pi + mpmath.log(mpmath.det(pool))) / 2 - log_within
 
 
 # Orders around 1 for the q -> 1 continuity checks: one ulp either side of 1,

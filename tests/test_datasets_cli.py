@@ -33,6 +33,8 @@ from hetlab.datasets import (
 from hetlab.errors import SingularityError, ValidationError
 from hetlab.gaussian import GaussianComponent, gaussian_renyi
 
+from oracles import gaussian_log_between_mp, neighborhood_between_loop, neighborhood_members
+
 
 def make_dataset(*records):
     """An EmbeddingDataset from (id, label, mean, log-variance) tuples."""
@@ -324,7 +326,7 @@ class TestSynth:
             return pts.std(axis=0).mean()
         assert spread(contracted, "0") == pytest.approx(spread(base, "0"))
         assert spread(contracted, "1") == pytest.approx(spread(base, "1") / 10.0,
-                                                        rel=1e-9)
+                                                        rel=1e-9, abs=0)
         assert np.array_equal(base.log_var, contracted.log_var)
 
     def test_validation(self):
@@ -343,7 +345,7 @@ class TestGroupDecomposition:
         assert res.columns == ("label", "n", "q", "pooled", "within",
                                "between", "singleton")
         for label, n, q, pooled, within, between, singleton in res.rows:
-            assert pooled == pytest.approx(within * between, rel=1e-9)
+            assert pooled == pytest.approx(within * between, rel=1e-9, abs=0)
             assert not singleton
 
     def test_singleton_group(self):
@@ -391,17 +393,43 @@ class TestNeighborhoods:
         assert [r[2] for r in res.rows if r[0] == "low"] == ["r0", "r1", "r2"]
 
     def test_builds_at_most_one_component_per_record(self, monkeypatch):
-        # members stay in arrays; only each neighborhood's pool is an object
-        built = []
-        original = GaussianComponent.__post_init__
+        # members and pools stay in arrays: one stacked ensemble of all
+        # neighborhoods and one stacked pool per call
+        built, gathered = [], []
+        original_pool = GaussianComponent.__post_init__
+        original_ensemble = EmbeddingDataset.ensemble
 
-        def counted(self):
+        def counted_pool(self):
             built.append(1)
-            original(self)
-        monkeypatch.setattr(GaussianComponent, "__post_init__", counted)
+            original_pool(self)
+
+        def counted_ensemble(self, *args):
+            gathered.append(1)
+            return original_ensemble(self, *args)
+        monkeypatch.setattr(GaussianComponent, "__post_init__", counted_pool)
+        monkeypatch.setattr(EmbeddingDataset, "ensemble", counted_ensemble)
         ds = synth_embeddings(2, 10, 2, seed=1)
         neighborhood_between(ds, 4, 1.0)
-        assert 0 < len(built) <= len(ds)
+        assert len(built) == 1 and len(gathered) == 1
+
+    @pytest.mark.parametrize("nz", [1, 2])
+    def test_matches_per_record_loop(self, nz):
+        # nz = 1 pools every neighborhood to a 1 x 1 (diagonal) covariance.
+        # The added records repeat a mean with new log-variances, so they tie
+        # on distance with their originals and the tie order moves the values.
+        base = synth_embeddings(3, 6, nz, seed=nz)
+        dup = [0, 7, 7, 12]
+        ds = EmbeddingDataset(
+            ids=base.ids + tuple(f"dup{i}" for i in range(len(dup))),
+            labels=base.labels + tuple(base.labels[i] for i in dup),
+            means=np.concatenate([base.means, base.means[dup]]),
+            log_var=np.concatenate([base.log_var,
+                                    base.log_var[dup] - 0.3 * np.arange(1, 5)[:, None]]))
+        for k in (1, 4, len(ds) - 1):
+            for q in (0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 7.5):
+                got = neighborhood_between(ds, k, q)
+                ref = neighborhood_between_loop(ds, k, q)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0), (k, q)
 
     def test_two_cluster_contrast(self):
         # points inside a tight cluster see low between-heterogeneity;
@@ -633,7 +661,7 @@ class TestCliEmbeddings:
         for row in payload["rows"]:
             d = dict(zip(payload["columns"], row))
             assert d["pooled"] == pytest.approx(d["within"] * d["between"],
-                                                rel=1e-6)
+                                                rel=1e-6, abs=0)
 
     def test_decompose_whole(self, tmp_path):
         path = self.synth_file(tmp_path)
@@ -681,8 +709,7 @@ class TestCliEmbeddings:
         got = sorted((r[2], r[3]) for r in rows if r[0] == "low")
         assert got == sorted((rid, label) for rid, label, _, _ in records)
 
-    @pytest.mark.parametrize("command", [["decompose"], ["neighborhoods", "--k", "3"]])
-    def test_overflowing_volume_exits_4(self, tmp_path, command):
+    def overflowing_file(self, tmp_path):
         # a valid file whose log-variances near 700 in 4 dimensions put the
         # latent volume near exp(1400), beyond a float
         path = tmp_path / "emb.csv"
@@ -690,9 +717,35 @@ class TestCliEmbeddings:
                         "--nz", "4", "--log-var-min", "690", "--log-var-max", "700",
                         "--out", str(path)])
         assert res.exit_code == 0
-        res = self.run(["embeddings", command[0], str(path), *command[1:]])
+        return path
+
+    @pytest.mark.parametrize("command", [["decompose"]])
+    def test_overflowing_volume_exits_4(self, tmp_path, command):
+        res = self.run(["embeddings", command[0], str(self.overflowing_file(tmp_path)),
+                        *command[1:]])
         assert res.exit_code == 4
         assert "overflows a float" in res.output
+
+    def test_overflowing_volumes_give_finite_neighborhoods(self, tmp_path):
+        # between is exp(log pooled - log within), an ordinary number although
+        # both volumes overflow; each log volume near 1400 carries a few 1e-13
+        # of rounding, so the logs are held to 2e-12
+        path = self.overflowing_file(tmp_path)
+        res = self.run(["embeddings", "neighborhoods", str(path), "--k", "3",
+                        "--format", "json"])
+        assert res.exit_code == 0, res.output
+        with open(path, newline="") as fh:
+            ds = read_embeddings(fh)
+        for q in (0.5, 1.0, 2.0):
+            vals = neighborhood_between(ds, 3, q)
+            ref = [float(gaussian_log_between_mp(ds.means[m], np.exp(ds.log_var[m]), q))
+                   for m in (neighborhood_members(ds.means, i, 3) for i in range(len(ds)))]
+            assert np.log(vals) == pytest.approx(ref, rel=0, abs=2e-12)
+            if q == 1.0:
+                rows = json.loads(res.output)["rows"]
+                assert len(rows) == 20
+                assert all(r[4] == float(format_number(vals[ds.ids.index(r[2])]))
+                           for r in rows)
 
     def test_missing_file_exits_2(self):
         res = self.run(["embeddings", "decompose", "/nonexistent.csv"])

@@ -40,18 +40,23 @@ def ens(means, covs, weights=None):
                             covariances=np.asarray(covs, float), weights=weights)
 
 
+def full_cov(c):
+    """The covariance of one component as a full matrix."""
+    return np.diag(c.covariance) if c.is_diagonal else c.covariance
+
+
 class TestComponentValidation:
     def test_diagonal_storage(self):
         c = comp([0.0, 0.0], [1.0, 4.0])
         assert c.is_diagonal
         assert c.logdet == pytest.approx(math.log(4.0))
-        assert np.allclose(c.full_covariance(), np.diag([1.0, 4.0]))
+        assert np.array_equal(c.covariance, [1.0, 4.0])
 
     def test_full_storage(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         c = comp([0.0, 0.0], cov)
         assert not c.is_diagonal
-        assert c.logdet == pytest.approx(math.log(np.linalg.det(cov)), rel=1e-12)
+        assert c.logdet == pytest.approx(math.log(np.linalg.det(cov)), rel=1e-12, abs=0)
 
     def test_not_pd_rejected(self):
         with pytest.raises(ValidationError):
@@ -126,11 +131,11 @@ class TestEnsembleValidation:
 class TestGaussianRenyi:
     def test_unit_1d_perplexity(self):
         assert gaussian_renyi(np.array([1.0]), 1.0) == pytest.approx(
-            math.sqrt(2 * math.pi * math.e), rel=1e-12)
+            math.sqrt(2 * math.pi * math.e), rel=1e-12, abs=0)
 
     def test_identity_2d_inf(self):
         assert gaussian_renyi(np.eye(2), math.inf) == pytest.approx(
-            2 * math.pi, rel=1e-12)
+            2 * math.pi, rel=1e-12, abs=0)
 
     def test_q2_closed_form(self):
         rng = np.random.default_rng(0)
@@ -138,7 +143,7 @@ class TestGaussianRenyi:
             cov = random_pd_cov(rng, n)
             expected = (2 * math.pi) ** (n / 2) * 2 ** (n / 2) * math.sqrt(
                 np.linalg.det(cov))
-            assert gaussian_renyi(cov, 2.0) == pytest.approx(expected, rel=1e-10)
+            assert gaussian_renyi(cov, 2.0) == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_vs_quadrature(self):
         rng = np.random.default_rng(42)
@@ -147,14 +152,14 @@ class TestGaussianRenyi:
                 cov = random_pd_cov(rng, n)
                 for q in (0.5, 1.0, 2.0, 5.0, math.inf):
                     assert gaussian_renyi(cov, q) == pytest.approx(
-                        gaussian_renyi_quad(cov, q), rel=1e-6)
+                        gaussian_renyi_quad(cov, q), rel=1e-6, abs=0)
 
     def test_scale_law(self):
         cov = np.array([[2.0, 0.4], [0.4, 1.0]])
         for q in (0.5, 1.0, 3.0, math.inf):
             base = gaussian_renyi(cov, q)
             assert gaussian_renyi(4.0 * cov, q) == pytest.approx(
-                2.0 ** 2 * base, rel=1e-12)
+                2.0 ** 2 * base, rel=1e-12, abs=0)
 
     def test_uniform_cube_interpretation(self):
         # a 1-D uniform of width u has heterogeneity u at any finite q:
@@ -164,7 +169,7 @@ class TestGaussianRenyi:
                 x = np.linspace(0, u, 20001)
                 f = np.full_like(x, 1.0 / u)
                 val = np.trapezoid(f ** q, x) ** (1.0 / (1.0 - q))
-                assert val == pytest.approx(u, rel=1e-6)
+                assert val == pytest.approx(u, rel=1e-6, abs=0)
 
     def test_q0_undefined(self):
         with pytest.raises(UndefinedOrderError):
@@ -177,13 +182,13 @@ class TestGaussianWithin:
         e = ens([[0.0, 0.0]], [cov])
         for q in (0.5, 1.0, 2.0, 9.0):
             assert gaussian_within(e, q) == pytest.approx(
-                gaussian_renyi(cov, q), rel=1e-12)
+                gaussian_renyi(cov, q), rel=1e-12, abs=0)
 
     def test_identical_components_q1(self):
         cov = np.array([2.0, 0.5])
         e = ens([[i, -i] for i in range(4)], [cov] * 4)
         assert gaussian_within(e, 1.0) == pytest.approx(
-            gaussian_renyi(cov, 1.0), rel=1e-12)
+            gaussian_renyi(cov, 1.0), rel=1e-12, abs=0)
 
     def test_inf_is_zero(self):
         e = ens([[0.0], [3.0]], [[1.0], [2.0]])
@@ -202,7 +207,7 @@ class TestGaussianWithin:
             at_one = gaussian_within(e, 1.0)
             for eps in (1e-6, -1e-6):
                 assert gaussian_within(e, 1.0 + eps) == pytest.approx(
-                    at_one, rel=1e-4)
+                    at_one, rel=1e-4, abs=0)
             assert_near_one(lambda q: gaussian_within(e, q),
                             lambda q: gaussian_within_mp(e.weights, covs, q))
 
@@ -213,7 +218,7 @@ class TestGaussianWithin:
         without = ens(means[:2], covs[:2], [0.5, 0.5])
         for q in (0.3, 0.995, 1.0, 1.005, 2.0, 7.5):
             assert gaussian_within(with_zero, q) == pytest.approx(
-                gaussian_within(without, q), rel=1e-15)
+                gaussian_within(without, q), rel=1e-15, abs=0)
 
     def test_q0_undefined(self):
         with pytest.raises(UndefinedOrderError):
@@ -225,7 +230,7 @@ class TestGaussianPool:
         cov = np.array([[1.0, 0.3], [0.3, 2.0]])
         pool = gaussian_pool(ens([[1.0, -2.0]] * 3, [cov] * 3))
         assert np.allclose(pool.mean, [1.0, -2.0])
-        assert np.allclose(pool.full_covariance(), cov)
+        assert np.allclose(full_cov(pool), cov)
 
     def test_hand_example_1d(self):
         pool = gaussian_pool(ens([[0.0], [2.0]], [[1.0], [1.0]]))
@@ -238,7 +243,7 @@ class TestGaussianPool:
         w = rng.dirichlet(np.ones(3))
         pool = gaussian_pool(ens(np.zeros((3, 2)), covs, w))
         expected = sum(wi * c for wi, c in zip(w, covs))
-        assert np.allclose(pool.full_covariance(), expected)
+        assert np.allclose(full_cov(pool), expected)
 
     def test_monte_carlo_moments(self):
         # oracle: mixture sampling cross-check of the moment-matched pool
@@ -258,7 +263,7 @@ class TestGaussianPool:
         se_mean = samples.std(axis=0) / math.sqrt(n_samp)
         assert np.all(np.abs(mc_mean - pool.mean) < 3 * se_mean + 1e-12)
         # covariance entries: generous 3-sigma-ish bound via 1/sqrt(N) scaling
-        assert np.max(np.abs(mc_cov - pool.full_covariance())) < 0.02
+        assert np.max(np.abs(mc_cov - full_cov(pool))) < 0.02
 
     def test_matches_per_member_loop(self):
         rng = np.random.default_rng(12)
@@ -270,7 +275,7 @@ class TestGaussianPool:
                 pool = gaussian_pool(ens(means, covs, w))
                 mu, cov = gaussian_pool_loop(means, covs, w)
                 assert np.array_equal(pool.mean, mu)
-                err = np.max(np.abs(pool.full_covariance() - cov))
+                err = np.max(np.abs(full_cov(pool) - cov))
                 assert err <= 1e-12 * np.max(np.abs(cov))
 
     def test_diagonal_preserved_when_exact(self):
@@ -285,11 +290,89 @@ class TestGaussianPool:
         assert DegeneratePoolError is not None  # defensive path kept for roundoff
 
 
+class TestStacks:
+    """A stack of ensembles against a loop of single-ensemble calls."""
+
+    ORDERS = (0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 7.5)
+
+    @staticmethod
+    def stack(full, shape=(5, 4, 3), seed=21):
+        rng = np.random.default_rng(seed)
+        b, m, n = shape
+        means = 3.0 * rng.standard_normal(shape)
+        if full:
+            covs = np.array([[random_pd_cov(rng, n) for _ in range(m)] for _ in range(b)])
+        else:
+            covs = np.exp(rng.uniform(-2.0, 1.0, shape))
+        return means, covs
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("weights", [None, [0.5, 0.0, 0.3, 0.2]])
+    def test_matches_single_ensembles(self, full, weights):
+        means, covs = self.stack(full)
+        e = ens(means, covs, weights)
+        pool = gaussian_pool(e)
+        assert pool.mean.shape == (5, 3) and pool.logdet.shape == (5,)
+        singles = [ens(m, c, weights) for m, c in zip(means, covs)]
+        for b, one in enumerate(singles):
+            single = gaussian_pool(one)
+            assert np.array_equal(pool.mean[b], single.mean)
+            assert np.array_equal(pool.covariance[b], single.covariance)
+            assert pool.logdet[b] == single.logdet
+        for q in self.ORDERS:
+            within, between = gaussian_within(e, q), gaussian_between(e, q)
+            assert within.shape == between.shape == (5,)
+            for b, one in enumerate(singles):
+                assert within[b] == pytest.approx(gaussian_within(one, q), rel=1e-15, abs=0)
+                assert between[b] == pytest.approx(gaussian_between(one, q),
+                                                   rel=1e-15, abs=0)
+        assert np.array_equal(gaussian_within(e, math.inf), np.zeros(5))
+
+    def test_leading_axes_of_any_rank(self):
+        means, covs = self.stack(False, shape=(6, 4, 2))
+        flat = gaussian_between(ens(means, covs), 2.0)
+        nested = gaussian_between(ens(means.reshape(2, 3, 4, 2), covs.reshape(2, 3, 4, 2)), 2.0)
+        assert np.array_equal(nested, flat.reshape(2, 3))
+
+    def test_diagonal_storage_is_stack_wide(self):
+        # equal means pool diagonal, spread means do not; the stack keeps
+        # diagonal storage only when every entry pools diagonal
+        same, spread = [[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]
+        mixed = gaussian_pool(ens([same, spread], np.ones((2, 2, 2))))
+        assert not mixed.is_diagonal and mixed.covariance.shape == (2, 2, 2)
+        assert np.array_equal(mixed.covariance[0], np.eye(2))
+        both = gaussian_pool(ens([same, same], np.ones((2, 2, 2))))
+        assert both.is_diagonal and np.array_equal(both.covariance, np.ones((2, 2)))
+
+    def test_stacks_need_no_numpy_2_api(self, monkeypatch):
+        # pyproject allows numpy 1.24, which has neither of these functions
+        means, covs = self.stack(True)
+        want = gaussian_between(ens(means, covs), 2.0)
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        monkeypatch.delattr(np.linalg, "matrix_transpose", raising=False)
+        np.testing.assert_array_equal(gaussian_between(ens(means, covs), 2.0), want)
+
+    @pytest.mark.parametrize("full,bad", [
+        (True, [[1.0, 0.3], [0.1, 1.0]]),     # asymmetric
+        (True, [[1.0, 2.0], [2.0, 1.0]]),     # not positive-definite
+        (True, [[1e-12, 0.0], [0.0, 1.0]]),   # pivot below the floor
+        (False, [1e-12, 1.0]),                # diagonal entry below the floor
+    ])
+    def test_bad_member_raises_its_single_message(self, full, bad):
+        means, covs = self.stack(full, shape=(3, 4, 2))
+        covs[1, 2] = bad
+        with pytest.raises(ValidationError) as single:
+            ens(means[1], covs[1])
+        with pytest.raises(ValidationError) as stacked:
+            ens(means, covs)
+        assert str(stacked.value) == str(single.value)
+
+
 class TestGaussianBetween:
     def test_identical_components_one(self):
         e = ens([[1.0, 2.0]] * 4, [[1.0, 1.0]] * 4)
         for q in (0.5, 1.0, 2.0):
-            assert gaussian_between(e, q) == pytest.approx(1.0, rel=1e-9)
+            assert gaussian_between(e, q) == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_two_separated_components(self):
         # the parametric (moment-matched) ratio grows with separation,
@@ -299,7 +382,7 @@ class TestGaussianBetween:
             val = gaussian_between(ens([[0.0], [sep]], [[1.0], [1.0]]), 1.0)
             assert val >= prev - 1e-12
             prev = val
-        assert val == pytest.approx(math.sqrt(1.0 + 30.0 ** 2 / 4.0), rel=1e-9)
+        assert val == pytest.approx(math.sqrt(1.0 + 30.0 ** 2 / 4.0), rel=1e-9, abs=0)
 
     def test_model_average_ratio_approaches_two(self):
         # replacing the parametric pool by the mixture average restores the
@@ -311,7 +394,7 @@ class TestGaussianBetween:
             assert val >= prev - 1e-9
             prev = val
         assert 1.0 < val <= 2.0 + 1e-6
-        assert val == pytest.approx(2.0, rel=1e-4)
+        assert val == pytest.approx(2.0, rel=1e-4, abs=0)
 
     def test_orders_rejected(self):
         e = ens([[0.0]], [[1.0]])
@@ -327,12 +410,12 @@ class TestModelAveragePool:
         e = ens([[0.5, -1.0]], [cov])
         for q in (0.5, 1.0, 2.0, math.inf):
             assert model_average_pooled_numeric(e, q, GridSpec(501)) == \
-                pytest.approx(gaussian_renyi(cov, q), rel=1e-4)
+                pytest.approx(gaussian_renyi(cov, q), rel=1e-4, abs=0)
 
     def test_two_identical_components(self):
         e = ens([[1.0]] * 2, [[2.0]] * 2)
         assert model_average_pooled_numeric(e, 1.0) == pytest.approx(
-            gaussian_renyi(np.array([2.0]), 1.0), rel=1e-4)
+            gaussian_renyi(np.array([2.0]), 1.0), rel=1e-4, abs=0)
 
     def test_model_average_below_parametric(self):
         # moment-matched Gaussian is the max-entropy fit, so its q=1
