@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 validation/ingestion error,
 from __future__ import annotations
 
 import functools
+import io
 import math
 import sys
 
@@ -76,13 +77,21 @@ def _read_input(path: str, reader):
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _emit(result: datasets.SweepResult, out, fmt: str) -> None:
-    text = result.to_string(fmt)
+def _emit(write, out, fmt: str) -> None:
+    """Write through ``write(stream, fmt)`` to the file ``out`` or to stdout."""
+    buf = io.StringIO()
+    write(buf, fmt)
     if out is None:
-        click.echo(text, nl=False)
+        # color=True: click strips escape sequences (as in ids) when stdout is no terminal
+        click.echo(buf.getvalue(), nl=False, color=True)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(buf.getvalue())
+
+
+def _grid(shape: tuple, columns: dict) -> dict:
+    """Each column broadcast to the sweep grid ``shape`` and read in row order."""
+    return {name: np.broadcast_to(values, shape).ravel() for name, values in columns.items()}
 
 
 _out_option = click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -128,29 +137,31 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
     # (and scaling factors): dist is (H, 3, 3), sims (H, U, 3, 3).
     dist = np.stack([classic.three_state_distance(h, b) for h in h_list])
     scaled = classic.rescale_distance(dist)
-    metric = classic.is_metric(dist).tolist()
-    ultra = classic.is_ultrametric(dist).tolist()
     sims = classic.similarity_from_distance(dist[:, None], np.array(u_list)[:, None, None])
-    per_kappa = []
+    qe, rrh, fhn, lci = [], [], [], []
     for kap in kappa_list:
         p = classic.three_state_probs(kap)
-        per_kappa.append((classic.neqrqe(scaled, p).tolist(), [
-            (renyi_heterogeneity(p, qv), classic.functional_hill_or_none(dist, p, qv),
-             classic.leinster_cobbold(sims, p, qv).tolist()) for qv in q_list]))
-    rows = [(h, b, kap, qv, uv, qe[i], fhn[i], lci[i][k], rrh, metric[i], ultra[i])
-            for i, h in enumerate(h_list)
-            for kap, (qe, per_q) in zip(kappa_list, per_kappa)
-            for qv, (rrh, fhn, lci) in zip(q_list, per_q)
-            for k, uv in enumerate(u_list)]
+        qe.append(classic.neqrqe(scaled, p))
+        for qv in q_list:
+            rrh.append(renyi_heterogeneity(p, qv))
+            fhn.append(classic.functional_hill_or_none(dist, p, qv))
+            lci.append(classic.leinster_cobbold(sims, p, qv))
+    # The values computed per (kappa, q) move onto the (H, K, Q, U) axes of the rows.
+    shape = H, K, Q, U = len(h_list), len(kappa_list), len(q_list), len(u_list)
     result = datasets.SweepResult(
-        columns=("h", "b", "kappa", "q", "u", "qe", "fhn", "lci", "rrh",
-                 "metric", "ultrametric"),
-        rows=tuple(rows),
+        columns=_grid(shape, {
+            "h": np.reshape(h_list, (H, 1, 1, 1)), "b": b,
+            "kappa": np.reshape(kappa_list, (K, 1, 1)), "q": np.reshape(q_list, (Q, 1)),
+            "u": u_list, "qe": np.reshape(qe, (K, H)).T[:, :, None, None],
+            "fhn": np.moveaxis(np.array(fhn, dtype=float).reshape(K, Q, H, 1), 2, 0),
+            "lci": np.moveaxis(np.reshape(lci, (K, Q, H, U)), 2, 0),
+            "rrh": np.reshape(rrh, (K, Q, 1)),
+            "metric": np.reshape(classic.is_metric(dist), (H, 1, 1, 1)),
+            "ultrametric": np.reshape(classic.is_ultrametric(dist), (H, 1, 1, 1))}),
         metadata={"command": "three-state-sweep", "b": b,
-                  "n_h": len(h_list), "n_kappa": len(kappa_list),
-                  "n_q": len(q_list), "n_u": len(u_list)},
+                  "n_h": H, "n_kappa": K, "n_q": Q, "n_u": U},
     )
-    _emit(result, out, fmt)
+    _emit(result.write, out, fmt)
 
 
 def _parse_grid(text: str, name: str) -> list:
@@ -199,32 +210,33 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
     if not 0 <= u < math.inf:
         raise click.UsageError(f"--u: value {u!r} out of range, need 0 <= u < inf")
 
-    rows = []
+    shape = (len(grid_vals), len(q_list))
     if tau_mode == "optimal":
         for t1 in grid_vals:
             if not 0.0 < t1 < 1.0:
                 raise click.UsageError(f"--grid: theta1 value {t1} outside (0, 1)")
-            theta = betamix.BetaMixtureParams(t1, theta2, theta3)
-            rows += [(t1, theta2, theta3, qv, u, r.tau, r.rrh, r.fhn, r.neqrqe, r.lci)
-                     for qv, r in zip(q_list, betamix.bmm_index_comparison(theta, q_list, u))]
-        columns = ("theta1", "theta2", "theta3", "q", "u", "tau",
-                   "rrh", "fhn", "neqrqe", "lci")
+        comparison = [row for t1 in grid_vals for row in betamix.bmm_index_comparison(
+            betamix.BetaMixtureParams(t1, theta2, theta3), q_list, u)]
+        columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
+                   "theta3": theta3, "q": q_list, "u": u,
+                   **{name: np.array([getattr(row, name) for row in comparison],
+                                     dtype=float).reshape(shape)
+                      for name in ("tau", "rrh", "fhn", "neqrqe", "lci")}}
     else:
         theta = betamix.BetaMixtureParams(theta1, theta2, theta3)
         for tau in grid_vals:
             if not 0.0 <= tau <= 1.0:
                 raise click.UsageError(f"--grid: tau value {tau} outside [0, 1]")
-        rrh = [r.tolist() for r in betamix.bmm_between_rrh(theta, grid_vals, q_list)]
-        rows = [(theta1, theta2, theta3, tau, qv, r[i])
-                for i, tau in enumerate(grid_vals) for qv, r in zip(q_list, rrh)]
-        columns = ("theta1", "theta2", "theta3", "tau", "q", "rrh")
+        columns = {"theta1": theta1, "theta2": theta2, "theta3": theta3,
+                   "tau": np.reshape(grid_vals, (-1, 1)), "q": q_list,
+                   "rrh": np.stack(betamix.bmm_between_rrh(theta, grid_vals, q_list), axis=1)}
     result = datasets.SweepResult(
-        columns=columns, rows=tuple(rows),
+        columns=_grid(shape, columns),
         metadata={"command": "bmm-sweep", "tau_mode": tau_mode,
                   "theta2": theta2, "theta3": theta3, "u": u,
                   "n_grid": len(grid_vals), "n_q": len(q_list)},
     )
-    _emit(result, out, fmt)
+    _emit(result.write, out, fmt)
 
 
 @main.group()
@@ -245,7 +257,7 @@ def embeddings_decompose(file, q, group_by, out, fmt):
     q_list = _parse_floats(q, "q")
     dataset = _read_input(file, datasets.read_embeddings)
     result = datasets.group_decomposition(dataset, q_list, group_by_label=group_by)
-    _emit(result, out, fmt)
+    _emit(result.write, out, fmt)
 
 
 @embeddings.command("neighborhoods")
@@ -266,7 +278,7 @@ def embeddings_neighborhoods(file, k, q, top, out, fmt):
     if top < 1:
         raise click.UsageError("--top must be >= 1")
     result = datasets.neighborhood_sweep(dataset, k, q, top)
-    _emit(result, out, fmt)
+    _emit(result.write, out, fmt)
 
 
 @embeddings.command("synth")
@@ -298,14 +310,7 @@ def embeddings_synth(labels, per_label, nz, seed, separation, spread,
         log_var_range=(log_var_min, log_var_max),
         contract_label=contract_label, contract_factor=contract_factor,
     )
-    if out is None:
-        import io
-        buf = io.StringIO()
-        datasets.write_embeddings(dataset, buf, fmt)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        with open(out, "w", newline="") as fh:
-            datasets.write_embeddings(dataset, fh, fmt)
+    _emit(functools.partial(datasets.write_embeddings, dataset), out, fmt)
 
 
 @main.group()
@@ -323,17 +328,15 @@ def assignments_rrh(file, q, out, fmt):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
     ids, ensemble = _read_input(file, datasets.read_assignments)
-    rows = []
-    for qv in q_list:
-        res = decompose(ensemble, qv)
-        rows.append((qv, res.pooled, res.within, res.between, res.lande_warning))
+    res = [decompose(ensemble, qv) for qv in q_list]
     result = datasets.SweepResult(
-        columns=("q", "pooled", "within", "between", "lande_warning"),
-        rows=tuple(rows),
+        columns={"q": np.array(q_list),
+                 **{name: np.array([getattr(r, name) for r in res])
+                    for name in ("pooled", "within", "between", "lande_warning")}},
         metadata={"command": "assignments-rrh", "n_records": len(ids),
                   "n_categories": ensemble.n_states},
     )
-    _emit(result, out, fmt)
+    _emit(result.write, out, fmt)
 
 
 if __name__ == "__main__":

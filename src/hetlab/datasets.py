@@ -13,15 +13,16 @@ after the header is a record whose id starts with ``#``). Both formats go
 through one header check and one row loop, so their errors read alike
 (``record {i}`` counts records from 0). The readers take a text stream, so
 a UTF-8 byte-order mark is the opener's to drop: the CLI opens inputs with
-``encoding="utf-8-sig"``. All numeric output is written with
-12 significant digits and no timestamps, so identical inputs produce
-byte-identical files.
+``encoding="utf-8-sig"``. Output is written column by column, by one rule:
+floats at 12 significant digits (the JSON value is the written number) and
+booleans as ``true``/``false``; a value that is not defined (NaN or None) is
+an empty CSV cell and a JSON ``null``. There are no timestamps, so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
@@ -31,48 +32,43 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .decomposition import SubsystemEnsemble
-from .errors import ValidationError
+from .errors import UndefinedOrderError, ValidationError
 from .gaussian import (
     PIVOT_FLOOR,
     GaussianEnsemble,
+    _check_positive_order,
+    _exp_volume,
+    _log_volume,
+    _log_within,
     gaussian_between,
     gaussian_pool,
-    gaussian_renyi,
-    gaussian_within,
 )
 
 _NEIGHBOR_BLOCK = 256  # records per block of neighbor distances: 256 x N x n floats
 
 
-def format_number(v) -> str:
-    """Render a cell deterministically: floats at 12 significant digits,
-    booleans as true/false, missing values as the empty string."""
-    if v is None:
-        return ""
-    # Floats first: they fill most cells, and bool and np.bool_ are not floats.
-    if isinstance(v, (float, np.floating)):
-        return "%.12g" % float(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+def _cells(column, fmt: str) -> list:
+    """The cells of one column as CSV strings (``fmt`` "csv") or as JSON
+    values, by the rule of the module docstring. A column is a float, int or
+    bool array, or a sequence of str or None."""
+    if not isinstance(column, np.ndarray):
+        return ["" if v is None else v for v in column] if fmt == "csv" else list(column)
+    values = column.tolist()
+    if column.dtype.kind in "biu":
+        return [str(v).lower() for v in values] if fmt == "csv" else values
+    text = list(map("%.12g".__mod__, values))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        text[i] = ""
+    return text if fmt == "csv" else [float(t) if t else None for t in text]
 
 
-def _json_cell(v):
-    """The JSON value of a cell: floats rounded as `format_number` renders
-    them, numpy scalars as plain Python values."""
-    if isinstance(v, (float, np.floating)):
-        return float(format_number(v))
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return v
+def _rows(columns: dict, fmt: str):
+    """The rows of a table of columns, their cells in ``fmt``."""
+    return zip(*(_cells(column, fmt) for column in columns.values()))
 
 
-def _csv_writerow(stream):
-    """A ``writerow`` for ``\\n``-terminated CSV that reads back losslessly.
+def _write_csv(stream, columns: dict) -> None:
+    """A table of columns as ``\\n``-terminated CSV that reads back losslessly.
 
     csv quotes a field only when it holds the delimiter, the quote or a
     character of the line terminator, so a bare ``\\r`` would go out
@@ -80,10 +76,8 @@ def _csv_writerow(stream):
     """
     plain = csv.writer(stream, lineterminator="\n")
     quoted = csv.writer(stream, lineterminator="\n", quoting=csv.QUOTE_ALL)
-
-    def writerow(row):
+    for row in itertools.chain([list(columns)], _rows(columns, "csv")):
         (quoted if "\r" in "".join(row) else plain).writerow(row)
-    return writerow
 
 
 @dataclass(frozen=True)
@@ -202,20 +196,16 @@ def _table_rows(stream, what: str, text: tuple, prefixes: tuple):
 
 
 def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> None:
+    """Write an embedding file: a table with no metadata lines in CSV, one
+    record per row in JSON."""
     header = _embedding_header(dataset.n_z)
-    values = np.hstack([dataset.means, dataset.log_var]).tolist()
+    values = np.hstack([dataset.means, dataset.log_var]).T
+    columns = dict(zip(header, [dataset.ids, dataset.labels, *values]))
     if fmt == "csv":
-        writerow = _csv_writerow(stream)
-        writerow(header)
-        for rid, label, row in zip(dataset.ids, dataset.labels, values):
-            writerow([rid, label or ""] + [format_number(v) for v in row])
+        _write_csv(stream, columns)
     elif fmt == "json":
-        records = []
-        for rid, label, row in zip(dataset.ids, dataset.labels, values):
-            rec = {"id": rid, "label": label}
-            rec.update(zip(header[2:], map(_json_cell, row)))
-            records.append(rec)
-        json.dump({"records": records}, stream, indent=1)
+        json.dump({"records": [dict(zip(header, row)) for row in _rows(columns, fmt)]},
+                  stream, indent=1)
         stream.write("\n")
     else:
         raise ValidationError(f"unknown format {fmt!r}")
@@ -255,35 +245,31 @@ def read_assignments(stream) -> tuple:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """An ordered table of sweep rows plus run metadata for the emitters."""
+    """Named columns of one length plus run metadata for the emitters. A
+    column is a float array (NaN where a value is not defined), an int or a
+    bool array, or a sequence of str (None where a value is missing)."""
 
-    columns: tuple
-    rows: tuple
+    columns: dict
     metadata: dict
 
     def write(self, stream, fmt: str = "csv") -> None:
+        # each metadata value is a column of one cell
+        meta = {key: _cells([v] if v is None or isinstance(v, str) else np.array([v]), fmt)[0]
+                for key, v in self.metadata.items()}
         if fmt == "csv":
-            for key, value in self.metadata.items():
-                stream.write(f"# {key}={format_number(value)}\n")
-            writerow = _csv_writerow(stream)
-            writerow(self.columns)
-            for row in self.rows:
-                writerow([format_number(v) for v in row])
+            for key, text in meta.items():
+                stream.write(f"# {key}={text}\n")
+            _write_csv(stream, self.columns)
         elif fmt == "json":
             payload = {
-                "metadata": {k: _json_cell(v) for k, v in self.metadata.items()},
+                "metadata": meta,
                 "columns": list(self.columns),
-                "rows": [[_json_cell(v) for v in row] for row in self.rows],
+                "rows": list(_rows(self.columns, fmt)),
             }
             json.dump(payload, stream, indent=1)
             stream.write("\n")
         else:
             raise ValidationError(f"unknown format {fmt!r}")
-
-    def to_string(self, fmt: str = "csv") -> str:
-        buf = io.StringIO()
-        self.write(buf, fmt)
-        return buf.getvalue()
 
 
 def synth_embeddings(n_labels: int, per_label: int, n_z: int, seed: int, *,
@@ -328,10 +314,14 @@ def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
                         group_by_label: bool = True) -> SweepResult:
     """Pooled/within/between Gaussian heterogeneity per label group.
 
-    Uniform weights within each group. A singleton group is emitted with
-    pooled = within (its own component heterogeneity), between = 1, and the
-    ``singleton`` flag set.
+    Uniform weights within each group, orders q in (0, inf). Between is
+    exp(log pooled - log within), finite where both volumes underflow to 0.
+    A singleton group is emitted with pooled = within (its own component
+    heterogeneity), between = 1, and the ``singleton`` flag set.
     """
+    orders = [_check_positive_order(q) for q in q_list]
+    if any(map(math.isinf, orders)):
+        raise UndefinedOrderError("between-observation heterogeneity requires finite q")
     if group_by_label:
         if None in dataset.labels:
             raise ValidationError("group-by requires every record to carry a label")
@@ -342,24 +332,24 @@ def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
     else:
         items = [("*", list(range(len(dataset))))]
 
-    rows = []
-    for label, idx in items:
-        if len(idx) == 1:
-            cov = np.exp(dataset.log_var[idx[0]])
-            for q in q_list:
-                val = gaussian_renyi(cov, q)
-                rows.append((label, 1, float(q), val, val, 1.0, True))
-            continue
+    log_pooled, log_within = [], []
+    for _, idx in items:
         ens = dataset.ensemble(idx)
-        pool = gaussian_pool(ens)
-        for q in q_list:
-            pooled = gaussian_renyi(pool.covariance, q)
-            within = gaussian_within(ens, q)
-            rows.append((label, len(idx), float(q), pooled, within,
-                         pooled / within, False))
+        # a singleton is its own pool
+        logdet = ens.logdets[0] if len(idx) == 1 else gaussian_pool(ens).logdet
+        for q in orders:
+            log_pooled.append(_log_volume(logdet, ens.dim, q))
+            log_within.append(log_pooled[-1] if len(idx) == 1 else _log_within(ens, q))
+    log_pooled, log_within = np.array(log_pooled), np.array(log_within)
+    sizes = np.repeat([len(idx) for _, idx in items], len(orders))
     return SweepResult(
-        columns=("label", "n", "q", "pooled", "within", "between", "singleton"),
-        rows=tuple(rows),
+        columns={"label": [label for label, _ in items for _ in orders],
+                 "n": sizes,
+                 "q": np.tile(orders, len(items)),
+                 "pooled": _exp_volume(log_pooled),
+                 "within": _exp_volume(log_within),
+                 "between": _exp_volume(log_pooled - log_within),
+                 "singleton": sizes == 1},
         metadata={"command": "embeddings-decompose",
                   "group_by": group_by_label,
                   "n_records": len(dataset), "n_z": dataset.n_z},
@@ -396,15 +386,15 @@ def neighborhood_sweep(dataset: EmbeddingDataset, k: int, q: float,
     if top < 1:
         raise ValidationError("top must be >= 1")
     between = neighborhood_between(dataset, k, q)
-    n = len(dataset)
-    rows = []
-    for kind, key in (("high", -between), ("low", between)):
-        order = np.argsort(key, kind="stable")[:top]  # stable = index tie-break
-        rows += [(kind, rank, dataset.ids[i], dataset.labels[i], float(between[i]))
-                 for rank, i in enumerate(order, start=1)]
+    order = np.concatenate([np.argsort(key, kind="stable")[:top]  # stable = index tie-break
+                            for key in (-between, between)]).tolist()
+    m = len(order) // 2
     return SweepResult(
-        columns=("kind", "rank", "id", "label", "between"),
-        rows=tuple(rows),
+        columns={"kind": ["high"] * m + ["low"] * m,
+                 "rank": np.tile(np.arange(1, m + 1), 2),
+                 "id": [dataset.ids[i] for i in order],
+                 "label": [dataset.labels[i] for i in order],
+                 "between": between[order]},
         metadata={"command": "embeddings-neighborhoods", "k": k,
-                  "q": float(q), "n_records": n, "n_z": dataset.n_z},
+                  "q": float(q), "n_records": len(dataset), "n_z": dataset.n_z},
     )

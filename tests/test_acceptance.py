@@ -325,10 +325,11 @@ def test_criterion_8_embedding_contrast(capsys):
     ds = synth_embeddings(10, 500, 2, seed=0, separation=10.0, spread=1.0,
                           log_var_range=(-7.0, -6.4),
                           contract_label=contracted, contract_factor=10.0)
-    res = group_decomposition(ds, [1.0, 2.0])
+    cols = group_decomposition(ds, [1.0, 2.0]).columns
     smallest_ok = True
     for q in (1.0, 2.0):
-        by_label = {r[0]: r[5] for r in res.rows if r[2] == q}
+        by_label = {label: between for label, q_row, between
+                    in zip(cols["label"], cols["q"], cols["between"]) if q_row == q}
         target = by_label.pop(str(contracted))
         smallest_ok &= all(target < v for v in by_label.values())
     vals = neighborhood_between(ds, k, 1.0)

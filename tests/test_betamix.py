@@ -38,7 +38,7 @@ class TestMarginalPdf:
         theta = BetaMixtureParams(0.5, 5.0, 20.0)
         for x in (0.1, 0.25, 0.4):
             assert bmm_marginal_pdf(x, theta) == pytest.approx(
-                bmm_marginal_pdf(1.0 - x, theta), rel=1e-12)
+                bmm_marginal_pdf(1.0 - x, theta), rel=1e-12, abs=0)
 
     def test_equal_shapes_collapse(self):
         for t1 in (0.2, 0.8):
@@ -46,7 +46,7 @@ class TestMarginalPdf:
             ref = BetaMixtureParams(0.5, 3.0, 3.0)
             for x in (0.1, 0.6, 0.9):
                 assert bmm_marginal_pdf(x, theta) == pytest.approx(
-                    bmm_marginal_pdf(x, ref), rel=1e-12)
+                    bmm_marginal_pdf(x, ref), rel=1e-12, abs=0)
 
     def test_integrates_to_one(self):
         theta = BetaMixtureParams(0.7, 5.0, 20.0)
@@ -128,7 +128,7 @@ class TestBetweenRrh:
             theta = BetaMixtureParams(t1, 6.0, 6.0)
             tau = optimal_threshold(theta)
             for q in (0.5, 1.0, 2.0, math.inf):
-                assert bmm_between_rrh(theta, tau, [q])[0] == pytest.approx(1.0, rel=1e-9)
+                assert bmm_between_rrh(theta, tau, [q])[0] == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_peak_of_two(self):
         theta = BetaMixtureParams(0.5, 5.0, 20.0)
@@ -229,7 +229,7 @@ class TestIndexComparison:
     def test_equal_shapes_rrh_one(self):
         for t1 in (0.2, 0.5, 0.8):
             row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), [1.0])[0]
-            assert row.rrh == pytest.approx(1.0, rel=1e-9)
+            assert row.rrh == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_peak_row(self):
         row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0], 1.0)[0]
@@ -272,7 +272,7 @@ class TestIndexComparison:
     def test_fhn_absent_at_q_inf(self):
         row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [math.inf])[0]
         assert row.fhn is None
-        assert row.rrh == pytest.approx(2.0) and row.lci >= 1.0
+        assert row.rrh == pytest.approx(2.0, rel=1e-6, abs=0) and row.lci >= 1.0
 
     def test_rows_match_single_order_calls(self):
         orders = [0.5, 1.0, 2.0, math.inf]
@@ -323,5 +323,5 @@ class TestExpectedDistanceMatrix:
         for (a, b), ref in self.SAME_COMPONENT.items():
             for t2, t3 in [(a, b), (b, a)]:
                 d = expected_distance_matrix(BetaMixtureParams(0.5, t2, t3))
-                assert d[0, 0] == pytest.approx(ref, rel=5e-13), (t2, t3)
-                assert d[1, 1] == pytest.approx(ref, rel=5e-13), (t2, t3)
+                assert d[0, 0] == pytest.approx(ref, rel=5e-13, abs=0), (t2, t3)
+                assert d[1, 1] == pytest.approx(ref, rel=5e-13, abs=0), (t2, t3)

@@ -13,16 +13,16 @@ from hetlab.errors import ValidationError
 class TestPointHeterogeneity:
     def test_one_hot(self):
         for q in (0.5, 1.0, 2.0, math.inf):
-            assert renyi_heterogeneity([0.0, 1.0, 0.0], q) == pytest.approx(1.0)
+            assert renyi_heterogeneity([0.0, 1.0, 0.0], q) == pytest.approx(1.0, rel=1e-6, abs=0)
 
     def test_uniform(self):
         for nz in (2, 5, 9):
             row = np.full(nz, 1.0 / nz)
-            assert renyi_heterogeneity(row, 1.0) == pytest.approx(nz)
+            assert renyi_heterogeneity(row, 1.0) == pytest.approx(nz, rel=1e-6, abs=0)
 
     def test_hand_value(self):
         assert renyi_heterogeneity([0.8, 0.2], 2.0) == pytest.approx(
-            1.0 / 0.68, rel=1e-12)
+            1.0 / 0.68, rel=1e-12, abs=0)
 
 
 class TestBatch:
@@ -42,8 +42,8 @@ class TestRrhDecompose:
         ens = SubsystemEnsemble(table=np.tile([0.0, 1.0, 0.0], (5, 1)))
         for q in (0.0, 1.0, 2.0):
             res = decompose(ens, q)
-            assert res.between == pytest.approx(1.0)
-            assert res.pooled == pytest.approx(1.0)
+            assert res.between == pytest.approx(1.0, rel=1e-6, abs=0)
+            assert res.pooled == pytest.approx(1.0, rel=1e-6, abs=0)
 
     def test_onehot_counts_give_hill_number(self):
         # hard assignments: between = heterogeneity of the class frequencies
@@ -57,17 +57,17 @@ class TestRrhDecompose:
         freqs = np.array(counts) / sum(counts)
         for q in (0.0, 0.5, 1.0, 2.0):
             res = decompose(ens, q)
-            assert res.within == pytest.approx(1.0, rel=1e-9)
+            assert res.within == pytest.approx(1.0, rel=1e-9, abs=0)
             assert res.between == pytest.approx(
-                renyi_heterogeneity(freqs, q), rel=1e-9)
+                renyi_heterogeneity(freqs, q), rel=1e-9, abs=0)
 
     def test_uniform_rows_between_one(self):
         ens = SubsystemEnsemble(table=np.full((4, 3), 1 / 3))
         for q in (0.5, 1.0, 2.0):
             res = decompose(ens, q)
-            assert res.between == pytest.approx(1.0, rel=1e-9)
-            assert res.within == pytest.approx(3.0, rel=1e-9)
+            assert res.between == pytest.approx(1.0, rel=1e-9, abs=0)
+            assert res.within == pytest.approx(3.0, rel=1e-9, abs=0)
 
     def test_single_row(self):
         ens = SubsystemEnsemble(table=[[0.3, 0.7]])
-        assert decompose(ens, 2.0).between == pytest.approx(1.0)
+        assert decompose(ens, 2.0).between == pytest.approx(1.0, rel=1e-6, abs=0)

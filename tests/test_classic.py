@@ -68,14 +68,14 @@ class TestValidationMatrices:
 
 class TestRqe:
     def test_categorical_half(self):
-        assert rqe(1.0 - np.eye(2), [0.5, 0.5], 1) == pytest.approx(0.5)
+        assert rqe(1.0 - np.eye(2), [0.5, 0.5], 1) == pytest.approx(0.5, rel=1e-6, abs=0)
 
     def test_degenerate_zero(self):
         assert rqe(CATEGORICAL_3, [1.0, 0.0, 0.0], 1) == 0.0
 
     def test_equilateral_uniform(self):
         d = three_state_distance(ROOT3_2, 1.0)
-        assert rqe(d, np.full(3, 1 / 3), 1) == pytest.approx(2 / 3, rel=1e-12)
+        assert rqe(d, np.full(3, 1 / 3), 1) == pytest.approx(2 / 3, rel=1e-12, abs=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -128,10 +128,10 @@ class TestNeqrqe:
             p = rng.dirichlet(np.ones(4))
             d = 1.0 - np.eye(4)
             assert neqrqe(d, p) == pytest.approx(
-                renyi_heterogeneity(p, 2.0), rel=1e-12)
+                renyi_heterogeneity(p, 2.0), rel=1e-12, abs=0)
 
     def test_degenerate_p(self):
-        assert neqrqe(CATEGORICAL_3, [1.0, 0.0, 0.0]) == pytest.approx(1.0)
+        assert neqrqe(CATEGORICAL_3, [1.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-6, abs=0)
 
     def test_direct_pipeline(self):
         d = rescale_distance(three_state_distance(0.5, 1.0))
@@ -151,7 +151,7 @@ class TestNeqrqe:
         d_rel = np.ones((2, 2))
         with pytest.raises(SingularityError):
             neqrqe(d_rel, [0.5, 0.5], require_zero_diagonal=False)
-        assert neqrqe(d, [0.5, 0.5]) == pytest.approx(2.0)
+        assert neqrqe(d, [0.5, 0.5]) == pytest.approx(2.0, rel=1e-6, abs=0)
 
     def test_regime_change_over_height(self):
         # rises until the equilateral height, falls afterwards
@@ -173,7 +173,7 @@ class TestFunctionalHill:
             for _ in range(10):
                 d = random_distance(rng, n)
                 for q in (0.5, 1.0, 2.0, 5.0):
-                    assert functional_hill(d, p, q) == pytest.approx(n, rel=1e-9)
+                    assert functional_hill(d, p, q) == pytest.approx(n, rel=1e-9, abs=0)
 
     def test_q1_limit_continuity(self):
         rng = np.random.default_rng(3)
@@ -185,7 +185,7 @@ class TestFunctionalHill:
             at_one = functional_hill(d, p, 1.0)
             for eps in (1e-6, -1e-6):
                 assert functional_hill(d, p, 1.0 + eps) == pytest.approx(
-                    at_one, rel=1e-4)
+                    at_one, rel=1e-4, abs=0)
             assert_near_one(lambda q: functional_hill(d, p, q),
                             lambda q: functional_hill_mp(d, p, q))
 
@@ -200,7 +200,7 @@ class TestFunctionalHill:
         p = three_state_probs(4.0)
         for q in (0.5, 1.0, 3.0):
             assert functional_hill(3.0 * d, p, q) == pytest.approx(
-                functional_hill(d, p, q), rel=1e-12)
+                functional_hill(d, p, q), rel=1e-12, abs=0)
 
     def test_zero_q1_rejected(self):
         with pytest.raises(SingularityError):
@@ -246,7 +246,7 @@ class TestLeinsterCobbold:
             p = rng.dirichlet(np.ones(n))
             for q in (0.0, 0.5, 1.0, 2.0, math.inf):
                 assert leinster_cobbold(np.eye(n), p, q) == pytest.approx(
-                    renyi_heterogeneity(p, q), rel=1e-9)
+                    renyi_heterogeneity(p, q), rel=1e-9, abs=0)
 
     def test_all_ones_gives_one(self):
         rng = np.random.default_rng(5)
@@ -255,7 +255,7 @@ class TestLeinsterCobbold:
             p = rng.dirichlet(np.ones(n))
             for q in (0.5, 1.0, 2.0, math.inf):
                 assert leinster_cobbold(np.ones((n, n)), p, q) == pytest.approx(
-                    1.0, rel=1e-12)
+                    1.0, rel=1e-12, abs=0)
 
     def test_bounds(self):
         rng = np.random.default_rng(6)
@@ -278,7 +278,7 @@ class TestLeinsterCobbold:
     def test_approaches_renyi_at_large_u(self):
         p = np.full(3, 1 / 3)
         val = leinster_cobbold(similarity_from_distance(CATEGORICAL_3, 15.0), p, 1.0)
-        assert val == pytest.approx(3.0, rel=1e-5)
+        assert val == pytest.approx(3.0, rel=1e-5, abs=0)
         assert val < 3.0
 
     def test_q1_limit_continuity(self):
@@ -291,7 +291,7 @@ class TestLeinsterCobbold:
             at_one = leinster_cobbold(s, p, 1.0)
             for eps in (1e-6, -1e-6):
                 assert leinster_cobbold(s, p, 1.0 + eps) == pytest.approx(
-                    at_one, rel=1e-4)
+                    at_one, rel=1e-4, abs=0)
             assert_near_one(lambda q: leinster_cobbold(s, p, q),
                             lambda q: leinster_cobbold_mp(s, p, q))
 
@@ -336,8 +336,8 @@ class TestThreeState:
     def test_distance_values(self):
         d = three_state_distance(0.5, 1.0)
         assert d[0, 1] == 1.0
-        assert d[0, 2] == pytest.approx(math.sqrt(0.5))
-        assert d[1, 2] == pytest.approx(math.sqrt(0.5))
+        assert d[0, 2] == pytest.approx(math.sqrt(0.5), rel=1e-6, abs=0)
+        assert d[1, 2] == pytest.approx(math.sqrt(0.5), rel=1e-6, abs=0)
         assert np.allclose(d, d.T) and np.allclose(np.diag(d), 0.0)
         eq = three_state_distance(ROOT3_2, 1.0)
         assert np.allclose(eq[~np.eye(3, dtype=bool)], 1.0)

@@ -79,29 +79,29 @@ class TestRenyiHeterogeneity:
             # orders within a few ulps of 1 divide a cancelled log-sum by 1 - q
             for q in (0.0, 0.5, 1.0 - 2.0 ** -53, 1.0 - 1e-9, 1.0, 1.0 + 2.0 ** -52,
                       1.005, 2.0, 5.0, math.inf):
-                assert renyi_heterogeneity(p, q) == pytest.approx(n, rel=1e-12)
+                assert renyi_heterogeneity(p, q) == pytest.approx(n, rel=1e-12, abs=0)
 
     def test_degenerate_gives_one(self):
         p = [0.0, 1.0, 0.0]
         for q in (0.5, 1.0, 2.0, math.inf):
-            assert renyi_heterogeneity(p, q) == pytest.approx(1.0, rel=1e-12)
+            assert renyi_heterogeneity(p, q) == pytest.approx(1.0, rel=1e-12, abs=0)
         assert renyi_heterogeneity(p, 0.0) == 1.0
 
     def test_branches(self):
         p = [0.5, 0.3, 0.2, 0.0]
         assert renyi_heterogeneity(p, 0.0) == 3.0
-        assert renyi_heterogeneity(p, math.inf) == pytest.approx(2.0)
+        assert renyi_heterogeneity(p, math.inf) == pytest.approx(2.0, rel=1e-6, abs=0)
         # perplexity = exp(H)
         h = -(0.5 * math.log(0.5) + 0.3 * math.log(0.3) + 0.2 * math.log(0.2))
-        assert renyi_heterogeneity(p, 1.0) == pytest.approx(math.exp(h), rel=1e-12)
+        assert renyi_heterogeneity(p, 1.0) == pytest.approx(math.exp(h), rel=1e-12, abs=0)
         assert renyi_heterogeneity(p, 2.0) == pytest.approx(
-            1.0 / (0.25 + 0.09 + 0.04), rel=1e-12)
+            1.0 / (0.25 + 0.09 + 0.04), rel=1e-12, abs=0)
 
     def test_extreme_q_stable(self):
         p = [0.9, 0.1]
         val = renyi_heterogeneity(p, 800.0)
         assert math.isfinite(val)
-        assert val == pytest.approx(1.0 / 0.9, rel=1e-3)
+        assert val == pytest.approx(1.0 / 0.9, rel=1e-3, abs=0)
 
     @given(distributions, orders)
     @settings(max_examples=400, deadline=None)
@@ -115,7 +115,7 @@ class TestRenyiHeterogeneity:
         rng = np.random.default_rng(0)
         shuffled = rng.permutation(p)
         assert renyi_heterogeneity(p, q) == pytest.approx(
-            renyi_heterogeneity(shuffled, q), rel=1e-9)
+            renyi_heterogeneity(shuffled, q), rel=1e-9, abs=0)
 
     @given(distributions)
     @settings(max_examples=200, deadline=None)
@@ -131,7 +131,7 @@ class TestRenyiHeterogeneity:
         at_one = renyi_heterogeneity(p, 1.0)
         for eps in (1e-6, -1e-6):
             assert renyi_heterogeneity(p, 1.0 + eps) == pytest.approx(
-                at_one, rel=1e-4)
+                at_one, rel=1e-4, abs=0)
         assert_near_one(lambda q: renyi_heterogeneity(p, q), lambda q: renyi_mp(p, q))
 
     def test_replication(self):
@@ -142,7 +142,7 @@ class TestRenyiHeterogeneity:
             rep = np.concatenate([base / n_rep] * n_rep)
             for q in (0.0, 0.5, 1.0, 2.0, math.inf):
                 assert renyi_heterogeneity(rep, q) == pytest.approx(
-                    n_rep * renyi_heterogeneity(base, q), rel=1e-9)
+                    n_rep * renyi_heterogeneity(base, q), rel=1e-9, abs=0)
 
     def test_transfer_increases(self):
         # moving mass from the most to the least probable state raises heterogeneity
@@ -189,7 +189,7 @@ class TestRenyiRows:
         for q, want in expected.items():
             np.testing.assert_array_equal(renyi_heterogeneity(rows, q), want)
         assert renyi_heterogeneity(rows[0], 1.0) == pytest.approx(
-            math.exp(-(0.5 * math.log(0.5) + 0.5 * math.log(0.25))), rel=1e-15)
+            math.exp(-(0.5 * math.log(0.5) + 0.5 * math.log(0.25))), rel=1e-15, abs=0)
 
 
 class TestTable1Indices:
@@ -211,28 +211,26 @@ class TestTable1Indices:
     def test_hand_values(self):
         assert table1_index(self.p, "richness").value == 3.0
         h = -(0.5 * math.log(0.5) + 0.5 * math.log(0.25))
-        assert table1_index(self.p, "shannon_entropy").value == pytest.approx(h)
-        assert table1_index(self.p, "perplexity").value == pytest.approx(math.exp(h))
         s = 0.25 + 2 * 0.0625
-        assert table1_index(self.p, "inverse_simpson").value == pytest.approx(1 / s)
-        assert table1_index(self.p, "simpson_concentration").value == pytest.approx(s)
-        assert table1_index(self.p, "gini_simpson").value == pytest.approx(1 - s)
-        assert table1_index(self.p, "berger_parker").value == pytest.approx(2.0)
+        for name, want in [("shannon_entropy", h), ("perplexity", math.exp(h)),
+                           ("inverse_simpson", 1 / s), ("simpson_concentration", s),
+                           ("gini_simpson", 1 - s), ("berger_parker", 2.0)]:
+            assert table1_index(self.p, name).value == pytest.approx(want, rel=1e-6, abs=0)
         assert table1_index(self.p, "renyi_entropy", q=2.0).value == pytest.approx(
-            -math.log(s))
+            -math.log(s), rel=1e-6, abs=0)
 
     def test_tsallis(self):
         q = 2.0
         expected = (1.0 - float(np.sum(self.p ** q))) / (q - 1.0)
         res = table1_index(self.p, "tsallis_entropy", q=q)
-        assert res.value == pytest.approx(expected, rel=1e-12)
+        assert res.value == pytest.approx(expected, rel=1e-12, abs=0)
         assert not res.limit_branch
 
     def test_tsallis_q1_limit(self):
         res = table1_index(self.p, "tsallis_entropy", q=1.0)
         assert res.limit_branch
         h = table1_index(self.p, "shannon_entropy").value
-        assert res.value == pytest.approx(h, rel=1e-12)
+        assert res.value == pytest.approx(h, rel=1e-12, abs=0)
         # continuity against nearby generic q
         near = table1_index(self.p, "tsallis_entropy", q=1.0 + 1e-7).value
         assert near == pytest.approx(res.value, abs=1e-6)
@@ -246,12 +244,12 @@ class TestTable1Indices:
         pi = (np.sum(self.p ** q)) ** (1 / (1 - q))
         expected = ((pi / n) ** (1 - q) - 1.0) / (q * (q - 1.0))
         res = table1_index(self.p, "generalized_entropy_index", q=q)
-        assert res.value == pytest.approx(expected, rel=1e-12)
+        assert res.value == pytest.approx(expected, rel=1e-12, abs=0)
 
         theil = table1_index(self.p, "generalized_entropy_index", q=1.0)
         assert theil.limit_branch
         h = table1_index(self.p, "shannon_entropy").value
-        assert theil.value == pytest.approx(math.log(n) - h, rel=1e-12)
+        assert theil.value == pytest.approx(math.log(n) - h, rel=1e-12, abs=0)
         near = table1_index(self.p, "generalized_entropy_index", q=1.0 + 1e-7).value
         assert near == pytest.approx(theil.value, abs=1e-6)
         for p in (self.p, np.array([0.2, 0.3, 0.5])):
@@ -262,7 +260,7 @@ class TestTable1Indices:
         mld = table1_index(self.p, "generalized_entropy_index", q=0.0)
         assert mld.limit_branch
         expected_mld = -math.log(n) - float(np.mean(np.log(self.p)))
-        assert mld.value == pytest.approx(expected_mld, rel=1e-12)
+        assert mld.value == pytest.approx(expected_mld, rel=1e-12, abs=0)
         near0 = table1_index(self.p, "generalized_entropy_index", q=1e-7).value
         assert near0 == pytest.approx(mld.value, abs=1e-5)
 

@@ -21,7 +21,6 @@ from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
     SweepResult,
-    format_number,
     group_decomposition,
     neighborhood_between,
     neighborhood_sweep,
@@ -30,7 +29,7 @@ from hetlab.datasets import (
     synth_embeddings,
     write_embeddings,
 )
-from hetlab.errors import SingularityError, ValidationError
+from hetlab.errors import SingularityError, UndefinedOrderError, ValidationError
 from hetlab.gaussian import GaussianComponent, gaussian_renyi
 
 from oracles import gaussian_log_between_mp, neighborhood_between_loop, neighborhood_members
@@ -66,15 +65,32 @@ def assert_same_dataset(back, ds):
     assert np.allclose(back.log_var, ds.log_var, rtol=1e-11, atol=0)
 
 
+def to_text(result, fmt):
+    buf = io.StringIO()
+    result.write(buf, fmt)
+    return buf.getvalue()
+
+
+def cell_text(value):
+    """The CSV text of ``value`` as a metadata scalar and as a one-cell
+    column (a str column for None and str, else an array), which must agree."""
+    column = [value] if value is None or isinstance(value, str) else np.array([value])
+    lines = to_text(SweepResult(columns={"v": column, "w": column},
+                                metadata={"v": value}), "csv").splitlines()
+    assert lines[1] == "v,w" and lines[2].split(",") == [lines[0][len("# v="):]] * 2
+    return lines[2].split(",")[0]
+
+
 class TestFormatNumber:
     def test_cases(self):
-        assert format_number(None) == ""
-        assert format_number(True) == "true"
-        assert format_number(np.bool_(False)) == "false"
-        assert format_number(3) == "3"
-        assert format_number(0.1) == "0.1"
-        assert format_number(1.0 / 3.0) == "0.333333333333"
-        assert format_number("x") == "x"
+        assert cell_text(None) == ""
+        assert cell_text(True) == "true"
+        assert cell_text(np.bool_(False)) == "false"
+        assert cell_text(3) == "3"
+        assert cell_text(0.1) == "0.1"
+        assert cell_text(1.0 / 3.0) == "0.333333333333"
+        assert cell_text(math.nan) == ""
+        assert cell_text("x") == "x"
 
     @pytest.mark.parametrize("value,text", [
         (None, ""), (True, "true"), (False, "false"),
@@ -84,16 +100,17 @@ class TestFormatNumber:
         (-0.0, "-0"), (1e300, "1e+300"), (math.inf, "inf"), ("x", "x"),
     ])
     def test_each_cell_type(self, value, text):
-        # Floats are tested first; bools, ints and strings keep their renderings.
-        assert format_number(value) == text
+        # float32 widens to the same float64; bools, ints and strings keep
+        # their renderings
+        assert cell_text(value) == text
 
     def test_writers_share_the_format(self):
         ds = make_dataset(("a", None, [1.0 / 3.0], [2.0 / 3.0]))
-        sweep = SweepResult(columns=("v",), rows=((1.0 / 3.0,),), metadata={})
+        sweep = SweepResult(columns={"v": np.array([1.0 / 3.0])}, metadata={})
         for fmt in ("csv", "json"):
             buf = io.StringIO()
             write_embeddings(ds, buf, fmt)
-            for text in (buf.getvalue(), sweep.to_string(fmt)):
+            for text in (buf.getvalue(), to_text(sweep, fmt)):
                 assert "0.333333333333" in text and "0.3333333333333" not in text
 
 
@@ -128,7 +145,7 @@ class TestRecordsAndDataset:
 
     def test_component_covariance(self):
         ens = make_dataset(("a", None, [1.0], [-2.0])).ensemble()
-        assert ens.covariances[0, 0] == pytest.approx(math.exp(-2.0))
+        assert ens.covariances[0, 0] == pytest.approx(math.exp(-2.0), rel=1e-6, abs=0)
 
 
 class TestEmbeddingIO:
@@ -277,24 +294,33 @@ class TestAssignmentIO:
 
 class TestSweepResult:
     def make(self):
-        return SweepResult(columns=("a", "b"), rows=((1.0, None), (0.5, True)),
+        return SweepResult(columns={"a": np.array([1.0, math.nan]),
+                                    "b": (None, "x"),
+                                    "c": np.array([False, True]),
+                                    "d": np.array([3, -4])},
                            metadata={"command": "demo", "n": 2})
 
     def test_csv(self):
-        text = self.make().to_string("csv")
+        text = to_text(self.make(), "csv")
         lines = text.splitlines()
         assert lines[0] == "# command=demo"
         assert lines[1] == "# n=2"
-        assert lines[2] == "a,b"
-        assert lines[3] == "1,"
-        assert lines[4] == "0.5,true"
+        assert lines[2] == "a,b,c,d"
+        assert lines[3] == "1,,false,3"
+        assert lines[4] == ",x,true,-4"
 
     def test_json(self):
-        payload = json.loads(self.make().to_string("json"))
-        assert payload["columns"] == ["a", "b"]
-        assert payload["rows"][0] == [1.0, None]
-        assert payload["rows"][1] == [0.5, True]
-        assert payload["metadata"]["command"] == "demo"
+        payload = json.loads(to_text(self.make(), "json"))
+        assert payload["columns"] == ["a", "b", "c", "d"]
+        assert payload["rows"][0] == [1.0, None, False, 3]
+        assert payload["rows"][1] == [None, "x", True, -4]
+        assert payload["metadata"] == {"command": "demo", "n": 2}
+
+    def test_unknown_format(self):
+        with pytest.raises(ValidationError, match="unknown format"):
+            self.make().write(io.StringIO(), "xml")
+        with pytest.raises(ValidationError, match="unknown format"):
+            write_embeddings(small_dataset(), io.StringIO(), "xml")
 
 
 class TestSynth:
@@ -324,7 +350,7 @@ class TestSynth:
         def spread(ds, lab):
             pts = ds.means[np.array(ds.labels) == lab]
             return pts.std(axis=0).mean()
-        assert spread(contracted, "0") == pytest.approx(spread(base, "0"))
+        assert spread(contracted, "0") == pytest.approx(spread(base, "0"), rel=1e-6, abs=0)
         assert spread(contracted, "1") == pytest.approx(spread(base, "1") / 10.0,
                                                         rel=1e-9, abs=0)
         assert np.array_equal(base.log_var, contracted.log_var)
@@ -342,11 +368,11 @@ class TestGroupDecomposition:
     def test_identity_and_columns(self):
         ds = make_dataset(*(r for r in SMALL if r[1] is not None))
         res = group_decomposition(ds, [1.0, 2.0])
-        assert res.columns == ("label", "n", "q", "pooled", "within",
-                               "between", "singleton")
-        for label, n, q, pooled, within, between, singleton in res.rows:
-            assert pooled == pytest.approx(within * between, rel=1e-9, abs=0)
-            assert not singleton
+        cols = res.columns
+        assert list(cols) == ["label", "n", "q", "pooled", "within", "between", "singleton"]
+        assert cols["pooled"] == pytest.approx(cols["within"] * cols["between"],
+                                               rel=1e-9, abs=0)
+        assert not cols["singleton"].any()
 
     def test_singleton_group(self):
         ds = make_dataset(
@@ -354,19 +380,25 @@ class TestGroupDecomposition:
             ("b", "1", [1.0], [-1.0]),
             ("c", "1", [2.0], [-1.0]),
         )
-        res = group_decomposition(ds, [1.0])
-        row0 = res.rows[0]
-        assert row0[0] == "0" and row0[6] is True
-        assert row0[3] == pytest.approx(gaussian_renyi(np.array([math.exp(-1.0)]), 1.0))
-        assert row0[5] == pytest.approx(1.0)
+        cols = group_decomposition(ds, [1.0]).columns
+        assert cols["label"][0] == "0" and cols["singleton"].tolist() == [True, False]
+        assert cols["pooled"][0] == gaussian_renyi(np.array([math.exp(-1.0)]), 1.0)
+        assert cols["within"][0] == cols["pooled"][0] and cols["between"][0] == 1.0
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValidationError):
             group_decomposition(small_dataset(), [1.0])
 
+    @pytest.mark.parametrize("q", [0.0, math.inf])
+    def test_orders_outside_zero_to_inf_rejected(self, q):
+        # within is 0 at q = inf, so between is not defined there
+        ds = make_dataset(*(r for r in SMALL if r[1] is not None))
+        with pytest.raises(UndefinedOrderError):
+            group_decomposition(ds, [1.0, q])
+
     def test_whole_dataset_mode(self):
         res = group_decomposition(small_dataset(), [1.0], group_by_label=False)
-        assert len(res.rows) == 1 and res.rows[0][0] == "*"
+        assert res.columns["label"] == ["*"]
 
 
 class TestNeighborhoods:
@@ -387,10 +419,11 @@ class TestNeighborhoods:
         # identical records: every score ties, so both lists follow index order
         ds = make_dataset(*(
             (f"r{i}", None, [1.0, 2.0], [-1.0, -1.0]) for i in range(5)))
-        res = neighborhood_sweep(ds, 2, 1.0, top=3)
-        assert len(set(r[4] for r in res.rows)) == 1
-        assert [r[2] for r in res.rows if r[0] == "high"] == ["r0", "r1", "r2"]
-        assert [r[2] for r in res.rows if r[0] == "low"] == ["r0", "r1", "r2"]
+        cols = neighborhood_sweep(ds, 2, 1.0, top=3).columns
+        assert len(set(cols["between"].tolist())) == 1
+        assert cols["kind"] == ["high"] * 3 + ["low"] * 3
+        assert cols["id"] == ["r0", "r1", "r2"] * 2
+        assert cols["rank"].tolist() == [1, 2, 3] * 2
 
     def test_builds_at_most_one_component_per_record(self, monkeypatch):
         # members and pools stay in arrays: one stacked ensemble of all
@@ -440,11 +473,10 @@ class TestNeighborhoods:
 
     def test_sweep_shape(self):
         ds = synth_embeddings(2, 10, 2, seed=1)
-        res = neighborhood_sweep(ds, 3, 1.0, top=4)
-        kinds = [r[0] for r in res.rows]
-        assert kinds == ["high"] * 4 + ["low"] * 4
-        highs = [r[4] for r in res.rows[:4]]
-        lows = [r[4] for r in res.rows[4:]]
+        cols = neighborhood_sweep(ds, 3, 1.0, top=4).columns
+        assert cols["kind"] == ["high"] * 4 + ["low"] * 4
+        highs = cols["between"][:4].tolist()
+        lows = cols["between"][4:].tolist()
         assert highs == sorted(highs, reverse=True)
         assert lows == sorted(lows)
         assert min(highs) >= max(lows)
@@ -489,8 +521,8 @@ class TestCliSweeps:
                         "--q", "1", "--format", "json"])
         payload = json.loads(res.output)
         row = dict(zip(payload["columns"], payload["rows"][0]))
-        assert row["rrh"] == pytest.approx(3.0)
-        assert row["fhn"] == pytest.approx(3.0)
+        assert row["rrh"] == pytest.approx(3.0, rel=1e-6, abs=0)
+        assert row["fhn"] == pytest.approx(3.0, rel=1e-6, abs=0)
 
     def test_bmm_sweep_optimal(self):
         res = self.run(["bmm-sweep", "--grid", "0.5,0.7", "--q", "1,2",
@@ -626,7 +658,7 @@ class TestCliSweeps:
         rows = json.loads(res.output)["rows"]
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
-            want = [float(format_number(v)) if isinstance(v, float) else v for v in want]
+            want = [float("%.12g" % v) if isinstance(v, float) else v for v in want]
             assert row == want
 
     def test_grid_parsing_inclusive_stop(self):
@@ -634,7 +666,7 @@ class TestCliSweeps:
                         "--q", "1", "--format", "json"])
         payload = json.loads(res.output)
         hs = sorted({r[0] for r in payload["rows"]})
-        assert hs == pytest.approx([0.1, 0.2, 0.3])
+        assert hs == pytest.approx([0.1, 0.2, 0.3], rel=1e-6, abs=0)
 
 
 class TestCliEmbeddings:
@@ -670,6 +702,21 @@ class TestCliEmbeddings:
         payload = json.loads(res.output)
         assert len(payload["rows"]) == 1
         assert payload["rows"][0][0] == "*"
+
+    def test_decompose_underflowing_volumes(self, tmp_path):
+        # variance exp(-23) = 1.03e-10 in 80 dimensions: both volumes underflow
+        # to 0, and between is still exp(log pooled - log within) = 1
+        path = tmp_path / "tiny.csv"
+        with open(path, "w", newline="") as fh:
+            write_embeddings(make_dataset(*((f"r{i}", "a", [0.0] * 80, [-23.0] * 80)
+                                            for i in range(3))), fh)
+        res = self.run(["embeddings", "decompose", str(path), "--q", "0.5,1,2"])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in res.output.splitlines()[5:]]
+        assert [row[3:6] for row in rows] == [["0", "0", "1"]] * 3
+        with open(path, newline="") as fh:
+            cols = group_decomposition(read_embeddings(fh), [0.5, 1.0, 2.0, 7.5]).columns
+        assert cols["between"] == pytest.approx([1.0] * 4, rel=1e-12, abs=0)
 
     def test_neighborhoods(self, tmp_path):
         path = self.synth_file(tmp_path)
@@ -709,6 +756,20 @@ class TestCliEmbeddings:
         got = sorted((r[2], r[3]) for r in rows if r[0] == "low")
         assert got == sorted((rid, label) for rid, label, _, _ in records)
 
+    def test_escape_sequences_reach_stdout(self, tmp_path):
+        # output that is not a terminal keeps its escape sequences, so stdout
+        # carries the bytes --out writes
+        path = tmp_path / "emb.csv"
+        with open(path, "w", newline="") as fh:
+            write_embeddings(make_dataset(("r\x1b[31mx", None, [0.0], [-1.0]),
+                                          ("s", None, [1.0], [-1.0])), fh)
+        args = ["embeddings", "neighborhoods", str(path), "--k", "1", "--top", "1"]
+        out = tmp_path / "out.csv"
+        assert self.run(args + ["--out", str(out)]).exit_code == 0
+        res = self.run(args)
+        assert res.exit_code == 0 and "r\x1b[31mx" in res.output
+        assert res.stdout_bytes == out.read_bytes()
+
     def overflowing_file(self, tmp_path):
         # a valid file whose log-variances near 700 in 4 dimensions put the
         # latent volume near exp(1400), beyond a float
@@ -744,7 +805,7 @@ class TestCliEmbeddings:
             if q == 1.0:
                 rows = json.loads(res.output)["rows"]
                 assert len(rows) == 20
-                assert all(r[4] == float(format_number(vals[ds.ids.index(r[2])]))
+                assert all(r[4] == float("%.12g" % vals[ds.ids.index(r[2])])
                            for r in rows)
 
     def test_missing_file_exits_2(self):
@@ -775,9 +836,9 @@ class TestCliAssignments:
         freqs = np.array([2, 1, 1]) / 4.0
         for row in payload["rows"]:
             d = dict(zip(payload["columns"], row))
-            assert d["within"] == pytest.approx(1.0)
+            assert d["within"] == pytest.approx(1.0, rel=1e-6, abs=0)
             assert d["between"] == pytest.approx(
-                renyi_heterogeneity(freqs, d["q"]), rel=1e-9)
+                renyi_heterogeneity(freqs, d["q"]), rel=1e-9, abs=0)
             assert d["lande_warning"] is False
 
     def test_invalid_rows_exit_3(self, tmp_path):

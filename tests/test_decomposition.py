@@ -69,9 +69,9 @@ class TestBranches:
         ens = SubsystemEnsemble(table=table)
         for q in (0.0, 0.5, 1.0, 2.0, 7.0):
             res = decompose(ens, q)
-            assert res.between == pytest.approx(1.0, rel=1e-9)
+            assert res.between == pytest.approx(1.0, rel=1e-9, abs=0)
             assert res.pooled == pytest.approx(
-                renyi_heterogeneity(table[0], q), rel=1e-9)
+                renyi_heterogeneity(table[0], q), rel=1e-9, abs=0)
 
     def test_disjoint_supports_between_n(self):
         # replication: N subsystems on disjoint supports, equal weights
@@ -81,24 +81,24 @@ class TestBranches:
         table[2, 4:] = [0.9, 0.1]
         ens = SubsystemEnsemble(table=table)
         # at q=1 between is exactly N even for unequal row shapes
-        assert decompose(ens, 1.0).between == pytest.approx(3.0, rel=1e-9)
+        assert decompose(ens, 1.0).between == pytest.approx(3.0, rel=1e-9, abs=0)
 
     def test_q0_within_is_mean_richness(self):
         table = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
         ens = SubsystemEnsemble(table=table)
-        assert within_heterogeneity(ens, 0.0) == pytest.approx((2 + 1 + 3) / 3)
+        assert within_heterogeneity(ens, 0.0) == pytest.approx((2 + 1 + 3) / 3, rel=1e-6, abs=0)
 
     def test_q0_within_skips_zero_weight_rows(self):
         table = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
         ens = SubsystemEnsemble(table=table, weights=[1.0, 0.0])
-        assert within_heterogeneity(ens, 0.0) == pytest.approx(2.0)
+        assert within_heterogeneity(ens, 0.0) == pytest.approx(2.0, rel=1e-6, abs=0)
 
     def test_q1_within_formula(self):
         rng = np.random.default_rng(5)
         ens = random_ensemble(rng, 3, 4, equal_weights=False)
         ents = [-(r[r > 0] * np.log(r[r > 0])).sum() for r in ens.table]
         expected = math.exp(float(np.dot(ens.weights, ents)))
-        assert within_heterogeneity(ens, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert within_heterogeneity(ens, 1.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_q1_continuity(self):
         rng = np.random.default_rng(11)
@@ -110,7 +110,7 @@ class TestBranches:
             at_one = within_heterogeneity(ens, 1.0)
             for eps in (1e-6, -1e-6):
                 assert within_heterogeneity(ens, 1.0 + eps) == pytest.approx(
-                    at_one, rel=1e-4)
+                    at_one, rel=1e-4, abs=0)
             assert_near_one(lambda q: within_heterogeneity(ens, q),
                             lambda q: within_mp(ens.table, ens.weights, q))
 
@@ -119,7 +119,7 @@ class TestBranches:
         ens = random_ensemble(rng, 4, 5, equal_weights=False)
         approx = within_heterogeneity(ens, math.inf)
         at_large = within_heterogeneity(ens, 1e5)
-        assert approx == pytest.approx(at_large, rel=1e-3)
+        assert approx == pytest.approx(at_large, rel=1e-3, abs=0)
 
     def test_inf_within_exact_with_ties(self):
         # w_i * max_j p_ij ties at 0.16 across the weighted rows, row 0 ties
@@ -127,7 +127,7 @@ class TestBranches:
         table = [[0.4, 0.4, 0.2], [0.4, 0.3, 0.3], [0.1, 0.1, 0.8], [1.0, 0.0, 0.0]]
         ens = SubsystemEnsemble(table=table, weights=[0.4, 0.4, 0.2, 0.0])
         exact = within_heterogeneity(ens, math.inf)
-        assert exact == pytest.approx(0.4 / 0.16, rel=1e-12)
+        assert exact == pytest.approx(0.4 / 0.16, rel=1e-12, abs=0)
         gaps = [abs(within_heterogeneity(ens, q) - exact) for q in (1e2, 1e3, 1e4)]
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
         assert gaps[2] < 1e-3 * exact
@@ -136,7 +136,7 @@ class TestBranches:
         rng = np.random.default_rng(19)
         ens = random_ensemble(rng, 6, 4)
         assert within_heterogeneity(ens, math.inf) == pytest.approx(
-            1.0 / ens.table.max(), rel=1e-12)
+            1.0 / ens.table.max(), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_within_matches_row_loop(self, seed):
@@ -150,7 +150,7 @@ class TestBranches:
         ens = SubsystemEnsemble(table=table, weights=weights)
         for q in (0.5, 1.0, 2.0, 10.0):
             assert within_heterogeneity(ens, q) == pytest.approx(
-                within_heterogeneity_loop(table, weights, q), rel=1e-12)
+                within_heterogeneity_loop(table, weights, q), rel=1e-12, abs=0)
 
     def test_pooled_matches_direct(self):
         rng = np.random.default_rng(17)
@@ -158,7 +158,7 @@ class TestBranches:
         pool = ens.weights @ ens.table
         for q in (0.0, 0.7, 1.0, 3.0, math.inf):
             assert pooled_heterogeneity(ens, q) == pytest.approx(
-                renyi_heterogeneity(pool, q), rel=1e-12)
+                renyi_heterogeneity(pool, q), rel=1e-12, abs=0)
 
 
 class TestIdentityAndWarnings:
@@ -169,7 +169,7 @@ class TestIdentityAndWarnings:
         ens = random_ensemble(rng, equal_weights=bool(seed % 2))
         for q in (0.0, 0.5, 1.0, 2.0, 10.0):
             res = decompose(ens, q)
-            assert res.pooled == pytest.approx(res.within * res.between, rel=1e-9)
+            assert res.pooled == pytest.approx(res.within * res.between, rel=1e-9, abs=0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=300, deadline=None)

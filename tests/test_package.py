@@ -37,13 +37,19 @@ def test_version_has_one_source():
     assert hetlab.__version__ == "0.1.0"
 
 
-def test_tracer_targets_exist():
-    # perfbench/tracing.py patches hetlab from outside by name; a rename in
-    # hetlab must not silently drop a span from the traced benchmark.
+def _tracing():
+    """perfbench/tracing.py, loaded from its file; nothing there is changed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_hetlab_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_exist():
+    # perfbench/tracing.py patches hetlab from outside by name; a rename in
+    # hetlab must not silently drop a span from the traced benchmark.
+    tracing = _tracing()
     targets = list(tracing.SPANS) + list(tracing.COUNTS)
     assert len(targets) == 24
     for mod_name, attr in targets:
@@ -53,6 +59,29 @@ def test_tracer_targets_exist():
             assert callable(vars(getattr(module, cls_name)).get(meth)), attr
         else:
             assert callable(getattr(module, attr, None)), (mod_name, attr)
+
+
+def test_tracer_spans_every_file_layer(tmp_path):
+    # The benchmark's file and output layers are timed through these names: a
+    # command that writes or reads without going through them reads 0 s there.
+    tracing = _tracing()
+    emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
+    asg.write_text("id,p_1,p_2\na,0.5,0.5\nb,1,0\n")
+    runs = [["embeddings", "synth", "--labels", "2", "--per-label", "3", "--out", str(emb)],
+            ["embeddings", "decompose", str(emb)],
+            ["embeddings", "neighborhoods", str(emb), "--k", "2"],
+            ["assignments", "rrh", str(asg)]]
+    tracer, emit = tracing.Tracer(), cli._emit
+    with tracer.installed():
+        for args in runs:
+            res = CliRunner().invoke(cli.main, args)
+            assert res.exit_code == 0, res.output
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli._emit") == len(runs)
+    for layer in ("write_embeddings", "read_embeddings", "group_decomposition",
+                  "neighborhood_between", "read_assignments"):
+        assert f"datasets.{layer}" in names, layer
+    assert cli._emit is emit  # restored on exit
 
 
 def test_scipy_is_a_test_dependency_only():
