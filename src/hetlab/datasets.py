@@ -10,8 +10,10 @@ Both have JSON mirrors ``{"records": [...]}`` with the same field names
 file whose first non-blank character is ``{`` or ``[`` is JSON, anything
 else is CSV after an optional leading ``#`` comment block (a ``#`` line
 after the header is a record whose id starts with ``#``). Both formats go
-through one header check and one row loop, so their errors read alike
-(``record {i}`` counts records from 0). The readers take a text stream, so
+through one header check. A CSV body is converted in one bulk pass; JSON
+records, and a CSV body that pass rejects, go through one record loop that
+names the first bad record, so errors read alike in both formats (``record
+{i}`` counts records from 0). The readers take a text stream, so
 a UTF-8 byte-order mark is the opener's to drop: the CLI opens inputs with
 ``encoding="utf-8-sig"``. Output is written column by column, by one rule:
 floats at 12 significant digits (the JSON value is the written number) and
@@ -23,6 +25,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -144,12 +147,50 @@ def _embedding_header(nz: int) -> list:
     return _header(("id", "label"), ("m_", "s_"), nz)
 
 
-def _table_rows(stream, what: str, text: tuple, prefixes: tuple):
-    """Yield ``(i, row, numbers)`` for each record of an input file whose
-    format is read from the content (see the module docstring). CSV streams
-    line by line; a JSON record becomes a row under the canonical header, a
-    missing field making it short, so one loop checks the header, the row
-    width and the floats after the ``text`` columns for both formats."""
+def _table_rows(rows, what: str, text: tuple, width: int) -> tuple:
+    """The text cells and numbers of ``rows``, checked one record at a time
+    so that the first bad record is named: its width, the floats after the
+    ``text`` columns, and (in JSON) that the text cells after the id are
+    strings or null. An id is made a string."""
+    cells, values = [], []
+    try:
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValidationError(
+                    f"{what} record {i}: expected {width} fields, got {len(row)}")
+            try:
+                values.append([float(v) for v in row[len(text):]])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{what} record {i}: {exc}") from exc
+            for name, v in zip(text[1:], row[1:len(text)]):
+                if not isinstance(v, (str, type(None))):
+                    raise ValidationError(
+                        f"{what} record {i}: {name} must be a string or null, got {v!r}")
+            cells.append([str(row[0]), *row[1:len(text)]])
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ValidationError(f"{what} record {len(cells)}: {exc}") from exc
+    if not cells:
+        raise ValidationError(f"{what} file holds no records")
+    return np.array(cells, dtype=object), np.array(values, dtype=float)
+
+
+def _loop_only(body: str) -> bool:
+    """Whether a CSV body must go through the record loop: it is empty or
+    holds an empty line, which csv.reader reads as a record of no fields
+    and np.loadtxt skips. Both read ``\\n``, ``\\r\\n`` and ``\\r`` as line
+    ends."""
+    return (body[:1] in ("", "\n", "\r") or "\n\n" in body
+            or "\r" in body and ("\n\r" in body or "\r\r" in body))
+
+
+def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
+    """The text cells, an ``(N, len(text))`` object array, and the numbers,
+    a C-contiguous ``(N, n)`` float array, of an input file whose format is
+    read from the content (see the module docstring). The header is checked
+    for both formats. A CSV body is converted in one ``np.loadtxt`` pass.
+    JSON records, a CSV body holding an empty line and one that pass rejects
+    go through the record loop, which names the first bad record or reads
+    the numbers that ``float`` takes and numpy does not (``1_0``)."""
     head = []
     for line in stream:
         head.append(line)
@@ -172,27 +213,33 @@ def _table_rows(stream, what: str, text: tuple, prefixes: tuple):
     else:
         lines = itertools.dropwhile(lambda line: line.startswith("#"),
                                     itertools.chain(head, stream))
-        rows = csv.reader(lines)
-        header = next(rows, None)
+        try:
+            header = next(csv.reader(lines), None)
+        except csv.Error as exc:
+            raise ValidationError(f"{what} header: {exc}") from exc
         if header is None:
             raise ValidationError(f"{what} file is empty")
+        rows = None
     n = sum(1 for h in header if h.startswith(prefixes[0]))
     if n < 1 or header != _header(text, prefixes, n):
         layout = ",".join([*text, *(f"{p}1..{p}n" for p in prefixes)])
         raise ValidationError(f"{what} header must be {layout}")
-    width = len(header)
-    i = -1
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError(
-                f"{what} record {i}: expected {width} fields, got {len(row)}")
-        try:
-            numbers = [float(v) for v in row[len(text):]]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{what} record {i}: {exc}") from exc
-        yield i, row, numbers
-    if i < 0:
-        raise ValidationError(f"{what} file holds no records")
+    if rows is None:
+        # the header was the last line read: a blank line read ahead of it
+        # to detect the format would have been read as the header
+        body = stream.read()
+        if not _loop_only(body):
+            dtype = [("text", object, (len(text),)),
+                     ("numbers", float, (len(header) - len(text),))]
+            try:
+                table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+                                   quotechar='"', comments=None, ndmin=1)
+            except ValueError:
+                pass
+            else:
+                return table["text"], np.ascontiguousarray(table["numbers"])
+        rows = csv.reader(io.StringIO(body, newline=""))
+    return _table_rows(rows, what, text, len(header))
 
 
 def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> None:
@@ -214,33 +261,24 @@ def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> Non
 def read_embeddings(stream) -> EmbeddingDataset:
     """Read an embedding file, CSV or JSON. A file stream should be opened
     with ``newline=""`` so that line breaks inside quoted CSV ids survive."""
-    ids, labels, values = [], [], []
-    for i, row, numbers in _table_rows(stream, "embedding", ("id", "label"), ("m_", "s_")):
-        label = row[1]
-        if not isinstance(label, (str, type(None))):
-            raise ValidationError(
-                f"embedding record {i}: label must be a string or null, got {label!r}")
-        ids.append(str(row[0]))
-        labels.append(label or None)
-        values.append(numbers)
-    arr = np.asarray(values, dtype=float)
-    nz = arr.shape[1] // 2
-    return EmbeddingDataset(ids=tuple(ids), labels=tuple(labels),
-                            means=arr[:, :nz], log_var=arr[:, nz:])
+    cells, numbers = _read_table(stream, "embedding", ("id", "label"), ("m_", "s_"))
+    labels = cells[:, 1]
+    nz = numbers.shape[1] // 2
+    return EmbeddingDataset(ids=tuple(cells[:, 0].tolist()),
+                            labels=tuple(np.where(labels == "", None, labels).tolist()),
+                            means=np.ascontiguousarray(numbers[:, :nz]),
+                            log_var=np.ascontiguousarray(numbers[:, nz:]))
 
 
 def read_assignments(stream) -> tuple:
     """Read a soft-assignment table, CSV or JSON; returns
     (ids, SubsystemEnsemble)."""
-    ids, table = [], []
-    for _, row, numbers in _table_rows(stream, "assignment", ("id",), ("p_",)):
-        ids.append(str(row[0]))
-        table.append(numbers)
+    cells, table = _read_table(stream, "assignment", ("id",), ("p_",))
     try:
-        ensemble = SubsystemEnsemble(table=np.asarray(table, dtype=float))
+        ensemble = SubsystemEnsemble(table=table)
     except ValidationError as exc:
         raise ValidationError(f"assignment table rejected: {exc}") from exc
-    return ids, ensemble
+    return cells[:, 0].tolist(), ensemble
 
 
 @dataclass(frozen=True)

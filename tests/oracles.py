@@ -7,12 +7,17 @@ special functions) so that agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 
 import mpmath
 import numpy as np
 from scipy import integrate, optimize, special
 
+from hetlab.datasets import EmbeddingDataset
+from hetlab.decomposition import SubsystemEnsemble
+from hetlab.errors import ValidationError
 from hetlab.gaussian import gaussian_pool, gaussian_renyi, gaussian_within
 
 
@@ -184,6 +189,58 @@ def neighborhood_between_loop(dataset, k: int, q: float) -> np.ndarray:
         ens = dataset.ensemble(neighborhood_members(dataset.means, i, k))
         vals[i] = gaussian_renyi(gaussian_pool(ens).covariance, q) / gaussian_within(ens, q)
     return vals
+
+
+def csv_table_loop(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
+    """(rows, numbers) of a CSV input file, one record at a time: csv.reader
+    over the stream's lines after the leading ``#`` block, the header
+    check, then a width check and ``float`` on every number cell of each
+    record, the first failure raising a ValidationError that names it."""
+    rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), stream))
+    out, numbers = [], []
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise ValidationError(f"{what} file is empty")
+        n = sum(1 for h in header if h.startswith(prefixes[0]))
+        if n < 1 or header != list(text) + [f"{p}{j}" for p in prefixes
+                                            for j in range(1, n + 1)]:
+            layout = ",".join([*text, *(f"{p}1..{p}n" for p in prefixes)])
+            raise ValidationError(f"{what} header must be {layout}")
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{what} record {i}: expected {len(header)} fields, got {len(row)}")
+            try:
+                numbers.append([float(v) for v in row[len(text):]])
+            except ValueError as exc:
+                raise ValidationError(f"{what} record {i}: {exc}") from exc
+            out.append(row)
+    except csv.Error as exc:
+        raise ValidationError(f"{what} record {len(out)}: {exc}") from exc
+    if not out:
+        raise ValidationError(f"{what} file holds no records")
+    return out, np.array(numbers, dtype=float)
+
+
+def read_embeddings_loop(stream) -> EmbeddingDataset:
+    """A CSV embedding file read through ``csv_table_loop``."""
+    rows, numbers = csv_table_loop(stream, "embedding", ("id", "label"), ("m_", "s_"))
+    nz = numbers.shape[1] // 2
+    return EmbeddingDataset(ids=[row[0] for row in rows],
+                            labels=[row[1] or None for row in rows],
+                            means=numbers[:, :nz], log_var=numbers[:, nz:])
+
+
+def read_assignments_loop(stream) -> tuple:
+    """A CSV soft-assignment file read through ``csv_table_loop``:
+    (ids, SubsystemEnsemble)."""
+    rows, numbers = csv_table_loop(stream, "assignment", ("id",), ("p_",))
+    try:
+        ensemble = SubsystemEnsemble(table=numbers)
+    except ValidationError as exc:
+        raise ValidationError(f"assignment table rejected: {exc}") from exc
+    return [row[0] for row in rows], ensemble
 
 
 def gaussian_log_between_mp(means, variances, q: float, dps: int = 50):

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlab import betamix, classic, cli, special
+from hetlab import betamix, classic, cli, datasets, special
 from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
@@ -32,7 +32,13 @@ from hetlab.datasets import (
 from hetlab.errors import SingularityError, UndefinedOrderError, ValidationError
 from hetlab.gaussian import GaussianComponent, gaussian_renyi
 
-from oracles import gaussian_log_between_mp, neighborhood_between_loop, neighborhood_members
+from oracles import (
+    gaussian_log_between_mp,
+    neighborhood_between_loop,
+    neighborhood_members,
+    read_assignments_loop,
+    read_embeddings_loop,
+)
 
 
 def make_dataset(*records):
@@ -290,6 +296,150 @@ class TestAssignmentIO:
     def test_rejects(self, text):
         with pytest.raises(ValidationError):
             read_assignments(io.StringIO(text))
+
+
+def _spelled(value):
+    """Ways a CSV cell may spell the float ``value``."""
+    return st.sampled_from([repr(value), f" {value!r}", f"{value!r}  ", f'"{value!r}"',
+                            f"{value:.3e}", f"{value:+}"])
+
+
+# cells that numpy or float() may read otherwise, or that hold no number
+_ODD_CELLS = ["inf", "-Infinity", "nan", " -inf ", "NaN", "1_0", "١", "\xa01", "", "x",
+              "1e", "1 2", "0x1", '"1,5"', "1\x00", '"a\r\nb"', '"', " ", "\t"]
+# a text cell, mostly quoted
+_TEXT_CELL = _ID_TEXT.flatmap(
+    lambda raw: st.sampled_from(['"' + raw.replace('"', '""') + '"'] * 3 + [raw]))
+
+
+def _csv_table(header, n_text, numbers):
+    """CSV text under ``header``: after an optional comment, one to five
+    records of ``n_text`` text cells and cells spelling a draw of
+    ``numbers``, with mixed line ends. Now and then a record has one fault:
+    an odd cell, a cell too few or too many, or it is a blank or
+    whitespace-only line."""
+    def line(text, values, fault, odd, at):
+        cells = text + values
+        if fault == "blank":
+            return odd if odd.isspace() else ""
+        if fault == "odd":
+            cells[at % len(cells)] = odd
+        return ",".join(cells + [odd] if fault == "long" else
+                        cells[:-1] if fault == "short" else cells)
+    record = st.builds(
+        line, st.lists(_TEXT_CELL, min_size=n_text, max_size=n_text),
+        numbers.flatmap(lambda values: st.tuples(*map(_spelled, values))).map(list),
+        st.sampled_from([None] * 12 + ["odd", "short", "long", "blank"]),
+        st.sampled_from(_ODD_CELLS), st.integers(0, 8))
+    lines = st.lists(st.tuples(record, st.sampled_from(["\n", "\r\n", "\r"])).map("".join),
+                     min_size=1, max_size=5)
+    return st.builds(lambda comment, body: comment + ",".join(header) + "\n" + "".join(body),
+                     st.sampled_from(["", "# comment\n"]), lines)
+
+
+# a distribution over two states, and a mean and a log-variance
+_ASSIGNMENT_ROW = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]).map(lambda p: (p, 1.0 - p))
+_EMBEDDING_ROW = st.tuples(st.floats(-1e6, 1e6), st.floats(-5.0, 5.0))
+
+
+def _outcome(read, text, newline):
+    """What ``read`` gives for ``text``: its result, or the ValidationError text."""
+    try:
+        return read(io.StringIO(text, newline=newline))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=float).view(np.int64).tolist()
+
+
+class TestCsvIngestion:
+    """CSV bodies are converted by one np.loadtxt pass; the result, or the
+    error that names the first bad record, is that of reading the file one
+    record at a time through csv.reader and float()."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_table(["id", "p_1", "p_2"], 1, _ASSIGNMENT_ROW),
+           newline=st.sampled_from(["", None]))
+    def test_assignments_match_record_loop(self, text, newline):
+        got = _outcome(read_assignments, text, newline)
+        want = _outcome(read_assignments_loop, text, newline)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0] and _bits(got[1].table) == _bits(want[1].table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_table(["id", "label", "m_1", "s_1"], 2, _EMBEDDING_ROW),
+           newline=st.sampled_from(["", None]))
+    def test_embeddings_match_record_loop(self, text, newline):
+        got = _outcome(read_embeddings, text, newline)
+        want = _outcome(read_embeddings_loop, text, newline)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.ids == want.ids and got.labels == want.labels
+            assert _bits(got.means) == _bits(want.means)
+            assert _bits(got.log_var) == _bits(want.log_var)
+
+    def test_blank_line_is_an_empty_record(self):
+        # np.loadtxt would skip it
+        text = "id,p_1,p_2\na,0.5,0.5\n\nb,0.5,0.5\n"
+        with pytest.raises(ValidationError) as err:
+            read_assignments(io.StringIO(text))
+        assert str(err.value) == "assignment record 1: expected 3 fields, got 0"
+
+    def test_whitespace_line_is_a_short_record(self):
+        text = "id,p_1,p_2\na,0.5,0.5\n \t\nb,0.5,0.5\n"
+        with pytest.raises(ValidationError) as err:
+            read_assignments(io.StringIO(text))
+        assert str(err.value) == "assignment record 1: expected 3 fields, got 1"
+
+    def test_cells_only_float_reads(self):
+        # numpy rejects digit separators and non-ASCII digits; float() takes them
+        ds = read_embeddings(io.StringIO("id,label,m_1,s_1\na,x,1_0,١\n"))
+        assert ds.means.tolist() == [[10.0]] and ds.log_var.tolist() == [[1.0]]
+
+    def test_long_field_names_its_record(self):
+        big = "x" * 200_000  # over csv.field_size_limit()
+        text = f"id,p_1,p_2\na,1,0\n{big},1,0\nc,1\n"
+        with pytest.raises(ValidationError) as err:
+            read_assignments(io.StringIO(text))
+        assert str(err.value) == "assignment record 1: field larger than field limit (131072)"
+        with pytest.raises(ValidationError, match="^assignment header: field larger"):
+            read_assignments(io.StringIO(f"id,p_1,{big}\na,1\n"))
+
+    @staticmethod
+    def benchmark_shaped(rows):
+        """An assignment CSV and an embedding CSV as the benchmark writes them."""
+        rng = np.random.default_rng(5)
+        table = rng.dirichlet(np.full(10, 0.7), size=rows)
+        assign = "id," + ",".join(f"p_{j}" for j in range(1, 11)) + "\n" + "".join(
+            f"a{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(table.tolist()))
+        values = np.hstack([rng.normal(0, 10, (rows, 4)), rng.uniform(-2.5, -0.5, (rows, 4))])
+        emb = ("id,label," + ",".join([f"m_{j}" for j in range(1, 5)]
+                                      + [f"s_{j}" for j in range(1, 5)]) + "\n" + "".join(
+            f"e{i},L{i % 12:02d}," + ",".join(map(repr, row)) + "\n"
+            for i, row in enumerate(values.tolist())))
+        return assign, emb
+
+    def test_valid_input_takes_the_bulk_pass(self, monkeypatch):
+        assign, emb = self.benchmark_shaped(2000)
+        want_ids, want = read_assignments_loop(io.StringIO(assign, newline=""))
+        want_ds = read_embeddings_loop(io.StringIO(emb, newline=""))
+
+        def no_loop(*args):
+            raise AssertionError("a valid CSV body went through the record loop")
+        monkeypatch.setattr(datasets, "_table_rows", no_loop)
+        ids, ens = read_assignments(io.StringIO(assign, newline=""))
+        ds = read_embeddings(io.StringIO(emb, newline=""))
+        assert ids == want_ids and _bits(ens.table) == _bits(want.table)
+        assert ds.ids == want_ds.ids and ds.labels == want_ds.labels
+        assert _bits(ds.means) == _bits(want_ds.means)
+        assert _bits(ds.log_var) == _bits(want_ds.log_var)
+        for array in (ens.table, ds.means, ds.log_var):
+            assert array.dtype == np.float64 and array.flags.c_contiguous
 
 
 class TestSweepResult:
@@ -897,6 +1047,18 @@ class TestCliMalformedInput:
         res = self.run(command + [str(path)])
         self.assert_exit_3(res)
         assert "bytes.csv" in res.output
+
+    def test_field_over_csv_limit(self, tmp_path):
+        # csv.reader refuses a field over csv.field_size_limit() (131,072)
+        path = tmp_path / "assign.csv"
+        rows = f"id,p_1,p_2\n{'x' * 200_000},0.5,0.5\nb,1,0\n"
+        path.write_text(rows)
+        res = self.run(["assignments", "rrh", str(path)])
+        assert res.exit_code == 0, res.output
+        path.write_text(rows + "c,1\n")
+        res = self.run(["assignments", "rrh", str(path)])
+        self.assert_exit_3(res)
+        assert "assignment record 0: field larger than field limit" in res.output
 
 
 def _assignment_text(fmt):
