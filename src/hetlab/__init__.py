@@ -69,12 +69,10 @@ from .errors import (
 from .gaussian import (
     GaussianComponent,
     GaussianEnsemble,
-    GridSpec,
     gaussian_between,
     gaussian_pool,
     gaussian_renyi,
     gaussian_within,
-    model_average_pooled_numeric,
 )
 from .special import (
     BetaShape,

@@ -171,14 +171,17 @@ class ComparisonRow:
     lci: float
 
 
-def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> list:
+def bmm_index_comparison(theta, q_list, u: float = 1.0) -> list:
     """Evaluate the categorical and non-categorical indices on the same
-    analytic two-component problem: one `ComparisonRow` per order in
-    ``q_list``, in that order.
+    analytic two-component problem: one `ComparisonRow` per (theta, order),
+    theta-major and then in the order of ``q_list``.
 
-    Only the last step depends on q: the prior, the expected-distance
-    matrix, the optimal threshold, the assignment mass and the similarity
-    matrix are computed once per call.
+    ``theta`` is one `BetaMixtureParams` or a sequence of them that share
+    (theta2, theta3), such as a theta1 grid. The expected-distance matrix
+    and the similarity matrix depend only on that shape pair and are
+    computed once per call; the optimal threshold and the assignment mass
+    once per theta; and each index once per order, on the stack of priors
+    (1 - theta1, theta1).
 
     The quadratic-entropy column is filled only at q=2 and only when the
     expected-distance matrix is non-constant (it cannot be rescaled
@@ -186,24 +189,35 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> li
     functional Hill number is None where `functional_hill_or_none` says so,
     which here means q=inf.
     """
+    thetas = [theta] if isinstance(theta, BetaMixtureParams) else list(theta)
     orders = [check_order(q) for q in q_list]
     if u < 0:
         raise ValidationError(f"u must be >= 0, got {u}")
-    prior = np.array([1.0 - theta.theta1, theta.theta1])
-    dist = expected_distance_matrix(theta)
-    tau = optimal_threshold(theta)
-    rrh = bmm_between_rrh(theta, tau, orders)
+    if not thetas:
+        raise ValidationError("at least one theta is required")
+    pair = (thetas[0].theta2, thetas[0].theta3)
+    for t in thetas:
+        if (t.theta2, t.theta3) != pair:
+            raise ValidationError(
+                f"every theta must share (theta2, theta3) = {pair}, "
+                f"got {(t.theta2, t.theta3)}")
+    prior = np.array([[1.0 - t.theta1, t.theta1] for t in thetas])
+    dist = expected_distance_matrix(thetas[0])
+    tau = [optimal_threshold(t) for t in thetas]
+    mass = np.array([assignment_mass(t, tau_t) for t, tau_t in zip(thetas, tau)])
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
 
-    neq = None
+    neq = [None] * len(thetas)
     if 2.0 in orders:
         try:
             scaled = rescale_distance(dist, require_zero_diagonal=False)
-            neq = neqrqe(scaled, prior, require_zero_diagonal=False)
+            neq = neqrqe(scaled, prior, require_zero_diagonal=False).tolist()
         except DegenerateDistanceError:
             pass
-    return [ComparisonRow(tau, rrh_q,
-                          functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False),
-                          neq if qf == 2.0 else None,
-                          leinster_cobbold(sim, prior, qf, require_unit_diagonal=False))
-            for qf, rrh_q in zip(orders, rrh)]
+    # per order, one value per theta
+    columns = [(qf, renyi_heterogeneity(mass, qf).tolist(),
+                functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False),
+                leinster_cobbold(sim, prior, qf, require_unit_diagonal=False).tolist())
+               for qf in orders]
+    return [ComparisonRow(tau[i], rrh[i], fhn[i], neq[i] if qf == 2.0 else None, lci[i])
+            for i in range(len(thetas)) for qf, rrh, fhn, lci in columns]

@@ -3,11 +3,13 @@ entropy, functional Hill numbers, Leinster-Cobbold), distance/similarity
 utilities, metric predicates, and the parametric 3-state testbed.
 
 The validators, indices and predicates take one n x n matrix or an
-(..., n, n) stack of them with one distribution shared by all members, so
-a sweep makes one call per index over its whole grid. One matrix gives a
-float (a bool for the predicates); a stack gives an array of its leading
-shape, validated as a whole, with each member held to the single-matrix
-rules and messages.
+(..., n, n) stack of them, and the indices one distribution p or an
+(..., n) stack of them whose leading shape broadcasts against the
+matrices', so a sweep makes one call per index over its whole grid. One
+matrix and one p give a float (a bool for the predicates); otherwise the
+result is an array of the broadcast leading shape. Stacks are validated
+as a whole, each member held to the single-matrix or single-vector rules
+and messages.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import SYM_TOL, _log_hill, as_distribution, check_order
+from .core import SYM_TOL, _log_hill, as_distributions, check_order
 from .errors import (
     DegenerateDistanceError,
     SingularityError,
@@ -72,19 +74,42 @@ def as_similarity_matrix(s, *, require_unit_diagonal: bool = True) -> np.ndarray
     return arr
 
 
+def _check_sizes(m: np.ndarray, pv: np.ndarray, what: str) -> None:
+    """Matrices and distributions of one size n, whose stacks broadcast."""
+    if m.shape[-1] != pv.shape[-1]:
+        raise ValidationError(f"{what} matrix and distribution sizes disagree")
+    try:
+        np.broadcast_shapes(m.shape[:-2], pv.shape[:-1])
+    except ValueError:
+        raise ValidationError(f"{what} matrix and distribution stacks do not broadcast, "
+                              f"{m.shape[:-2]} against {pv.shape[:-1]}") from None
+
+
 def _distance_and_distribution(d, p, require_zero_diagonal: bool) -> tuple:
-    """A validated distance matrix (or stack) and distribution of matching size."""
+    """A validated distance matrix (or stack) and distribution (or stack) of
+    matching size."""
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
-    pv = as_distribution(p)
-    if dm.shape[-1] != pv.size:
-        raise ValidationError("distance matrix and distribution sizes disagree")
+    pv = as_distributions(p)
+    _check_sizes(dm, pv, "distance")
     return dm, pv
 
 
-def _per_member(x, m: np.ndarray, kind=float):
-    """``x`` as a ``kind`` scalar when ``m`` is one matrix, else as the array
-    of the stack's leading shape."""
-    return kind(x) if m.ndim == 2 else x
+def _per_member(x, kind=float):
+    """``x`` as a ``kind`` scalar for one matrix and one distribution, else
+    as the array of the broadcast leading shape."""
+    return kind(x) if np.ndim(x) == 0 else x
+
+
+def _support(pv: np.ndarray) -> np.ndarray:
+    """The states where some distribution of ``pv`` is positive. A stack
+    keeps the union of its rows' supports; a row's zeros inside it carry no
+    weight."""
+    return (pv > 0.0).reshape(-1, pv.shape[-1]).any(axis=0)
+
+
+def _outer(pv: np.ndarray) -> np.ndarray:
+    """p_i p_j of each distribution, ``(..., n, n)``."""
+    return pv[..., :, None] * pv[..., None, :]
 
 
 def _pair_sum(a: np.ndarray) -> np.ndarray:
@@ -96,8 +121,7 @@ def rqe(d, p, q=1.0, *, require_zero_diagonal: bool = True):
     """Generalized Rao quadratic entropy: sum_ij D_ij (p_i p_j)^q."""
     dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     qf = check_order(q)
-    pp = np.outer(pv, pv)
-    return _per_member(_pair_sum(dm * pp ** qf), dm)
+    return _per_member(_pair_sum(dm * _outer(pv) ** qf))
 
 
 def rescale_distance(d, *, require_zero_diagonal: bool = True) -> np.ndarray:
@@ -120,26 +144,30 @@ def neqrqe(d, p, *, require_zero_diagonal: bool = True):
     dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     if np.any(dm > 1.0 + SYM_TOL):
         raise ValidationError("neqrqe requires a distance matrix rescaled to [0, 1]")
-    q1 = _pair_sum(dm * np.outer(pv, pv))
+    q1 = _pair_sum(dm * _outer(pv))
     near_one = q1 >= 1.0 - 1e-12
     if np.any(near_one):
         raise SingularityError(f"quadratic entropy {q1[near_one].flat[0]} too close to 1")
-    return _per_member(1.0 / (1.0 - q1), dm)
+    return _per_member(1.0 / (1.0 - q1))
 
 
 def _functional_hill(dm: np.ndarray, pv: np.ndarray, q: float) -> np.ndarray:
-    """Functional Hill numbers of a validated matrix or stack at finite q,
-    NaN where Q_1 = 0."""
+    """Functional Hill numbers of validated matrices and distributions at
+    finite q, NaN where Q_1 = 0."""
     # Pairs off the support carry no weight; leaving them out keeps log p_i p_j finite.
-    support = pv > 0.0
-    dm = dm[..., support, :][..., support]
-    pp = np.outer(pv[support], pv[support])
+    support = _support(pv)
+    # np.compress keeps C order, unlike a boolean index on the last axis, so
+    # each member's dot product in _log_hill sums as one vector's does
+    dm = np.compress(support, np.compress(support, dm, axis=-1), axis=-2)
+    pp = _outer(np.compress(support, pv, axis=-1))
     q1 = _pair_sum(dm * pp)
-    # Q_q / Q_1 is a power mean of p_i p_j with weights D_ij p_i p_j / Q_1.
+    # Q_q / Q_1 is a power mean of p_i p_j with weights D_ij p_i p_j / Q_1;
+    # a zero p_i p_j inside the union of supports takes log 0, as _log_hill asks.
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (dm * pp / q1[..., None, None]).reshape(q1.shape + (-1,))
         log_w = np.log(w, out=np.full(w.shape, -np.inf), where=w > 0.0)
-        value = np.exp(0.5 * _log_hill(np.log(pp).ravel(), w, q, log_w))
+        log_pp = np.log(pp, out=np.zeros(pp.shape), where=pp > 0.0)
+        value = np.exp(0.5 * _log_hill(log_pp.reshape(pp.shape[:-2] + (-1,)), w, q, log_w))
     return np.where(q1 > 0.0, value, np.nan)
 
 
@@ -153,7 +181,7 @@ def functional_hill(d, p, q, *, require_zero_diagonal: bool = True):
     value = _functional_hill(dm, pv, qf)
     if np.any(np.isnan(value)):
         raise SingularityError("functional Hill number undefined when Q_1 = 0")
-    return _per_member(value, dm)
+    return _per_member(value)
 
 
 def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
@@ -162,13 +190,13 @@ def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
     (p_i p_j)^(q-1), so the number grows like (p_i p_j)^(-1/2) and has no
     finite limit to stand in. The sweep commands print None as an empty cell.
 
-    A stack gives nested lists of its leading shape, a float or None per
-    member.
+    Stacks give nested lists of their broadcast leading shape, a float or
+    None per member.
     """
     dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
     qf = check_order(q)
     if math.isinf(qf):
-        value = np.full(dm.shape[:-2], np.nan)
+        value = np.full(np.broadcast_shapes(dm.shape[:-2], pv.shape[:-1]), np.nan)
     else:
         value = _functional_hill(dm, pv, qf)
     return np.where(np.isnan(value), None, value).tolist()
@@ -187,16 +215,19 @@ def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.
 def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True):
     """Similarity-sensitive heterogeneity [sum_i p_i (Sp)_i^(q-1)]^(1/(1-q))."""
     sm = as_similarity_matrix(s, require_unit_diagonal=require_unit_diagonal)
-    pv = as_distribution(p)
+    pv = as_distributions(p)
     qf = check_order(q)
-    if sm.shape[-1] != pv.size:
-        raise ValidationError("similarity matrix and distribution sizes disagree")
-    support = pv > 0.0
-    sp = (sm @ pv)[..., support]
+    _check_sizes(sm, pv, "similarity")
+    support = _support(pv)
+    sp = np.compress(support, (sm @ pv[..., None])[..., 0], axis=-1)
+    pv = np.compress(support, pv, axis=-1)
+    # A row's own zeros inside the union of supports are no candidate for the
+    # maximum and take log (Sp)_i = 0 beside their log p_i = -inf in the sum.
     if math.isinf(qf):
-        return _per_member(1.0 / sp.max(axis=-1), sm)
-    pv = pv[support]
-    return _per_member(np.exp(_log_hill(np.log(sp), pv, qf, np.log(pv))), sm)
+        return _per_member(1.0 / np.where(pv > 0.0, sp, 0.0).max(axis=-1))
+    log_sp = np.log(np.where(pv > 0.0, sp, 1.0))
+    log_pv = np.log(pv, out=np.full(pv.shape, -np.inf), where=pv > 0.0)
+    return _per_member(np.exp(_log_hill(log_sp, pv, qf, log_pv)))
 
 
 def is_metric(d, tol: float = DEFAULT_METRIC_TOL):
@@ -208,15 +239,14 @@ def is_metric(d, tol: float = DEFAULT_METRIC_TOL):
     distinct = np.all(dm[..., ~np.eye(n, dtype=bool)] > tol, axis=-1)
     # d(x,z) <= d(x,y) + d(y,z) + tol over all triples, vectorized over y.
     detours = (dm[..., :, :, None] + dm[..., None, :, :]).min(axis=-2)
-    return _per_member(distinct & np.all(dm <= detours + tol, axis=(-2, -1)), dm, bool)
+    return _per_member(distinct & np.all(dm <= detours + tol, axis=(-2, -1)), bool)
 
 
 def is_ultrametric(d, tol: float = DEFAULT_METRIC_TOL):
     """True iff is_metric and d(x,z) <= max(d(x,y), d(y,z)) + tol holds."""
     dm = as_distance_matrix(d)
     maxes = np.maximum(dm[..., :, :, None], dm[..., None, :, :]).min(axis=-2)
-    return _per_member(is_metric(dm, tol) & np.all(dm <= maxes + tol, axis=(-2, -1)),
-                       dm, bool)
+    return _per_member(is_metric(dm, tol) & np.all(dm <= maxes + tol, axis=(-2, -1)), bool)
 
 
 def three_state_probs(kappa: float) -> np.ndarray:

@@ -215,8 +215,8 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
         for t1 in grid_vals:
             if not 0.0 < t1 < 1.0:
                 raise click.UsageError(f"--grid: theta1 value {t1} outside (0, 1)")
-        comparison = [row for t1 in grid_vals for row in betamix.bmm_index_comparison(
-            betamix.BetaMixtureParams(t1, theta2, theta3), q_list, u)]
+        comparison = betamix.bmm_index_comparison(
+            [betamix.BetaMixtureParams(t1, theta2, theta3) for t1 in grid_vals], q_list, u)
         columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
                    "theta3": theta3, "q": q_list, "u": u,
                    **{name: np.array([getattr(row, name) for row in comparison],

@@ -60,15 +60,24 @@ def first_invalid_row(table: np.ndarray, tol: float = PROB_TOL):
     return i, f"distribution must sum to 1 within {tol}, got {float(sums[i])!r}"
 
 
-def as_distribution(p, tol: float = PROB_TOL) -> np.ndarray:
-    """Validate a probability vector. Rejects rather than renormalizes."""
+def as_distributions(p, tol: float = PROB_TOL) -> np.ndarray:
+    """Validate one probability vector or an (..., n) stack of them, each
+    row held to the rules and messages of `as_distribution`."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
+    if arr.ndim < 1 or arr.size < 1:
         raise ValidationError("distribution must be a non-empty 1-D vector")
-    bad = first_invalid_row(arr[None, :], tol)
+    bad = first_invalid_row(arr.reshape(-1, arr.shape[-1]), tol)
     if bad is not None:
         raise ValidationError(bad[1])
     return arr
+
+
+def as_distribution(p, tol: float = PROB_TOL) -> np.ndarray:
+    """Validate a probability vector. Rejects rather than renormalizes."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1:
+        raise ValidationError("distribution must be a non-empty 1-D vector")
+    return as_distributions(arr, tol)
 
 
 def check_weights(weights, n: int, members: str) -> np.ndarray:
@@ -165,12 +174,7 @@ def renyi_heterogeneity(p, q):
     giving an array of the leading shape; every row is validated as
     `as_distribution` validates one.
     """
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim < 1 or arr.size < 1:
-        raise ValidationError("distribution must be a non-empty 1-D vector")
-    bad = first_invalid_row(arr.reshape(-1, arr.shape[-1]))
-    if bad is not None:
-        raise ValidationError(bad[1])
+    arr = as_distributions(p)
     qf = check_order(q)
     if qf == 0.0:
         out = np.count_nonzero(arr > 0.0, axis=-1).astype(float)

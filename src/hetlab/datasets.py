@@ -177,10 +177,34 @@ def _table_rows(rows, what: str, text: tuple, width: int) -> tuple:
 def _loop_only(body: str) -> bool:
     """Whether a CSV body must go through the record loop: it is empty or
     holds an empty line, which csv.reader reads as a record of no fields
-    and np.loadtxt skips. Both read ``\\n``, ``\\r\\n`` and ``\\r`` as line
-    ends."""
+    and np.loadtxt skips (both read ``\\n``, ``\\r\\n`` and ``\\r`` as line
+    ends), or a line longer than ``csv.field_size_limit()``, which may hold
+    a field that csv.reader refuses and np.loadtxt reads."""
     return (body[:1] in ("", "\n", "\r") or "\n\n" in body
-            or "\r" in body and ("\n\r" in body or "\r\r" in body))
+            or "\r" in body and ("\n\r" in body or "\r\r" in body)
+            or _has_long_line(body, csv.field_size_limit()))
+
+
+def _has_long_line(body: str, limit: int) -> bool:
+    """Whether a ``\\n``-separated line of ``body`` is longer than ``limit``.
+    Such a line covers a whole aligned block of (limit + 1) // 2 characters
+    without a line break, so only those blocks are measured to their line
+    ends: a few ``find`` calls per megabyte, where splitting the body into
+    lines would copy all of it."""
+    h = max(1, (limit + 1) // 2)
+    for start in range(0, len(body) - h + 1, h):
+        if body.find("\n", start, start + h) < 0:
+            end = body.find("\n", start + h)
+            if (len(body) if end < 0 else end) - body.rfind("\n", 0, start) - 1 > limit:
+                return True
+    return False
+
+
+def _long_quoted_cell(body: str, text: np.ndarray) -> bool:
+    """Whether a text cell of the bulk pass is longer than
+    ``csv.field_size_limit()``; only quotes can carry one over line breaks
+    into a body whose lines are all shorter."""
+    return '"' in body and max(map(len, text.ravel().tolist())) > csv.field_size_limit()
 
 
 def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
@@ -190,7 +214,9 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
     for both formats. A CSV body is converted in one ``np.loadtxt`` pass.
     JSON records, a CSV body holding an empty line and one that pass rejects
     go through the record loop, which names the first bad record or reads
-    the numbers that ``float`` takes and numpy does not (``1_0``)."""
+    the numbers that ``float`` takes and numpy does not (``1_0``). So does a
+    body holding a field longer than ``csv.field_size_limit()``, which the
+    loop refuses whatever else the body holds."""
     head = []
     for line in stream:
         head.append(line)
@@ -237,7 +263,8 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
             except ValueError:
                 pass
             else:
-                return table["text"], np.ascontiguousarray(table["numbers"])
+                if not _long_quoted_cell(body, table["text"]):
+                    return table["text"], np.ascontiguousarray(table["numbers"])
         rows = csv.reader(io.StringIO(body, newline=""))
     return _table_rows(rows, what, text, len(header))
 
@@ -412,8 +439,21 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
         rows = np.arange(start, min(start + _NEIGHBOR_BLOCK, n))
         d = np.linalg.norm(dataset.means - dataset.means[rows, None], axis=-1)
         d[rows - start, rows] = -1.0  # the record itself always leads the ordering
-        members[rows] = np.argsort(d, kind="stable")[:, : k + 1]  # stable = index tie-break
+        members[rows] = _nearest(d, k + 1)
     return gaussian_between(dataset.ensemble(members), qf)
+
+
+def _nearest(d: np.ndarray, m: int) -> np.ndarray:
+    """The columns of the ``m`` smallest entries of each row of ``d``, in
+    ascending (distance, column) order: the first ``m`` of a stable argsort.
+    A partition finds each row's m-th distance; only the candidates at or
+    below it, ties on both sides of position m included, are sorted."""
+    kth = np.take_along_axis(d, np.argpartition(d, m - 1, axis=1)[:, m - 1:m], axis=1)
+    r, c = np.nonzero(d <= kth)  # row-major: ascending column within a row
+    order = np.lexsort((d[r, c], r))  # stable: by row, then distance, then column
+    counts = np.bincount(r, minlength=len(d))
+    starts = np.cumsum(counts) - counts
+    return c[order][starts[:, None] + np.arange(m)]
 
 
 def neighborhood_sweep(dataset: EmbeddingDataset, k: int, q: float,

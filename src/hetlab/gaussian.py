@@ -2,8 +2,7 @@
 
 Closed-form heterogeneity of a single Gaussian, within-observation
 heterogeneity of a weighted Gaussian ensemble, moment-matched parametric
-pooling, their ratio (between), and a grid-quadrature oracle for the
-non-parametric model-average pool.
+pooling and their ratio (between).
 
 A `GaussianEnsemble` holds its N members as arrays with optional leading
 stack axes: means ``(..., N, n)`` and covariances, diagonal entries of the
@@ -14,13 +13,12 @@ ensemble and a stack. One validator checks ensembles and components.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SYM_TOL, _log_hill, check_order, check_weights, logsumexp
+from .core import SYM_TOL, _log_hill, check_order, check_weights
 from .errors import DegeneratePoolError, NumericalError, UndefinedOrderError, ValidationError
 
 PIVOT_FLOOR = 1e-10
@@ -211,69 +209,3 @@ def gaussian_between(ensemble: GaussianEnsemble, q):
         raise UndefinedOrderError("between-observation heterogeneity requires finite q")
     pool = gaussian_pool(ensemble)
     return _exp_volume(_log_volume(pool.logdet, ensemble.dim, qf) - _log_within(ensemble, qf))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor-grid quadrature configuration for the model-average pool.
-
-    span is in pooled marginal standard deviations on each side of the
-    pooled mean.
-    """
-
-    points_per_dim: int = 2001
-    span: float = 8.0
-
-    def __post_init__(self):
-        if self.points_per_dim < 3:
-            raise ValidationError("points_per_dim must be at least 3")
-        if not self.span > 0:
-            raise ValidationError("span must be positive")
-
-
-def _mixture_log_density(ensemble: GaussianEnsemble, points: np.ndarray) -> np.ndarray:
-    """Log density of the weighted mixture at an (M, n) array of points,
-    one member at a time to bound the memory of the grid."""
-    log_w = np.log(ensemble.weights, where=ensemble.weights > 0,
-                   out=np.full(len(ensemble), -np.inf))
-    terms = np.empty((len(ensemble), len(points)))
-    for i, (mean, cov) in enumerate(zip(ensemble.means, ensemble.covariances)):
-        diff = points - mean
-        if ensemble.is_diagonal:
-            maha = np.sum(diff * diff / cov, axis=1)
-        else:
-            maha = np.sum(diff.T * np.linalg.solve(cov, diff.T), axis=0)
-        terms[i] = log_w[i] - 0.5 * (ensemble.dim * _LOG_2PI + ensemble.logdets[i] + maha)
-    return logsumexp(terms, axis=0)
-
-
-def model_average_pooled_numeric(ensemble: GaussianEnsemble, q,
-                                 grid_spec: GridSpec = GridSpec()) -> float:
-    """Pooled heterogeneity of the mixture density itself (no Gaussian
-    re-fit), by tensor-grid quadrature. Oracle-grade: supports dimension
-    <= 3 and targets ~1e-4 relative accuracy in one or two dimensions.
-    """
-    qf = _check_positive_order(q)
-    n = ensemble.dim
-    if n > 3:
-        raise ValidationError("model-average pooling supports dimension <= 3")
-    pool = gaussian_pool(ensemble)
-    sd = np.sqrt(pool.covariance if pool.is_diagonal else np.diag(pool.covariance))
-    axes = [
-        np.linspace(pool.mean[j] - grid_spec.span * sd[j],
-                    pool.mean[j] + grid_spec.span * sd[j],
-                    grid_spec.points_per_dim)
-        for j in range(n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    log_f = _mixture_log_density(ensemble, points)
-
-    if math.isinf(qf):
-        return math.exp(-float(np.max(log_f)))
-
-    # With trapezoid cells dx, the integral of f^q is a power mean of f weighted by f dx.
-    cell = functools.reduce(np.multiply.outer,
-                            [np.convolve(np.diff(ax), [0.5, 0.5]) for ax in axes])
-    log_w = log_f + np.log(cell.ravel())
-    return math.exp(_log_hill(log_f, np.exp(log_w), qf, log_w))

@@ -22,7 +22,12 @@ from hetlab.betamix import (
 from hetlab.errors import ValidationError
 from hetlab.special import BetaShape
 
-from oracles import beta_abs_distance_dblquad, beta_abs_distance_quad, bmm_threshold_bisect
+from oracles import (
+    beta_abs_distance_dblquad,
+    beta_abs_distance_quad,
+    bmm_index_comparison_loop,
+    bmm_threshold_bisect,
+)
 
 
 class TestParams:
@@ -291,6 +296,28 @@ class TestIndexComparison:
         monkeypatch.setattr(betamix, "expected_distance_matrix", fail)
         with pytest.raises(ValidationError):
             bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0, -1.0])
+        with pytest.raises(ValidationError, match="share"):
+            bmm_index_comparison([BetaMixtureParams(0.5, 5.0, 20.0),
+                                  BetaMixtureParams(0.5, 5.0, 20.5)], [1.0])
+        with pytest.raises(ValidationError, match="at least one theta"):
+            bmm_index_comparison([], [1.0])
+
+    @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45),
+                                               (3.0, 3.0)])
+    def test_theta_stack_matches_per_theta_loop(self, theta2, theta3):
+        # theta2 == theta3 leaves the distance matrix constant, so neqrqe is None
+        orders = [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 2.0, math.inf]
+        thetas = [BetaMixtureParams(t1, theta2, theta3)
+                  for t1 in (0.01, 0.2, 0.37, 0.5, 0.81, 0.99)]
+        for u in (0.0, 1.0, 3.5):
+            rows = bmm_index_comparison(thetas, orders, u)
+            want = bmm_index_comparison_loop(thetas, orders, u)
+            assert [(r.tau, r.rrh, r.fhn, r.neqrqe, r.lci) for r in rows] == want
+            assert all(type(v) is float for r in rows for v in (r.tau, r.rrh, r.lci))
+        assert [r.neqrqe is None for r in rows[:len(orders)]] == [
+            q != 2.0 or theta2 == theta3 for q in orders]
+        assert bmm_index_comparison(thetas[:1], orders) == \
+            bmm_index_comparison(thetas[0], orders)
 
     def test_distance_matrix_shape(self):
         d = expected_distance_matrix(BetaMixtureParams(0.5, 5.0, 20.0))

@@ -95,7 +95,7 @@ class TestRqe:
     def test_validates_inputs_once(self, index, monkeypatch):
         import hetlab.classic as classic
         calls = []
-        for name in ("as_distance_matrix", "as_distribution", "check_order"):
+        for name in ("as_distance_matrix", "as_distributions", "check_order"):
             def counted(*a, _f=getattr(classic, name), _name=name, **k):
                 calls.append(_name)
                 return _f(*a, **k)
@@ -521,3 +521,83 @@ class TestStacks:
                       lambda d, p: leinster_cobbold(np.exp(-d), p, 1.0)):
             with pytest.raises(ValidationError, match="sizes disagree"):
                 index(d, [0.5, 0.5])
+
+
+# Rows whose zeros sit in different places, so the union of supports holds
+# zeros of single rows; the first and last are point masses (Q_1 = 0).
+STACK_ROWS = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], three_state_probs(4.0),
+                       [0.2, 0.0, 0.8], [0.0, 0.0, 1.0]])
+# each kernel as f(distance matrix or stack, distribution or stack, q)
+_DISTRIBUTION_KERNELS = {
+    "rqe": lambda d, p, q: rqe(d, p, q) if math.isfinite(q) else None,
+    "neqrqe": lambda d, p, q: neqrqe(rescale_distance(d), p),
+    "functional_hill_or_none": functional_hill_or_none,
+    "leinster_cobbold": lambda d, p, q: leinster_cobbold(similarity_from_distance(d, 1.0), p, q),
+    # exp(-800 D) underflows to 0 off the diagonal, so (Sp)_i = 0 off a row's support
+    "leinster_cobbold_u800": lambda d, p, q: leinster_cobbold(
+        similarity_from_distance(d, 800.0), p, q),
+    # a diagonal below the off-diagonal entries puts the largest (Sp)_i off a
+    # point mass's support
+    "leinster_cobbold_relaxed": lambda d, p, q: leinster_cobbold(
+        np.where(np.eye(3, dtype=bool), 0.1, np.exp(-d)), p, q, require_unit_diagonal=False),
+}
+
+
+class TestDistributionStacks:
+    """Each index on an (..., n) stack of distributions, broadcast against
+    one matrix or a stack of them, equals a loop of single-vector calls."""
+
+    @pytest.mark.parametrize("q", STACK_QS)
+    @pytest.mark.parametrize("kernel", sorted(_DISTRIBUTION_KERNELS))
+    def test_rows_match_single_vector_calls(self, kernel, q):
+        f = _DISTRIBUTION_KERNELS[kernel]
+        d = distance_stack(np.random.default_rng(40), (2,))
+        if f(d[0], STACK_ROWS[1], q) is None:
+            return
+        assert_members(f(d[0], STACK_ROWS, q), lambda i: f(d[0], STACK_ROWS[i], q), (5,))
+        # (5, 1) rows against (2,) matrices broadcast to (5, 2)
+        assert_members(f(d, STACK_ROWS[:, None], q),
+                       lambda i: f(d[i[1]], STACK_ROWS[i[0]], q), (5, 2))
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0])
+    def test_functional_hill_rows(self, q):
+        d = distance_stack(np.random.default_rng(41), (3,))
+        rows = STACK_ROWS[1:4]  # Q_1 > 0 in every row
+        assert_members(functional_hill(d[:, None], rows, q),
+                       lambda i: functional_hill(d[i[0]], rows[i[1]], q), (3, 3))
+        with pytest.raises(SingularityError):
+            functional_hill(d[0], STACK_ROWS, q)
+
+    def test_renyi_rows(self):
+        for q in STACK_QS:
+            assert_members(renyi_heterogeneity(STACK_ROWS, q),
+                           lambda i: renyi_heterogeneity(STACK_ROWS[i], q), (5,))
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.4, 0.2], [1.2, -0.2, 0.0], [0.5, np.nan, 0.5]],
+                             ids=["sum", "negative", "nan"])
+    @pytest.mark.parametrize("kernel", sorted(_DISTRIBUTION_KERNELS))
+    def test_one_bad_row_raises_its_message(self, kernel, bad):
+        f = _DISTRIBUTION_KERNELS[kernel]
+        d = three_state_distance(0.7, 1.0)
+        with pytest.raises(ValidationError) as single:
+            f(d, bad, 2.0)
+        with pytest.raises(ValidationError) as stacked:
+            f(d, [STACK_ROWS[1], bad, STACK_ROWS[2]], 2.0)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("kernel", sorted(_DISTRIBUTION_KERNELS))
+    def test_stacks_must_broadcast(self, kernel):
+        d = distance_stack(np.random.default_rng(42), (2,))
+        with pytest.raises(ValidationError, match=r"do not broadcast, \(2,\) against \(5,\)"):
+            _DISTRIBUTION_KERNELS[kernel](d, STACK_ROWS, 2.0)
+
+    def test_stacks_need_no_numpy_2_api(self, monkeypatch):
+        # pyproject allows numpy 1.24, which has neither of these functions
+        d = distance_stack(np.random.default_rng(43), (2,))
+        calls = [(f, q) for f in _DISTRIBUTION_KERNELS.values()
+                 for q in (0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0)]
+        want = [f(d, STACK_ROWS[:, None], q) for f, q in calls]
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        monkeypatch.delattr(np.linalg, "matrix_transpose", raising=False)
+        for (f, q), expected in zip(calls, want):
+            np.testing.assert_array_equal(f(d, STACK_ROWS[:, None], q), expected)

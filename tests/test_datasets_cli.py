@@ -2,6 +2,7 @@
 analyses, and the command-line interface."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from hetlab.errors import SingularityError, UndefinedOrderError, ValidationError
 from hetlab.gaussian import GaussianComponent, gaussian_renyi
 
 from oracles import (
+    bmm_index_comparison_loop,
     gaussian_log_between_mp,
     neighborhood_between_loop,
     neighborhood_members,
@@ -409,6 +411,25 @@ class TestCsvIngestion:
         assert str(err.value) == "assignment record 1: field larger than field limit (131072)"
         with pytest.raises(ValidationError, match="^assignment header: field larger"):
             read_assignments(io.StringIO(f"id,p_1,{big}\na,1\n"))
+        # quotes carry a long id over line breaks into lines that are all short
+        quoted = '"' + ("x" * 100 + "\n") * 2000 + '"'
+        for body in (f"a,1,0\n{quoted},1,0\n", f"a,1,0\n{quoted},1,0\nc,1\n"):
+            with pytest.raises(ValidationError) as err:
+                read_assignments(io.StringIO("id,p_1,p_2\n" + body, newline=""))
+            assert str(err.value) == \
+                "assignment record 1: field larger than field limit (131072)"
+        short = '"' + ("x" * 100 + "\n") * 20 + '"'
+        ids, _ = read_assignments(io.StringIO(f"id,p_1,p_2\n{short},1,0\n", newline=""))
+        assert ids == [short[1:-1]]
+
+    def test_long_line_check_matches_split(self):
+        rng = np.random.default_rng(45)
+        for _ in range(3000):
+            body = "".join(rng.choice(list("ab\n"), size=rng.integers(0, 60),
+                                      p=[0.45, 0.45, 0.1]))
+            limit = int(rng.integers(0, 25))
+            assert datasets._has_long_line(body, limit) == \
+                (max(map(len, body.split("\n"))) > limit), (body, limit)
 
     @staticmethod
     def benchmark_shaped(rows):
@@ -614,6 +635,30 @@ class TestNeighborhoods:
                 ref = neighborhood_between_loop(ds, k, q)
                 assert got == pytest.approx(ref, rel=1e-13, abs=0), (k, q)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_members_match_stable_sort(self, ties, monkeypatch):
+        # More records than one block of rows. With ties, means on a small
+        # integer grid repeat, so equal distances fall on both sides of
+        # position k and the index tie-break decides the members.
+        if ties:
+            rng = np.random.default_rng(44)
+            ds = EmbeddingDataset(ids=[f"r{i}" for i in range(300)], labels=[None] * 300,
+                                  means=rng.integers(0, 4, size=(300, 2)).astype(float),
+                                  log_var=np.zeros((300, 2)))
+        else:
+            ds = synth_embeddings(10, 100, 2, seed=1)
+        seen = []
+        original = EmbeddingDataset.ensemble
+
+        def spy(self, indices=None):
+            seen.append(np.asarray(indices))
+            return original(self, indices)
+        monkeypatch.setattr(EmbeddingDataset, "ensemble", spy)
+        for k in (1, 7, 49, len(ds) - 1):
+            neighborhood_between(ds, k, 1.0)
+            want = np.stack([neighborhood_members(ds.means, i, k) for i in range(len(ds))])
+            assert np.array_equal(seen.pop(), want), k
+
     def test_two_cluster_contrast(self):
         # points inside a tight cluster see low between-heterogeneity;
         # a bridge point pulling in the far cluster sees more
@@ -756,17 +801,36 @@ class TestCliSweeps:
         assert res.exit_code == 2, res.output
         assert "--b" in res.output and "Traceback" not in res.output
 
-    def test_bmm_sweep_one_distance_matrix_per_theta1(self, monkeypatch):
-        calls = []
-        original = betamix.expected_distance_matrix
-
-        def counted(theta):
-            calls.append(theta.theta1)
-            return original(theta)
-        monkeypatch.setattr(betamix, "expected_distance_matrix", counted)
+    def test_bmm_sweep_one_distance_matrix_per_sweep(self, monkeypatch):
+        # The whole theta1 grid shares one E|X - Y| matrix, and each index
+        # takes the stack of priors once per order.
+        calls = Counter()
+        for name in ("expected_distance_matrix", "renyi_heterogeneity",
+                     "functional_hill_or_none", "leinster_cobbold"):
+            def counted(*args, _f=getattr(betamix, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(betamix, name, counted)
         res = self.run(["bmm-sweep", "--grid", "0.2,0.5,0.8", "--q", "0.5,1,2,inf"])
         assert res.exit_code == 0, res.output
-        assert calls == [0.2, 0.5, 0.8]
+        assert calls == {"expected_distance_matrix": 1, "renyi_heterogeneity": 4,
+                         "functional_hill_or_none": 4, "leinster_cobbold": 4}
+
+    @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (3.0, 3.0), (0.3, 0.45)])
+    def test_bmm_sweep_rows_match_per_theta_loop(self, theta2, theta3):
+        grid, orders = (0.05, 0.5, 0.73, 0.95), (0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 2.0, math.inf)
+        res = self.run(["bmm-sweep", "--grid", ",".join(map(repr, grid)),
+                        "--theta2", repr(theta2), "--theta3", repr(theta3),
+                        "--q", ",".join(map(repr, orders)), "--u", "0.5", "--format", "json"])
+        assert res.exit_code == 0, res.output
+        want = bmm_index_comparison_loop(
+            [betamix.BetaMixtureParams(t1, theta2, theta3) for t1 in grid], orders, 0.5)
+        rows = json.loads(res.output)["rows"]
+        assert len(rows) == len(want)
+        for (t1, q), row, (tau, rrh, fhn, neq, lci) in zip(
+                itertools.product(grid, orders), rows, want):
+            cells = [t1, theta2, theta3, q, 0.5, tau, rrh, fhn, neq, lci]
+            assert row == [None if v is None else float("%.12g" % v) for v in cells]
 
     def test_three_state_sweep_one_kernel_call_per_kappa_and_q(self, monkeypatch):
         # Each index takes the stack of all heights (and scaling factors) at once.
@@ -1049,16 +1113,15 @@ class TestCliMalformedInput:
         assert "bytes.csv" in res.output
 
     def test_field_over_csv_limit(self, tmp_path):
-        # csv.reader refuses a field over csv.field_size_limit() (131,072)
+        # csv.reader refuses a field over csv.field_size_limit() (131,072),
+        # whether or not another cell sends the body to the record loop
         path = tmp_path / "assign.csv"
         rows = f"id,p_1,p_2\n{'x' * 200_000},0.5,0.5\nb,1,0\n"
-        path.write_text(rows)
-        res = self.run(["assignments", "rrh", str(path)])
-        assert res.exit_code == 0, res.output
-        path.write_text(rows + "c,1\n")
-        res = self.run(["assignments", "rrh", str(path)])
-        self.assert_exit_3(res)
-        assert "assignment record 0: field larger than field limit" in res.output
+        for text in (rows, rows + "c,1\n"):
+            path.write_text(text)
+            res = self.run(["assignments", "rrh", str(path)])
+            self.assert_exit_3(res)
+            assert "assignment record 0: field larger than field limit" in res.output
 
 
 def _assignment_text(fmt):

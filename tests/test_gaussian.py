@@ -13,19 +13,19 @@ from hetlab.errors import (
 from hetlab.gaussian import (
     GaussianComponent,
     GaussianEnsemble,
-    GridSpec,
     gaussian_between,
     gaussian_pool,
     gaussian_renyi,
     gaussian_within,
-    model_average_pooled_numeric,
 )
 
 from oracles import (
+    GridSpec,
     assert_near_one,
     gaussian_pool_loop,
     gaussian_renyi_quad,
     gaussian_within_mp,
+    model_average_pooled_numeric,
     random_pd_cov,
 )
 
