@@ -9,7 +9,6 @@ with embedding ingestion.
 
 from .betamix import (
     BetaMixtureParams,
-    ComparisonRow,
     assignment_mass,
     beta_abs_distance,
     bmm_between_rrh,

@@ -3,7 +3,7 @@
 Provides the mixture density, the optimal decision threshold for hard
 assignment, the expected soft-assignment mass, its between-component
 heterogeneity, the closed-form expected absolute distance between two
-beta variables, and the head-to-head comparison row against the
+beta variables, and the head-to-head comparison against the
 non-categorical indices.
 """
 
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .classic import (
-    functional_hill_or_none,
+    functional_hill,
     leinster_cobbold,
     neqrqe,
     rescale_distance,
@@ -91,21 +90,22 @@ def assignment_mass(theta: BetaMixtureParams, tau: float) -> np.ndarray:
     return np.array([1.0 - mass2, mass2])
 
 
-def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> list:
-    """Between-component heterogeneity of the thresholded assignments, one
-    value per order in ``q_list``, in that order. ``tau`` is one threshold,
-    giving floats, or a sequence of them, giving one array over the
-    thresholds per order.
+def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> np.ndarray:
+    """Between-component heterogeneity of the thresholded assignments as one
+    array of shape ``np.shape(tau) + (len(q_list),)``: ``tau`` is one
+    threshold or an array of them, and the last axis follows ``q_list``.
 
     Every observation is assigned with certainty, so the within term is
     identically 1 and between equals the pooled heterogeneity of the
     expected assignment mass, which is computed once per threshold. Always
     in [1, 2].
     """
+    if not len(q_list):
+        raise ValidationError("at least one order is required")
     taus = np.asarray(tau, dtype=float)
     mass = np.array([assignment_mass(theta, t) for t in taus.ravel().tolist()])
     mass = mass.reshape(taus.shape + (2,))
-    return [renyi_heterogeneity(mass, q) for q in q_list]
+    return np.stack([renyi_heterogeneity(mass, q) for q in q_list], axis=-1)
 
 
 def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
@@ -159,22 +159,11 @@ def expected_distance_matrix(theta: BetaMixtureParams) -> np.ndarray:
     return np.array([[d_same, d12], [d12, d_same]])
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One row of the head-to-head index comparison at a given (theta, q, u),
-    with the optimal threshold tau the rrh column is taken at."""
-
-    tau: float
-    rrh: float
-    fhn: Optional[float]
-    neqrqe: Optional[float]
-    lci: float
-
-
-def bmm_index_comparison(theta, q_list, u: float = 1.0) -> list:
+def bmm_index_comparison(theta, q_list, u: float = 1.0) -> dict:
     """Evaluate the categorical and non-categorical indices on the same
-    analytic two-component problem: one `ComparisonRow` per (theta, order),
-    theta-major and then in the order of ``q_list``.
+    analytic two-component problem: ``{"tau", "rrh", "fhn", "neqrqe",
+    "lci"}``, each a float array of shape (number of thetas, len(q_list)),
+    where ``tau`` is the optimal threshold the rrh column is taken at.
 
     ``theta`` is one `BetaMixtureParams` or a sequence of them that share
     (theta2, theta3), such as a theta1 grid. The expected-distance matrix
@@ -183,18 +172,17 @@ def bmm_index_comparison(theta, q_list, u: float = 1.0) -> list:
     once per theta; and each index once per order, on the stack of priors
     (1 - theta1, theta1).
 
-    The quadratic-entropy column is filled only at q=2 and only when the
-    expected-distance matrix is non-constant (it cannot be rescaled
-    otherwise); in both other cases it is reported absent (None). The
-    functional Hill number is None where `functional_hill_or_none` says so,
-    which here means q=inf.
+    Absent values are NaN. The quadratic-entropy column is filled only at
+    q=2 and only when the expected-distance matrix is non-constant (it
+    cannot be rescaled otherwise). The functional Hill number is NaN where
+    `functional_hill` says so, which here means q=inf.
     """
     thetas = [theta] if isinstance(theta, BetaMixtureParams) else list(theta)
     orders = [check_order(q) for q in q_list]
     if u < 0:
         raise ValidationError(f"u must be >= 0, got {u}")
-    if not thetas:
-        raise ValidationError("at least one theta is required")
+    if not thetas or not orders:
+        raise ValidationError("at least one theta and one order are required")
     pair = (thetas[0].theta2, thetas[0].theta3)
     for t in thetas:
         if (t.theta2, t.theta3) != pair:
@@ -203,21 +191,23 @@ def bmm_index_comparison(theta, q_list, u: float = 1.0) -> list:
                 f"got {(t.theta2, t.theta3)}")
     prior = np.array([[1.0 - t.theta1, t.theta1] for t in thetas])
     dist = expected_distance_matrix(thetas[0])
-    tau = [optimal_threshold(t) for t in thetas]
-    mass = np.array([assignment_mass(t, tau_t) for t, tau_t in zip(thetas, tau)])
+    tau = np.array([optimal_threshold(t) for t in thetas])
+    mass = np.array([assignment_mass(t, tau_t) for t, tau_t in zip(thetas, tau.tolist())])
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
 
-    neq = [None] * len(thetas)
+    neq = np.full(len(thetas), np.nan)
     if 2.0 in orders:
         try:
             scaled = rescale_distance(dist, require_zero_diagonal=False)
-            neq = neqrqe(scaled, prior, require_zero_diagonal=False).tolist()
+            neq = neqrqe(scaled, prior, require_zero_diagonal=False)
         except DegenerateDistanceError:
             pass
-    # per order, one value per theta
-    columns = [(qf, renyi_heterogeneity(mass, qf).tolist(),
-                functional_hill_or_none(dist, prior, qf, require_zero_diagonal=False),
-                leinster_cobbold(sim, prior, qf, require_unit_diagonal=False).tolist())
-               for qf in orders]
-    return [ComparisonRow(tau[i], rrh[i], fhn[i], neq[i] if qf == 2.0 else None, lci[i])
-            for i in range(len(thetas)) for qf, rrh, fhn, lci in columns]
+    return {
+        "tau": np.repeat(tau[:, None], len(orders), axis=1),
+        "rrh": np.stack([renyi_heterogeneity(mass, qf) for qf in orders], axis=1),
+        "fhn": np.stack([functional_hill(dist, prior, qf, require_zero_diagonal=False)
+                         for qf in orders], axis=1),
+        "neqrqe": np.where(np.equal(orders, 2.0), neq[:, None], np.nan),
+        "lci": np.stack([leinster_cobbold(sim, prior, qf, require_unit_diagonal=False)
+                         for qf in orders], axis=1),
+    }

@@ -19,12 +19,7 @@ import math
 import numpy as np
 
 from .core import SYM_TOL, _log_hill, as_distributions, check_order
-from .errors import (
-    DegenerateDistanceError,
-    SingularityError,
-    UndefinedOrderError,
-    ValidationError,
-)
+from .errors import DegenerateDistanceError, SingularityError, ValidationError
 
 DEFAULT_METRIC_TOL = 1e-9
 
@@ -151,9 +146,19 @@ def neqrqe(d, p, *, require_zero_diagonal: bool = True):
     return _per_member(1.0 / (1.0 - q1))
 
 
-def _functional_hill(dm: np.ndarray, pv: np.ndarray, q: float) -> np.ndarray:
-    """Functional Hill numbers of validated matrices and distributions at
-    finite q, NaN where Q_1 = 0."""
+def functional_hill(d, p, q, *, require_zero_diagonal: bool = True):
+    """Functional Hill number (Q_q / Q_1)^(1/(2(1-q))), with the analytic
+    q=1 limit exp(-sum_ij D_ij p_i p_j log(p_i p_j) / (2 Q_1)).
+
+    NaN where the number is undefined, per member: at q=inf and where
+    Q_1 = 0, as for a point mass. Near a point mass Q_q / Q_1 behaves like
+    (p_i p_j)^(q-1), so the number grows like (p_i p_j)^(-1/2) and has no
+    finite limit to stand in.
+    """
+    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
+    qf = check_order(q)
+    if math.isinf(qf):
+        return _per_member(np.full(np.broadcast_shapes(dm.shape[:-2], pv.shape[:-1]), np.nan))
     # Pairs off the support carry no weight; leaving them out keeps log p_i p_j finite.
     support = _support(pv)
     # np.compress keeps C order, unlike a boolean index on the last axis, so
@@ -167,39 +172,8 @@ def _functional_hill(dm: np.ndarray, pv: np.ndarray, q: float) -> np.ndarray:
         w = (dm * pp / q1[..., None, None]).reshape(q1.shape + (-1,))
         log_w = np.log(w, out=np.full(w.shape, -np.inf), where=w > 0.0)
         log_pp = np.log(pp, out=np.zeros(pp.shape), where=pp > 0.0)
-        value = np.exp(0.5 * _log_hill(log_pp.reshape(pp.shape[:-2] + (-1,)), w, q, log_w))
-    return np.where(q1 > 0.0, value, np.nan)
-
-
-def functional_hill(d, p, q, *, require_zero_diagonal: bool = True):
-    """Functional Hill number (Q_q / Q_1)^(1/(2(1-q))), with the analytic
-    q=1 limit exp(-sum_ij D_ij p_i p_j log(p_i p_j) / (2 Q_1))."""
-    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
-    qf = check_order(q)
-    if math.isinf(qf):
-        raise UndefinedOrderError("functional Hill numbers are computed at finite q")
-    value = _functional_hill(dm, pv, qf)
-    if np.any(np.isnan(value)):
-        raise SingularityError("functional Hill number undefined when Q_1 = 0")
-    return _per_member(value)
-
-
-def functional_hill_or_none(d, p, q, *, require_zero_diagonal: bool = True):
-    """`functional_hill`, or None where it is undefined: at q=inf and when
-    Q_1 = 0, as for a point mass. Near a point mass Q_q / Q_1 behaves like
-    (p_i p_j)^(q-1), so the number grows like (p_i p_j)^(-1/2) and has no
-    finite limit to stand in. The sweep commands print None as an empty cell.
-
-    Stacks give nested lists of their broadcast leading shape, a float or
-    None per member.
-    """
-    dm, pv = _distance_and_distribution(d, p, require_zero_diagonal)
-    qf = check_order(q)
-    if math.isinf(qf):
-        value = np.full(np.broadcast_shapes(dm.shape[:-2], pv.shape[:-1]), np.nan)
-    else:
-        value = _functional_hill(dm, pv, qf)
-    return np.where(np.isnan(value), None, value).tolist()
+        value = np.exp(0.5 * _log_hill(log_pp.reshape(pp.shape[:-2] + (-1,)), w, qf, log_w))
+    return _per_member(np.where(q1 > 0.0, value, np.nan))
 
 
 def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.ndarray:

@@ -54,7 +54,7 @@ def _parse_floats(text: str, name: str, *, allow_inf: bool = False) -> list:
         if not tok:
             continue
         try:
-            v = math.inf if tok in ("inf", "Inf", "INF") else float(tok)
+            v = float(tok)
         except ValueError:
             raise click.UsageError(f"--{name}: cannot parse {tok!r} as a number")
         if math.isnan(v) or (math.isinf(v) and not allow_inf):
@@ -133,29 +133,21 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
         if uv < 0:
             raise click.UsageError(f"--u: value {uv!r} out of range, need 0 <= u < inf")
 
-    # Every index is evaluated once per (kappa, q) on the stack of all heights
-    # (and scaling factors): dist is (H, 3, 3), sims (H, U, 3, 3).
-    dist = np.stack([classic.three_state_distance(h, b) for h in h_list])
-    scaled = classic.rescale_distance(dist)
-    sims = classic.similarity_from_distance(dist[:, None], np.array(u_list)[:, None, None])
-    qe, rrh, fhn, lci = [], [], [], []
-    for kap in kappa_list:
-        p = classic.three_state_probs(kap)
-        qe.append(classic.neqrqe(scaled, p))
-        for qv in q_list:
-            rrh.append(renyi_heterogeneity(p, qv))
-            fhn.append(classic.functional_hill_or_none(dist, p, qv))
-            lci.append(classic.leinster_cobbold(sims, p, qv))
-    # The values computed per (kappa, q) move onto the (H, K, Q, U) axes of the rows.
+    # Every index is evaluated once per order on the (H, K[, U]) broadcast of
+    # the heights (and scaling factors) against the (K, 3) stack of
+    # distributions: dist is (H, 1, 3, 3), sims (H, 1, U, 3, 3) against p[:, None].
+    dist = np.stack([classic.three_state_distance(h, b) for h in h_list])[:, None]
+    p = np.array([classic.three_state_probs(kap) for kap in kappa_list])
+    sims = classic.similarity_from_distance(dist[:, :, None], np.array(u_list)[:, None, None])
     shape = H, K, Q, U = len(h_list), len(kappa_list), len(q_list), len(u_list)
     result = datasets.SweepResult(
         columns=_grid(shape, {
             "h": np.reshape(h_list, (H, 1, 1, 1)), "b": b,
             "kappa": np.reshape(kappa_list, (K, 1, 1)), "q": np.reshape(q_list, (Q, 1)),
-            "u": u_list, "qe": np.reshape(qe, (K, H)).T[:, :, None, None],
-            "fhn": np.moveaxis(np.array(fhn, dtype=float).reshape(K, Q, H, 1), 2, 0),
-            "lci": np.moveaxis(np.reshape(lci, (K, Q, H, U)), 2, 0),
-            "rrh": np.reshape(rrh, (K, Q, 1)),
+            "u": u_list, "qe": classic.neqrqe(classic.rescale_distance(dist), p)[..., None, None],
+            "fhn": np.stack([classic.functional_hill(dist, p, qv) for qv in q_list], 2)[..., None],
+            "lci": np.stack([classic.leinster_cobbold(sims, p[:, None], qv) for qv in q_list], 2),
+            "rrh": np.stack([renyi_heterogeneity(p, qv) for qv in q_list], 1)[..., None],
             "metric": np.reshape(classic.is_metric(dist), (H, 1, 1, 1)),
             "ultrametric": np.reshape(classic.is_ultrametric(dist), (H, 1, 1, 1))}),
         metadata={"command": "three-state-sweep", "b": b,
@@ -215,13 +207,11 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
         for t1 in grid_vals:
             if not 0.0 < t1 < 1.0:
                 raise click.UsageError(f"--grid: theta1 value {t1} outside (0, 1)")
-        comparison = betamix.bmm_index_comparison(
-            [betamix.BetaMixtureParams(t1, theta2, theta3) for t1 in grid_vals], q_list, u)
         columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
                    "theta3": theta3, "q": q_list, "u": u,
-                   **{name: np.array([getattr(row, name) for row in comparison],
-                                     dtype=float).reshape(shape)
-                      for name in ("tau", "rrh", "fhn", "neqrqe", "lci")}}
+                   **betamix.bmm_index_comparison(
+                       [betamix.BetaMixtureParams(t1, theta2, theta3) for t1 in grid_vals],
+                       q_list, u)}
     else:
         theta = betamix.BetaMixtureParams(theta1, theta2, theta3)
         for tau in grid_vals:
@@ -229,7 +219,7 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
                 raise click.UsageError(f"--grid: tau value {tau} outside [0, 1]")
         columns = {"theta1": theta1, "theta2": theta2, "theta3": theta3,
                    "tau": np.reshape(grid_vals, (-1, 1)), "q": q_list,
-                   "rrh": np.stack(betamix.bmm_between_rrh(theta, grid_vals, q_list), axis=1)}
+                   "rrh": betamix.bmm_between_rrh(theta, grid_vals, q_list)}
     result = datasets.SweepResult(
         columns=_grid(shape, columns),
         metadata={"command": "bmm-sweep", "tau_mode": tau_mode,

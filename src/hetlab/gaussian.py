@@ -181,16 +181,19 @@ def gaussian_within(ensemble: GaussianEnsemble, q):
 def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
     """Moment-matched parametric pool of a Gaussian ensemble (stack).
 
-    mu* = sum w_i mu_i; Sigma* = -mu* mu*^T + sum w_i (Sigma_i + mu_i mu_i^T),
+    mu* = sum w_i mu_i; Sigma* = sum w_i Sigma_i + sum w_i (mu_i - mu*)(mu_i - mu*)^T,
     stored diagonal only when every pool of the stack is (within SYM_TOL).
+    The spread of the means is taken about mu*, so no mu_i mu_i^T is formed
+    that cancels against mu* mu*^T when the means lie far from the origin.
     """
     w, means, n = ensemble.weights, ensemble.means, ensemble.dim
     mu = w @ means
     mixed = w @ ensemble.covariances.reshape(means.shape[:-1] + (-1,))
     if ensemble.is_diagonal:
         mixed = mixed[..., None] * np.eye(n)
-    cov = (mixed.reshape(mu.shape + (n,)) + np.einsum("i,...ij,...ik->...jk", w, means, means)
-           - mu[..., :, None] * mu[..., None, :])
+    centred = means - mu[..., None, :]
+    cov = (mixed.reshape(mu.shape + (n,))
+           + np.einsum("i,...ij,...ik->...jk", w, centred, centred))
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     off = np.where(np.eye(n, dtype=bool), 0.0, cov)
     if np.max(np.abs(off)) <= SYM_TOL:

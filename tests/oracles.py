@@ -235,29 +235,34 @@ def neighborhood_between_loop(dataset, k: int, q: float) -> np.ndarray:
     return vals
 
 
-def bmm_index_comparison_loop(thetas, q_list, u: float = 1.0) -> list:
-    """(tau, rrh, fhn, neqrqe, lci) per (theta, order), theta-major: the
-    comparison one theta at a time, each index called once per order on
-    that theta's prior vector and its own expected-distance matrix."""
-    rows = []
-    for theta in thetas:
+def bmm_index_comparison_loop(thetas, q_list, u: float = 1.0) -> dict:
+    """{"tau", "rrh", "fhn", "neqrqe", "lci"} as (theta, order) float arrays,
+    NaN where a value is absent, filled one scalar at a time: each index
+    called once per (theta, order) on that theta's prior vector and its own
+    expected-distance matrix."""
+    out = {name: np.full((len(thetas), len(q_list)), np.nan)
+           for name in ("tau", "rrh", "fhn", "neqrqe", "lci")}
+    for i, theta in enumerate(thetas):
         prior = np.array([1.0 - theta.theta1, theta.theta1])
         dist = betamix.expected_distance_matrix(theta)
         tau = betamix.optimal_threshold(theta)
         sim = classic.similarity_from_distance(dist, u, require_zero_diagonal=False)
-        try:
-            scaled = classic.rescale_distance(dist, require_zero_diagonal=False)
-            neq = classic.neqrqe(scaled, prior, require_zero_diagonal=False)
-        except DegenerateDistanceError:
-            neq = None
         mass = betamix.assignment_mass(theta, tau)
-        for q in q_list:
-            rows.append((tau, renyi_heterogeneity(mass, q),
-                         classic.functional_hill_or_none(dist, prior, q,
-                                                         require_zero_diagonal=False),
-                         neq if q == 2.0 else None,
-                         classic.leinster_cobbold(sim, prior, q, require_unit_diagonal=False)))
-    return rows
+        for j, q in enumerate(q_list):
+            out["tau"][i, j] = tau
+            out["rrh"][i, j] = renyi_heterogeneity(mass, q)
+            out["fhn"][i, j] = classic.functional_hill(dist, prior, q,
+                                                       require_zero_diagonal=False)
+            out["lci"][i, j] = classic.leinster_cobbold(sim, prior, q,
+                                                        require_unit_diagonal=False)
+            if q == 2.0:
+                try:
+                    scaled = classic.rescale_distance(dist, require_zero_diagonal=False)
+                    out["neqrqe"][i, j] = classic.neqrqe(scaled, prior,
+                                                         require_zero_diagonal=False)
+                except DegenerateDistanceError:
+                    pass
+    return out
 
 
 def csv_table_loop(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
@@ -312,22 +317,43 @@ def read_assignments_loop(stream) -> tuple:
     return [row[0] for row in rows], ensemble
 
 
+def gaussian_pooled_logdet_mp(means, covariances, weights=None, dps: int = 40):
+    """log|Sigma*|, as an mpf at ``dps`` digits, of the moment-matched pool of
+    Gaussians with float means ``(N, n)``, covariances ``(N, n)`` (diagonal
+    entries) or ``(N, n, n)``, and weights ``(N,)`` (uniform when None). The
+    input floats are taken exactly, the weights are normalised to sum to 1
+    exactly, and Sigma* = sum_i w_i (Sigma_i + mu_i mu_i^T) - mu* mu*^T is
+    formed at ``dps`` digits, where its cancellation costs none of the
+    digits a float result can hold."""
+    means = np.asarray(means, float)
+    covs = np.asarray(covariances, float)
+    if covs.shape == means.shape:
+        covs = np.stack([np.diag(c) for c in covs])
+    size, n = means.shape
+    with mpmath.workdps(dps):
+        w = ([mpmath.mpf(1)] * size if weights is None
+             else [mpmath.mpf(float(x)) for x in weights])
+        total = mpmath.fsum(w)
+        w = [x / total for x in w]
+        m = mpmath.matrix(means.tolist())
+        mu = [mpmath.fsum(w[i] * m[i, j] for i in range(size)) for j in range(n)]
+        pool = mpmath.matrix(n, n)
+        for j in range(n):
+            for l in range(n):
+                pool[j, l] = mpmath.fsum(w[i] * (covs[i, j, l] + m[i, j] * m[i, l])
+                                         for i in range(size)) - mu[j] * mu[l]
+        return mpmath.log(mpmath.det(pool))
+
+
 def gaussian_log_between_mp(means, variances, q: float, dps: int = 50):
     """log(pooled / within), as an mpf at ``dps`` digits, of the uniform-weight
     ensemble of diagonal Gaussians with float means and variances ``(N, n)``:
-    the moment-matched pool is built and its determinant taken in mpmath.
-    The q-dependent factors of the two volumes cancel, leaving
+    the pool's log-determinant is `gaussian_pooled_logdet_mp`. The
+    q-dependent factors of the two volumes cancel, leaving
     (n log 2pi + log|S|)/2 minus the order-q power mean of log|2 pi Sigma_i|/2."""
     with mpmath.workdps(dps):
-        m = mpmath.matrix(np.asarray(means, float).tolist())
         v = mpmath.matrix(np.asarray(variances, float).tolist())
-        size, n = m.rows, m.cols
-        mu = [sum(m[i, j] for i in range(size)) / size for j in range(n)]
-        pool = mpmath.matrix(n, n)
-        for j in range(n):
-            pool[j, j] = sum(v[i, j] for i in range(size)) / size
-            for l in range(n):
-                pool[j, l] += sum(m[i, j] * m[i, l] for i in range(size)) / size - mu[j] * mu[l]
+        size, n = v.rows, v.cols
         log_2pi = mpmath.log(2 * mpmath.pi)
         half_log_dets = [(n * log_2pi + sum(mpmath.log(v[i, j]) for j in range(n))) / 2
                          for i in range(size)]
@@ -337,7 +363,8 @@ def gaussian_log_between_mp(means, variances, q: float, dps: int = 50):
             qm = mpmath.mpf(q)
             log_within = mpmath.log(sum(mpmath.exp((1 - qm) * h) for h in half_log_dets)
                                     / size) / (1 - qm)
-        return (n * log_2pi + mpmath.log(mpmath.det(pool))) / 2 - log_within
+        log_det = gaussian_pooled_logdet_mp(means, variances, dps=dps)
+        return (n * log_2pi + log_det) / 2 - log_within
 
 
 # Orders around 1 for the q -> 1 continuity checks: one ulp either side of 1,

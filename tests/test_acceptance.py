@@ -123,18 +123,14 @@ def test_criterion_3_bmm_index_comparison(capsys):
     at u=1; overlapping components give between-RRH 1 everywhere; < 1 min."""
     t0 = time.time()
     grid = [0.5 + 0.05 * i for i in range(10)]
-    rows = [bmm_index_comparison(BetaMixtureParams(t1, 5.0, 20.0), [1.0], 1.0)[0]
-            for t1 in grid]
-    rrh = [r.rrh for r in rows]
-    fhn = [r.fhn for r in rows]
-    lci = [r.lci for r in rows]
+    columns = bmm_index_comparison([BetaMixtureParams(t1, 5.0, 20.0) for t1 in grid],
+                                   [1.0], 1.0)
+    rrh, fhn, lci = (columns[name][:, 0].tolist() for name in ("rrh", "fhn", "lci"))
     rising = [f for t1, f in zip(grid, fhn) if t1 <= 0.85 + 1e-12]
 
-    overlap_ok = True
-    for t1 in grid:
-        for q in (1.0, 2.0):
-            row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), [q], 1.0)[0]
-            overlap_ok &= abs(row.rrh - 1.0) <= 1e-9
+    overlap = bmm_index_comparison([BetaMixtureParams(t1, 5.0, 5.0) for t1 in grid],
+                                   [1.0, 2.0], 1.0)
+    overlap_ok = bool(np.all(np.abs(overlap["rrh"] - 1.0) <= 1e-9))
 
     checks = [
         ("rrh(0.5) == 2 within 1e-9", abs(rrh[0] - 2.0) <= 1e-9),

@@ -1,6 +1,7 @@
 """Beta-mixture testbed: density, threshold, assignment heterogeneity,
 closed-form expected distance, and the index comparison."""
 
+import itertools
 import math
 
 import numpy as np
@@ -164,11 +165,15 @@ class TestBetweenRrh:
         theta = BetaMixtureParams(0.37, 5.0, 20.0)
         taus = [0.0, 0.2, 0.5, 0.9, 1.0]
         qs = [0.0, 0.5, 1.0, 2.0, math.inf]
-        for q, vals in zip(qs, bmm_between_rrh(theta, taus, qs)):
-            assert vals.shape == (len(taus),)
-            for tau, val in zip(taus, vals):
-                assert val == pytest.approx(bmm_between_rrh(theta, tau, [q])[0],
-                                            rel=1e-15, abs=0)
+        vals = bmm_between_rrh(theta, taus, qs)
+        assert vals.shape == (len(taus), len(qs)) and vals.dtype == float
+        assert bmm_between_rrh(theta, np.reshape(taus, (5, 1)), qs).shape == (5, 1, len(qs))
+        assert bmm_between_rrh(theta, 0.5, qs).shape == (len(qs),)
+        with pytest.raises(ValidationError, match="at least one order"):
+            bmm_between_rrh(theta, taus, [])
+        for (i, tau), (j, q) in itertools.product(enumerate(taus), enumerate(qs)):
+            assert vals[i, j] == pytest.approx(bmm_between_rrh(theta, tau, [q])[0],
+                                               rel=1e-15, abs=0)
 
     def test_component_swap_symmetry(self):
         for t1, a, b in [(0.3, 2.0, 8.0), (0.7, 5.0, 20.0)]:
@@ -230,37 +235,47 @@ class TestBetaAbsDistance:
             assert 0.0 <= d < 1.0
 
 
+COLUMNS = ("tau", "rrh", "fhn", "neqrqe", "lci")
+
+
 class TestIndexComparison:
+    @staticmethod
+    def cells(theta, q, u=1.0):
+        """The comparison at one theta and one order, as a dict of floats."""
+        out = bmm_index_comparison(theta, [q], u)
+        assert list(out) == list(COLUMNS)
+        assert all(col.shape == (1, 1) and col.dtype == float for col in out.values())
+        return {name: float(col[0, 0]) for name, col in out.items()}
+
     def test_equal_shapes_rrh_one(self):
         for t1 in (0.2, 0.5, 0.8):
-            row = bmm_index_comparison(BetaMixtureParams(t1, 5.0, 5.0), [1.0])[0]
-            assert row.rrh == pytest.approx(1.0, rel=1e-9, abs=0)
+            row = self.cells(BetaMixtureParams(t1, 5.0, 5.0), 1.0)
+            assert row["rrh"] == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_peak_row(self):
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0], 1.0)[0]
-        assert row.rrh == pytest.approx(2.0, abs=1e-9)
-        assert row.lci < 2.0
-        assert row.neqrqe is None  # only defined at q=2
+        row = self.cells(BetaMixtureParams(0.5, 5.0, 20.0), 1.0)
+        assert row["rrh"] == pytest.approx(2.0, abs=1e-9)
+        assert row["lci"] < 2.0
+        assert math.isnan(row["neqrqe"])  # only defined at q=2
 
     def test_neqrqe_at_q2(self):
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [2.0], 1.0)[0]
-        assert row.neqrqe is not None and row.neqrqe >= 1.0 - 1e-9
+        row = self.cells(BetaMixtureParams(0.5, 5.0, 20.0), 2.0)
+        assert row["neqrqe"] >= 1.0 - 1e-9
 
     def test_neqrqe_absent_for_constant_distance(self):
         # equal shapes make all four expected distances identical
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 3.0, 3.0), [2.0], 1.0)[0]
-        assert row.neqrqe is None
+        row = self.cells(BetaMixtureParams(0.5, 3.0, 3.0), 2.0)
+        assert math.isnan(row["neqrqe"])
 
     def test_fhn_paradoxical_increase(self):
         # skewing the prior away from 0.5 initially RAISES the functional
         # Hill estimate above the 2-component truth, even though the true
         # heterogeneity falls; it returns to 1 only as one component vanishes
         grid = np.arange(0.5, 0.86, 0.05)
-        vals = [bmm_index_comparison(BetaMixtureParams(t1, 5.0, 20.0), [1.0])[0].fhn
-                for t1 in grid]
+        vals = [self.cells(BetaMixtureParams(t1, 5.0, 20.0), 1.0)["fhn"] for t1 in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
         assert max(vals) > 2.0
-        near_one = bmm_index_comparison(BetaMixtureParams(1 - 1e-6, 5.0, 20.0), [1.0])[0].fhn
+        near_one = self.cells(BetaMixtureParams(1 - 1e-6, 5.0, 20.0), 1.0)["fhn"]
         assert near_one == pytest.approx(1.0, abs=1e-3)
 
     def test_values_at_least_one(self):
@@ -268,26 +283,30 @@ class TestIndexComparison:
         for _ in range(30):
             theta = BetaMixtureParams(rng.uniform(0.05, 0.95), 5.0, 20.0)
             for q in (1.0, 2.0):
-                row = bmm_index_comparison(theta, [q], rng.uniform(0, 4))[0]
-                for v in (row.rrh, row.fhn, row.lci):
-                    assert v >= 1.0 - 1e-9
-                if row.neqrqe is not None:
-                    assert row.neqrqe >= 1.0 - 1e-9
+                row = self.cells(theta, q, rng.uniform(0, 4))
+                for name in ("rrh", "fhn", "lci"):
+                    assert row[name] >= 1.0 - 1e-9
+                assert math.isnan(row["neqrqe"]) == (q != 2.0)
+                if q == 2.0:
+                    assert row["neqrqe"] >= 1.0 - 1e-9
 
     def test_fhn_absent_at_q_inf(self):
-        row = bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [math.inf])[0]
-        assert row.fhn is None
-        assert row.rrh == pytest.approx(2.0, rel=1e-6, abs=0) and row.lci >= 1.0
+        row = self.cells(BetaMixtureParams(0.5, 5.0, 20.0), math.inf)
+        assert math.isnan(row["fhn"])
+        assert row["rrh"] == pytest.approx(2.0, rel=1e-6, abs=0) and row["lci"] >= 1.0
 
-    def test_rows_match_single_order_calls(self):
+    def test_columns_match_single_order_calls(self):
         orders = [0.5, 1.0, 2.0, math.inf]
         for theta, u in [(BetaMixtureParams(0.3, 5.0, 20.0), 1.0),
                          (BetaMixtureParams(0.7, 2.5, 20.5), 0.0),
                          (BetaMixtureParams(0.5, 3.0, 3.0), 2.5)]:
-            rows = bmm_index_comparison(theta, orders, u)
-            assert rows == [bmm_index_comparison(theta, [q], u)[0] for q in orders]
-            assert [r.tau for r in rows] == [optimal_threshold(theta)] * len(orders)
-            assert [r.neqrqe is None for r in rows] == [
+            out = bmm_index_comparison(theta, orders, u)
+            for name in COLUMNS:
+                assert out[name].shape == (1, len(orders))
+                single = [bmm_index_comparison(theta, [q], u)[name][0, 0] for q in orders]
+                assert np.array_equal(out[name][0], single, equal_nan=True), name
+            assert out["tau"].tolist() == [[optimal_threshold(theta)] * len(orders)]
+            assert np.isnan(out["neqrqe"][0]).tolist() == [
                 True, True, theta.theta2 == theta.theta3, True]
 
     def test_orders_validated_before_any_work(self, monkeypatch):
@@ -299,25 +318,31 @@ class TestIndexComparison:
         with pytest.raises(ValidationError, match="share"):
             bmm_index_comparison([BetaMixtureParams(0.5, 5.0, 20.0),
                                   BetaMixtureParams(0.5, 5.0, 20.5)], [1.0])
-        with pytest.raises(ValidationError, match="at least one theta"):
-            bmm_index_comparison([], [1.0])
+        for thetas, orders in (([], [1.0]), (BetaMixtureParams(0.5, 5.0, 20.0), [])):
+            with pytest.raises(ValidationError, match="at least one theta and one order"):
+                bmm_index_comparison(thetas, orders)
 
     @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45),
                                                (3.0, 3.0)])
     def test_theta_stack_matches_per_theta_loop(self, theta2, theta3):
-        # theta2 == theta3 leaves the distance matrix constant, so neqrqe is None
+        # theta2 == theta3 leaves the distance matrix constant, so neqrqe is NaN
         orders = [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 2.0, math.inf]
         thetas = [BetaMixtureParams(t1, theta2, theta3)
                   for t1 in (0.01, 0.2, 0.37, 0.5, 0.81, 0.99)]
         for u in (0.0, 1.0, 3.5):
-            rows = bmm_index_comparison(thetas, orders, u)
+            out = bmm_index_comparison(thetas, orders, u)
             want = bmm_index_comparison_loop(thetas, orders, u)
-            assert [(r.tau, r.rrh, r.fhn, r.neqrqe, r.lci) for r in rows] == want
-            assert all(type(v) is float for r in rows for v in (r.tau, r.rrh, r.lci))
-        assert [r.neqrqe is None for r in rows[:len(orders)]] == [
+            assert list(out) == list(want) == list(COLUMNS)
+            for name in COLUMNS:
+                assert out[name].shape == (len(thetas), len(orders))
+                assert np.array_equal(out[name], want[name], equal_nan=True), name
+            assert not any(np.isnan(out[name]).any() for name in ("tau", "rrh", "lci"))
+        assert np.isnan(out["neqrqe"][0]).tolist() == [
             q != 2.0 or theta2 == theta3 for q in orders]
-        assert bmm_index_comparison(thetas[:1], orders) == \
-            bmm_index_comparison(thetas[0], orders)
+        assert np.isnan(out["fhn"][0]).tolist() == [math.isinf(q) for q in orders]
+        one = bmm_index_comparison(thetas[0], orders)
+        for name, col in bmm_index_comparison(thetas[:1], orders).items():
+            assert np.array_equal(col, one[name], equal_nan=True)
 
     def test_distance_matrix_shape(self):
         d = expected_distance_matrix(BetaMixtureParams(0.5, 5.0, 20.0))

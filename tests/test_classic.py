@@ -7,7 +7,6 @@ import pytest
 
 from hetlab.classic import (
     functional_hill,
-    functional_hill_or_none,
     is_metric,
     is_ultrametric,
     leinster_cobbold,
@@ -83,8 +82,8 @@ class TestRqe:
 
     _INDICES = pytest.mark.parametrize("index", [
         neqrqe, lambda d, p: functional_hill(d, p, 2.0),
-        lambda d, p: functional_hill_or_none(d, p, 2.0)],
-        ids=["neqrqe", "functional_hill", "functional_hill_or_none"])
+        lambda d, p: functional_hill(d, p, math.inf)],
+        ids=["neqrqe", "functional_hill", "functional_hill_inf"])
 
     @_INDICES
     def test_dimension_mismatch_in_each_index(self, index):
@@ -202,24 +201,25 @@ class TestFunctionalHill:
             assert functional_hill(3.0 * d, p, q) == pytest.approx(
                 functional_hill(d, p, q), rel=1e-12, abs=0)
 
-    def test_zero_q1_rejected(self):
-        with pytest.raises(SingularityError):
-            functional_hill(CATEGORICAL_3, [1.0, 0.0, 0.0], 2.0)
+    def test_zero_q1_is_nan(self):
+        value = functional_hill(CATEGORICAL_3, [1.0, 0.0, 0.0], 2.0)
+        assert type(value) is float and math.isnan(value)
 
-    def test_inf_rejected(self):
-        with pytest.raises(UndefinedOrderError):
-            functional_hill(CATEGORICAL_3, np.full(3, 1 / 3), math.inf)
+    def test_inf_is_nan(self):
+        value = functional_hill(CATEGORICAL_3, np.full(3, 1 / 3), math.inf)
+        assert type(value) is float and math.isnan(value)
 
-    def test_or_none_where_undefined(self):
+    def test_nan_only_where_undefined(self):
         d = three_state_distance(0.4, 1.0)
         p = three_state_probs(4.0)
         for q in (0.0, 0.5, 1.0, 2.0):
-            assert functional_hill_or_none(d, p, q) == functional_hill(d, p, q)
-        assert functional_hill_or_none(d, p, math.inf) is None
+            assert math.isfinite(functional_hill(d, p, q))
+        assert math.isnan(functional_hill(d, p, math.inf))
         for point_mass in (three_state_probs(0.0), three_state_probs(math.inf)):
-            assert functional_hill_or_none(d, point_mass, 1.0) is None
+            for q in (0.0, 0.5, 1.0, 2.0, math.inf):
+                assert math.isnan(functional_hill(d, point_mass, q))
         with pytest.raises(UndefinedOrderError):
-            functional_hill_or_none(d, p, -1.0)
+            functional_hill(d, p, -1.0)
 
 
 class TestSimilarity:
@@ -368,15 +368,16 @@ def relaxed_stack(rng, shape=(3, 2)):
 
 
 def assert_members(stacked, single, shape):
-    """Every member of ``stacked`` equals ``single(index)`` to 1e-15 relative."""
+    """Every member of ``stacked`` equals ``single(index)`` to 1e-15 relative,
+    and is NaN where that is NaN."""
     stacked = np.array(stacked, dtype=object)
     assert stacked.shape == shape
     for idx in np.ndindex(*shape):
         want, got = single(idx), stacked[idx]
-        if want is None:
-            assert got is None, idx
+        assert isinstance(got, float)
+        if math.isnan(want):
+            assert math.isnan(got), idx
         else:
-            assert isinstance(got, float)
             assert got == pytest.approx(want, rel=1e-15, abs=0), idx
 
 
@@ -411,11 +412,8 @@ class TestStacks:
     def test_functional_hill(self, q):
         d = distance_stack(np.random.default_rng(33))
         for p in STACK_PS:
-            assert_members(functional_hill_or_none(d, p, q),
-                           lambda i: functional_hill_or_none(d[i], p, q), (4, 2))
-            if math.isfinite(q) and np.count_nonzero(p) > 1:
-                assert_members(functional_hill(d, p, q),
-                               lambda i: functional_hill(d[i], p, q), (4, 2))
+            assert_members(functional_hill(d, p, q),
+                           lambda i: functional_hill(d[i], p, q), (4, 2))
 
     @pytest.mark.parametrize("q", STACK_QS)
     def test_leinster_cobbold(self, q):
@@ -434,27 +432,32 @@ class TestStacks:
         assert_members(leinster_cobbold(s, p, q, require_unit_diagonal=False),
                        lambda i: leinster_cobbold(s[i], p, q, require_unit_diagonal=False),
                        (3, 2))
-        assert_members(functional_hill_or_none(d, p, q, require_zero_diagonal=False),
-                       lambda i: functional_hill_or_none(d[i], p, q,
-                                                         require_zero_diagonal=False),
+        assert_members(functional_hill(d, p, q, require_zero_diagonal=False),
+                       lambda i: functional_hill(d[i], p, q, require_zero_diagonal=False),
                        (3, 2))
         scaled = rescale_distance(d, require_zero_diagonal=False)
         assert_members(neqrqe(scaled, p, require_zero_diagonal=False),
                        lambda i: neqrqe(scaled[i], p, require_zero_diagonal=False), (3, 2))
 
-    def test_or_none_per_member(self):
-        # A zero-diagonal stack with one all-zero member: Q_1 = 0 for that member only.
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0])
+    def test_nan_per_member(self, q):
+        # Q_1 = 0 for one member only: an all-zero matrix in a stack of
+        # matrices, then a point mass in a stack of distributions. That member
+        # is NaN and every other one is its single-matrix value, bit for bit.
         d = distance_stack(np.random.default_rng(36), (3,))
         d[1] = 0.0
         p = three_state_probs(4.0)
-        out = functional_hill_or_none(d, p, 2.0)
-        assert out[1] is None
+        out = functional_hill(d, p, q)
+        assert math.isnan(out[1])
         for i in (0, 2):
-            assert out[i] == pytest.approx(functional_hill(d[i], p, 2.0), rel=1e-15, abs=0)
-        assert functional_hill_or_none(d, p, math.inf) == [None] * 3
-        assert functional_hill_or_none(d, three_state_probs(0.0), 1.0) == [None] * 3
-        with pytest.raises(SingularityError):
-            functional_hill(d, p, 2.0)
+            assert out[i] == functional_hill(d[i], p, q)
+        rows = np.array([p, [1.0, 0.0, 0.0], three_state_probs(0.25)])
+        out = functional_hill(d[0], rows, q)
+        assert math.isnan(out[1])
+        for i in (0, 2):
+            assert out[i] == functional_hill(d[0], rows[i], q)
+        assert np.isnan(functional_hill(d, p, math.inf)).all()
+        assert np.isnan(functional_hill(d, three_state_probs(0.0), q)).all()
 
     def test_metric_predicates(self):
         d = distance_stack(np.random.default_rng(37))
@@ -497,11 +500,11 @@ class TestStacks:
     @pytest.mark.parametrize("index", [
         lambda d: neqrqe(d, three_state_probs(4.0)),
         lambda d: functional_hill(d, three_state_probs(4.0), 2.0),
-        lambda d: functional_hill_or_none(d, three_state_probs(4.0), 2.0),
+        lambda d: functional_hill(d, three_state_probs(4.0), math.inf),
         rescale_distance,
         lambda d: similarity_from_distance(d, 1.0),
         is_metric,
-    ], ids=["neqrqe", "functional_hill", "functional_hill_or_none", "rescale_distance",
+    ], ids=["neqrqe", "functional_hill", "functional_hill_inf", "rescale_distance",
             "similarity_from_distance", "is_metric"])
     def test_one_bad_distance_member_raises_its_message(self, bad, index):
         good = [rescale_distance(three_state_distance(h, 1.0)) for h in (0.2, 0.9, 2.0)]
@@ -531,7 +534,7 @@ STACK_ROWS = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], three_state_probs(4.0),
 _DISTRIBUTION_KERNELS = {
     "rqe": lambda d, p, q: rqe(d, p, q) if math.isfinite(q) else None,
     "neqrqe": lambda d, p, q: neqrqe(rescale_distance(d), p),
-    "functional_hill_or_none": functional_hill_or_none,
+    "functional_hill": functional_hill,
     "leinster_cobbold": lambda d, p, q: leinster_cobbold(similarity_from_distance(d, 1.0), p, q),
     # exp(-800 D) underflows to 0 off the diagonal, so (Sp)_i = 0 off a row's support
     "leinster_cobbold_u800": lambda d, p, q: leinster_cobbold(
@@ -565,8 +568,10 @@ class TestDistributionStacks:
         rows = STACK_ROWS[1:4]  # Q_1 > 0 in every row
         assert_members(functional_hill(d[:, None], rows, q),
                        lambda i: functional_hill(d[i[0]], rows[i[1]], q), (3, 3))
-        with pytest.raises(SingularityError):
-            functional_hill(d[0], STACK_ROWS, q)
+        # the point masses in the first and last rows are NaN, the others unmoved
+        out = functional_hill(d[0], STACK_ROWS, q)
+        assert np.isnan(out[[0, 4]]).all()
+        assert_members(out[1:4], lambda i: functional_hill(d[0], rows[i], q), (3,))
 
     def test_renyi_rows(self):
         for q in STACK_QS:

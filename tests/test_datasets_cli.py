@@ -571,6 +571,20 @@ class TestGroupDecomposition:
         res = group_decomposition(small_dataset(), [1.0], group_by_label=False)
         assert res.columns["label"] == ["*"]
 
+    def test_identical_records_give_between_one(self):
+        # Three identical records far from the origin relative to their
+        # spread pool to the record itself, so between is 1 (it was
+        # 1.00000234948 while the pool cancelled mu_i mu_i^T against mu* mu*^T).
+        ds = make_dataset(*((rid, "g", [0.25] * 80, [-23.0] * 80) for rid in "abc"))
+        orders = [0.5, 1.0, 1.0 - 2.0 ** -53, 1.001, 2.0, 7.5]
+        between = group_decomposition(ds, orders).columns["between"]
+        assert between[[0, 1, 4]].tolist() == [1.0, 1.0, 1.0]
+        # the other orders carry a last-bit rounding of log volumes near -920
+        assert between == pytest.approx(1.0, rel=2e-13, abs=0)
+        text = io.StringIO()
+        group_decomposition(ds, orders).write(text, "csv")
+        assert [row.split(",")[5] for row in text.getvalue().splitlines()[5:]] == ["1"] * 6
+
 
 class TestNeighborhoods:
     def test_k_bounds(self):
@@ -806,7 +820,7 @@ class TestCliSweeps:
         # takes the stack of priors once per order.
         calls = Counter()
         for name in ("expected_distance_matrix", "renyi_heterogeneity",
-                     "functional_hill_or_none", "leinster_cobbold"):
+                     "functional_hill", "leinster_cobbold"):
             def counted(*args, _f=getattr(betamix, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
@@ -814,7 +828,7 @@ class TestCliSweeps:
         res = self.run(["bmm-sweep", "--grid", "0.2,0.5,0.8", "--q", "0.5,1,2,inf"])
         assert res.exit_code == 0, res.output
         assert calls == {"expected_distance_matrix": 1, "renyi_heterogeneity": 4,
-                         "functional_hill_or_none": 4, "leinster_cobbold": 4}
+                         "functional_hill": 4, "leinster_cobbold": 4}
 
     @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (3.0, 3.0), (0.3, 0.45)])
     def test_bmm_sweep_rows_match_per_theta_loop(self, theta2, theta3):
@@ -826,17 +840,20 @@ class TestCliSweeps:
         want = bmm_index_comparison_loop(
             [betamix.BetaMixtureParams(t1, theta2, theta3) for t1 in grid], orders, 0.5)
         rows = json.loads(res.output)["rows"]
-        assert len(rows) == len(want)
-        for (t1, q), row, (tau, rrh, fhn, neq, lci) in zip(
-                itertools.product(grid, orders), rows, want):
-            cells = [t1, theta2, theta3, q, 0.5, tau, rrh, fhn, neq, lci]
-            assert row == [None if v is None else float("%.12g" % v) for v in cells]
+        assert len(rows) == len(grid) * len(orders)
+        for ((i, t1), (j, q)), row in zip(
+                itertools.product(enumerate(grid), enumerate(orders)), rows):
+            cells = [t1, theta2, theta3, q, 0.5, *(want[name][i, j] for name in
+                                                   ("tau", "rrh", "fhn", "neqrqe", "lci"))]
+            assert row == [None if math.isnan(v) else float("%.12g" % v) for v in cells]
 
-    def test_three_state_sweep_one_kernel_call_per_kappa_and_q(self, monkeypatch):
-        # Each index takes the stack of all heights (and scaling factors) at once.
+    def test_three_state_sweep_one_kernel_call_per_order(self, monkeypatch):
+        # Each index takes the stack of all heights, skewness values (and
+        # scaling factors) at once; neqrqe does not depend on the order.
         calls = Counter()
-        for module, name in ((classic, "similarity_from_distance"),
-                             (classic, "leinster_cobbold"), (cli, "renyi_heterogeneity")):
+        for module, name in ((classic, "similarity_from_distance"), (classic, "neqrqe"),
+                             (classic, "functional_hill"), (classic, "leinster_cobbold"),
+                             (cli, "renyi_heterogeneity")):
             def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
@@ -844,8 +861,8 @@ class TestCliSweeps:
         res = self.run(["three-state-sweep", "--grid", "1,2", "--kappa", "0.25,1",
                         "--q", "1,2,inf", "--u", "0.5,1,2"])
         assert res.exit_code == 0, res.output
-        assert calls == {"similarity_from_distance": 1, "leinster_cobbold": 2 * 3,
-                         "renyi_heterogeneity": 2 * 3}
+        assert calls == {"similarity_from_distance": 1, "neqrqe": 1, "functional_hill": 3,
+                         "leinster_cobbold": 3, "renyi_heterogeneity": 3}
 
     def test_three_state_rows_match_single_matrix_calls(self):
         # The rows the stacked sweep emits, in order, against the per-member loop.
@@ -862,7 +879,7 @@ class TestCliSweeps:
                 p = classic.three_state_probs(kap)
                 qe = classic.neqrqe(classic.rescale_distance(dist), p)
                 for q in qs:
-                    fhn = classic.functional_hill_or_none(dist, p, q)
+                    fhn = classic.functional_hill(dist, p, q)
                     for u in us:
                         lci = classic.leinster_cobbold(
                             classic.similarity_from_distance(dist, u), p, q)
@@ -872,7 +889,8 @@ class TestCliSweeps:
         rows = json.loads(res.output)["rows"]
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
-            want = [float("%.12g" % v) if isinstance(v, float) else v for v in want]
+            want = [(None if math.isnan(v) else float("%.12g" % v))
+                    if isinstance(v, float) else v for v in want]
             assert row == want
 
     def test_grid_parsing_inclusive_stop(self):

@@ -23,6 +23,7 @@ from oracles import (
     GridSpec,
     assert_near_one,
     gaussian_pool_loop,
+    gaussian_pooled_logdet_mp,
     gaussian_renyi_quad,
     gaussian_within_mp,
     model_average_pooled_numeric,
@@ -277,6 +278,32 @@ class TestGaussianPool:
                 assert np.array_equal(pool.mean, mu)
                 err = np.max(np.abs(full_cov(pool) - cov))
                 assert err <= 1e-12 * np.max(np.abs(cov))
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 1e3, 1e5])
+    def test_logdet_against_mpmath(self, offset):
+        # Means far from the origin relative to their spread: the pool takes
+        # that spread about mu*, so nothing of size offset^2 cancels.
+        rng = np.random.default_rng(13)
+        for n, n_members in ((1, 2), (3, 5), (6, 20)):
+            means = offset + rng.standard_normal((n_members, n))
+            w = rng.dirichlet(np.ones(n_members))
+            for covs in (np.exp(rng.uniform(-3.0, 1.0, (n_members, n))),
+                         np.stack([random_pd_cov(rng, n) for _ in range(n_members)])):
+                want = float(gaussian_pooled_logdet_mp(means, covs, w))
+                got = gaussian_pool(ens(means, covs, w)).logdet
+                assert got == pytest.approx(want, rel=0, abs=1e-14)
+
+    def test_identical_members_far_from_the_origin(self):
+        # mean 0.25 against a spread of exp(-23 / 2): the uncentred form
+        # Sigma* = sum w_i (Sigma_i + mu_i mu_i^T) - mu* mu*^T kept 2e-6 of
+        # noise in each variance of 1e-10
+        means, var = np.full((3, 80), 0.25), np.full((3, 80), math.exp(-23.0))
+        e = ens(means, var)
+        pool = gaussian_pool(e)
+        assert pool.is_diagonal and np.array_equal(pool.mean, means[0])
+        assert pool.logdet == e.logdets[0] == float(gaussian_pooled_logdet_mp(means, var))
+        for q in (0.5, 1.0, 2.0):
+            assert gaussian_between(e, q) == 1.0
 
     def test_diagonal_preserved_when_exact(self):
         pool = gaussian_pool(ens([[0.0, 0.0]] * 2, [[1.0, 2.0], [2.0, 1.0]]))
