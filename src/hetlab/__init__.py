@@ -49,7 +49,6 @@ from .datasets import (
     write_embeddings,
 )
 from .decomposition import (
-    DecompositionResult,
     SubsystemEnsemble,
     decompose,
     pooled_heterogeneity,
@@ -69,6 +68,7 @@ from .gaussian import (
     GaussianComponent,
     GaussianEnsemble,
     gaussian_between,
+    gaussian_decomposition,
     gaussian_pool,
     gaussian_renyi,
     gaussian_within,

@@ -244,7 +244,7 @@ def embeddings():
 @_exit_codes
 def embeddings_decompose(file, q, group_by, out, fmt):
     """Pooled/within/between heterogeneity per label group."""
-    q_list = _parse_floats(q, "q")
+    q_list = _parse_floats(q, "q", allow_inf=True)
     dataset = _read_input(file, datasets.read_embeddings)
     result = datasets.group_decomposition(dataset, q_list, group_by_label=group_by)
     _emit(result.write, out, fmt)
@@ -318,11 +318,8 @@ def assignments_rrh(file, q, out, fmt):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
     ids, ensemble = _read_input(file, datasets.read_assignments)
-    res = [decompose(ensemble, qv) for qv in q_list]
     result = datasets.SweepResult(
-        columns={"q": np.array(q_list),
-                 **{name: np.array([getattr(r, name) for r in res])
-                    for name in ("pooled", "within", "between", "lande_warning")}},
+        columns={"q": np.array(q_list), **decompose(ensemble, q_list)},
         metadata={"command": "assignments-rrh", "n_records": len(ids),
                   "n_categories": ensemble.n_states},
     )

@@ -137,8 +137,7 @@ def logsumexp(a, axis=None):
 
 def _dot(a, b):
     """sum_i a_i b_i along the last axis, one value per leading index: the
-    BLAS dot of `np.dot` on each row, through `np.matmul` (whose vector-vector
-    case is that dot on numpy 1.x and 2.x alike)."""
+    BLAS dot of `np.dot` on each row, through `np.matmul`."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

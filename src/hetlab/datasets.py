@@ -28,24 +28,14 @@ import csv
 import io
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .decomposition import SubsystemEnsemble
-from .errors import UndefinedOrderError, ValidationError
-from .gaussian import (
-    PIVOT_FLOOR,
-    GaussianEnsemble,
-    _check_positive_order,
-    _exp_volume,
-    _log_volume,
-    _log_within,
-    gaussian_between,
-    gaussian_pool,
-)
+from .errors import ValidationError
+from .gaussian import PIVOT_FLOOR, GaussianEnsemble, gaussian_between, gaussian_decomposition
 
 _NEIGHBOR_BLOCK = 256  # records per block of neighbor distances: 256 x N x n floats
 
@@ -377,16 +367,11 @@ def synth_embeddings(n_labels: int, per_label: int, n_z: int, seed: int, *,
 
 def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
                         group_by_label: bool = True) -> SweepResult:
-    """Pooled/within/between Gaussian heterogeneity per label group.
-
-    Uniform weights within each group, orders q in (0, inf). Between is
-    exp(log pooled - log within), finite where both volumes underflow to 0.
-    A singleton group is emitted with pooled = within (its own component
-    heterogeneity), between = 1, and the ``singleton`` flag set.
+    """Pooled/within/between Gaussian heterogeneity per label group: the
+    `gaussian_decomposition` of each group with uniform weights, at orders
+    q in (0, inf]. A singleton group has pooled = within (its own volume)
+    and between = 1, and its ``singleton`` flag is set.
     """
-    orders = [_check_positive_order(q) for q in q_list]
-    if any(map(math.isinf, orders)):
-        raise UndefinedOrderError("between-observation heterogeneity requires finite q")
     if group_by_label:
         if None in dataset.labels:
             raise ValidationError("group-by requires every record to carry a label")
@@ -397,23 +382,14 @@ def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
     else:
         items = [("*", list(range(len(dataset))))]
 
-    log_pooled, log_within = [], []
-    for _, idx in items:
-        ens = dataset.ensemble(idx)
-        # a singleton is its own pool
-        logdet = ens.logdets[0] if len(idx) == 1 else gaussian_pool(ens).logdet
-        for q in orders:
-            log_pooled.append(_log_volume(logdet, ens.dim, q))
-            log_within.append(log_pooled[-1] if len(idx) == 1 else _log_within(ens, q))
-    log_pooled, log_within = np.array(log_pooled), np.array(log_within)
-    sizes = np.repeat([len(idx) for _, idx in items], len(orders))
+    parts = [gaussian_decomposition(dataset.ensemble(idx), q_list) for _, idx in items]
+    sizes = np.repeat([len(idx) for _, idx in items], len(q_list))
     return SweepResult(
-        columns={"label": [label for label, _ in items for _ in orders],
+        columns={"label": [label for label, _ in items for _ in q_list],
                  "n": sizes,
-                 "q": np.tile(orders, len(items)),
-                 "pooled": _exp_volume(log_pooled),
-                 "within": _exp_volume(log_within),
-                 "between": _exp_volume(log_pooled - log_within),
+                 "q": np.tile(np.asarray(q_list, dtype=float), len(items)),
+                 **{name: np.concatenate([part[name] for part in parts])
+                    for name in ("pooled", "within", "between")},
                  "singleton": sizes == 1},
         metadata={"command": "embeddings-decompose",
                   "group_by": group_by_label,
@@ -431,16 +407,15 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
     n = len(dataset)
     if not 1 <= k < n:
         raise ValidationError(f"k must satisfy 1 <= k < N={n}, got {k}")
-    qf = float(q)
-    if not (qf > 0 and math.isfinite(qf)):
-        raise ValidationError("neighborhood heterogeneity requires q in (0, inf)")
     members = np.empty((n, k + 1), dtype=np.intp)
     for start in range(0, n, _NEIGHBOR_BLOCK):
         rows = np.arange(start, min(start + _NEIGHBOR_BLOCK, n))
         d = np.linalg.norm(dataset.means - dataset.means[rows, None], axis=-1)
         d[rows - start, rows] = -1.0  # the record itself always leads the ordering
         members[rows] = _nearest(d, k + 1)
-    return gaussian_between(dataset.ensemble(members), qf)
+    # in ascending record order, so that equal member sets pool bit for bit alike
+    members.sort(axis=1)
+    return gaussian_between(dataset.ensemble(members), q)
 
 
 def _nearest(d: np.ndarray, m: int) -> np.ndarray:

@@ -7,12 +7,11 @@ is attempted here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _log_hill, check_order, check_weights, first_invalid_row, renyi_heterogeneity
+from .core import check_order, check_weights, first_invalid_row, renyi_heterogeneity
 from .errors import ValidationError
 
 _WEIGHT_EQUAL_TOL = 1e-12
@@ -49,18 +48,6 @@ class SubsystemEnsemble:
         return float(w.max() - w.min()) <= _WEIGHT_EQUAL_TOL
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """pooled = within * between by construction; lande_warning marks
-    unequal weights at q outside {0, 1}, where the between >= 1 bound is
-    not guaranteed."""
-
-    pooled: float
-    within: float
-    between: float
-    lande_warning: bool
-
-
 def pooled_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
     """Heterogeneity of the weight-averaged pooled distribution."""
     pooled = ensemble.weights @ ensemble.table
@@ -70,38 +57,31 @@ def pooled_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
 
 
 def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
-    """Effective number of unique states contributed per subsystem.
+    """Effective number of unique states contributed per subsystem: the
+    heterogeneity of the joint distribution w_i p_ij over that of the weights,
+    (sum_i w_i^q sum_j p_ij^q / sum_i w_i^q)^(1/(1-q)) for generic q.
 
-    Rows with zero weight are left out. For generic q this is
-    (sum_i w_i^q sum_j p_ij^q / sum_i w_i^q)^(1/(1-q)), the heterogeneity of
-    the joint distribution w_i p_ij over that of the weights. The limits are
-    exact: q=0 is the mean support size of the rows, q=1 is
-    exp(sum_i w_i H(p_i)), and q=inf is max_i w_i / max_ij (w_i p_ij).
+    `renyi_heterogeneity` takes both limits, so they are exact: q=0 is the
+    mean support size of the rows with w_i > 0, q=1 is exp(sum_i w_i H(p_i)),
+    and q=inf is max_i w_i / max_ij (w_i p_ij). Rows and weights each sum to
+    1 only within PROB_TOL, so the joint is renormalised first.
     """
-    qf = check_order(q)
-    keep = ensemble.weights > 0.0
-    table = ensemble.table[keep]
-    weights = ensemble.weights[keep]
-
-    if qf == 0.0:
-        return float(np.count_nonzero(table > 0.0, axis=1).mean())
-    if math.isinf(qf):
-        return float(weights.max() / (weights * table.max(axis=1)).max())
-
-    # w_i^q itself, which can underflow for every row but one, is never formed.
-    # Zero cells carry no weight; dropping them once spares every later pass.
-    joint = (weights[:, None] * table).ravel()
+    joint = (ensemble.weights[:, None] * ensemble.table).ravel()
+    # Zero cells count for nothing at any order; dropping them once spares
+    # every later pass over the joint.
     joint = joint[joint > 0.0]
-    return float(np.exp(_log_hill(np.log(joint), joint, qf)
-                        - _log_hill(np.log(weights), weights, qf)))
+    joint /= joint.sum()
+    return renyi_heterogeneity(joint, q) / renyi_heterogeneity(ensemble.weights, q)
 
 
-def decompose(ensemble: SubsystemEnsemble, q) -> DecompositionResult:
-    """Full pooled/within/between decomposition at order q."""
-    qf = check_order(q)
-    pooled = pooled_heterogeneity(ensemble, qf)
-    within = within_heterogeneity(ensemble, qf)
-    between = pooled / within
-    warn = (not ensemble.has_equal_weights()) and qf not in (0.0, 1.0)
-    return DecompositionResult(pooled=pooled, within=within, between=between,
-                               lande_warning=warn)
+def decompose(ensemble: SubsystemEnsemble, q_list) -> dict:
+    """Pooled/within/between decomposition at each order of ``q_list``, as
+    ``(Q,)`` columns ``pooled``, ``within``, ``between`` (pooled / within by
+    construction) and ``lande_warning``, which marks unequal weights at q
+    outside {0, 1}, where the between >= 1 bound is not guaranteed."""
+    orders = [check_order(q) for q in q_list]
+    pooled = np.array([pooled_heterogeneity(ensemble, q) for q in orders])
+    within = np.array([within_heterogeneity(ensemble, q) for q in orders])
+    unequal = not ensemble.has_equal_weights()
+    return {"pooled": pooled, "within": within, "between": pooled / within,
+            "lande_warning": np.array([unequal and q not in (0.0, 1.0) for q in orders])}

@@ -2,7 +2,9 @@
 
 Closed-form heterogeneity of a single Gaussian, within-observation
 heterogeneity of a weighted Gaussian ensemble, moment-matched parametric
-pooling and their ratio (between).
+pooling and their ratio (between). Within and between follow the rule of
+the categorical within term: the heterogeneity of a joint distribution over
+that of the weights, one power mean (`_log_within`).
 
 A `GaussianEnsemble` holds its N members as arrays with optional leading
 stack axes: means ``(..., N, n)`` and covariances, diagonal entries of the
@@ -150,32 +152,40 @@ def gaussian_renyi(cov, q) -> float:
     return _exp_volume(_log_volume(logdet, mean.size, qf))
 
 
-def _log_within(ensemble: GaussianEnsemble, qf: float):
-    n = ensemble.dim
-    # As for categorical subsystems, the power mean of w_i p_i over that of w_i, with
-    # p_i = |2 pi Sigma_i|^(-1/2); the factor q^(-n/2) adds (n/2) log q / (q-1).
-    # A zero-weight member keeps a finite log(w_i p_i), which _log_hill needs
-    # once it is given log w.
-    w = ensemble.weights
+def _log_within(log_x, w, qf: float):
+    """log of the within rule along the last axis of ``log_x`` (log x_i of
+    the members, one row per ensemble of a stack) for weights ``w`` summing to
+    1: the heterogeneity of the joint cells w_i / x_i over that of w,
+    [sum_i w_i^q x_i^(1-q) / sum_i w_i^q]^(1/(1-q)), a power mean of the x_i.
+    Its limits are exact: sum_i w_i log x_i at q=1 and
+    log max_i w_i - log max_i (w_i / x_i) at q=inf. Where every x_i is 1 the
+    two power sums are formed from the same numbers, so the result is 0.
+    """
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)
-    log_wp = np.where(w > 0.0, log_w, 0.0) - 0.5 * (n * _LOG_2PI + ensemble.logdets)
-    log_q_factor = 1.0 if qf == 1.0 else math.log(qf) / (qf - 1.0)
-    return (_log_hill(log_wp, w, qf, log_w) - _log_hill(log_w, w, qf)
-            + 0.5 * n * log_q_factor)
+    if math.isinf(qf):
+        return log_w.max() - np.max(log_w - log_x, axis=-1)
+    # A zero-weight member keeps a finite log(w_i / x_i), which _log_hill
+    # needs once it is given log w.
+    log_w0 = np.where(w > 0.0, log_w, 0.0)
+    log_wx = log_w0 - log_x
+    return (_log_hill(log_wx, w, qf, log_w)
+            - _log_hill(np.broadcast_to(log_w0, log_wx.shape), w, qf, log_w))
 
 
 def gaussian_within(ensemble: GaussianEnsemble, q):
     """Within-observation heterogeneity of a weighted Gaussian ensemble.
 
-    Generic branch: [sum_i wbar_i^q * q^(-n/2) |2 pi Sigma_i|^((1-q)/2)]^(1/(1-q))
-    with wbar_i^q = w_i^q / sum_j w_j^q. The q=1 limit is
-    exp{(n + sum_i w_i ln|2 pi Sigma_i|) / 2}. The q=inf value is reported
-    as 0 by convention.
+    As for categorical subsystems, the heterogeneity of the joint density
+    w_i f_i(z) over that of the weights: the power mean
+    [sum_i w_i^q V_i^(1-q) / sum_i w_i^q]^(1/(1-q)) of the member volumes
+    V_i = `gaussian_renyi` (Sigma_i, q). The q=1 limit is
+    exp{(n + sum_i w_i ln|2 pi Sigma_i|) / 2} and the q=inf limit
+    max_i w_i / max_i (w_i p_i), with p_i = |2 pi Sigma_i|^(-1/2) the peak
+    density of member i.
     """
     qf = _check_positive_order(q)
-    if math.isinf(qf):
-        return np.zeros(ensemble.logdets.shape[:-1])[()]
-    return _exp_volume(_log_within(ensemble, qf))
+    log_volumes = _log_volume(ensemble.logdets, ensemble.dim, qf)
+    return _exp_volume(_log_within(log_volumes, ensemble.weights, qf))
 
 
 def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
@@ -204,11 +214,35 @@ def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
         raise DegeneratePoolError(f"pooled covariance is numerically singular: {exc}") from exc
 
 
+def _log_between(ensemble: GaussianEnsemble, pool: GaussianComponent, qf: float):
+    # V_i / V* = r_i / r*: the factors of q and 2 pi cancel from every ratio
+    log_r = 0.5 * (ensemble.logdets - np.expand_dims(pool.logdet, -1))
+    return -_log_within(log_r, ensemble.weights, qf)
+
+
 def gaussian_between(ensemble: GaussianEnsemble, q):
-    """Effective number of distinct observations at q in (0, inf):
-    exp(log pooled - log within), finite where both volumes overflow."""
+    """Effective number of distinct observations, pooled / within: the
+    reciprocal power mean (the within rule of `gaussian_within`) of the
+    ratios r_i / r* = (|Sigma_i| / |Sigma*|)^(1/2), with Sigma* the covariance
+    of the `gaussian_pool`. The ratios do not depend on q, so identical
+    members and a single member give exactly 1, and no volume is formed that
+    could overflow."""
     qf = _check_positive_order(q)
-    if math.isinf(qf):
-        raise UndefinedOrderError("between-observation heterogeneity requires finite q")
+    return _exp_volume(_log_between(ensemble, gaussian_pool(ensemble), qf))
+
+
+def gaussian_decomposition(ensemble: GaussianEnsemble, q_list) -> dict:
+    """Pooled, within and between heterogeneity of an ensemble (stack) at
+    each order of ``q_list`` in (0, inf], as columns of shape ``(..., Q)``:
+    pooled is the volume of the `gaussian_pool`, between is as in
+    `gaussian_between`, and within = pooled / between, the power mean of the
+    member volumes taken relative to the pooled volume."""
+    orders = [_check_positive_order(q) for q in q_list]
+    if not orders:
+        raise ValidationError("at least one order is required")
     pool = gaussian_pool(ensemble)
-    return _exp_volume(_log_volume(pool.logdet, ensemble.dim, qf) - _log_within(ensemble, qf))
+    log_pooled = np.stack([_log_volume(pool.logdet, ensemble.dim, q) for q in orders], -1)
+    log_between = np.stack([_log_between(ensemble, pool, q) for q in orders], -1)
+    return {"pooled": _exp_volume(log_pooled),
+            "within": _exp_volume(log_pooled - log_between),
+            "between": _exp_volume(log_between)}

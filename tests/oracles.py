@@ -433,6 +433,16 @@ def gaussian_within_mp(weights, covariances, q: float) -> float:
     return _mp_hill(power_sum, q)
 
 
+def gaussian_within_inf_mp(weights, covariances):
+    """max_i w_i / max_i (w_i p_i), p_i = |2 pi Sigma_i|^(-1/2), at 50 digits
+    for full covariance matrices."""
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(x)) for x in weights]
+        peaks = [mpmath.det(2 * mpmath.pi * mpmath.matrix(np.asarray(c).tolist())) ** -0.5
+                 for c in covariances]
+        return float(max(w) / max(x * p for x, p in zip(w, peaks)))
+
+
 def leinster_cobbold_mp(s, p, q: float) -> float:
     """[sum_i p_i (Sp)_i^(q-1)]^(1/(1-q)) over the support of p."""
     def power_sum(qm):

@@ -268,11 +268,11 @@ def test_criterion_6_property_suites(capsys):
         table = rng.dirichlet(np.ones(cols), size=rows)
         w = rng.dirichlet(np.ones(rows))
         q = [0.0, 0.5, 1.0, 2.0, 7.0][rng.integers(5)]
-        res = decompose(SubsystemEnsemble(table=table, weights=w), q)
-        identity &= math.isclose(res.pooled, res.within * res.between,
+        res = decompose(SubsystemEnsemble(table=table, weights=w), [q])
+        identity &= math.isclose(res["pooled"][0], res["within"][0] * res["between"][0],
                                  rel_tol=1e-9)
-        res_eq = decompose(SubsystemEnsemble(table=table), q)
-        lande &= res_eq.between >= 1.0 - 1e-9
+        res_eq = decompose(SubsystemEnsemble(table=table), [q])
+        lande &= res_eq["between"][0] >= 1.0 - 1e-9
 
     checks = [
         ("replication principle (1000x)", replication),

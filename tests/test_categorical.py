@@ -40,10 +40,9 @@ class TestBatch:
 class TestRrhDecompose:
     def test_identical_onehot_rows(self):
         ens = SubsystemEnsemble(table=np.tile([0.0, 1.0, 0.0], (5, 1)))
-        for q in (0.0, 1.0, 2.0):
-            res = decompose(ens, q)
-            assert res.between == pytest.approx(1.0, rel=1e-6, abs=0)
-            assert res.pooled == pytest.approx(1.0, rel=1e-6, abs=0)
+        res = decompose(ens, [0.0, 1.0, 2.0])
+        assert res["between"] == pytest.approx([1.0] * 3, rel=1e-6, abs=0)
+        assert res["pooled"] == pytest.approx([1.0] * 3, rel=1e-6, abs=0)
 
     def test_onehot_counts_give_hill_number(self):
         # hard assignments: between = heterogeneity of the class frequencies
@@ -55,19 +54,18 @@ class TestRrhDecompose:
             rows.extend([row] * c)
         ens = SubsystemEnsemble(table=np.stack(rows))
         freqs = np.array(counts) / sum(counts)
-        for q in (0.0, 0.5, 1.0, 2.0):
-            res = decompose(ens, q)
-            assert res.within == pytest.approx(1.0, rel=1e-9, abs=0)
-            assert res.between == pytest.approx(
-                renyi_heterogeneity(freqs, q), rel=1e-9, abs=0)
+        orders = [0.0, 0.5, 1.0, 2.0]
+        res = decompose(ens, orders)
+        assert res["within"] == pytest.approx([1.0] * 4, rel=1e-9, abs=0)
+        assert res["between"] == pytest.approx(
+            [renyi_heterogeneity(freqs, q) for q in orders], rel=1e-9, abs=0)
 
     def test_uniform_rows_between_one(self):
         ens = SubsystemEnsemble(table=np.full((4, 3), 1 / 3))
-        for q in (0.5, 1.0, 2.0):
-            res = decompose(ens, q)
-            assert res.between == pytest.approx(1.0, rel=1e-9, abs=0)
-            assert res.within == pytest.approx(3.0, rel=1e-9, abs=0)
+        res = decompose(ens, [0.5, 1.0, 2.0])
+        assert res["between"] == pytest.approx([1.0] * 3, rel=1e-9, abs=0)
+        assert res["within"] == pytest.approx([3.0] * 3, rel=1e-9, abs=0)
 
     def test_single_row(self):
         ens = SubsystemEnsemble(table=[[0.3, 0.7]])
-        assert decompose(ens, 2.0).between == pytest.approx(1.0, rel=1e-6, abs=0)
+        assert decompose(ens, [2.0])["between"][0] == pytest.approx(1.0, rel=1e-6, abs=0)

@@ -595,14 +595,3 @@ class TestDistributionStacks:
         d = distance_stack(np.random.default_rng(42), (2,))
         with pytest.raises(ValidationError, match=r"do not broadcast, \(2,\) against \(5,\)"):
             _DISTRIBUTION_KERNELS[kernel](d, STACK_ROWS, 2.0)
-
-    def test_stacks_need_no_numpy_2_api(self, monkeypatch):
-        # pyproject allows numpy 1.24, which has neither of these functions
-        d = distance_stack(np.random.default_rng(43), (2,))
-        calls = [(f, q) for f in _DISTRIBUTION_KERNELS.values()
-                 for q in (0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0)]
-        want = [f(d, STACK_ROWS[:, None], q) for f, q in calls]
-        monkeypatch.delattr(np, "vecdot", raising=False)
-        monkeypatch.delattr(np.linalg, "matrix_transpose", raising=False)
-        for (f, q), expected in zip(calls, want):
-            np.testing.assert_array_equal(f(d, STACK_ROWS[:, None], q), expected)

@@ -180,17 +180,6 @@ class TestRenyiRows:
             with pytest.raises(ValidationError):
                 renyi_heterogeneity(empty, 2.0)
 
-    def test_orders_near_one_need_no_numpy_2_api(self, monkeypatch):
-        # pyproject allows numpy 1.24, which has no np.vecdot: the q = 1 and
-        # near-1 branches must give the same values without it.
-        rows = np.array([[0.5, 0.25, 0.25], [0.0, 0.3, 0.7]])
-        expected = {q: renyi_heterogeneity(rows, q) for q in (1.0, 1.001)}
-        monkeypatch.delattr(np, "vecdot", raising=False)
-        for q, want in expected.items():
-            np.testing.assert_array_equal(renyi_heterogeneity(rows, q), want)
-        assert renyi_heterogeneity(rows[0], 1.0) == pytest.approx(
-            math.exp(-(0.5 * math.log(0.5) + 0.5 * math.log(0.25))), rel=1e-15, abs=0)
-
 
 class TestTable1Indices:
     p = np.array([0.5, 0.25, 0.25])

@@ -31,7 +31,7 @@ from hetlab.datasets import (
     write_embeddings,
 )
 from hetlab.errors import SingularityError, UndefinedOrderError, ValidationError
-from hetlab.gaussian import GaussianComponent, gaussian_renyi
+from hetlab.gaussian import GaussianComponent, gaussian_renyi, gaussian_within
 
 from oracles import (
     bmm_index_comparison_loop,
@@ -560,12 +560,25 @@ class TestGroupDecomposition:
         with pytest.raises(ValidationError):
             group_decomposition(small_dataset(), [1.0])
 
-    @pytest.mark.parametrize("q", [0.0, math.inf])
+    @pytest.mark.parametrize("q", [0.0, -1.0])
     def test_orders_outside_zero_to_inf_rejected(self, q):
-        # within is 0 at q = inf, so between is not defined there
         ds = make_dataset(*(r for r in SMALL if r[1] is not None))
         with pytest.raises(UndefinedOrderError):
             group_decomposition(ds, [1.0, q])
+
+    def test_inf_decomposes(self):
+        # within takes its q = inf limit, so pooled = within * between holds there too
+        ds = make_dataset(*(r for r in SMALL if r[1] is not None))
+        cols = group_decomposition(ds, [2.0, math.inf]).columns
+        assert cols["q"].tolist() == [2.0, math.inf] * (len(cols["q"]) // 2)
+        assert np.all(cols["within"] > 0.0)
+        assert cols["pooled"] == pytest.approx(cols["within"] * cols["between"],
+                                               rel=1e-15, abs=0)
+        for label in set(cols["label"]):
+            idx = [i for i, lab in enumerate(ds.labels) if lab == label]
+            row = cols["label"].index(label) + 1
+            assert cols["within"][row] == pytest.approx(
+                gaussian_within(ds.ensemble(idx), math.inf), rel=1e-14, abs=0)
 
     def test_whole_dataset_mode(self):
         res = group_decomposition(small_dataset(), [1.0], group_by_label=False)
@@ -575,15 +588,14 @@ class TestGroupDecomposition:
         # Three identical records far from the origin relative to their
         # spread pool to the record itself, so between is 1 (it was
         # 1.00000234948 while the pool cancelled mu_i mu_i^T against mu* mu*^T).
+        # The ratios |Sigma_i| / |Sigma*| are then exactly 1 at every order.
         ds = make_dataset(*((rid, "g", [0.25] * 80, [-23.0] * 80) for rid in "abc"))
-        orders = [0.5, 1.0, 1.0 - 2.0 ** -53, 1.001, 2.0, 7.5]
+        orders = [0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0, 7.5, math.inf]
         between = group_decomposition(ds, orders).columns["between"]
-        assert between[[0, 1, 4]].tolist() == [1.0, 1.0, 1.0]
-        # the other orders carry a last-bit rounding of log volumes near -920
-        assert between == pytest.approx(1.0, rel=2e-13, abs=0)
+        assert between.tolist() == [1.0] * 7
         text = io.StringIO()
         group_decomposition(ds, orders).write(text, "csv")
-        assert [row.split(",")[5] for row in text.getvalue().splitlines()[5:]] == ["1"] * 6
+        assert [row.split(",")[5] for row in text.getvalue().splitlines()[5:]] == ["1"] * 7
 
 
 class TestNeighborhoods:
@@ -597,8 +609,8 @@ class TestNeighborhoods:
     def test_identical_records_give_one(self):
         ds = make_dataset(*(
             (f"r{i}", None, [1.0, 2.0], [-1.0, -1.0]) for i in range(4)))
-        vals = neighborhood_between(ds, 3, 1.0)
-        assert np.allclose(vals, 1.0, atol=1e-9)
+        for q in (0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0, 7.5, math.inf):
+            assert neighborhood_between(ds, 3, q).tolist() == [1.0] * 4
 
     def test_tie_order_ascending_index(self):
         # identical records: every score ties, so both lists follow index order
@@ -671,7 +683,22 @@ class TestNeighborhoods:
         for k in (1, 7, 49, len(ds) - 1):
             neighborhood_between(ds, k, 1.0)
             want = np.stack([neighborhood_members(ds.means, i, k) for i in range(len(ds))])
-            assert np.array_equal(seen.pop(), want), k
+            # the members are pooled in ascending record order
+            assert np.array_equal(seen.pop(), np.sort(want, axis=1)), k
+
+    def test_equal_member_sets_give_equal_values(self):
+        # p, q and t each have the neighborhood {p, q, t}; pooled in the
+        # order of distance, q came out 1 ulp above p and t
+        ds = make_dataset(("p", None, [0.0, 0.0], [-1.0, -1.0]),
+                          ("q", None, [1.0, 0.0], [-1.5, -1.0]),
+                          ("r", None, [0.0, 2.0], [-1.0, -2.0]),
+                          ("s", None, [4.0, 4.0], [-0.5, -1.0]),
+                          ("t", None, [1.0, 1.0], [-1.0, -1.0]))
+        for q in (0.5, 1.0, 2.0, math.inf):
+            vals = neighborhood_between(ds, 2, q)
+            assert vals[0] == vals[1] == vals[4], q
+        cols = neighborhood_sweep(ds, 2, 1.0, top=2).columns
+        assert cols["id"][2:] == ["p", "q"]
 
     def test_two_cluster_contrast(self):
         # points inside a tight cluster see low between-heterogeneity;
@@ -958,6 +985,17 @@ class TestCliEmbeddings:
         payload = json.loads(res.output)
         assert payload["metadata"]["k"] == 5
         assert len(payload["rows"]) == 6
+
+    def test_infinite_order(self, tmp_path):
+        path = self.synth_file(tmp_path)
+        res = self.run(["embeddings", "decompose", str(path), "--q", "2,inf",
+                        "--format", "json"])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(res.output)["rows"]
+        assert [row[2] for row in rows] == [2.0, math.inf] * 3
+        res = self.run(["embeddings", "neighborhoods", str(path), "--k", "5", "--q", "inf"])
+        assert res.exit_code == 0, res.output
+        assert "# q=inf" in res.output
 
     def test_neighborhood_k_usage_error(self, tmp_path):
         path = self.synth_file(tmp_path)

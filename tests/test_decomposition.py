@@ -67,11 +67,11 @@ class TestBranches:
     def test_identical_rows_between_one(self):
         table = np.tile([0.2, 0.3, 0.5], (4, 1))
         ens = SubsystemEnsemble(table=table)
-        for q in (0.0, 0.5, 1.0, 2.0, 7.0):
-            res = decompose(ens, q)
-            assert res.between == pytest.approx(1.0, rel=1e-9, abs=0)
-            assert res.pooled == pytest.approx(
-                renyi_heterogeneity(table[0], q), rel=1e-9, abs=0)
+        orders = [0.0, 0.5, 1.0, 2.0, 7.0]
+        res = decompose(ens, orders)
+        assert res["between"] == pytest.approx([1.0] * 5, rel=1e-9, abs=0)
+        assert res["pooled"] == pytest.approx(
+            [renyi_heterogeneity(table[0], q) for q in orders], rel=1e-9, abs=0)
 
     def test_disjoint_supports_between_n(self):
         # replication: N subsystems on disjoint supports, equal weights
@@ -81,7 +81,7 @@ class TestBranches:
         table[2, 4:] = [0.9, 0.1]
         ens = SubsystemEnsemble(table=table)
         # at q=1 between is exactly N even for unequal row shapes
-        assert decompose(ens, 1.0).between == pytest.approx(3.0, rel=1e-9, abs=0)
+        assert decompose(ens, [1.0])["between"][0] == pytest.approx(3.0, rel=1e-9, abs=0)
 
     def test_q0_within_is_mean_richness(self):
         table = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
@@ -152,6 +152,23 @@ class TestBranches:
             assert within_heterogeneity(ens, q) == pytest.approx(
                 within_heterogeneity_loop(table, weights, q), rel=1e-12, abs=0)
 
+    def test_rows_and_weights_at_the_tolerance(self):
+        # Rows and weights each sum to 1 + 0.9e-9, within PROB_TOL; their
+        # joint sums to 1 + 1.8e-9 and is renormalised before it is measured.
+        table = np.array([[0.5, 0.5 + 0.9e-9, 0.0], [0.25, 0.25, 0.5 + 0.9e-9]])
+        ens = SubsystemEnsemble(table=table, weights=[0.7 + 0.9e-9, 0.3])
+        orders = [0.0, 0.5, 2.0, 7.0, math.inf]
+        res = decompose(ens, orders)
+        want = [within_mp(table, ens.weights, q) for q in orders[1:-1]]
+        assert res["within"][1:-1] == pytest.approx(want, rel=1e-8, abs=0)
+        assert res["within"][0] == 2.5
+        assert res["within"][-1] == pytest.approx(
+            ens.weights.max() / (ens.weights[:, None] * table).max(), rel=1e-8, abs=0)
+        assert within_heterogeneity(ens, 1.0) == pytest.approx(
+            within_heterogeneity(SubsystemEnsemble(table=table / table.sum(1)[:, None],
+                                                   weights=[0.7, 0.3]), 1.0),
+            rel=1e-8, abs=0)
+
     def test_pooled_matches_direct(self):
         rng = np.random.default_rng(17)
         ens = random_ensemble(rng, 4, 5, equal_weights=False)
@@ -167,9 +184,8 @@ class TestIdentityAndWarnings:
     def test_pooled_equals_within_times_between(self, seed):
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng, equal_weights=bool(seed % 2))
-        for q in (0.0, 0.5, 1.0, 2.0, 10.0):
-            res = decompose(ens, q)
-            assert res.pooled == pytest.approx(res.within * res.between, rel=1e-9, abs=0)
+        res = decompose(ens, [0.0, 0.5, 1.0, 2.0, 10.0])
+        assert res["pooled"] == pytest.approx(res["within"] * res["between"], rel=1e-9, abs=0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=300, deadline=None)
@@ -177,15 +193,13 @@ class TestIdentityAndWarnings:
         # equal weights: pooled >= within, i.e. between >= 1
         rng = np.random.default_rng(seed)
         ens = random_ensemble(rng, equal_weights=True)
-        for q in (0.0, 0.5, 1.0, 2.0, 10.0):
-            res = decompose(ens, q)
-            assert res.between >= 1.0 - 1e-9
-            assert not res.lande_warning
+        res = decompose(ens, [0.0, 0.5, 1.0, 2.0, 10.0])
+        assert np.all(res["between"] >= 1.0 - 1e-9)
+        assert not res["lande_warning"].any()
 
     def test_warning_flag(self):
         ens = SubsystemEnsemble(table=[[0.9, 0.1], [0.2, 0.8]], weights=[0.7, 0.3])
-        assert decompose(ens, 2.0).lande_warning
-        assert not decompose(ens, 1.0).lande_warning
-        assert not decompose(ens, 0.0).lande_warning
+        assert decompose(ens, [2.0, 1.0, 0.0, math.inf])["lande_warning"].tolist() == [
+            True, False, False, True]
         eq = SubsystemEnsemble(table=[[0.9, 0.1], [0.2, 0.8]])
-        assert not decompose(eq, 2.0).lande_warning
+        assert not decompose(eq, [2.0])["lande_warning"][0]

@@ -14,6 +14,7 @@ from hetlab.gaussian import (
     GaussianComponent,
     GaussianEnsemble,
     gaussian_between,
+    gaussian_decomposition,
     gaussian_pool,
     gaussian_renyi,
     gaussian_within,
@@ -25,6 +26,7 @@ from oracles import (
     gaussian_pool_loop,
     gaussian_pooled_logdet_mp,
     gaussian_renyi_quad,
+    gaussian_within_inf_mp,
     gaussian_within_mp,
     model_average_pooled_numeric,
     random_pd_cov,
@@ -191,9 +193,33 @@ class TestGaussianWithin:
         assert gaussian_within(e, 1.0) == pytest.approx(
             gaussian_renyi(cov, 1.0), rel=1e-12, abs=0)
 
-    def test_inf_is_zero(self):
-        e = ens([[0.0], [3.0]], [[1.0], [2.0]])
-        assert gaussian_within(e, math.inf) == 0.0
+    @staticmethod
+    def unequal_ensemble():
+        rng = np.random.default_rng(0)
+        covs = [random_pd_cov(rng, 3) for _ in range(4)]
+        return ens(np.zeros((4, 3)), covs, [0.4, 0.3, 0.2, 0.1]), covs
+
+    def test_inf_is_the_limit(self):
+        # max_i w_i / max_i (w_i p_i) with p_i the peak density of member i,
+        # which the finite orders approach
+        e, covs = self.unequal_ensemble()
+        exact = gaussian_within(e, math.inf)
+        assert exact == pytest.approx(gaussian_within_inf_mp(e.weights, covs),
+                                      rel=1e-14, abs=0)
+        assert gaussian_within_mp(e.weights, covs, 1e6) == pytest.approx(exact, rel=1e-4, abs=0)
+        assert gaussian_within_mp(e.weights, covs, 1e8) == pytest.approx(exact, rel=1e-6, abs=0)
+        gaps = [abs(gaussian_within(e, q) - exact) for q in (1e2, 1e4, 1e6)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+    def test_inf_ties_and_zero_weights(self):
+        # member 1 has the largest weight, member 2 the largest w_i p_i, and
+        # the zero-weight member 3 the largest peak density
+        covs = [[1.0], [2.0], [0.5], [1e-6]]
+        e = ens([[0.0], [1.0], [2.0], [3.0]], covs, [0.2, 0.5, 0.3, 0.0])
+        assert gaussian_within(e, math.inf) == pytest.approx(
+            gaussian_within_inf_mp(e.weights, np.reshape(covs, (4, 1, 1))), rel=1e-15, abs=0)
+        assert gaussian_within(e, math.inf) == pytest.approx(
+            0.5 / (0.3 / math.sqrt(2 * math.pi * 0.5)), rel=1e-15, abs=0)
 
     def test_q1_continuity(self):
         rng = np.random.default_rng(8)
@@ -353,7 +379,9 @@ class TestStacks:
                 assert within[b] == pytest.approx(gaussian_within(one, q), rel=1e-15, abs=0)
                 assert between[b] == pytest.approx(gaussian_between(one, q),
                                                    rel=1e-15, abs=0)
-        assert np.array_equal(gaussian_within(e, math.inf), np.zeros(5))
+        for b, one in enumerate(singles):
+            assert gaussian_within(e, math.inf)[b] == gaussian_within(one, math.inf)
+            assert gaussian_between(e, math.inf)[b] == gaussian_between(one, math.inf)
 
     def test_leading_axes_of_any_rank(self):
         means, covs = self.stack(False, shape=(6, 4, 2))
@@ -370,14 +398,6 @@ class TestStacks:
         assert np.array_equal(mixed.covariance[0], np.eye(2))
         both = gaussian_pool(ens([same, same], np.ones((2, 2, 2))))
         assert both.is_diagonal and np.array_equal(both.covariance, np.ones((2, 2)))
-
-    def test_stacks_need_no_numpy_2_api(self, monkeypatch):
-        # pyproject allows numpy 1.24, which has neither of these functions
-        means, covs = self.stack(True)
-        want = gaussian_between(ens(means, covs), 2.0)
-        monkeypatch.delattr(np, "vecdot", raising=False)
-        monkeypatch.delattr(np.linalg, "matrix_transpose", raising=False)
-        np.testing.assert_array_equal(gaussian_between(ens(means, covs), 2.0), want)
 
     @pytest.mark.parametrize("full,bad", [
         (True, [[1.0, 0.3], [0.1, 1.0]]),     # asymmetric
@@ -423,12 +443,31 @@ class TestGaussianBetween:
         assert 1.0 < val <= 2.0 + 1e-6
         assert val == pytest.approx(2.0, rel=1e-4, abs=0)
 
-    def test_orders_rejected(self):
+    def test_q0_rejected(self):
         e = ens([[0.0]], [[1.0]])
         with pytest.raises(UndefinedOrderError):
             gaussian_between(e, 0.0)
-        with pytest.raises(UndefinedOrderError):
-            gaussian_between(e, math.inf)
+
+    def test_pooled_is_within_times_between(self):
+        e, _ = TestGaussianWithin.unequal_ensemble()
+        pooled = gaussian_pool(e).covariance
+        for q in (0.5, 1.0, 2.0, 1e6, math.inf):
+            assert gaussian_renyi(pooled, q) == pytest.approx(
+                gaussian_within(e, q) * gaussian_between(e, q), rel=1e-13, abs=0)
+        cols = gaussian_decomposition(e, [0.5, 1.0, 2.0, math.inf])
+        assert cols["pooled"] == pytest.approx(cols["within"] * cols["between"],
+                                               rel=1e-15, abs=0)
+        assert cols["within"][-1] == pytest.approx(gaussian_within(e, math.inf),
+                                                   rel=1e-14, abs=0)
+
+    def test_decomposition_needs_an_order(self):
+        with pytest.raises(ValidationError, match="at least one order"):
+            gaussian_decomposition(ens([[0.0]], [[1.0]]), [])
+
+    def test_single_member_gives_one(self):
+        e = ens([[1.0, 2.0]], [[[1.5, 0.2], [0.2, 0.8]]])
+        for q in (0.5, 1.0, 1.0 - 2.0 ** -53, 2.0, 7.5, math.inf):
+            assert gaussian_between(e, q) == 1.0
 
 
 class TestModelAveragePool:

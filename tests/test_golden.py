@@ -45,6 +45,8 @@ CASES = {
     "rrh-weighted": ["assignments", "rrh", "{asg}", "--q", "0,2,inf"],
     "decompose": ["embeddings", "decompose", "{emb}", "--q", "1,2"],
     "decompose-whole": ["embeddings", "decompose", "{emb}", "--q", "0.5", "--whole"],
+    # q = inf: within is max w_i / max (w_i p_i) with p_i the peak density
+    "decompose-inf": ["embeddings", "decompose", "{emb}", "--q", "2,inf"],
     "neighborhoods": ["embeddings", "neighborhoods", "{nb}", "--k", "2", "--top", "2"],
     "synth": ["embeddings", "synth", "--labels", "2", "--per-label", "2", "--nz", "2",
               "--seed", "3"],
@@ -724,6 +726,74 @@ label,n,q,pooled,within,between,singleton
  ]
 }
 """,
+    ('decompose-inf', 'csv'): """\
+# command=embeddings-decompose
+# group_by=true
+# n_records=4
+# n_z=2
+label,n,q,pooled,within,between,singleton
+x,3,2,5.7196957504,3.88692001464,1.47152391324,false
+x,3,inf,2.8598478752,1.80016273007,1.58866075129,false
+y,1,2,5.93593316757,5.93593316757,1,true
+y,1,inf,2.96796658379,2.96796658379,1,true
+""",
+    ('decompose-inf', 'json'): """\
+{
+ "metadata": {
+  "command": "embeddings-decompose",
+  "group_by": true,
+  "n_records": 4,
+  "n_z": 2
+ },
+ "columns": [
+  "label",
+  "n",
+  "q",
+  "pooled",
+  "within",
+  "between",
+  "singleton"
+ ],
+ "rows": [
+  [
+   "x",
+   3,
+   2.0,
+   5.7196957504,
+   3.88692001464,
+   1.47152391324,
+   false
+  ],
+  [
+   "x",
+   3,
+   Infinity,
+   2.8598478752,
+   1.80016273007,
+   1.58866075129,
+   false
+  ],
+  [
+   "y",
+   1,
+   2.0,
+   5.93593316757,
+   5.93593316757,
+   1.0,
+   true
+  ],
+  [
+   "y",
+   1,
+   Infinity,
+   2.96796658379,
+   2.96796658379,
+   1.0,
+   true
+  ]
+ ]
+}
+""",
     ('neighborhoods', 'csv'): """\
 # command=embeddings-neighborhoods
 # k=2
@@ -734,7 +804,7 @@ kind,rank,id,label,between
 high,1,s,,5.11573016537
 high,2,r,,2.41325606277
 low,1,p,,1.63809488605
-low,2,t,,1.63809488605
+low,2,q,,1.63809488605
 """,
     ('neighborhoods', 'json'): """\
 {
@@ -777,7 +847,7 @@ low,2,t,,1.63809488605
   [
    "low",
    2,
-   "t",
+   "q",
    null,
    1.63809488605
   ]
