@@ -21,7 +21,7 @@ from .classic import (
     rescale_distance,
     similarity_from_distance,
 )
-from .core import check_order, renyi_heterogeneity
+from .core import check_orders, renyi_heterogeneity
 from .errors import DegenerateDistanceError, NumericalError, ValidationError
 from .special import BetaShape, beta_pdf, gen_reg_inc_beta, log_beta, log_gamma, reg_hyp3f2_unit
 
@@ -30,19 +30,22 @@ _EQUAL_SHAPE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BetaMixtureParams:
-    """Mixture (1-theta1) Beta(theta2, theta3) + theta1 Beta(theta3, theta2)."""
+    """Mixture (1-theta1) Beta(theta2, theta3) + theta1 Beta(theta3, theta2); a
+    theta1 array is a stack of mixtures sharing (theta2, theta3), such as a grid."""
 
-    theta1: float
+    theta1: float | np.ndarray
     theta2: float
     theta3: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta1 < 1.0:
-            raise ValidationError(f"theta1 must be in (0, 1), got {self.theta1}")
-        if not (self.theta2 > 0 and math.isfinite(self.theta2)):
-            raise ValidationError(f"theta2 must be positive and finite, got {self.theta2}")
-        if not (self.theta3 > 0 and math.isfinite(self.theta3)):
-            raise ValidationError(f"theta3 must be positive and finite, got {self.theta3}")
+        theta1 = np.array(self.theta1, dtype=float)
+        if theta1.ndim > 1 or not theta1.size or not np.all((theta1 > 0.0) & (theta1 < 1.0)):
+            raise ValidationError(
+                f"theta1 must be in (0, 1), a float or a non-empty 1-D array, got {self.theta1}")
+        object.__setattr__(self, "theta1", theta1 if theta1.ndim else float(theta1))
+        for name, value in (("theta2", self.theta2), ("theta3", self.theta3)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
 
     @property
     def component1(self) -> BetaShape:
@@ -59,19 +62,11 @@ def bmm_marginal_pdf(x: float, theta: BetaMixtureParams) -> float:
         + theta.theta1 * beta_pdf(x, theta.component2)
 
 
-def optimal_threshold(theta: BetaMixtureParams) -> float:
-    """Decision threshold where the two component posteriors are equal.
-
-    For theta2 != theta3 the posteriors cross at
-    tau = 1 / (1 + r) with r = ((1 - theta1) / theta1)^(1 / (theta2 - theta3)).
-    With identical shapes the posteriors never cross and the whole interval
-    is assigned to the more probable component (tau = 0 if theta1 > 1/2,
-    else tau = 1).
-    """
-    diff = theta.theta2 - theta.theta3
+def _threshold(theta1: float, diff: float) -> float:
     if abs(diff) < _EQUAL_SHAPE_TOL:
-        return 0.0 if theta.theta1 > 0.5 else 1.0
-    log_r = (math.log1p(-theta.theta1) - math.log(theta.theta1)) / diff
+        return 0.0 if theta1 > 0.5 else 1.0
+    # math, not numpy: numpy's log1p and exp differ from libm in the last bit
+    log_r = (math.log1p(-theta1) - math.log(theta1)) / diff
     # tau = 1/(1 + r); where r overflows a float, tau is 0 to double precision.
     try:
         return 1.0 / (1.0 + math.exp(log_r))
@@ -79,15 +74,31 @@ def optimal_threshold(theta: BetaMixtureParams) -> float:
         return 0.0
 
 
-def assignment_mass(theta: BetaMixtureParams, tau: float) -> np.ndarray:
+def optimal_threshold(theta: BetaMixtureParams):
+    """Decision threshold where the two component posteriors are equal: a
+    float, or an array of one per theta1.
+
+    For theta2 != theta3 the posteriors cross at
+    tau = 1 / (1 + r) with r = ((1 - theta1) / theta1)^(1 / (theta2 - theta3)).
+    With identical shapes the posteriors never cross and the whole interval
+    is assigned to the more probable component (tau = 0 if theta1 > 1/2,
+    else tau = 1).
+    """
+    theta1 = np.asarray(theta.theta1)
+    diff = theta.theta2 - theta.theta3
+    tau = np.reshape([_threshold(t, diff) for t in theta1.ravel().tolist()], theta1.shape)
+    return float(tau) if tau.ndim == 0 else tau
+
+
+def assignment_mass(theta: BetaMixtureParams, tau) -> np.ndarray:
     """Expected hard-assignment distribution (fbar(z=1), fbar(z=2)) at
-    threshold tau: mass above tau goes to component 2."""
-    if not 0.0 <= tau <= 1.0:
+    threshold tau: mass above tau goes to component 2. ``theta1`` and
+    ``tau`` broadcast; the result has their shape plus a last axis of 2."""
+    if not np.all(np.greater_equal(tau, 0.0) & np.less_equal(tau, 1.0)):
         raise ValidationError(f"tau must be in [0, 1], got {tau}")
-    mass2 = (1.0 - theta.theta1) * gen_reg_inc_beta(tau, 1.0, theta.component1) \
-        + theta.theta1 * gen_reg_inc_beta(tau, 1.0, theta.component2)
-    mass2 = min(max(mass2, 0.0), 1.0)
-    return np.array([1.0 - mass2, mass2])
+    mass2 = np.clip((1.0 - theta.theta1) * gen_reg_inc_beta(tau, 1.0, theta.component1)
+                    + theta.theta1 * gen_reg_inc_beta(tau, 1.0, theta.component2), 0.0, 1.0)
+    return np.stack([1.0 - mass2, mass2], axis=-1)
 
 
 def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> np.ndarray:
@@ -97,15 +108,12 @@ def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> np.ndarray:
 
     Every observation is assigned with certainty, so the within term is
     identically 1 and between equals the pooled heterogeneity of the
-    expected assignment mass, which is computed once per threshold. Always
-    in [1, 2].
+    expected assignment mass, which is computed once for all thresholds.
+    Always in [1, 2].
     """
-    if not len(q_list):
-        raise ValidationError("at least one order is required")
-    taus = np.asarray(tau, dtype=float)
-    mass = np.array([assignment_mass(theta, t) for t in taus.ravel().tolist()])
-    mass = mass.reshape(taus.shape + (2,))
-    return np.stack([renyi_heterogeneity(mass, q) for q in q_list], axis=-1)
+    orders = check_orders(q_list)
+    mass = assignment_mass(theta, tau)
+    return np.stack([renyi_heterogeneity(mass, q) for q in orders], axis=-1)
 
 
 def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
@@ -159,43 +167,33 @@ def expected_distance_matrix(theta: BetaMixtureParams) -> np.ndarray:
     return np.array([[d_same, d12], [d12, d_same]])
 
 
-def bmm_index_comparison(theta, q_list, u: float = 1.0) -> dict:
+def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> dict:
     """Evaluate the categorical and non-categorical indices on the same
     analytic two-component problem: ``{"tau", "rrh", "fhn", "neqrqe",
-    "lci"}``, each a float array of shape (number of thetas, len(q_list)),
+    "lci"}``, each a float array of shape (number of theta1, len(q_list)),
     where ``tau`` is the optimal threshold the rrh column is taken at.
 
-    ``theta`` is one `BetaMixtureParams` or a sequence of them that share
-    (theta2, theta3), such as a theta1 grid. The expected-distance matrix
-    and the similarity matrix depend only on that shape pair and are
-    computed once per call; the optimal threshold and the assignment mass
-    once per theta; and each index once per order, on the stack of priors
-    (1 - theta1, theta1).
+    The expected-distance matrix and the similarity matrix depend only on
+    (theta2, theta3) and are computed once per call; the optimal thresholds
+    and the assignment masses once for a theta1 stack; and each index once
+    per order, on the stack of priors (1 - theta1, theta1).
 
     Absent values are NaN. The quadratic-entropy column is filled only at
     q=2 and only when the expected-distance matrix is non-constant (it
     cannot be rescaled otherwise). The functional Hill number is NaN where
     `functional_hill` says so, which here means q=inf.
     """
-    thetas = [theta] if isinstance(theta, BetaMixtureParams) else list(theta)
-    orders = [check_order(q) for q in q_list]
+    orders = check_orders(q_list)
     if u < 0:
         raise ValidationError(f"u must be >= 0, got {u}")
-    if not thetas or not orders:
-        raise ValidationError("at least one theta and one order are required")
-    pair = (thetas[0].theta2, thetas[0].theta3)
-    for t in thetas:
-        if (t.theta2, t.theta3) != pair:
-            raise ValidationError(
-                f"every theta must share (theta2, theta3) = {pair}, "
-                f"got {(t.theta2, t.theta3)}")
-    prior = np.array([[1.0 - t.theta1, t.theta1] for t in thetas])
-    dist = expected_distance_matrix(thetas[0])
-    tau = np.array([optimal_threshold(t) for t in thetas])
-    mass = np.array([assignment_mass(t, tau_t) for t, tau_t in zip(thetas, tau.tolist())])
+    theta1 = np.atleast_1d(theta.theta1)
+    prior = np.stack([1.0 - theta1, theta1], axis=-1)
+    dist = expected_distance_matrix(theta)
+    tau = np.atleast_1d(optimal_threshold(theta))
+    mass = assignment_mass(theta, tau)
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
 
-    neq = np.full(len(thetas), np.nan)
+    neq = np.full(len(theta1), np.nan)
     if 2.0 in orders:
         try:
             scaled = rescale_distance(dist, require_zero_diagonal=False)

@@ -210,7 +210,7 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
         columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
                    "theta3": theta3, "q": q_list, "u": u,
                    **betamix.bmm_index_comparison(
-                       [betamix.BetaMixtureParams(t1, theta2, theta3) for t1 in grid_vals],
+                       betamix.BetaMixtureParams(np.array(grid_vals), theta2, theta3),
                        q_list, u)}
     else:
         theta = betamix.BetaMixtureParams(theta1, theta2, theta3)

@@ -116,6 +116,14 @@ def check_order(q) -> float:
     return qf
 
 
+def check_orders(q_list) -> list:
+    """Validate a list of orders: at least one, each as `check_order`."""
+    orders = [check_order(q) for q in q_list]
+    if not orders:
+        raise ValidationError("at least one order is required")
+    return orders
+
+
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) over ``axis`` (None: every entry), in the steps of
     SciPy 1.17's logsumexp, so the two agree bit for bit: the m entries tied

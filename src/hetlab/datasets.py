@@ -17,9 +17,9 @@ names the first bad record, so errors read alike in both formats (``record
 a UTF-8 byte-order mark is the opener's to drop: the CLI opens inputs with
 ``encoding="utf-8-sig"``. Output is written column by column, by one rule:
 floats at 12 significant digits (the JSON value is the written number) and
-booleans as ``true``/``false``; a value that is not defined (NaN or None) is
-an empty CSV cell and a JSON ``null``. There are no timestamps, so identical
-inputs produce byte-identical files.
+booleans as ``true``/``false``; an undefined value (NaN or None) is an empty
+CSV cell and a JSON ``null``, +-inf the JSON string of its CSV text ``"inf"``
+or ``"-inf"``. No timestamps: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _cells(column, fmt: str) -> list:
     text = list(map("%.12g".__mod__, values))
     for i in np.flatnonzero(np.isnan(column)).tolist():
         text[i] = ""
-    return text if fmt == "csv" else [float(t) if t else None for t in text]
+    return text if fmt == "csv" else [t if "inf" in t else float(t) if t else None for t in text]
 
 
 def _rows(columns: dict, fmt: str):
@@ -269,7 +269,7 @@ def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> Non
         _write_csv(stream, columns)
     elif fmt == "json":
         json.dump({"records": [dict(zip(header, row)) for row in _rows(columns, fmt)]},
-                  stream, indent=1)
+                  stream, indent=1, allow_nan=False)
         stream.write("\n")
     else:
         raise ValidationError(f"unknown format {fmt!r}")
@@ -321,7 +321,7 @@ class SweepResult:
                 "columns": list(self.columns),
                 "rows": list(_rows(self.columns, fmt)),
             }
-            json.dump(payload, stream, indent=1)
+            json.dump(payload, stream, indent=1, allow_nan=False)
             stream.write("\n")
         else:
             raise ValidationError(f"unknown format {fmt!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_order, check_weights, first_invalid_row, renyi_heterogeneity
+from .core import check_orders, check_weights, first_invalid_row, renyi_heterogeneity
 from .errors import ValidationError
 
 _WEIGHT_EQUAL_TOL = 1e-12
@@ -79,7 +79,7 @@ def decompose(ensemble: SubsystemEnsemble, q_list) -> dict:
     ``(Q,)`` columns ``pooled``, ``within``, ``between`` (pooled / within by
     construction) and ``lande_warning``, which marks unequal weights at q
     outside {0, 1}, where the between >= 1 bound is not guaranteed."""
-    orders = [check_order(q) for q in q_list]
+    orders = check_orders(q_list)
     pooled = np.array([pooled_heterogeneity(ensemble, q) for q in orders])
     within = np.array([within_heterogeneity(ensemble, q) for q in orders])
     unequal = not ensemble.has_equal_weights()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SYM_TOL, _log_hill, check_order, check_weights
+from .core import SYM_TOL, _log_hill, check_order, check_orders, check_weights
 from .errors import DegeneratePoolError, NumericalError, UndefinedOrderError, ValidationError
 
 PIVOT_FLOOR = 1e-10
@@ -237,9 +237,7 @@ def gaussian_decomposition(ensemble: GaussianEnsemble, q_list) -> dict:
     pooled is the volume of the `gaussian_pool`, between is as in
     `gaussian_between`, and within = pooled / between, the power mean of the
     member volumes taken relative to the pooled volume."""
-    orders = [_check_positive_order(q) for q in q_list]
-    if not orders:
-        raise ValidationError("at least one order is required")
+    orders = [_check_positive_order(q) for q in check_orders(q_list)]
     pool = gaussian_pool(ensemble)
     log_pooled = np.stack([_log_volume(pool.logdet, ensemble.dim, q) for q in orders], -1)
     log_between = np.stack([_log_between(ensemble, pool, q) for q in orders], -1)

@@ -9,6 +9,7 @@ self-contained: it needs only ``math``, ``fractions`` and numpy, no scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,65 +69,54 @@ def beta_pdf(x: float, shape: BetaShape) -> float:
     return math.exp(ln)
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    # Modified Lentz evaluation of the incomplete-beta continued fraction.
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
+def _floor(v):
+    # keeps a Lentz denominator away from zero
+    return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+
+
+def _beta_cont_frac(a, b, x) -> np.ndarray:
+    """Modified Lentz evaluation of the incomplete-beta continued fraction over
+    1-D float arrays a, b, x of one length; each entry stops at its own convergence."""
+    idx, out, c = np.arange(x.size), np.empty(x.size), np.ones(x.size)
+    h = d = 1.0 / _floor(1.0 - (a + b) * x / (a + 1.0))
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
+        for aa in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                   -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 / _floor(1.0 + aa * d)
+            c = _floor(1.0 + aa / c)
+            h = h * (d * c)
+        done = np.abs(d * c - 1.0) < _CF_EPS
+        out[idx[done]] = h[done]
+        if done.all():
+            return out
+        idx, a, b, x, c, d, h = (v[~done] for v in (idx, a, b, x, c, d, h))
+    raise ConvergenceError("incomplete beta continued fraction did not converge for "
+                           f"a={a[0]}, b={b[0]}, x={x[0]}")
 
 
-def reg_inc_beta(x: float, shape: BetaShape) -> float:
-    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x."""
-    if not 0.0 <= x <= 1.0:
+def reg_inc_beta(x, shape: BetaShape):
+    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x: a
+    float for one x, an array of its shape for an array of them."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValidationError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    a, b = shape.alpha, shape.beta
-    ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    front = math.exp(ln_front)
+    flat, a, b = xs.ravel(), shape.alpha, shape.beta
+    ln_beta = log_beta(a, b)
+    # math per entry: numpy's log1p and exp differ from libm in the last bit.
+    # The zero prefactor at x = 0 and x = 1 makes I exactly 0 and 1 there.
+    front = np.array([math.exp(a * math.log(v) + b * math.log1p(-v) - ln_beta)
+                      if 0.0 < v < 1.0 else 0.0 for v in flat.tolist()])
     # Symmetry switch keeps the continued fraction in its fast-converging regime.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    low = flat < (a + 1.0) / (a + b + 2.0)
+    cf = _beta_cont_frac(np.where(low, a, b), np.where(low, b, a), np.where(low, flat, 1.0 - flat))
+    out = np.where(low, front * cf / a, 1.0 - front * cf / b).reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def gen_reg_inc_beta(x0: float, x1: float, shape: BetaShape) -> float:
-    """Generalized regularized incomplete beta: I_{x1}(a, b) - I_{x0}(a, b)."""
-    if x0 > x1:
+def gen_reg_inc_beta(x0, x1, shape: BetaShape):
+    """Generalized regularized incomplete beta I_{x1}(a, b) - I_{x0}(a, b), elementwise."""
+    if np.any(np.greater(x0, x1)):
         raise ValidationError(f"gen_reg_inc_beta requires x0 <= x1, got x0={x0} x1={x1}")
     return reg_inc_beta(x1, shape) - reg_inc_beta(x0, shape)
 
@@ -269,7 +259,12 @@ def reg_hyp3f2_unit(num, den) -> float:
         raise ConvergenceError(
             f"series at unit argument diverges: sum(den) - sum(num) = {s_exp} <= 0"
         )
-    prefactor = math.exp(-math.lgamma(b[0]) - math.lgamma(b[1]))
+    try:  # 1/(Gamma(b1) Gamma(b2)); exp(-lgamma - lgamma) is up to 2e-13 off
+        prefactor = 1.0 / math.gamma(b[0]) / math.gamma(b[1])
+    except OverflowError:
+        prefactor = 0.0
+    if prefactor < sys.float_info.min:  # not a normal float: the log-gamma form
+        prefactor = math.exp(-math.lgamma(b[0]) - math.lgamma(b[1]))
 
     if terminating:
         coeff_sum, _, _ = _exact_coeff_sum(a, b, min(terminating) + 1)

@@ -161,6 +161,65 @@ def bmm_threshold_bisect(theta1: float, theta2: float, theta3: float) -> float:
     return float(optimize.brentq(log_ratio, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
+def beta_cont_frac_scalar(a: float, b: float, x: float) -> float:
+    """The incomplete-beta continued fraction by the scalar modified Lentz
+    recurrence, one entry at a time: the reference the array recurrence of
+    `hetlab.special` must match bit for bit."""
+    fpmin = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, 401):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise AssertionError(f"no convergence for a={a}, b={b}, x={x}")
+
+
+def reg_inc_beta_scalar(x: float, a: float, b: float) -> float:
+    """I_x(a, b) for one x: the libm prefactor times the scalar continued
+    fraction, on the side of the symmetry switch where it converges fast."""
+    if x in (0.0, 1.0):
+        return x
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * beta_cont_frac_scalar(a, b, x) / a
+    return 1.0 - front * beta_cont_frac_scalar(b, a, 1.0 - x) / b
+
+
+def assignment_mass_scalar(theta1: float, theta2: float, theta3: float, tau: float):
+    """(mass below tau, mass above tau) of the two-component beta mixture,
+    from `reg_inc_beta_scalar`."""
+    mass2 = (1.0 - theta1) * (1.0 - reg_inc_beta_scalar(tau, theta2, theta3)) \
+        + theta1 * (1.0 - reg_inc_beta_scalar(tau, theta3, theta2))
+    mass2 = min(max(mass2, 0.0), 1.0)
+    return 1.0 - mass2, mass2
+
+
 def random_pd_cov(rng: np.random.Generator, n: int) -> np.ndarray:
     """A well-conditioned random positive-definite covariance."""
     a = rng.standard_normal((n, n))

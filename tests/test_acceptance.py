@@ -123,13 +123,11 @@ def test_criterion_3_bmm_index_comparison(capsys):
     at u=1; overlapping components give between-RRH 1 everywhere; < 1 min."""
     t0 = time.time()
     grid = [0.5 + 0.05 * i for i in range(10)]
-    columns = bmm_index_comparison([BetaMixtureParams(t1, 5.0, 20.0) for t1 in grid],
-                                   [1.0], 1.0)
+    columns = bmm_index_comparison(BetaMixtureParams(np.array(grid), 5.0, 20.0), [1.0], 1.0)
     rrh, fhn, lci = (columns[name][:, 0].tolist() for name in ("rrh", "fhn", "lci"))
     rising = [f for t1, f in zip(grid, fhn) if t1 <= 0.85 + 1e-12]
 
-    overlap = bmm_index_comparison([BetaMixtureParams(t1, 5.0, 5.0) for t1 in grid],
-                                   [1.0, 2.0], 1.0)
+    overlap = bmm_index_comparison(BetaMixtureParams(np.array(grid), 5.0, 5.0), [1.0, 2.0], 1.0)
     overlap_ok = bool(np.all(np.abs(overlap["rrh"] - 1.0) <= 1e-9))
 
     checks = [

@@ -24,6 +24,7 @@ from hetlab.errors import ValidationError
 from hetlab.special import BetaShape
 
 from oracles import (
+    assignment_mass_scalar,
     beta_abs_distance_dblquad,
     beta_abs_distance_quad,
     bmm_index_comparison_loop,
@@ -37,6 +38,16 @@ class TestParams:
     def test_invalid(self, t1, t2, t3):
         with pytest.raises(ValidationError):
             BetaMixtureParams(t1, t2, t3)
+
+    @pytest.mark.parametrize("theta1", [[], [[0.5]], [0.5, 1.0], [0.2, math.nan]])
+    def test_invalid_theta1_stack(self, theta1):
+        with pytest.raises(ValidationError, match="theta1"):
+            BetaMixtureParams(theta1, 5.0, 20.0)
+
+    def test_theta1_stack_is_a_float_array(self):
+        theta = BetaMixtureParams([0.2, 0.5], 5.0, 20.0)
+        assert theta.theta1.dtype == float and theta.theta1.tolist() == [0.2, 0.5]
+        assert BetaMixtureParams(0.2, 5.0, 20.0).theta1 == 0.2
 
 
 class TestMarginalPdf:
@@ -95,6 +106,16 @@ class TestOptimalThreshold:
         assert optimal_threshold(BetaMixtureParams(0.7, 5.0, 5.0 + 1e-11)) == 0.0
         assert optimal_threshold(BetaMixtureParams(0.3, 5.0, 5.0 + 1e-11)) == 1.0
 
+    @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (20.5, 2.5), (0.3, 0.45),
+                                               (5.0, 5.0), (5.0, 5.0 + 1e-11)])
+    def test_theta1_stack_matches_scalar_loop_bitwise(self, theta2, theta3):
+        # the equal-shape branch, the overflow edge and ordinary pairs
+        t1 = np.random.default_rng(32).uniform(0.01, 0.99, 50)
+        taus = optimal_threshold(BetaMixtureParams(t1, theta2, theta3))
+        assert taus.shape == t1.shape
+        assert taus.tolist() == [optimal_threshold(BetaMixtureParams(v, theta2, theta3))
+                                 for v in t1.tolist()]
+
     def test_against_bisection(self):
         # oracle: posterior-equality root found independently by brentq
         cases = [(0.7, 5.0, 20.0), (0.9, 2.0, 8.0), (0.2, 20.0, 5.0),
@@ -120,6 +141,30 @@ class TestAssignmentMass:
         taus = np.linspace(0, 1, 41)
         mass2 = [assignment_mass(theta, t)[1] for t in taus]
         assert all(b <= a + 1e-12 for a, b in zip(mass2, mass2[1:]))
+
+    @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45),
+                                               (20.0, 5.0), (4.0, 4.0)])
+    def test_stack_matches_scalar_loop_bitwise(self, theta2, theta3):
+        # oracle: the scalar Lentz recurrence per (theta1, tau), with tau at
+        # 0, 1, each switch point of the two components and random draws
+        rng = np.random.default_rng(33)
+        switch = [(a + 1.0) / (a + b + 2.0) for a, b in [(theta2, theta3), (theta3, theta2)]]
+        taus = np.concatenate([[0.0, 1.0, *switch], rng.uniform(0.0, 1.0, 20)])
+        t1 = rng.uniform(0.01, 0.99, taus.size)
+        mass = assignment_mass(BetaMixtureParams(t1, theta2, theta3), taus)
+        assert mass.shape == (taus.size, 2)
+        assert [tuple(row) for row in mass.tolist()] == [
+            assignment_mass_scalar(a, theta2, theta3, tau)
+            for a, tau in zip(t1.tolist(), taus.tolist())]
+        grid = assignment_mass(BetaMixtureParams(0.4, theta2, theta3), taus)
+        assert [tuple(row) for row in grid.tolist()] == [
+            assignment_mass_scalar(0.4, theta2, theta3, tau) for tau in taus.tolist()]
+
+    def test_tau_outside_unit_interval(self):
+        theta = BetaMixtureParams(0.5, 5.0, 20.0)
+        for tau in (-0.1, [0.5, 1.5], math.nan):
+            with pytest.raises(ValidationError, match="tau must be in"):
+                assignment_mass(theta, tau)
 
     def test_matches_quadrature(self):
         theta = BetaMixtureParams(0.7, 5.0, 20.0)
@@ -313,24 +358,23 @@ class TestIndexComparison:
         def fail(theta):
             raise AssertionError("distance matrix computed before validation")
         monkeypatch.setattr(betamix, "expected_distance_matrix", fail)
-        with pytest.raises(ValidationError):
-            bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0, -1.0])
-        with pytest.raises(ValidationError, match="share"):
-            bmm_index_comparison([BetaMixtureParams(0.5, 5.0, 20.0),
-                                  BetaMixtureParams(0.5, 5.0, 20.5)], [1.0])
-        for thetas, orders in (([], [1.0]), (BetaMixtureParams(0.5, 5.0, 20.0), [])):
-            with pytest.raises(ValidationError, match="at least one theta and one order"):
-                bmm_index_comparison(thetas, orders)
+        stack = BetaMixtureParams(np.array([0.2, 0.5, 0.9]), 5.0, 20.0)
+        with pytest.raises(ValidationError, match="elasticity order"):
+            bmm_index_comparison(stack, [1.0, -1.0])
+        with pytest.raises(ValidationError, match="at least one order"):
+            bmm_index_comparison(stack, [])
+        with pytest.raises(ValidationError, match="u must be"):
+            bmm_index_comparison(stack, [1.0], -0.5)
 
     @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45),
                                                (3.0, 3.0)])
     def test_theta_stack_matches_per_theta_loop(self, theta2, theta3):
         # theta2 == theta3 leaves the distance matrix constant, so neqrqe is NaN
         orders = [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 2.0, math.inf]
-        thetas = [BetaMixtureParams(t1, theta2, theta3)
-                  for t1 in (0.01, 0.2, 0.37, 0.5, 0.81, 0.99)]
+        grid = np.array([0.01, 0.2, 0.37, 0.5, 0.81, 0.99])
+        thetas = [BetaMixtureParams(t1, theta2, theta3) for t1 in grid.tolist()]
         for u in (0.0, 1.0, 3.5):
-            out = bmm_index_comparison(thetas, orders, u)
+            out = bmm_index_comparison(BetaMixtureParams(grid, theta2, theta3), orders, u)
             want = bmm_index_comparison_loop(thetas, orders, u)
             assert list(out) == list(want) == list(COLUMNS)
             for name in COLUMNS:
@@ -341,7 +385,8 @@ class TestIndexComparison:
             q != 2.0 or theta2 == theta3 for q in orders]
         assert np.isnan(out["fhn"][0]).tolist() == [math.isinf(q) for q in orders]
         one = bmm_index_comparison(thetas[0], orders)
-        for name, col in bmm_index_comparison(thetas[:1], orders).items():
+        for name, col in bmm_index_comparison(BetaMixtureParams(grid[:1], theta2, theta3),
+                                              orders).items():
             assert np.array_equal(col, one[name], equal_nan=True)
 
     def test_distance_matrix_shape(self):

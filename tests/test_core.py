@@ -11,6 +11,7 @@ from scipy import special
 from hetlab.core import (
     TABLE_INDICES,
     as_distribution,
+    check_orders,
     logsumexp,
     normalize,
     renyi_heterogeneity,
@@ -49,6 +50,13 @@ class TestValidation:
             renyi_heterogeneity([1.0], -1.0)
         with pytest.raises(UndefinedOrderError):
             renyi_heterogeneity([1.0], math.nan)
+
+    def test_order_list(self):
+        assert check_orders((0, 2.5, math.inf)) == [0.0, 2.5, math.inf]
+        with pytest.raises(ValidationError, match="at least one order"):
+            check_orders([])
+        with pytest.raises(UndefinedOrderError):
+            check_orders([1.0, -0.5])
 
 
 class TestLogSumExp:

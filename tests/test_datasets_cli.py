@@ -43,6 +43,14 @@ from oracles import (
 )
 
 
+def json_cell(v: float):
+    """A float as the JSON output writes it: null for NaN, the string
+    "inf"/"-inf" for an infinity, else its 12-digit number."""
+    if math.isnan(v):
+        return None
+    return "%.12g" % v if math.isinf(v) else float("%.12g" % v)
+
+
 def make_dataset(*records):
     """An EmbeddingDataset from (id, label, mean, log-variance) tuples."""
     ids, labels, means, log_var = zip(*records)
@@ -786,8 +794,8 @@ class TestCliSweeps:
         assert all(1.0 - 1e-9 <= v <= 2.0 + 1e-9 for v in rrh)
 
     def test_bmm_sweep_tau_grid_one_mass_per_tau(self, monkeypatch):
-        # the assignment mass takes four reg_inc_beta calls and depends on
-        # tau only: 2 taus x 4 orders make 8 calls, not 32
+        # the assignment mass takes four reg_inc_beta calls, each over the
+        # whole tau grid: 2 taus x 4 orders make 4 calls, not 8 or 32
         calls = []
         inner = special.reg_inc_beta
 
@@ -799,7 +807,7 @@ class TestCliSweeps:
         res = self.run(["bmm-sweep", "--tau-mode", "grid", "--grid", "0.2,0.5",
                         "--q", "0,1,2,inf"])
         assert res.exit_code == 0
-        assert len(calls) == 8
+        assert len(calls) == 4
 
     def test_bmm_sweep_distance_overflow_exits_4(self):
         res = self.run(["bmm-sweep", "--grid", "0.5", "--theta2", "12",
@@ -843,18 +851,19 @@ class TestCliSweeps:
         assert "--b" in res.output and "Traceback" not in res.output
 
     def test_bmm_sweep_one_distance_matrix_per_sweep(self, monkeypatch):
-        # The whole theta1 grid shares one E|X - Y| matrix, and each index
-        # takes the stack of priors once per order.
+        # The whole theta1 grid shares one E|X - Y| matrix, one threshold and
+        # one mass call, and each index takes the stack of priors once per order.
         calls = Counter()
-        for name in ("expected_distance_matrix", "renyi_heterogeneity",
-                     "functional_hill", "leinster_cobbold"):
+        for name in ("expected_distance_matrix", "optimal_threshold", "assignment_mass",
+                     "renyi_heterogeneity", "functional_hill", "leinster_cobbold"):
             def counted(*args, _f=getattr(betamix, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
             monkeypatch.setattr(betamix, name, counted)
         res = self.run(["bmm-sweep", "--grid", "0.2,0.5,0.8", "--q", "0.5,1,2,inf"])
         assert res.exit_code == 0, res.output
-        assert calls == {"expected_distance_matrix": 1, "renyi_heterogeneity": 4,
+        assert calls == {"expected_distance_matrix": 1, "optimal_threshold": 1,
+                         "assignment_mass": 1, "renyi_heterogeneity": 4,
                          "functional_hill": 4, "leinster_cobbold": 4}
 
     @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (3.0, 3.0), (0.3, 0.45)])
@@ -872,7 +881,7 @@ class TestCliSweeps:
                 itertools.product(enumerate(grid), enumerate(orders)), rows):
             cells = [t1, theta2, theta3, q, 0.5, *(want[name][i, j] for name in
                                                    ("tau", "rrh", "fhn", "neqrqe", "lci"))]
-            assert row == [None if math.isnan(v) else float("%.12g" % v) for v in cells]
+            assert row == [json_cell(v) for v in cells]
 
     def test_three_state_sweep_one_kernel_call_per_order(self, monkeypatch):
         # Each index takes the stack of all heights, skewness values (and
@@ -916,8 +925,7 @@ class TestCliSweeps:
         rows = json.loads(res.output)["rows"]
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
-            want = [(None if math.isnan(v) else float("%.12g" % v))
-                    if isinstance(v, float) else v for v in want]
+            want = [json_cell(v) if isinstance(v, float) else v for v in want]
             assert row == want
 
     def test_grid_parsing_inclusive_stop(self):
@@ -991,11 +999,16 @@ class TestCliEmbeddings:
         res = self.run(["embeddings", "decompose", str(path), "--q", "2,inf",
                         "--format", "json"])
         assert res.exit_code == 0, res.output
-        rows = json.loads(res.output)["rows"]
-        assert [row[2] for row in rows] == [2.0, math.inf] * 3
+        # strict JSON: no bare Infinity token, inf is the CSV cell text
+        rows = json.loads(res.output, parse_constant=pytest.fail)["rows"]
+        assert [row[2] for row in rows] == [2.0, "inf"] * 3
         res = self.run(["embeddings", "neighborhoods", str(path), "--k", "5", "--q", "inf"])
         assert res.exit_code == 0, res.output
         assert "# q=inf" in res.output
+        res = self.run(["embeddings", "neighborhoods", str(path), "--k", "5", "--q", "inf",
+                        "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output, parse_constant=pytest.fail)["metadata"]["q"] == "inf"
 
     def test_neighborhood_k_usage_error(self, tmp_path):
         path = self.synth_file(tmp_path)

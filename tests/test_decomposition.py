@@ -57,6 +57,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SubsystemEnsemble(table=[[0.5, 0.5], [1.0, 0.0]], weights=[1.5, -0.5])
 
+    def test_decompose_needs_an_order(self):
+        # one rule with the Gaussian and beta-mixture decompositions
+        with pytest.raises(ValidationError, match="at least one order"):
+            decompose(SubsystemEnsemble(table=[[0.5, 0.5]]), [])
+
     def test_default_weights_uniform(self):
         ens = SubsystemEnsemble(table=[[0.5, 0.5], [1.0, 0.0]])
         assert np.allclose(ens.weights, [0.5, 0.5])

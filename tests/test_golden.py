@@ -4,6 +4,7 @@ is run twice, to stdout and through ``--out``, and both must give these
 bytes. A change to any byte here is a change to the output format."""
 
 import io
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -105,6 +106,14 @@ def test_write_embeddings_output(fmt):
     assert buf.getvalue() == GOLDEN["write", fmt]
 
 
+def test_json_outputs_are_strict_json():
+    # RFC 8259 has no NaN or Infinity token: undefined values are null and
+    # infinities the strings "inf" / "-inf"
+    for (name, fmt), text in GOLDEN.items():
+        if fmt == "json":
+            json.loads(text, parse_constant=pytest.fail)
+
+
 GOLDEN = {
     ('three-state', 'csv'): """\
 # command=three-state-sweep
@@ -185,7 +194,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
    0.5,
    1.0,
    4.0,
-   Infinity,
+   "inf",
    0.5,
    1.74816210402,
    null,
@@ -198,7 +207,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
    0.5,
    1.0,
    4.0,
-   Infinity,
+   "inf",
    2.0,
    1.74816210402,
    null,
@@ -210,7 +219,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    0.5,
    1.0,
-   Infinity,
+   "inf",
    2.0,
    0.5,
    1.0,
@@ -223,7 +232,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    0.5,
    1.0,
-   Infinity,
+   "inf",
    2.0,
    2.0,
    1.0,
@@ -236,8 +245,8 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    0.5,
    1.0,
-   Infinity,
-   Infinity,
+   "inf",
+   "inf",
    0.5,
    1.0,
    null,
@@ -249,8 +258,8 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    0.5,
    1.0,
-   Infinity,
-   Infinity,
+   "inf",
+   "inf",
    2.0,
    1.0,
    null,
@@ -289,7 +298,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
    1.0,
    1.0,
    4.0,
-   Infinity,
+   "inf",
    0.5,
    2.28733702946,
    null,
@@ -302,7 +311,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
    1.0,
    1.0,
    4.0,
-   Infinity,
+   "inf",
    2.0,
    2.28733702946,
    null,
@@ -314,7 +323,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    1.0,
    1.0,
-   Infinity,
+   "inf",
    2.0,
    0.5,
    1.0,
@@ -327,7 +336,7 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    1.0,
    1.0,
-   Infinity,
+   "inf",
    2.0,
    2.0,
    1.0,
@@ -340,8 +349,8 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    1.0,
    1.0,
-   Infinity,
-   Infinity,
+   "inf",
+   "inf",
    0.5,
    1.0,
    null,
@@ -353,8 +362,8 @@ h,b,kappa,q,u,qe,fhn,lci,rrh,metric,ultrametric
   [
    1.0,
    1.0,
-   Infinity,
-   Infinity,
+   "inf",
+   "inf",
    2.0,
    1.0,
    null,
@@ -420,7 +429,7 @@ theta1,theta2,theta3,q,u,tau,rrh,fhn,neqrqe,lci
    0.3,
    5.0,
    20.0,
-   Infinity,
+   "inf",
    1.0,
    0.514117877348,
    1.42851445277,
@@ -444,7 +453,7 @@ theta1,theta2,theta3,q,u,tau,rrh,fhn,neqrqe,lci
    0.6,
    5.0,
    20.0,
-   Infinity,
+   "inf",
    1.0,
    0.493242659645,
    1.66662672339,
@@ -502,7 +511,7 @@ theta1,theta2,theta3,tau,q,rrh
    5.0,
    20.0,
    0.2,
-   Infinity,
+   "inf",
    1.47945102189
   ],
   [
@@ -518,7 +527,7 @@ theta1,theta2,theta3,tau,q,rrh
    5.0,
    20.0,
    0.5,
-   Infinity,
+   "inf",
    1.66709563246
   ]
  ]
@@ -563,7 +572,7 @@ inf,2,1,2,false
    false
   ],
   [
-   Infinity,
+   "inf",
    2.0,
    1.0,
    2.0,
@@ -611,7 +620,7 @@ inf,2.66666666667,2,1.33333333333,true
    true
   ],
   [
-   Infinity,
+   "inf",
    2.66666666667,
    2.0,
    1.33333333333,
@@ -767,7 +776,7 @@ y,1,inf,2.96796658379,2.96796658379,1,true
   [
    "x",
    3,
-   Infinity,
+   "inf",
    2.8598478752,
    1.80016273007,
    1.58866075129,
@@ -785,7 +794,7 @@ y,1,inf,2.96796658379,2.96796658379,1,true
   [
    "y",
    1,
-   Infinity,
+   "inf",
    2.96796658379,
    2.96796658379,
    1.0,

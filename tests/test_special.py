@@ -23,6 +23,8 @@ from hetlab.special import (
     reg_inc_beta,
 )
 
+from oracles import reg_inc_beta_scalar
+
 # high precision: mixed-sign parameter sets cancel catastrophically below
 # ~80 digits, producing a wrong *reference*, not a wrong result under test
 mpmath.mp.dps = 80
@@ -108,6 +110,56 @@ class TestRegIncBeta:
             1.0 - reg_inc_beta(0.7, BetaShape(20, 5)), abs=1e-13)
 
 
+# the beta-mixture shape pairs of the sweeps benchmark, both orientations
+BENCHMARK_SHAPES = [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45)]
+BENCHMARK_SHAPES += [(b, a) for a, b in BENCHMARK_SHAPES]
+
+
+class TestRegIncBetaArray:
+    @staticmethod
+    def grid(rng, a, b, n):
+        """x in {0, 1}, the symmetry-switch point and its float neighbours,
+        and n uniform draws."""
+        switch = (a + 1.0) / (a + b + 2.0)
+        return np.concatenate([[0.0, 1.0, switch, np.nextafter(switch, 0.0),
+                                np.nextafter(switch, 1.0)], rng.uniform(0.0, 1.0, n)])
+
+    @pytest.mark.parametrize("a,b", BENCHMARK_SHAPES)
+    def test_benchmark_shapes_match_scalar_lentz_bitwise(self, a, b):
+        # oracle: the scalar modified-Lentz recurrence, one x at a time
+        xs = self.grid(np.random.default_rng(41), a, b, 200)
+        want = [reg_inc_beta_scalar(x, a, b) for x in xs.tolist()]
+        got = reg_inc_beta(xs, BetaShape(a, b))
+        assert got.shape == xs.shape and got.tolist() == want
+        assert [reg_inc_beta(x, BetaShape(a, b)) for x in xs.tolist()] == want
+
+    def test_random_shapes_match_scalar_lentz_bitwise(self):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            a, b = np.exp(rng.uniform(-2.0, 4.0, 2)).tolist()
+            xs = self.grid(rng, a, b, 10)
+            assert reg_inc_beta(xs, BetaShape(a, b)).tolist() == \
+                [reg_inc_beta_scalar(x, a, b) for x in xs.tolist()]
+
+    def test_shapes_and_types(self):
+        s = BetaShape(2.0, 3.0)
+        assert type(reg_inc_beta(0.3, s)) is float
+        assert type(reg_inc_beta(np.float64(0.3), s)) is float
+        assert reg_inc_beta([[0.0, 0.3], [0.6, 1.0]], s).shape == (2, 2)
+        assert reg_inc_beta(np.empty(0), s).shape == (0,)
+        assert gen_reg_inc_beta([0.1, 0.2], 1.0, s).tolist() == \
+            [1.0 - reg_inc_beta(0.1, s), 1.0 - reg_inc_beta(0.2, s)]
+
+    @pytest.mark.parametrize("x", [[0.5, -0.1], [1.5], [0.2, math.nan]])
+    def test_any_entry_outside_the_domain_is_rejected(self, x):
+        with pytest.raises(ValidationError, match="0 <= x <= 1"):
+            reg_inc_beta(x, BetaShape(2.0, 3.0))
+
+    def test_gen_ordering_per_entry(self):
+        with pytest.raises(ValidationError, match="x0 <= x1"):
+            gen_reg_inc_beta([0.1, 0.7], [0.5, 0.3], BetaShape(2.0, 2.0))
+
+
 class TestGenRegIncBeta:
     def test_full_interval(self):
         assert gen_reg_inc_beta(0.0, 1.0, BetaShape(4, 9)) == pytest.approx(1.0, rel=1e-6, abs=0)
@@ -147,6 +199,33 @@ class TestHurwitzZeta:
 
 
 class TestRegHyp3F2Unit:
+    # b pairs over the whole range where 1 / (Gamma(b1) Gamma(b2)) is a normal
+    # float; (60.303, 65.523) is the phi_a denominator of an E|X - Y| call
+    PREFACTOR_PAIRS = [(60.303, 65.523), (1.0, 1.0), (0.5, 2.5), (1e-3, 3.0), (7.25, 0.01),
+                       (26.0, 46.5), (99.5, 101.25), (150.0, 20.0), (170.5, 1.5)]
+
+    def test_prefactor_against_mpmath(self):
+        # A zero numerator leaves the single term 1 / (Gamma(b1) Gamma(b2)).
+        # oracle: 40-digit mpmath; exp(-lgamma - lgamma) is 1.8e-14 off at the first pair
+        for b1, b2 in self.PREFACTOR_PAIRS:
+            with mpmath.workdps(40):
+                ref = float(1 / (mpmath.gamma(b1) * mpmath.gamma(b2)))
+            assert reg_hyp3f2_unit((0.0, 1.0, 1.0), (b1, b2)) == \
+                pytest.approx(ref, rel=1e-15, abs=0)
+
+    def test_prefactor_outside_normal_range_uses_log_gammas(self):
+        # Gamma(180) overflows and (100, 100) gives a subnormal
+        for b1, b2 in [(180.0, 2.0), (100.0, 100.0), (400.0, 300.0)]:
+            assert reg_hyp3f2_unit((0.0, 1.0, 1.0), (b1, b2)) == \
+                math.exp(-math.lgamma(b1) - math.lgamma(b2))
+
+    def test_large_denominators_against_mpmath(self):
+        num, den = (59.303, 64.507, 0.88), (60.303, 65.523)
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyper(list(num), list(den), 1)
+                        / (mpmath.gamma(den[0]) * mpmath.gamma(den[1])))
+        assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-15, abs=0)
+
     def test_terminating_simple(self):
         # num contains 0 => single term 1/(Gamma(b1) Gamma(b2))
         val = reg_hyp3f2_unit((0.0, 3.0, 5.0), (2.0, 4.0))
