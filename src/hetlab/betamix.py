@@ -28,7 +28,7 @@ from .special import BetaShape, beta_pdf, gen_reg_inc_beta, log_beta, log_gamma,
 _EQUAL_SHAPE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaMixtureParams:
     """Mixture (1-theta1) Beta(theta2, theta3) + theta1 Beta(theta3, theta2); a
     theta1 array is a stack of mixtures sharing (theta2, theta3), such as a grid."""

@@ -32,21 +32,6 @@ _VALIDATION_EXIT = 3
 _NUMERICAL_EXIT = 4
 
 
-def _exit_codes(fn):
-    """Map library exceptions onto the documented process exit codes."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_VALIDATION_EXIT)
-        except NumericalError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_NUMERICAL_EXIT)
-    return wrapper
-
-
 def _parse_floats(text: str, name: str, *, allow_inf: bool = False) -> list:
     vals = []
     for tok in text.split(","):
@@ -94,10 +79,30 @@ def _grid(shape: tuple, columns: dict) -> dict:
     return {name: np.broadcast_to(values, shape).ravel() for name, values in columns.items()}
 
 
-_out_option = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                           help="Output file (default: stdout).")
-_format_option = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                              default="csv", show_default=True, help="Output format.")
+def _command(group, name: str):
+    """Register the decorated function as the command ``name`` of ``group``,
+    with ``--out`` and ``--format`` after its own options. The function
+    returns a writer ``write(stream, fmt)``, which goes out through
+    ``_emit``; a ``ValidationError`` exits 3 and a ``NumericalError`` 4."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(out, fmt, **options):
+            try:
+                _emit(fn(**options), out, fmt)
+            except (ValidationError, NumericalError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(_VALIDATION_EXIT if isinstance(exc, ValidationError)
+                         else _NUMERICAL_EXIT)
+
+        command = group.command(name)(run)
+        command.params += [
+            click.Option(["--out"], type=click.Path(dir_okay=False), default=None,
+                         help="Output file (default: stdout)."),
+            click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
+                         default="csv", show_default=True, help="Output format."),
+        ]
+        return command
+    return register
 
 
 @click.group()
@@ -105,7 +110,7 @@ def main():
     """Categorical and representational heterogeneity toolkit."""
 
 
-@main.command("three-state-sweep")
+@_command(main, "three-state-sweep")
 @click.option("--grid", default="0.1:3.0:0.1", show_default=True,
               help="Triangle heights h: comma list or start:stop:step.")
 @click.option("--b", type=float, default=1.0, show_default=True,
@@ -115,10 +120,7 @@ def main():
 @click.option("--q", default="1", show_default=True, help="Comma list of orders.")
 @click.option("--u", default="1", show_default=True,
               help="Comma list of similarity scaling factors.")
-@_out_option
-@_format_option
-@_exit_codes
-def three_state_sweep(grid, b, kappa, q, u, out, fmt):
+def three_state_sweep(grid, b, kappa, q, u):
     """Sweep the 3-state triangle system over heights, skewness, q and u."""
     h_list = _parse_grid(grid, "grid")
     kappa_list = _parse_floats(kappa, "kappa", allow_inf=True)
@@ -140,7 +142,7 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
     p = np.array([classic.three_state_probs(kap) for kap in kappa_list])
     sims = classic.similarity_from_distance(dist[:, :, None], np.array(u_list)[:, None, None])
     shape = H, K, Q, U = len(h_list), len(kappa_list), len(q_list), len(u_list)
-    result = datasets.SweepResult(
+    return datasets.SweepResult(
         columns=_grid(shape, {
             "h": np.reshape(h_list, (H, 1, 1, 1)), "b": b,
             "kappa": np.reshape(kappa_list, (K, 1, 1)), "q": np.reshape(q_list, (Q, 1)),
@@ -152,8 +154,7 @@ def three_state_sweep(grid, b, kappa, q, u, out, fmt):
             "ultrametric": np.reshape(classic.is_ultrametric(dist), (H, 1, 1, 1))}),
         metadata={"command": "three-state-sweep", "b": b,
                   "n_h": H, "n_kappa": K, "n_q": Q, "n_u": U},
-    )
-    _emit(result.write, out, fmt)
+    ).write
 
 
 def _parse_grid(text: str, name: str) -> list:
@@ -178,7 +179,7 @@ def _parse_grid(text: str, name: str) -> list:
     return _parse_floats(text, name)
 
 
-@main.command("bmm-sweep")
+@_command(main, "bmm-sweep")
 @click.option("--grid", default="0.5:0.95:0.05", show_default=True,
               help="theta1 grid (tau-mode=optimal) or tau grid (tau-mode=grid).")
 @click.option("--theta1", type=float, default=0.5, show_default=True,
@@ -191,10 +192,7 @@ def _parse_grid(text: str, name: str) -> list:
 @click.option("--tau-mode", type=click.Choice(["optimal", "grid"]),
               default="optimal", show_default=True,
               help="Threshold choice: posterior-optimal or swept over --grid.")
-@_out_option
-@_format_option
-@_exit_codes
-def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
+def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode):
     """Sweep the two-component beta mixture; optimal mode emits the full
     index comparison per theta1, grid mode emits the RRH curve over tau."""
     q_list = _parse_floats(q, "q", allow_inf=True)
@@ -220,13 +218,12 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode, out, fmt):
         columns = {"theta1": theta1, "theta2": theta2, "theta3": theta3,
                    "tau": np.reshape(grid_vals, (-1, 1)), "q": q_list,
                    "rrh": betamix.bmm_between_rrh(theta, grid_vals, q_list)}
-    result = datasets.SweepResult(
+    return datasets.SweepResult(
         columns=_grid(shape, columns),
         metadata={"command": "bmm-sweep", "tau_mode": tau_mode,
                   "theta2": theta2, "theta3": theta3, "u": u,
                   "n_grid": len(grid_vals), "n_q": len(q_list)},
-    )
-    _emit(result.write, out, fmt)
+    ).write
 
 
 @main.group()
@@ -234,48 +231,38 @@ def embeddings():
     """Gaussian embedding ingestion, decomposition and generation."""
 
 
-@embeddings.command("decompose")
+@_command(embeddings, "decompose")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
 @click.option("--group-by/--whole", "group_by", default=True, show_default=True,
               help="Decompose per label group or over the whole dataset.")
-@_out_option
-@_format_option
-@_exit_codes
-def embeddings_decompose(file, q, group_by, out, fmt):
+def embeddings_decompose(file, q, group_by):
     """Pooled/within/between heterogeneity per label group."""
     q_list = _parse_floats(q, "q", allow_inf=True)
     dataset = _read_input(file, datasets.read_embeddings)
-    result = datasets.group_decomposition(dataset, q_list, group_by_label=group_by)
-    _emit(result.write, out, fmt)
+    return datasets.group_decomposition(dataset, q_list, group_by_label=group_by).write
 
 
-@embeddings.command("neighborhoods")
+@_command(embeddings, "neighborhoods")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", type=int, default=49, show_default=True,
               help="Neighbors per record (neighborhood = record + k).")
 @click.option("--q", type=float, default=1.0, show_default=True)
-@click.option("--top", type=int, default=10, show_default=True,
+@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True,
               help="How many highest and lowest neighborhoods to report.")
-@_out_option
-@_format_option
-@_exit_codes
-def embeddings_neighborhoods(file, k, q, top, out, fmt):
+def embeddings_neighborhoods(file, k, q, top):
     """Heterogeneity of each record's k-nearest-neighbor neighborhood."""
     dataset = _read_input(file, datasets.read_embeddings)
     if not 1 <= k < len(dataset):
         raise click.UsageError(f"--k must satisfy 1 <= k < N={len(dataset)}")
-    if top < 1:
-        raise click.UsageError("--top must be >= 1")
-    result = datasets.neighborhood_sweep(dataset, k, q, top)
-    _emit(result.write, out, fmt)
+    return datasets.neighborhood_sweep(dataset, k, q, top).write
 
 
-@embeddings.command("synth")
-@click.option("--labels", type=int, default=10, show_default=True)
-@click.option("--per-label", type=int, default=500, show_default=True)
-@click.option("--nz", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_command(embeddings, "synth")
+@click.option("--labels", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--per-label", type=click.IntRange(min=1), default=500, show_default=True)
+@click.option("--nz", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--separation", type=float, default=10.0, show_default=True,
               help="Scale of the cluster-center draws.")
 @click.option("--spread", type=float, default=1.0, show_default=True,
@@ -285,22 +272,16 @@ def embeddings_neighborhoods(file, k, q, top, out, fmt):
 @click.option("--contract-label", type=int, default=None,
               help="Label index whose cluster is contracted.")
 @click.option("--contract-factor", type=float, default=10.0, show_default=True)
-@_out_option
-@_format_option
-@_exit_codes
 def embeddings_synth(labels, per_label, nz, seed, separation, spread,
-                     log_var_min, log_var_max, contract_label, contract_factor,
-                     out, fmt):
+                     log_var_min, log_var_max, contract_label, contract_factor):
     """Generate a deterministic synthetic embedding dataset."""
-    if labels < 1 or per_label < 1 or nz < 1:
-        raise click.UsageError("--labels, --per-label and --nz must be >= 1")
     dataset = datasets.synth_embeddings(
         labels, per_label, nz, seed,
         separation=separation, spread=spread,
         log_var_range=(log_var_min, log_var_max),
         contract_label=contract_label, contract_factor=contract_factor,
     )
-    _emit(functools.partial(datasets.write_embeddings, dataset), out, fmt)
+    return functools.partial(datasets.write_embeddings, dataset)
 
 
 @main.group()
@@ -308,22 +289,18 @@ def assignments():
     """Soft category assignment tables."""
 
 
-@assignments.command("rrh")
+@_command(assignments, "rrh")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
-@_out_option
-@_format_option
-@_exit_codes
-def assignments_rrh(file, q, out, fmt):
+def assignments_rrh(file, q):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     q_list = _parse_floats(q, "q", allow_inf=True)
     ids, ensemble = _read_input(file, datasets.read_assignments)
-    result = datasets.SweepResult(
+    return datasets.SweepResult(
         columns={"q": np.array(q_list), **decompose(ensemble, q_list)},
         metadata={"command": "assignments-rrh", "n_records": len(ids),
                   "n_categories": ensemble.n_states},
-    )
-    _emit(result.write, out, fmt)
+    ).write
 
 
 if __name__ == "__main__":

@@ -82,16 +82,15 @@ def as_distribution(p, tol: float = PROB_TOL) -> np.ndarray:
 
 def check_weights(weights, n: int, members: str) -> np.ndarray:
     """Validate the weights of an ensemble of ``n`` ``members`` (None means
-    uniform): finite, non-negative and summing to 1 within PROB_TOL."""
+    uniform): one distribution under the rules of `first_invalid_row`."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValidationError(f"weights length must match the number of {members}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite and non-negative")
-    if abs(float(w.sum()) - 1.0) > PROB_TOL:
-        raise ValidationError("weights must sum to 1")
+    bad = first_invalid_row(w[None])
+    if bad is not None:
+        raise ValidationError(f"weights: {bad[1]}")
     return w
 
 

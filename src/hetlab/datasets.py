@@ -28,6 +28,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,7 +74,7 @@ def _write_csv(stream, columns: dict) -> None:
         (quoted if "\r" in "".join(row) else plain).writerow(row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingDataset:
     """N embedded observations: diagonal-Gaussian posterior means and
     log-variances as ``(N, n)`` arrays, with an id and an optional label
@@ -165,14 +166,21 @@ def _table_rows(rows, what: str, text: tuple, width: int) -> tuple:
 
 
 def _loop_only(body: str) -> bool:
-    """Whether a CSV body must go through the record loop: it is empty or
-    holds an empty line, which csv.reader reads as a record of no fields
-    and np.loadtxt skips (both read ``\\n``, ``\\r\\n`` and ``\\r`` as line
-    ends), or a line longer than ``csv.field_size_limit()``, which may hold
-    a field that csv.reader refuses and np.loadtxt reads."""
-    return (body[:1] in ("", "\n", "\r") or "\n\n" in body
-            or "\r" in body and ("\n\r" in body or "\r\r" in body)
-            or _has_long_line(body, csv.field_size_limit()))
+    """Whether a CSV body must go through the record loop before any bulk
+    pass: it is empty or starts with an empty line (all of it may be empty
+    lines, which np.loadtxt warns about), or it holds a line longer than
+    ``csv.field_size_limit()``, which may hold a field that csv.reader
+    refuses and np.loadtxt reads."""
+    return body[:1] in ("", "\n", "\r") or _has_long_line(body, csv.field_size_limit())
+
+
+def _line_count(body: str) -> int:
+    """The lines of a non-empty ``body``, each ended by ``\\n``, ``\\r\\n``,
+    ``\\r`` or the end of the body, as csv.reader and np.loadtxt split them."""
+    n = body.count("\n") + (body[-1] not in "\r\n")
+    if "\r" in body:
+        n += body.count("\r") - body.count("\r\n")
+    return n
 
 
 def _has_long_line(body: str, limit: int) -> bool:
@@ -190,23 +198,17 @@ def _has_long_line(body: str, limit: int) -> bool:
     return False
 
 
-def _long_quoted_cell(body: str, text: np.ndarray) -> bool:
-    """Whether a text cell of the bulk pass is longer than
-    ``csv.field_size_limit()``; only quotes can carry one over line breaks
-    into a body whose lines are all shorter."""
-    return '"' in body and max(map(len, text.ravel().tolist())) > csv.field_size_limit()
-
-
 def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
     """The text cells, an ``(N, len(text))`` object array, and the numbers,
     a C-contiguous ``(N, n)`` float array, of an input file whose format is
     read from the content (see the module docstring). The header is checked
     for both formats. A CSV body is converted in one ``np.loadtxt`` pass.
-    JSON records, a CSV body holding an empty line and one that pass rejects
-    go through the record loop, which names the first bad record or reads
-    the numbers that ``float`` takes and numpy does not (``1_0``). So does a
-    body holding a field longer than ``csv.field_size_limit()``, which the
-    loop refuses whatever else the body holds."""
+    JSON records, a CSV body holding an empty line or a record spanning
+    lines, and one that pass rejects go through the record loop, which
+    names the first bad record or reads the numbers that ``float`` takes and
+    numpy does not (``1_0``). So does a body holding a field longer than
+    ``csv.field_size_limit()``, which the loop refuses whatever else the
+    body holds."""
     head = []
     for line in stream:
         head.append(line)
@@ -253,7 +255,10 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
             except ValueError:
                 pass
             else:
-                if not _long_quoted_cell(body, table["text"]):
+                # fewer records than lines: np.loadtxt skipped an empty line,
+                # which csv.reader reads as a record of no fields, or a quoted
+                # field spans lines, where it may pass csv.field_size_limit()
+                if len(table) == _line_count(body):
                     return table["text"], np.ascontiguousarray(table["numbers"])
         rows = csv.reader(io.StringIO(body, newline=""))
     return _table_rows(rows, what, text, len(header))
@@ -298,7 +303,7 @@ def read_assignments(stream) -> tuple:
     return cells[:, 0].tolist(), ensemble
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Named columns of one length plus run metadata for the emitters. A
     column is a float array (NaN where a value is not defined), an int or a
@@ -345,9 +350,12 @@ def synth_embeddings(n_labels: int, per_label: int, n_z: int, seed: int, *,
         raise ValidationError("n_labels, per_label and n_z must all be >= 1")
     if not (separation >= 0 and spread >= 0 and contract_factor > 0):
         raise ValidationError("separation/spread must be >= 0 and contract_factor > 0")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     lo, hi = log_var_range
-    if not lo <= hi:
-        raise ValidationError("log_var_range must be (low, high) with low <= high")
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ValidationError(
+            "log_var_range must be (low, high) with low <= high and a finite width")
     if contract_label is not None and not 0 <= contract_label < n_labels:
         raise ValidationError(f"contract_label must index a label, got {contract_label}")
 

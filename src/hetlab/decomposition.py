@@ -17,7 +17,7 @@ from .errors import ValidationError
 _WEIGHT_EQUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsystemEnsemble:
     """N aligned subsystem distributions (rows) with normalized weights."""
 

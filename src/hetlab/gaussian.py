@@ -61,7 +61,7 @@ def _validate_gaussians(means, covs, min_ndim: int) -> tuple:
     return means, arr, 2.0 * np.sum(np.log(pivots), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianComponent:
     """One multivariate Gaussian or a stack: mean ``(..., n)``, covariance of
     its shape (diagonal entries) or ``(..., n, n)``, and ``logdet`` ``(...)``."""
@@ -81,7 +81,7 @@ class GaussianComponent:
         return self.covariance.shape == self.mean.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianEnsemble:
     """N Gaussians of a shared dimension n: means ``(..., N, n)``, covariances
     ``(..., N, n)`` (diagonal entries) or ``(..., N, n, n)`` (full), weights

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError
 
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
@@ -49,10 +49,14 @@ class BetaShape:
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0; a value past the float
+    range (x above about 2.6e305) is a ``NumericalError``."""
     if not x > 0:
         raise ValidationError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise NumericalError(f"log_gamma({x:g}) overflows a float") from None
 
 
 def log_beta(a: float, b: float) -> float:
@@ -264,7 +268,7 @@ def reg_hyp3f2_unit(num, den) -> float:
     except OverflowError:
         prefactor = 0.0
     if prefactor < sys.float_info.min:  # not a normal float: the log-gamma form
-        prefactor = math.exp(-math.lgamma(b[0]) - math.lgamma(b[1]))
+        prefactor = math.exp(-log_gamma(b[0]) - log_gamma(b[1]))
 
     if terminating:
         coeff_sum, _, _ = _exact_coeff_sum(a, b, min(terminating) + 1)

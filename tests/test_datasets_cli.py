@@ -439,6 +439,23 @@ class TestCsvIngestion:
             assert datasets._has_long_line(body, limit) == \
                 (max(map(len, body.split("\n"))) > limit), (body, limit)
 
+    def test_line_count_matches_splitlines(self):
+        rng = np.random.default_rng(46)
+        for _ in range(3000):
+            body = "".join(rng.choice(list("ab\n\r"), size=rng.integers(1, 40),
+                                      p=[0.4, 0.4, 0.1, 0.1]))
+            assert datasets._line_count(body) == len(body.splitlines()), body
+
+    def test_quoted_line_break_takes_the_record_loop(self, monkeypatch):
+        # np.loadtxt reads the record too; one record on two lines is counted
+        # as fewer records than lines, which sends the body to csv.reader
+        calls = []
+        inner = datasets._table_rows
+        monkeypatch.setattr(datasets, "_table_rows",
+                            lambda *args: calls.append(args) or inner(*args))
+        ids, _ = read_assignments(io.StringIO('id,p_1,p_2\n"a\nb",1,0\nc,0,1\n', newline=""))
+        assert ids == ["a\nb", "c"] and len(calls) == 1
+
     @staticmethod
     def benchmark_shaped(rows):
         """An assignment CSV and an embedding CSV as the benchmark writes them."""
@@ -541,6 +558,13 @@ class TestSynth:
             synth_embeddings(2, 5, 2, seed=0, contract_label=5)
         with pytest.raises(ValidationError):
             synth_embeddings(2, 5, 2, seed=0, log_var_range=(0.0, -1.0))
+        # numpy raises ValueError on a negative seed and OverflowError when
+        # high - low leaves the float range
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            synth_embeddings(1, 1, 1, seed=-1)
+        for lo, hi in [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0)]:
+            with pytest.raises(ValidationError, match="finite width"):
+                synth_embeddings(1, 1, 1, seed=0, log_var_range=(lo, hi))
 
 
 class TestGroupDecomposition:
@@ -809,6 +833,16 @@ class TestCliSweeps:
         assert res.exit_code == 0
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("args", [
+        ["--theta2", "1e306"], ["--theta3", "1e306"],
+        ["--tau-mode", "grid", "--theta2", "1e306"], ["--tau-mode", "grid", "--theta3", "1e306"],
+    ])
+    def test_bmm_sweep_shape_past_log_gamma_range_exits_4(self, args):
+        res = self.run(["bmm-sweep", "--grid", "0.5", *args])
+        assert res.exit_code == 4, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: log_gamma(1e+306) overflows" in res.output
+
     def test_bmm_sweep_distance_overflow_exits_4(self):
         res = self.run(["bmm-sweep", "--grid", "0.5", "--theta2", "12",
                         "--theta3", "150", "--q", "1"])
@@ -949,6 +983,27 @@ class TestCliEmbeddings:
         res = self.run(args)
         assert res.exit_code == 0
         return out
+
+    @pytest.mark.parametrize("command,option,value", [
+        (["embeddings", "synth"], "--labels", "0"),
+        (["embeddings", "synth"], "--per-label", "0"),
+        (["embeddings", "synth"], "--nz", "-1"),
+        (["embeddings", "synth"], "--seed", "-1"),
+        (["embeddings", "neighborhoods", "{file}", "--k", "1"], "--top", "0"),
+    ])
+    def test_integer_out_of_range_is_a_usage_error(self, tmp_path, command, option, value):
+        file = str(self.synth_file(tmp_path))
+        res = self.run([c.format(file=file) for c in command] + [option, value])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in res.output
+
+    def test_synth_unbounded_log_var_width_exits_3(self):
+        res = self.run(["embeddings", "synth", "--labels", "1", "--per-label", "1", "--nz", "1",
+                        "--log-var-min", "-1e308", "--log-var-max", "1e308"])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "finite width" in res.output
 
     def test_synth_then_decompose(self, tmp_path):
         path = self.synth_file(tmp_path)

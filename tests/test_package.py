@@ -84,6 +84,31 @@ def test_tracer_spans_every_file_layer(tmp_path):
     assert cli._emit is emit  # restored on exit
 
 
+def test_array_holding_records_compare_by_identity():
+    # a generated field-tuple __eq__ would ask numpy for the truth value of an
+    # array comparison, and __hash__ would hash the arrays
+    from hetlab.betamix import BetaMixtureParams
+    from hetlab.datasets import EmbeddingDataset, SweepResult
+    from hetlab.decomposition import SubsystemEnsemble
+    from hetlab.gaussian import GaussianComponent, GaussianEnsemble
+    from hetlab.special import BetaShape
+
+    makers = [
+        lambda: BetaMixtureParams([0.2, 0.5], 5.0, 20.0),
+        lambda: EmbeddingDataset(ids=("a", "b"), labels=("x", "x"),
+                                 means=[[0.0], [1.0]], log_var=[[0.0], [0.0]]),
+        lambda: SweepResult(columns={"a": [1.0, 2.0]}, metadata={}),
+        lambda: SubsystemEnsemble(table=[[0.5, 0.5], [1.0, 0.0]]),
+        lambda: GaussianComponent(mean=[0.0, 1.0], covariance=[1.0, 1.0]),
+        lambda: GaussianEnsemble(means=[[0.0], [1.0]], covariances=[[1.0], [1.0]]),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+    assert BetaShape(2.0, 3.0) == BetaShape(2.0, 3.0)
+
+
 def test_scipy_is_a_test_dependency_only():
     config = tomllib.loads(PYPROJECT.read_text())
 

@@ -1,6 +1,7 @@
 """Special-function kernel against mpmath and scipy references."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import special as sps
 
 from hetlab import special
 from hetlab.betamix import BetaMixtureParams, expected_distance_matrix
-from hetlab.errors import ConvergenceError, ValidationError
+from hetlab.errors import ConvergenceError, NumericalError, ValidationError
 from hetlab.special import (
     BetaShape,
     _hurwitz_zeta,
@@ -57,6 +58,15 @@ class TestLogGammaBeta:
             log_gamma(0.0)
         with pytest.raises(ValidationError):
             log_gamma(-2.5)
+
+    def test_overflow_is_a_numerical_error(self):
+        # math.lgamma raises OverflowError above about 2.6e305
+        assert log_gamma(1e305) == pytest.approx(float(sps.gammaln(1e305)), rel=1e-14, abs=0)
+        for x in (1e306, 1.7e308):
+            with pytest.raises(NumericalError, match=re.escape(f"log_gamma({x:g}) overflows")):
+                log_gamma(x)
+        with pytest.raises(NumericalError, match="log_gamma"):
+            reg_hyp3f2_unit((0.0, 1.0, 1.0), (1e306, 2.0))
 
     def test_log_beta(self):
         assert log_beta(2.0, 3.0) == pytest.approx(math.log(1 / 12), rel=1e-14, abs=0)
