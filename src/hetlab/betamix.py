@@ -184,8 +184,8 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> di
     `functional_hill` says so, which here means q=inf.
     """
     orders = check_orders(q_list)
-    if u < 0:
-        raise ValidationError(f"u must be >= 0, got {u}")
+    if not 0 <= u < math.inf:
+        raise ValidationError(f"u must be finite and must be >= 0, got {u}")
     theta1 = np.atleast_1d(theta.theta1)
     prior = np.stack([1.0 - theta1, theta1], axis=-1)
     dist = expected_distance_matrix(theta)

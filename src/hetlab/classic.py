@@ -181,8 +181,11 @@ def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.
     an array that broadcasts against the distance matrix or stack, such as
     a (U, 1, 1) column of factors giving one similarity matrix per factor."""
     dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
-    if np.any(np.less(u, 0)):
-        raise ValidationError(f"similarity scaling factor must be >= 0, got {np.min(u)}")
+    u = np.asarray(u, dtype=float)
+    ok = (u >= 0) & (u < np.inf)
+    if not ok.all():
+        raise ValidationError(
+            f"similarity scaling factor u must be finite and must be >= 0, got {u[~ok][0]}")
     return np.exp(-u * dm)
 
 

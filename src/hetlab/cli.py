@@ -9,6 +9,11 @@ Input files are read as UTF-8, with or without a byte-order mark, and
 their format is taken from the content: a file whose first non-blank
 character is ``{`` or ``[`` is JSON, anything else is CSV.
 
+Every option value is parsed and range-checked by its declared type, so a
+value outside its option's range is a usage error naming the option. A
+value that conflicts with the input file (``--k`` >= N) or with another
+option keeps its own exit code.
+
 Exit codes: 0 success, 2 usage error, 3 validation/ingestion error,
 4 numerical error.
 """
@@ -30,24 +35,58 @@ from .errors import NumericalError, ValidationError
 
 _VALIDATION_EXIT = 3
 _NUMERICAL_EXIT = 4
+_MAX_GRID_POINTS = 10 ** 6
 
 
-def _parse_floats(text: str, name: str, *, allow_inf: bool = False) -> list:
-    vals = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+class _Real(click.FloatRange):
+    """A float in a declared range, which unlike `click.FloatRange` refuses NaN."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return rv
+
+
+class _Reals(click.ParamType):
+    """A comma list of floats, each in the range of the `_Real` ``item``. With
+    ``grid``, also start:stop:step inclusive of the stop point (within half
+    a step), of at most ``_MAX_GRID_POINTS`` points."""
+
+    name = "floats"
+
+    def __init__(self, item: _Real, *, grid: bool = False):
+        self.item, self.grid = item, grid
+
+    def convert(self, value, param, ctx):
+        vals = (self._range(value, param, ctx) if self.grid and ":" in value
+                else [tok.strip() for tok in value.split(",") if tok.strip()])
+        if not vals:
+            self.fail("at least one value required", param, ctx)
+        return [self.item.convert(v, param, ctx) for v in vals]
+
+    def _range(self, text: str, param, ctx) -> list:
         try:
-            v = float(tok)
+            start, stop, step = map(float, text.split(":"))
         except ValueError:
-            raise click.UsageError(f"--{name}: cannot parse {tok!r} as a number")
-        if math.isnan(v) or (math.isinf(v) and not allow_inf):
-            raise click.UsageError(f"--{name}: value {tok!r} out of range")
-        vals.append(v)
-    if not vals:
-        raise click.UsageError(f"--{name}: at least one value required")
-    return vals
+            self.fail(f"range {text!r} is not start:stop:step", param, ctx)
+        if step <= 0 or stop < start:
+            self.fail("need step > 0 and stop >= start", param, ctx)
+        steps = (stop - start) / step
+        if not all(map(math.isfinite, (start, stop, step, steps))):
+            self.fail(f"range {text!r} must be finite, in finitely many steps", param, ctx)
+        count = int(math.floor(steps + 0.5)) + 1
+        if count > _MAX_GRID_POINTS:
+            self.fail(f"range {text!r} has {count} points, more than the limit "
+                      f"{_MAX_GRID_POINTS}", param, ctx)
+        return [start + i * step for i in range(count)]
+
+
+_POSITIVE = _Real(0, math.inf, min_open=True, max_open=True)  # (0, inf)
+_NON_NEGATIVE = _Real(0, math.inf, max_open=True)             # [0, inf)
+_ORDER = _Real(0)                                             # [0, inf]
+_POSITIVE_ORDER = _Real(0, min_open=True)                     # (0, inf]
+_FINITE = _Real(-math.inf, math.inf, min_open=True, max_open=True)
 
 
 def _read_input(path: str, reader):
@@ -111,30 +150,18 @@ def main():
 
 
 @_command(main, "three-state-sweep")
-@click.option("--grid", default="0.1:3.0:0.1", show_default=True,
-              help="Triangle heights h: comma list or start:stop:step.")
-@click.option("--b", type=float, default=1.0, show_default=True,
+@click.option("--grid", "h_list", type=_Reals(_POSITIVE, grid=True), default="0.1:3.0:0.1",
+              show_default=True, help="Triangle heights h: comma list or start:stop:step.")
+@click.option("--b", type=_POSITIVE, default=1.0, show_default=True,
               help="Triangle base length.")
-@click.option("--kappa", default="1", show_default=True,
+@click.option("--kappa", "kappa_list", type=_Reals(_ORDER), default="1", show_default=True,
               help="Comma list of skewness values (inf allowed).")
-@click.option("--q", default="1", show_default=True, help="Comma list of orders.")
-@click.option("--u", default="1", show_default=True,
+@click.option("--q", "q_list", type=_Reals(_ORDER), default="1", show_default=True,
+              help="Comma list of orders.")
+@click.option("--u", "u_list", type=_Reals(_NON_NEGATIVE), default="1", show_default=True,
               help="Comma list of similarity scaling factors.")
-def three_state_sweep(grid, b, kappa, q, u):
+def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
     """Sweep the 3-state triangle system over heights, skewness, q and u."""
-    h_list = _parse_grid(grid, "grid")
-    kappa_list = _parse_floats(kappa, "kappa", allow_inf=True)
-    q_list = _parse_floats(q, "q", allow_inf=True)
-    u_list = _parse_floats(u, "u")
-    if not 0 < b < math.inf:
-        raise click.UsageError(f"--b: value {b!r} out of range, need 0 < b < inf")
-    for h in h_list:
-        if not h > 0:
-            raise click.UsageError(f"--grid: height {h!r} out of range, need h > 0")
-    for uv in u_list:
-        if uv < 0:
-            raise click.UsageError(f"--u: value {uv!r} out of range, need 0 <= u < inf")
-
     # Every index is evaluated once per order on the (H, K[, U]) broadcast of
     # the heights (and scaling factors) against the (K, 3) stack of
     # distributions: dist is (H, 1, 3, 3), sims (H, 1, U, 3, 3) against p[:, None].
@@ -157,54 +184,29 @@ def three_state_sweep(grid, b, kappa, q, u):
     ).write
 
 
-def _parse_grid(text: str, name: str) -> list:
-    """A comma list of floats, or start:stop:step inclusive of the stop
-    point (within half a step)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise click.UsageError(f"--{name}: range syntax is start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise click.UsageError(f"--{name}: cannot parse range {text!r}")
-        if step <= 0 or stop < start:
-            raise click.UsageError(f"--{name}: need step > 0 and stop >= start")
-        steps = (stop - start) / step
-        if not all(map(math.isfinite, (start, stop, step, steps))):
-            raise click.UsageError(
-                f"--{name}: range {text!r} must be finite, in finitely many steps")
-        count = int(math.floor(steps + 0.5)) + 1
-        return [start + i * step for i in range(count)]
-    return _parse_floats(text, name)
-
-
 @_command(main, "bmm-sweep")
-@click.option("--grid", default="0.5:0.95:0.05", show_default=True,
+@click.option("--grid", "grid_vals", type=_Reals(_Real(0, 1), grid=True),
+              default="0.5:0.95:0.05", show_default=True,
               help="theta1 grid (tau-mode=optimal) or tau grid (tau-mode=grid).")
-@click.option("--theta1", type=float, default=0.5, show_default=True,
-              help="Fixed theta1, used only with tau-mode=grid.")
-@click.option("--theta2", type=float, default=5.0, show_default=True)
-@click.option("--theta3", type=float, default=20.0, show_default=True)
-@click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
-@click.option("--u", type=float, default=1.0, show_default=True,
+@click.option("--theta1", type=_Real(0, 1, min_open=True, max_open=True), default=0.5,
+              show_default=True, help="Fixed theta1, used only with tau-mode=grid.")
+@click.option("--theta2", type=_POSITIVE, default=5.0, show_default=True)
+@click.option("--theta3", type=_POSITIVE, default=20.0, show_default=True)
+@click.option("--q", "q_list", type=_Reals(_ORDER), default="1,2", show_default=True,
+              help="Comma list of orders.")
+@click.option("--u", type=_NON_NEGATIVE, default=1.0, show_default=True,
               help="Similarity scaling factor for the Leinster-Cobbold column.")
 @click.option("--tau-mode", type=click.Choice(["optimal", "grid"]),
               default="optimal", show_default=True,
               help="Threshold choice: posterior-optimal or swept over --grid.")
-def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode):
+def bmm_sweep(grid_vals, theta1, theta2, theta3, q_list, u, tau_mode):
     """Sweep the two-component beta mixture; optimal mode emits the full
     index comparison per theta1, grid mode emits the RRH curve over tau."""
-    q_list = _parse_floats(q, "q", allow_inf=True)
-    grid_vals = _parse_grid(grid, "grid")
-    if not 0 <= u < math.inf:
-        raise click.UsageError(f"--u: value {u!r} out of range, need 0 <= u < inf")
-
     shape = (len(grid_vals), len(q_list))
     if tau_mode == "optimal":
-        for t1 in grid_vals:
-            if not 0.0 < t1 < 1.0:
-                raise click.UsageError(f"--grid: theta1 value {t1} outside (0, 1)")
+        if not all(0.0 < t1 < 1.0 for t1 in grid_vals):
+            raise click.BadParameter("theta1 must lie in (0, 1) with --tau-mode optimal",
+                                     param_hint="'--grid'")
         columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
                    "theta3": theta3, "q": q_list, "u": u,
                    **betamix.bmm_index_comparison(
@@ -212,9 +214,6 @@ def bmm_sweep(grid, theta1, theta2, theta3, q, u, tau_mode):
                        q_list, u)}
     else:
         theta = betamix.BetaMixtureParams(theta1, theta2, theta3)
-        for tau in grid_vals:
-            if not 0.0 <= tau <= 1.0:
-                raise click.UsageError(f"--grid: tau value {tau} outside [0, 1]")
         columns = {"theta1": theta1, "theta2": theta2, "theta3": theta3,
                    "tau": np.reshape(grid_vals, (-1, 1)), "q": q_list,
                    "rrh": betamix.bmm_between_rrh(theta, grid_vals, q_list)}
@@ -233,28 +232,28 @@ def embeddings():
 
 @_command(embeddings, "decompose")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
+@click.option("--q", "q_list", type=_Reals(_POSITIVE_ORDER), default="1,2",
+              show_default=True, help="Comma list of orders.")
 @click.option("--group-by/--whole", "group_by", default=True, show_default=True,
               help="Decompose per label group or over the whole dataset.")
-def embeddings_decompose(file, q, group_by):
+def embeddings_decompose(file, q_list, group_by):
     """Pooled/within/between heterogeneity per label group."""
-    q_list = _parse_floats(q, "q", allow_inf=True)
     dataset = _read_input(file, datasets.read_embeddings)
     return datasets.group_decomposition(dataset, q_list, group_by_label=group_by).write
 
 
 @_command(embeddings, "neighborhoods")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--k", type=int, default=49, show_default=True,
+@click.option("--k", type=click.IntRange(min=1), default=49, show_default=True,
               help="Neighbors per record (neighborhood = record + k).")
-@click.option("--q", type=float, default=1.0, show_default=True)
+@click.option("--q", type=_POSITIVE_ORDER, default=1.0, show_default=True)
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True,
               help="How many highest and lowest neighborhoods to report.")
 def embeddings_neighborhoods(file, k, q, top):
     """Heterogeneity of each record's k-nearest-neighbor neighborhood."""
     dataset = _read_input(file, datasets.read_embeddings)
-    if not 1 <= k < len(dataset):
-        raise click.UsageError(f"--k must satisfy 1 <= k < N={len(dataset)}")
+    if k >= len(dataset):
+        raise click.BadParameter(f"must be < N={len(dataset)}", param_hint="'--k'")
     return datasets.neighborhood_sweep(dataset, k, q, top).write
 
 
@@ -263,25 +262,19 @@ def embeddings_neighborhoods(file, k, q, top):
 @click.option("--per-label", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--nz", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--separation", type=float, default=10.0, show_default=True,
+@click.option("--separation", type=_NON_NEGATIVE, default=10.0, show_default=True,
               help="Scale of the cluster-center draws.")
-@click.option("--spread", type=float, default=1.0, show_default=True,
+@click.option("--spread", type=_NON_NEGATIVE, default=1.0, show_default=True,
               help="Within-cluster standard deviation of the means.")
-@click.option("--log-var-min", type=float, default=-2.0, show_default=True)
-@click.option("--log-var-max", type=float, default=-1.0, show_default=True)
-@click.option("--contract-label", type=int, default=None,
+@click.option("--log-var-min", type=_FINITE, default=-2.0, show_default=True)
+@click.option("--log-var-max", type=_FINITE, default=-1.0, show_default=True)
+@click.option("--contract-label", type=click.IntRange(min=0), default=None,
               help="Label index whose cluster is contracted.")
-@click.option("--contract-factor", type=float, default=10.0, show_default=True)
-def embeddings_synth(labels, per_label, nz, seed, separation, spread,
-                     log_var_min, log_var_max, contract_label, contract_factor):
+@click.option("--contract-factor", type=_POSITIVE_ORDER, default=10.0, show_default=True)
+def embeddings_synth(labels, per_label, nz, seed, log_var_min, log_var_max, **shape):
     """Generate a deterministic synthetic embedding dataset."""
-    dataset = datasets.synth_embeddings(
-        labels, per_label, nz, seed,
-        separation=separation, spread=spread,
-        log_var_range=(log_var_min, log_var_max),
-        contract_label=contract_label, contract_factor=contract_factor,
-    )
-    return functools.partial(datasets.write_embeddings, dataset)
+    return functools.partial(datasets.write_embeddings, datasets.synth_embeddings(
+        labels, per_label, nz, seed, log_var_range=(log_var_min, log_var_max), **shape))
 
 
 @main.group()
@@ -291,10 +284,10 @@ def assignments():
 
 @_command(assignments, "rrh")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--q", default="1,2", show_default=True, help="Comma list of orders.")
-def assignments_rrh(file, q):
+@click.option("--q", "q_list", type=_Reals(_ORDER), default="1,2", show_default=True,
+              help="Comma list of orders.")
+def assignments_rrh(file, q_list):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
-    q_list = _parse_floats(q, "q", allow_inf=True)
     ids, ensemble = _read_input(file, datasets.read_assignments)
     return datasets.SweepResult(
         columns={"q": np.array(q_list), **decompose(ensemble, q_list)},

@@ -38,17 +38,17 @@ TABLE_INDICES = (
 _Q_REQUIRED = {"renyi_entropy", "tsallis_entropy", "generalized_entropy_index"}
 
 
-def first_invalid_row(table: np.ndarray, tol: float = PROB_TOL):
+def first_invalid_row(table: np.ndarray):
     """``(index, reason)`` for the first row of a 2-D float table that is not
     a probability distribution, or None when every row is one.
 
-    A row must be finite, then non-negative, then sum to 1 within ``tol``;
+    A row must be finite, then non-negative, then sum to 1 within `PROB_TOL`;
     the reason names the first of these rules the row breaks.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         sums = table.sum(axis=1)
     # Entries >= 0 exclude NaN and -inf; a +inf entry makes the sum miss 1.
-    ok = (table >= 0).all(axis=1) & (np.abs(sums - 1.0) <= tol)
+    ok = (table >= 0).all(axis=1) & (np.abs(sums - 1.0) <= PROB_TOL)
     if ok.all():
         return None
     i = int(np.argmin(ok))
@@ -57,27 +57,27 @@ def first_invalid_row(table: np.ndarray, tol: float = PROB_TOL):
         return i, "distribution entries must be finite"
     if (row < 0).any():
         return i, "distribution entries must be non-negative"
-    return i, f"distribution must sum to 1 within {tol}, got {float(sums[i])!r}"
+    return i, f"distribution must sum to 1 within {PROB_TOL}, got {float(sums[i])!r}"
 
 
-def as_distributions(p, tol: float = PROB_TOL) -> np.ndarray:
+def as_distributions(p) -> np.ndarray:
     """Validate one probability vector or an (..., n) stack of them, each
     row held to the rules and messages of `as_distribution`."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim < 1 or arr.size < 1:
         raise ValidationError("distribution must be a non-empty 1-D vector")
-    bad = first_invalid_row(arr.reshape(-1, arr.shape[-1]), tol)
+    bad = first_invalid_row(arr.reshape(-1, arr.shape[-1]))
     if bad is not None:
         raise ValidationError(bad[1])
     return arr
 
 
-def as_distribution(p, tol: float = PROB_TOL) -> np.ndarray:
+def as_distribution(p) -> np.ndarray:
     """Validate a probability vector. Rejects rather than renormalizes."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise ValidationError("distribution must be a non-empty 1-D vector")
-    return as_distributions(arr, tol)
+    return as_distributions(arr)
 
 
 def check_weights(weights, n: int, members: str) -> np.ndarray:
@@ -157,17 +157,20 @@ def _log_hill(log_p, w, q: float, log_w=None):
 
     Near q=1 the sum is 1 + sum w expm1((q-1) log p), which keeps the digits
     that its log would lose to cancellation before the division by 1 - q;
-    there and at q=1 a zero weight takes log p_i = 0. Other orders are summed
-    in the log domain, so no power under- or overflows, and a zero weight is
-    a -inf term that needs no mask.
+    there and at q=1 a zero weight takes log p_i = 0. Other orders sum terms
+    log w_i + (q-1)(log p_i - m) in the log domain, m the largest log p_i of a
+    positive weight, so no power under- or overflows even at q near the
+    largest float; a zero weight is a -inf term.
     """
     if abs(q - 1.0) < _NEAR_ONE:
         log_p = np.where(w > 0.0, log_p, 0.0)
         if q == 1.0:
             return -_dot(w, log_p)
         return np.log1p(_dot(w, np.expm1((q - 1.0) * log_p))) / (1.0 - q)
-    term = q * log_p if log_w is None else log_w + (q - 1.0) * log_p
-    return logsumexp(term, axis=-1) / (1.0 - q)
+    m = np.where(w > 0.0, log_p, -np.inf).max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        term = (log_p if log_w is None else log_w) + (q - 1.0) * np.where(w > 0.0, log_p - m, 0.0)
+    return logsumexp(term, axis=-1) / (1.0 - q) - m[..., 0]
 
 
 def renyi_heterogeneity(p, q):

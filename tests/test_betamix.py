@@ -366,6 +366,14 @@ class TestIndexComparison:
         with pytest.raises(ValidationError, match="u must be"):
             bmm_index_comparison(stack, [1.0], -0.5)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_u_rejected_before_any_work(self, monkeypatch, u):
+        def fail(theta):
+            raise AssertionError("distance matrix computed before validation")
+        monkeypatch.setattr(betamix, "expected_distance_matrix", fail)
+        with pytest.raises(ValidationError, match="u must be finite"):
+            bmm_index_comparison(BetaMixtureParams(0.5, 5.0, 20.0), [1.0], u)
+
     @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45),
                                                (3.0, 3.0)])
     def test_theta_stack_matches_per_theta_loop(self, theta2, theta3):

@@ -237,6 +237,26 @@ class TestSimilarity:
         with pytest.raises(ValidationError):
             similarity_from_distance(CATEGORICAL_3, -0.5)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, np.array([[[1.0]], [[math.nan]]])],
+                             ids=["nan", "inf", "nan-in-stack"])
+    def test_non_finite_u_rejected(self, u):
+        with pytest.raises(ValidationError, match="scaling factor u must be finite"):
+            similarity_from_distance(CATEGORICAL_3, u)
+
+
+class TestOrderNearFloatMax:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [[0.5, 0.3, 0.2], [0.7, 0.3, 0.0]])
+    def test_gives_the_inf_limit(self, p):
+        # no (q - 1) log term overflows at q = 1e308; functional_hill is NaN at
+        # q = inf, so its limit is read at q = 1e300, where nothing overflows
+        d = three_state_distance(0.4, 1.0)
+        assert functional_hill(d, p, 1e308) == pytest.approx(
+            functional_hill(d, p, 1e300), rel=1e-12, abs=0)
+        s = similarity_from_distance(d, 1.0)
+        assert leinster_cobbold(s, p, 1e308) == pytest.approx(
+            leinster_cobbold(s, p, math.inf), rel=1e-12, abs=0)
+
 
 class TestLeinsterCobbold:
     def test_identity_similarity_recovers_renyi(self):

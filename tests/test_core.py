@@ -111,6 +111,13 @@ class TestRenyiHeterogeneity:
         assert math.isfinite(val)
         assert val == pytest.approx(1.0 / 0.9, rel=1e-3, abs=0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [[0.9, 0.1], [0.5, 0.3, 0.2, 0.0], [[0.9, 0.1], [0.25, 0.75]]])
+    def test_order_near_float_max_gives_the_inf_limit(self, p):
+        # (q - 1) log p_i overflows at q = 1e308 unless taken relative to the largest log p_i
+        assert renyi_heterogeneity(p, 1e308) == pytest.approx(
+            renyi_heterogeneity(p, math.inf), rel=1e-12, abs=0)
+
     @given(distributions, orders)
     @settings(max_examples=400, deadline=None)
     def test_range(self, p, q):

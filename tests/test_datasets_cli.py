@@ -11,6 +11,7 @@ import sys
 import tempfile
 from collections import Counter
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -871,6 +872,7 @@ class TestCliSweeps:
     @pytest.mark.parametrize("option,value", [
         ("--u", "-1"), ("--u", "0.5,-0.5"), ("--u", "nan"), ("--u", "inf"),
         ("--grid", "0"), ("--grid", "1,-1"), ("--grid", "-1:1:0.5"), ("--grid", "0:1:0.5"),
+        ("--kappa", "-1"), ("--q", "-1"),
     ])
     def test_three_state_out_of_range_is_a_usage_error(self, option, value):
         args = {"--grid": "1", option: value}
@@ -883,6 +885,31 @@ class TestCliSweeps:
         res = self.run(["three-state-sweep", "--grid", "1", "--b", b])
         assert res.exit_code == 2, res.output
         assert "--b" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args,option", [
+        (["--theta2", "-1"], "--theta2"), (["--theta2", "inf"], "--theta2"),
+        (["--theta3", "0"], "--theta3"), (["--q", "-1"], "--q"),
+        (["--tau-mode", "grid", "--theta1", "1.5"], "--theta1"),
+        (["--tau-mode", "grid", "--grid", "0.5,1.5"], "--grid"),
+        (["--grid", "0.5,1"], "--grid"),  # theta1 = 1 is inside [0, 1], outside (0, 1)
+    ])
+    def test_bmm_option_out_of_range_is_a_usage_error(self, args, option):
+        res = self.run(["bmm-sweep", "--grid", "0.5", *args])
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for '{option}'" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("args", [["three-state-sweep", "--grid", "0.1:1e9:1e-9"],
+                                      ["bmm-sweep", "--grid", "0:1:1e-7"]])
+    def test_grid_range_point_count_is_capped(self, args):
+        res = self.run(args)
+        assert res.exit_code == 2, res.output
+        assert "points, more than the limit 1000000" in res.output
+
+    def test_grid_range_at_the_point_limit(self):
+        grid = cli._Reals(cli._POSITIVE, grid=True)
+        assert len(grid.convert("1:1000000:1", None, None)) == 10 ** 6
+        with pytest.raises(click.BadParameter, match="has 1000001 points"):
+            grid.convert("1:1000001:1", None, None)
 
     def test_bmm_sweep_one_distance_matrix_per_sweep(self, monkeypatch):
         # The whole theta1 grid shares one E|X - Y| matrix, one threshold and
@@ -990,6 +1017,8 @@ class TestCliEmbeddings:
         (["embeddings", "synth"], "--nz", "-1"),
         (["embeddings", "synth"], "--seed", "-1"),
         (["embeddings", "neighborhoods", "{file}", "--k", "1"], "--top", "0"),
+        (["embeddings", "neighborhoods", "{file}"], "--k", "0"),
+        (["embeddings", "synth"], "--contract-label", "-1"),
     ])
     def test_integer_out_of_range_is_a_usage_error(self, tmp_path, command, option, value):
         file = str(self.synth_file(tmp_path))
@@ -997,6 +1026,19 @@ class TestCliEmbeddings:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert f"Invalid value for '{option}'" in res.output
+
+    @pytest.mark.parametrize("command,option,value", [
+        (["embeddings", "decompose", "{file}"], "--q", "0"),
+        (["embeddings", "decompose", "{file}"], "--q", "1,-1"),
+        (["embeddings", "neighborhoods", "{file}", "--k", "1"], "--q", "0"),
+        (["embeddings", "synth"], "--separation", "-1"),
+        (["embeddings", "synth"], "--spread", "-1"),
+        (["embeddings", "synth"], "--contract-factor", "0"),
+        (["embeddings", "synth"], "--log-var-max", "inf"),
+        (["assignments", "rrh", "{file}"], "--q", "-1"),
+    ])
+    def test_float_out_of_range_is_a_usage_error(self, tmp_path, command, option, value):
+        self.test_integer_out_of_range_is_a_usage_error(tmp_path, command, option, value)
 
     def test_synth_unbounded_log_var_width_exits_3(self):
         res = self.run(["embeddings", "synth", "--labels", "1", "--per-label", "1", "--nz", "1",
@@ -1069,6 +1111,7 @@ class TestCliEmbeddings:
         path = self.synth_file(tmp_path)
         res = self.run(["embeddings", "neighborhoods", str(path), "--k", "999"])
         assert res.exit_code == 2
+        assert "Invalid value for '--k': must be < N=24" in res.output
 
     def test_bad_file_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -1197,6 +1240,43 @@ class TestCliAssignments:
 
 
 _EMBEDDING_BYTES = b"id,label,m_1,s_1\na\xff,0,1.0,-1.0\nb,0,2.0,-1.0\n"
+
+
+def _float_options(group, path=()):
+    """(command path, command, option) for every option of ``group`` and its
+    subgroups that takes a float or a list of floats."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _float_options(command, (*path, name))
+            continue
+        for param in command.params:
+            if isinstance(param, click.Option) and not param.is_flag and not isinstance(
+                    param.type, (click.types.IntParamType, click.Choice, click.Path)):
+                yield (*path, name), command, param
+
+
+_FLOAT_OPTIONS = list(_float_options(cli.main))
+
+
+class TestCliOptionTypes:
+    """Every float option is parsed and range-checked by its declared type:
+    a value outside it is a usage error naming the option."""
+
+    def test_every_float_option_declares_its_range(self):
+        assert len(_FLOAT_OPTIONS) == 19
+        for _, _, option in _FLOAT_OPTIONS:
+            assert isinstance(option.type, (cli._Real, cli._Reals)), option.name
+
+    @pytest.mark.parametrize("path,command,option", _FLOAT_OPTIONS,
+                             ids=[" ".join((*p, o.opts[0])) for p, _, o in _FLOAT_OPTIONS])
+    def test_nan_is_a_usage_error_naming_the_option(self, tmp_path, path, command, option):
+        file = tmp_path / "in.csv"
+        file.write_text("id,label,m_1,s_1\na,x,0,0\nb,x,1,0\n")
+        files = [str(file) for p in command.params if isinstance(p, click.Argument)]
+        res = CliRunner().invoke(cli.main, [*path, *files, option.opts[0], "nan"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"Invalid value for '{option.opts[0]}'" in res.output
 
 
 class TestCliMalformedInput:
