@@ -175,8 +175,9 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> di
 
     The expected-distance matrix and the similarity matrix depend only on
     (theta2, theta3) and are computed once per call; the optimal thresholds
-    and the assignment masses once for a theta1 stack; and each index once
-    per order, on the stack of priors (1 - theta1, theta1).
+    once for a theta1 stack, and the rrh column at them by `bmm_between_rrh`;
+    and each other index once per order, on the stack of priors
+    (1 - theta1, theta1).
 
     Absent values are NaN. The quadratic-entropy column is filled only at
     q=2 and only when the expected-distance matrix is non-constant (it
@@ -190,7 +191,6 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> di
     prior = np.stack([1.0 - theta1, theta1], axis=-1)
     dist = expected_distance_matrix(theta)
     tau = np.atleast_1d(optimal_threshold(theta))
-    mass = assignment_mass(theta, tau)
     sim = similarity_from_distance(dist, u, require_zero_diagonal=False)
 
     neq = np.full(len(theta1), np.nan)
@@ -202,7 +202,7 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> di
             pass
     return {
         "tau": np.repeat(tau[:, None], len(orders), axis=1),
-        "rrh": np.stack([renyi_heterogeneity(mass, qf) for qf in orders], axis=1),
+        "rrh": bmm_between_rrh(theta, tau, orders),
         "fhn": np.stack([functional_hill(dist, prior, qf, require_zero_diagonal=False)
                          for qf in orders], axis=1),
         "neqrqe": np.where(np.equal(orders, 2.0), neq[:, None], np.nan),

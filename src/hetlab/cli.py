@@ -9,13 +9,13 @@ Input files are read as UTF-8, with or without a byte-order mark, and
 their format is taken from the content: a file whose first non-blank
 character is ``{`` or ``[`` is JSON, anything else is CSV.
 
-Every option value is parsed and range-checked by its declared type, so a
-value outside its option's range is a usage error naming the option. A
-value that conflicts with the input file (``--k`` >= N) or with another
-option keeps its own exit code.
+Every option value is parsed and range-checked by its declared type, and
+``--help`` shows the range: a value outside it is a usage error naming the
+option. A list option takes ``a,b,c`` or ``start:stop:step`` (at most 10**6
+points). A value that conflicts with the input file (``--k`` >= N) or with
+another option keeps its own exit code.
 
-Exit codes: 0 success, 2 usage error, 3 validation/ingestion error,
-4 numerical error.
+Exit codes: 0 success, 2 usage, 3 validation/ingestion, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -48,28 +48,28 @@ class _Real(click.FloatRange):
         return rv
 
 
-class _Reals(click.ParamType):
-    """A comma list of floats, each in the range of the `_Real` ``item``. With
-    ``grid``, also start:stop:step inclusive of the stop point (within half
-    a step), of at most ``_MAX_GRID_POINTS`` points."""
+class _Reals(_Real):
+    """A non-empty list of floats in a declared range, ``a,b,c`` or
+    ``start:stop:step`` inclusive of stop (within half a step) of at most
+    ``_MAX_GRID_POINTS`` points: one NaN scan, two range checks (min, max)."""
 
     name = "floats"
 
-    def __init__(self, item: _Real, *, grid: bool = False):
-        self.item, self.grid = item, grid
-
     def convert(self, value, param, ctx):
-        vals = (self._range(value, param, ctx) if self.grid and ":" in value
-                else [tok.strip() for tok in value.split(",") if tok.strip()])
-        if not vals:
-            self.fail("at least one value required", param, ctx)
-        return [self.item.convert(v, param, ctx) for v in vals]
+        try:
+            vals = (self._range(value, param, ctx) if ":" in value
+                    else [float(tok) for tok in value.split(",") if tok.strip()])
+            bounds = min(vals), max(vals)  # ValueError for an empty list
+        except ValueError:
+            self.fail(f"{value!r} is not a,b,c or start:stop:step", param, ctx)
+        if any(map(math.isnan, vals)):
+            self.fail(f"{value!r} holds a value that is not a number.", param, ctx)
+        for bound in bounds:
+            super().convert(bound, param, ctx)
+        return vals
 
     def _range(self, text: str, param, ctx) -> list:
-        try:
-            start, stop, step = map(float, text.split(":"))
-        except ValueError:
-            self.fail(f"range {text!r} is not start:stop:step", param, ctx)
+        start, stop, step = map(float, text.split(":"))
         if step <= 0 or stop < start:
             self.fail("need step > 0 and stop >= start", param, ctx)
         steps = (stop - start) / step
@@ -79,12 +79,12 @@ class _Reals(click.ParamType):
         if count > _MAX_GRID_POINTS:
             self.fail(f"range {text!r} has {count} points, more than the limit "
                       f"{_MAX_GRID_POINTS}", param, ctx)
-        return [start + i * step for i in range(count)]
+        return (start + step * np.arange(count)).tolist()
 
 
 _POSITIVE = _Real(0, math.inf, min_open=True, max_open=True)  # (0, inf)
 _NON_NEGATIVE = _Real(0, math.inf, max_open=True)             # [0, inf)
-_ORDER = _Real(0)                                             # [0, inf]
+_ORDERS = _Reals(0)                                           # [0, inf], a list
 _POSITIVE_ORDER = _Real(0, min_open=True)                     # (0, inf]
 _FINITE = _Real(-math.inf, math.inf, min_open=True, max_open=True)
 
@@ -150,16 +150,17 @@ def main():
 
 
 @_command(main, "three-state-sweep")
-@click.option("--grid", "h_list", type=_Reals(_POSITIVE, grid=True), default="0.1:3.0:0.1",
-              show_default=True, help="Triangle heights h: comma list or start:stop:step.")
+@click.option("--grid", "h_list", type=_Reals(0, math.inf, min_open=True, max_open=True),
+              default="0.1:3.0:0.1", show_default=True,
+              help="Triangle heights h: a,b,c or start:stop:step.")
 @click.option("--b", type=_POSITIVE, default=1.0, show_default=True,
               help="Triangle base length.")
-@click.option("--kappa", "kappa_list", type=_Reals(_ORDER), default="1", show_default=True,
-              help="Comma list of skewness values (inf allowed).")
-@click.option("--q", "q_list", type=_Reals(_ORDER), default="1", show_default=True,
-              help="Comma list of orders.")
-@click.option("--u", "u_list", type=_Reals(_NON_NEGATIVE), default="1", show_default=True,
-              help="Comma list of similarity scaling factors.")
+@click.option("--kappa", "kappa_list", type=_ORDERS, default="1", show_default=True,
+              help="Skewness values: a,b,c or start:stop:step.")
+@click.option("--q", "q_list", type=_ORDERS, default="1", show_default=True,
+              help="Orders: a,b,c or start:stop:step.")
+@click.option("--u", "u_list", type=_Reals(0, math.inf, max_open=True), default="1",
+              show_default=True, help="Similarity scaling factors: a,b,c or start:stop:step.")
 def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
     """Sweep the 3-state triangle system over heights, skewness, q and u."""
     # Every index is evaluated once per order on the (H, K[, U]) broadcast of
@@ -185,26 +186,25 @@ def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
 
 
 @_command(main, "bmm-sweep")
-@click.option("--grid", "grid_vals", type=_Reals(_Real(0, 1), grid=True),
-              default="0.5:0.95:0.05", show_default=True,
-              help="theta1 grid (tau-mode=optimal) or tau grid (tau-mode=grid).")
+@click.option("--grid", "grid_vals", type=_Reals(0, 1), default="0.5:0.95:0.05",
+              show_default=True, help="theta1 grid (tau-mode=optimal) or tau grid "
+              "(tau-mode=grid): a,b,c or start:stop:step.")
 @click.option("--theta1", type=_Real(0, 1, min_open=True, max_open=True), default=0.5,
               show_default=True, help="Fixed theta1, used only with tau-mode=grid.")
 @click.option("--theta2", type=_POSITIVE, default=5.0, show_default=True)
 @click.option("--theta3", type=_POSITIVE, default=20.0, show_default=True)
-@click.option("--q", "q_list", type=_Reals(_ORDER), default="1,2", show_default=True,
-              help="Comma list of orders.")
+@click.option("--q", "q_list", type=_ORDERS, default="1,2", show_default=True,
+              help="Orders: a,b,c or start:stop:step.")
 @click.option("--u", type=_NON_NEGATIVE, default=1.0, show_default=True,
               help="Similarity scaling factor for the Leinster-Cobbold column.")
-@click.option("--tau-mode", type=click.Choice(["optimal", "grid"]),
-              default="optimal", show_default=True,
-              help="Threshold choice: posterior-optimal or swept over --grid.")
+@click.option("--tau-mode", type=click.Choice(["optimal", "grid"]), default="optimal",
+              show_default=True, help="Threshold choice: posterior-optimal or swept over --grid.")
 def bmm_sweep(grid_vals, theta1, theta2, theta3, q_list, u, tau_mode):
     """Sweep the two-component beta mixture; optimal mode emits the full
     index comparison per theta1, grid mode emits the RRH curve over tau."""
     shape = (len(grid_vals), len(q_list))
     if tau_mode == "optimal":
-        if not all(0.0 < t1 < 1.0 for t1 in grid_vals):
+        if min(grid_vals) <= 0.0 or max(grid_vals) >= 1.0:
             raise click.BadParameter("theta1 must lie in (0, 1) with --tau-mode optimal",
                                      param_hint="'--grid'")
         columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
@@ -232,8 +232,8 @@ def embeddings():
 
 @_command(embeddings, "decompose")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--q", "q_list", type=_Reals(_POSITIVE_ORDER), default="1,2",
-              show_default=True, help="Comma list of orders.")
+@click.option("--q", "q_list", type=_Reals(0, min_open=True), default="1,2",
+              show_default=True, help="Orders: a,b,c or start:stop:step.")
 @click.option("--group-by/--whole", "group_by", default=True, show_default=True,
               help="Decompose per label group or over the whole dataset.")
 def embeddings_decompose(file, q_list, group_by):
@@ -284,8 +284,8 @@ def assignments():
 
 @_command(assignments, "rrh")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--q", "q_list", type=_Reals(_ORDER), default="1,2", show_default=True,
-              help="Comma list of orders.")
+@click.option("--q", "q_list", type=_ORDERS, default="1,2", show_default=True,
+              help="Orders: a,b,c or start:stop:step.")
 def assignments_rrh(file, q_list):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     ids, ensemble = _read_input(file, datasets.read_assignments)

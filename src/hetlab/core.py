@@ -21,6 +21,7 @@ PROB_TOL = 1e-9
 SYM_TOL = 1e-12
 
 _NEAR_ONE = 1e-2  # |q - 1| below which _log_hill uses its expm1/log1p form
+_HUGE_ORDER = 1e300  # q above which _log_hill takes its q = inf limit
 
 TABLE_INDICES = (
     "richness",
@@ -150,27 +151,30 @@ def _dot(a, b):
 
 def _log_hill(log_p, w, q: float, log_w=None):
     """log (sum_i w_i p_i^(q-1))^(1/(1-q)) along the last axis, one value per
-    leading index, for weights summing to 1 along it and finite q: the power
-    mean behind every numbers-equivalent index of the package. ``log_w`` is
-    log w, -inf where w_i = 0; None means w = p, whose generic term is
-    q log p_i. log p_i may be -inf where w_i = 0 only when ``log_w`` is None.
+    leading index, for weights summing to 1 along it and q >= 0 (q = 0 only
+    with ``log_w``): the power mean behind every numbers-equivalent index of
+    the package. ``log_w`` is log w, -inf where w_i = 0; None means w = p,
+    whose generic term is q log p_i. log p_i may be -inf where w_i = 0 only
+    when ``log_w`` is None.
 
     Near q=1 the sum is 1 + sum w expm1((q-1) log p), which keeps the digits
     that its log would lose to cancellation before the division by 1 - q;
-    there and at q=1 a zero weight takes log p_i = 0. Other orders sum terms
-    log w_i + (q-1)(log p_i - m) in the log domain, m the largest log p_i of a
-    positive weight, so no power under- or overflows even at q near the
-    largest float; a zero weight is a -inf term.
+    there and at q=1 a zero weight takes log p_i = 0. Other orders are summed
+    in the log domain, so no power under- or overflows, and a zero weight is
+    a -inf term that needs no mask. Orders above `_HUGE_ORDER`, q = inf
+    included, give the limit -max log p_i over the positive weights, which
+    the power mean equals to rounding there: it differs by |log S| / (q - 1),
+    with S between the weight at the largest p_i and 1.
     """
+    if q > _HUGE_ORDER:
+        return -np.where(w > 0.0, log_p, -np.inf).max(axis=-1)
     if abs(q - 1.0) < _NEAR_ONE:
         log_p = np.where(w > 0.0, log_p, 0.0)
         if q == 1.0:
             return -_dot(w, log_p)
         return np.log1p(_dot(w, np.expm1((q - 1.0) * log_p))) / (1.0 - q)
-    m = np.where(w > 0.0, log_p, -np.inf).max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        term = (log_p if log_w is None else log_w) + (q - 1.0) * np.where(w > 0.0, log_p - m, 0.0)
-    return logsumexp(term, axis=-1) / (1.0 - q) - m[..., 0]
+    term = q * log_p if log_w is None else log_w + (q - 1.0) * log_p
+    return logsumexp(term, axis=-1) / (1.0 - q)
 
 
 def renyi_heterogeneity(p, q):
@@ -256,5 +260,10 @@ def table1_index(p, index: str, q=None) -> IndexValue:
             return IndexValue(math.inf, limit_branch=True)
         mld = -math.log(n) - float(np.mean(np.log(arr)))
         return IndexValue(mld, limit_branch=True)
+    if qf < 0.5:
+        # mean (n p_i)^q - 1 as a mean of expm1 terms: log(pi / n) below would
+        # cancel as q -> 0, and a zero p_i gives expm1(-inf) = -1
+        log_np = np.log(n * arr, out=np.full(n, -np.inf), where=arr > 0.0)
+        return IndexValue(float(np.mean(np.expm1(qf * log_np))) / (qf * (qf - 1.0)))
     log_pi_n = math.log(renyi_heterogeneity(arr, qf) / n)
     return IndexValue(math.expm1((1.0 - qf) * log_pi_n) / (qf * (qf - 1.0)))

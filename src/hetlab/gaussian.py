@@ -157,13 +157,11 @@ def _log_within(log_x, w, qf: float):
     the members, one row per ensemble of a stack) for weights ``w`` summing to
     1: the heterogeneity of the joint cells w_i / x_i over that of w,
     [sum_i w_i^q x_i^(1-q) / sum_i w_i^q]^(1/(1-q)), a power mean of the x_i.
-    Its limits are exact: sum_i w_i log x_i at q=1 and
+    Its limits are exact, through `_log_hill`: sum_i w_i log x_i at q=1 and
     log max_i w_i - log max_i (w_i / x_i) at q=inf. Where every x_i is 1 the
     two power sums are formed from the same numbers, so the result is 0.
     """
     log_w = np.log(w, out=np.full(len(w), -np.inf), where=w > 0.0)
-    if math.isinf(qf):
-        return log_w.max() - np.max(log_w - log_x, axis=-1)
     # A zero-weight member keeps a finite log(w_i / x_i), which _log_hill
     # needs once it is given log w.
     log_w0 = np.where(w > 0.0, log_w, 0.0)

@@ -219,9 +219,9 @@ class TestTable1Indices:
         for name, want in [("shannon_entropy", h), ("perplexity", math.exp(h)),
                            ("inverse_simpson", 1 / s), ("simpson_concentration", s),
                            ("gini_simpson", 1 - s), ("berger_parker", 2.0)]:
-            assert table1_index(self.p, name).value == pytest.approx(want, rel=1e-6, abs=0)
+            assert table1_index(self.p, name).value == pytest.approx(want, rel=1e-12, abs=0)
         assert table1_index(self.p, "renyi_entropy", q=2.0).value == pytest.approx(
-            -math.log(s), rel=1e-6, abs=0)
+            -math.log(s), rel=1e-12, abs=0)
 
     def test_tsallis(self):
         q = 2.0
@@ -267,6 +267,23 @@ class TestTable1Indices:
         assert mld.value == pytest.approx(expected_mld, rel=1e-12, abs=0)
         near0 = table1_index(self.p, "generalized_entropy_index", q=1e-7).value
         assert near0 == pytest.approx(mld.value, abs=1e-5)
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.1, 0.3, 0.49])
+    def test_gei_near_zero_order_matches_mpmath(self, q):
+        # log(pi / n) cancels as q -> 0; 80 random distributions, the last 10
+        # with a zero entry. Near the uniform distribution the index is small
+        # and loses digits on every path, q >= 1/2 included (1.4e-12 at q = 0.49
+        # and 1.7e-12 at q = 0.5 for a two-state draw of mean log deviation
+        # 1.5e-4), so draws with a mean log deviation below 1e-2 are left out.
+        rng = np.random.default_rng(2019)
+        dists = [rng.dirichlet(np.full(rng.integers(2, 12), alpha))
+                 for alpha in rng.uniform(0.2, 5.0, 80)]
+        dists = [p for p in dists if -np.mean(np.log(p.size * p)) >= 1e-2][:70]
+        dists += [np.append(p, 0.0) for p in dists[:10]]
+        assert len(dists) == 80
+        for p in dists:
+            got = table1_index(p, "generalized_entropy_index", q=q).value
+            assert got == pytest.approx(gei_mp(p, q), rel=1e-12, abs=0), p
 
     def test_gei_zero_prob(self):
         res = table1_index([0.5, 0.5, 0.0], "generalized_entropy_index", q=0.0)

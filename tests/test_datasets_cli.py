@@ -872,7 +872,8 @@ class TestCliSweeps:
     @pytest.mark.parametrize("option,value", [
         ("--u", "-1"), ("--u", "0.5,-0.5"), ("--u", "nan"), ("--u", "inf"),
         ("--grid", "0"), ("--grid", "1,-1"), ("--grid", "-1:1:0.5"), ("--grid", "0:1:0.5"),
-        ("--kappa", "-1"), ("--q", "-1"),
+        ("--kappa", "-1"), ("--q", "-1"), ("--q", "1,-2,-3"), ("--q", "-1:1:0.5"),
+        ("--q", "1,nan"), ("--q", "1,x"), ("--q", ","), ("--q", "1:2"),
     ])
     def test_three_state_out_of_range_is_a_usage_error(self, option, value):
         args = {"--grid": "1", option: value}
@@ -906,7 +907,7 @@ class TestCliSweeps:
         assert "points, more than the limit 1000000" in res.output
 
     def test_grid_range_at_the_point_limit(self):
-        grid = cli._Reals(cli._POSITIVE, grid=True)
+        grid = cli._Reals(0, math.inf, min_open=True, max_open=True)
         assert len(grid.convert("1:1000000:1", None, None)) == 10 ** 6
         with pytest.raises(click.BadParameter, match="has 1000001 points"):
             grid.convert("1:1000001:1", None, None)
@@ -1265,7 +1266,7 @@ class TestCliOptionTypes:
     def test_every_float_option_declares_its_range(self):
         assert len(_FLOAT_OPTIONS) == 19
         for _, _, option in _FLOAT_OPTIONS:
-            assert isinstance(option.type, (cli._Real, cli._Reals)), option.name
+            assert isinstance(option.type, cli._Real), option.name
 
     @pytest.mark.parametrize("path,command,option", _FLOAT_OPTIONS,
                              ids=[" ".join((*p, o.opts[0])) for p, _, o in _FLOAT_OPTIONS])
@@ -1277,6 +1278,62 @@ class TestCliOptionTypes:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert f"Invalid value for '{option.opts[0]}'" in res.output
+
+
+_LIST_OPTIONS = [(path, command, option) for path, command, option in _FLOAT_OPTIONS
+                 if isinstance(option.type, cli._Reals)]
+_LIST_IDS = [" ".join((*p, o.opts[0])) for p, _, o in _LIST_OPTIONS]
+# Each list option's declared range as --help prints it.
+_LIST_RANGES = {
+    "three-state-sweep --grid": "0<x<inf", "three-state-sweep --kappa": "x>=0",
+    "three-state-sweep --q": "x>=0", "three-state-sweep --u": "0<=x<inf",
+    "bmm-sweep --grid": "0<=x<=1", "bmm-sweep --q": "x>=0",
+    "embeddings decompose --q": "x>0", "assignments rrh --q": "x>=0",
+}
+
+
+class TestCliListOptions:
+    """Every list option is a `_Real` of its own range: it takes a,b,c or
+    start:stop:step, shows its range in --help and range-checks a whole list
+    through its minimum and maximum."""
+
+    def test_every_list_option_shows_its_range(self):
+        assert sorted(_LIST_IDS) == sorted(_LIST_RANGES)
+        for name, (path, command, option) in zip(_LIST_IDS, _LIST_OPTIONS):
+            with click.Context(command, info_name=path[-1]) as ctx:
+                _, help_text = option.get_help_record(ctx)
+            assert help_text.endswith(f"; {_LIST_RANGES[name]}]"), (name, help_text)
+            assert "a,b,c or start:stop:step" in help_text, name
+
+    @pytest.mark.parametrize("path,command,option", _LIST_OPTIONS, ids=_LIST_IDS)
+    def test_a_long_list_costs_two_range_checks(self, monkeypatch, path, command, option):
+        calls = []
+        convert = click.FloatRange.convert
+
+        def counted(self, value, param, ctx):
+            calls.append(value)
+            return convert(self, value, param, ctx)
+
+        monkeypatch.setattr(click.FloatRange, "convert", counted)
+        values = np.linspace(0.001, 0.999, 990).tolist()
+        assert option.type.convert(",".join(map(repr, values)), option, None) == values
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("args,lowest", [
+        (["three-state-sweep", "--grid", "1"], 0.0), (["bmm-sweep", "--grid", "0.5"], 0.0),
+        (["embeddings", "decompose", "EMB"], 0.5), (["assignments", "rrh", "ASSIGN"], 0.0),
+    ], ids=["three-state-sweep", "bmm-sweep", "decompose", "rrh"])
+    def test_q_takes_a_range(self, tmp_path, args, lowest):
+        emb, assign = tmp_path / "emb.csv", tmp_path / "assign.csv"
+        emb.write_text("id,label,m_1,s_1\na,x,0,0\nb,x,1,0\n")
+        assign.write_text("id,p_1,p_2\na,0.5,0.5\nb,1,0\n")
+        args = [{"EMB": str(emb), "ASSIGN": str(assign)}.get(a, a) for a in args]
+        res = CliRunner().invoke(cli.main, [*args, "--q", f"{lowest}:2:0.5",
+                                            "--format", "json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        q = [row[payload["columns"].index("q")] for row in payload["rows"]]
+        assert sorted(set(q)) == [v for v in (0.0, 0.5, 1.0, 1.5, 2.0) if v >= lowest]
 
 
 class TestCliMalformedInput:
