@@ -76,7 +76,6 @@ from .gaussian import (
 from .special import (
     BetaShape,
     beta_pdf,
-    gen_reg_inc_beta,
     log_beta,
     log_gamma,
     reg_hyp3f2_unit,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classic import (
+    check_scaling,
     functional_hill,
     leinster_cobbold,
     neqrqe,
@@ -23,7 +24,7 @@ from .classic import (
 )
 from .core import check_orders, renyi_heterogeneity
 from .errors import DegenerateDistanceError, NumericalError, ValidationError
-from .special import BetaShape, beta_pdf, gen_reg_inc_beta, log_beta, log_gamma, reg_hyp3f2_unit
+from .special import BetaShape, beta_pdf, log_beta, log_gamma, reg_hyp3f2_unit, reg_inc_beta
 
 _EQUAL_SHAPE_TOL = 1e-12
 
@@ -93,12 +94,19 @@ def optimal_threshold(theta: BetaMixtureParams):
 def assignment_mass(theta: BetaMixtureParams, tau) -> np.ndarray:
     """Expected hard-assignment distribution (fbar(z=1), fbar(z=2)) at
     threshold tau: mass above tau goes to component 2. ``theta1`` and
-    ``tau`` broadcast; the result has their shape plus a last axis of 2."""
+    ``tau`` broadcast; the result has their shape plus a last axis of 2.
+    Each mass sums the component tails on its side of tau, so neither is 1
+    minus the other. For tau >= 1/2 a tail above tau is the CDF of the mirror
+    component at 1 - tau, which is exact (Sterbenz lemma); below 1/2, where
+    1 - tau rounds, it is 1 minus the CDF at tau, and the mass above is at
+    least min(theta1, 1 - theta1) / 2."""
     if not np.all(np.greater_equal(tau, 0.0) & np.less_equal(tau, 1.0)):
         raise ValidationError(f"tau must be in [0, 1], got {tau}")
-    mass2 = np.clip((1.0 - theta.theta1) * gen_reg_inc_beta(tau, 1.0, theta.component1)
-                    + theta.theta1 * gen_reg_inc_beta(tau, 1.0, theta.component2), 0.0, 1.0)
-    return np.stack([1.0 - mass2, mass2], axis=-1)
+    ends = np.stack([tau, np.subtract(1.0, tau)])
+    cdf = np.stack([reg_inc_beta(ends, c) for c in (theta.component1, theta.component2)])
+    above = np.where(np.greater_equal(tau, 0.5), cdf[::-1, 1], 1.0 - cdf[:, 0])
+    w1, w2 = 1.0 - theta.theta1, theta.theta1
+    return np.stack([w1 * cdf[0, 0] + w2 * cdf[1, 0], w1 * above[0] + w2 * above[1]], axis=-1)
 
 
 def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> np.ndarray:
@@ -185,8 +193,7 @@ def bmm_index_comparison(theta: BetaMixtureParams, q_list, u: float = 1.0) -> di
     `functional_hill` says so, which here means q=inf.
     """
     orders = check_orders(q_list)
-    if not 0 <= u < math.inf:
-        raise ValidationError(f"u must be finite and must be >= 0, got {u}")
+    check_scaling(u)
     theta1 = np.atleast_1d(theta.theta1)
     prior = np.stack([1.0 - theta1, theta1], axis=-1)
     dist = expected_distance_matrix(theta)

@@ -176,17 +176,22 @@ def functional_hill(d, p, q, *, require_zero_diagonal: bool = True):
     return _per_member(np.where(q1 > 0.0, value, np.nan))
 
 
-def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.ndarray:
-    """Entrywise affinity transform S_ij = exp(-u D_ij), u >= 0. ``u`` may be
-    an array that broadcasts against the distance matrix or stack, such as
-    a (U, 1, 1) column of factors giving one similarity matrix per factor."""
-    dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
+def check_scaling(u) -> np.ndarray:
+    """Similarity scaling factors u as a float array, each finite and >= 0."""
     u = np.asarray(u, dtype=float)
     ok = (u >= 0) & (u < np.inf)
     if not ok.all():
         raise ValidationError(
             f"similarity scaling factor u must be finite and must be >= 0, got {u[~ok][0]}")
-    return np.exp(-u * dm)
+    return u
+
+
+def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.ndarray:
+    """Entrywise affinity transform S_ij = exp(-u D_ij), u >= 0. ``u`` may be
+    an array that broadcasts against the distance matrix or stack, such as
+    a (U, 1, 1) column of factors giving one similarity matrix per factor."""
+    dm = as_distance_matrix(d, require_zero_diagonal=require_zero_diagonal)
+    return np.exp(-check_scaling(u) * dm)
 
 
 def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True):

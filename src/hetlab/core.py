@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UndefinedOrderError, ValidationError
+from .errors import NumericalError, UndefinedOrderError, ValidationError
 
 PROB_TOL = 1e-9
 SYM_TOL = 1e-12
@@ -23,20 +23,22 @@ SYM_TOL = 1e-12
 _NEAR_ONE = 1e-2  # |q - 1| below which _log_hill uses its expm1/log1p form
 _HUGE_ORDER = 1e300  # q above which _log_hill takes its q = inf limit
 
-TABLE_INDICES = (
-    "richness",
-    "perplexity",
-    "inverse_simpson",
-    "berger_parker",
-    "renyi_entropy",
-    "shannon_entropy",
-    "tsallis_entropy",
-    "simpson_concentration",
-    "gini_simpson",
-    "generalized_entropy_index",
-)
-
-_Q_REQUIRED = {"renyi_entropy", "tsallis_entropy", "generalized_entropy_index"}
+# Table 1: index -> (order, transform of the Renyi heterogeneity pi at that
+# order). Order None takes the caller's q; transform None marks the two
+# indices formed in `table1_index` itself.
+_TABLE = {
+    "richness": (0.0, float),
+    "perplexity": (1.0, float),
+    "inverse_simpson": (2.0, float),
+    "berger_parker": (math.inf, float),
+    "renyi_entropy": (None, math.log),
+    "shannon_entropy": (1.0, math.log),
+    "tsallis_entropy": (None, None),
+    "simpson_concentration": (2.0, lambda pi: 1.0 / pi),
+    "gini_simpson": (2.0, lambda pi: 1.0 - 1.0 / pi),
+    "generalized_entropy_index": (None, None),
+}
+TABLE_INDICES = tuple(_TABLE)
 
 
 def first_invalid_row(table: np.ndarray):
@@ -206,64 +208,56 @@ class IndexValue(NamedTuple):
     limit_branch: bool = False
 
 
+def _gei(arr: np.ndarray, q: float) -> IndexValue:
+    """Generalized entropy index (Shorrocks 1980) at a finite order q: the
+    mean of f(x_i), x_i = n p_i, with f(x) = (x^q - 1 - q(x - 1)) / (q(q - 1)).
+    The term q(x - 1) has mean 0; taken out of each term it leaves every
+    f(x_i) >= 0, so the mean cancels nowhere. With L = log x, f is
+    (expm1(qL) - q(x - 1)) / (q(q - 1)) below q = 1/2, with the q = 0 limit
+    x - 1 - L, and (x expm1((q - 1)L) / (q - 1) - (x - 1)) / q from there on,
+    with the q = 1 limit xL - (x - 1)."""
+    n = arr.size
+    x = n * arr
+    if q < 0.5:  # a zero p_i is L = -inf: expm1(qL) = -1, and f(0) = inf at q = 0
+        log_x = np.log(x, out=np.full(n, -np.inf), where=arr > 0.0)
+        if q == 0.0:
+            return IndexValue(float(np.mean(x - 1.0 - log_x)), limit_branch=True)
+        return IndexValue(float(np.mean(np.expm1(q * log_x) - q * (x - 1.0))) / (q * (q - 1.0)))
+    log_x = np.log(x, out=np.zeros(n), where=arr > 0.0)  # a zero p_i adds only 1 / q
+    if q == 1.0:
+        grown = arr * log_x
+    else:
+        # x expm1(t) / n as p expm1(t/2) (expm1(t/2) + 2): no factor overflows first
+        with np.errstate(over="ignore"):
+            half = np.expm1(0.5 * (q - 1.0) * log_x)
+            grown = arr * half * (half + 2.0) / (q - 1.0)
+    value = float(np.sum(grown - (x - 1.0) / n)) / q
+    if not math.isfinite(value):
+        raise NumericalError(f"generalized entropy index at q={q:g} overflows a float")
+    return IndexValue(value, limit_branch=q == 1.0)
+
+
 def table1_index(p, index: str, q=None) -> IndexValue:
     """One of the classical indices expressed as a transform of the
     Renyi heterogeneity. q is required only by renyi_entropy,
     tsallis_entropy and generalized_entropy_index.
     """
-    if index not in TABLE_INDICES:
+    if index not in _TABLE:
         raise ValidationError(f"unknown index {index!r}; choose from {TABLE_INDICES}")
     arr = as_distribution(p)
-    if index in _Q_REQUIRED:
+    order, transform = _TABLE[index]
+    if order is None:
         if q is None:
             raise ValidationError(f"{index} requires an elasticity order q")
-        qf = check_order(q)
-    else:
-        qf = None
-
-    if index == "richness":
-        return IndexValue(renyi_heterogeneity(arr, 0.0))
-    if index == "perplexity":
-        return IndexValue(renyi_heterogeneity(arr, 1.0))
-    if index == "inverse_simpson":
-        return IndexValue(renyi_heterogeneity(arr, 2.0))
-    if index == "berger_parker":
-        return IndexValue(renyi_heterogeneity(arr, math.inf))
-    if index == "renyi_entropy":
-        return IndexValue(math.log(renyi_heterogeneity(arr, qf)))
-    if index == "shannon_entropy":
-        return IndexValue(math.log(renyi_heterogeneity(arr, 1.0)))
-    if index == "simpson_concentration":
-        return IndexValue(1.0 / renyi_heterogeneity(arr, 2.0))
-    if index == "gini_simpson":
-        return IndexValue(1.0 - 1.0 / renyi_heterogeneity(arr, 2.0))
-
-    if math.isinf(qf):
+        order = check_order(q)
+    if transform is not None:
+        return IndexValue(transform(renyi_heterogeneity(arr, order)))
+    if math.isinf(order):
         raise UndefinedOrderError(f"{index} is not defined at q=inf")
-
-    # Both indices are expm1 of (1 - q) log pi, which stays accurate as q -> 1.
-    if index == "tsallis_entropy":
-        if qf == 1.0:
-            return IndexValue(math.log(renyi_heterogeneity(arr, 1.0)), limit_branch=True)
-        log_pi = math.log(renyi_heterogeneity(arr, qf))
-        return IndexValue(-math.expm1((1.0 - qf) * log_pi) / (qf - 1.0))
-
-    # generalized_entropy_index
-    n = arr.size
-    if qf == 1.0:
-        # Theil-style limit: log n - Shannon entropy.
-        h = math.log(renyi_heterogeneity(arr, 1.0))
-        return IndexValue(math.log(n) - h, limit_branch=True)
-    if qf == 0.0:
-        # Mean log deviation limit.
-        if np.any(arr == 0.0):
-            return IndexValue(math.inf, limit_branch=True)
-        mld = -math.log(n) - float(np.mean(np.log(arr)))
-        return IndexValue(mld, limit_branch=True)
-    if qf < 0.5:
-        # mean (n p_i)^q - 1 as a mean of expm1 terms: log(pi / n) below would
-        # cancel as q -> 0, and a zero p_i gives expm1(-inf) = -1
-        log_np = np.log(n * arr, out=np.full(n, -np.inf), where=arr > 0.0)
-        return IndexValue(float(np.mean(np.expm1(qf * log_np))) / (qf * (qf - 1.0)))
-    log_pi_n = math.log(renyi_heterogeneity(arr, qf) / n)
-    return IndexValue(math.expm1((1.0 - qf) * log_pi_n) / (qf * (qf - 1.0)))
+    if index == "generalized_entropy_index":
+        return _gei(arr, order)
+    # tsallis_entropy: expm1 of (1 - q) log pi, which stays accurate as q -> 1
+    log_pi = math.log(renyi_heterogeneity(arr, order))
+    if order == 1.0:
+        return IndexValue(log_pi, limit_branch=True)
+    return IndexValue(-math.expm1((1.0 - order) * log_pi) / (order - 1.0))

@@ -1,7 +1,7 @@
 """Self-contained special-function kernel for the beta-mixture machinery.
 
-Provides log-gamma, the beta density, the (generalized) regularized
-incomplete beta function, and the regularized hypergeometric 3F~2 at unit
+Provides log-gamma, the beta density, the regularized incomplete beta
+function (the beta CDF) and the regularized hypergeometric 3F~2 at unit
 argument. All functions are pure and deterministic. The kernel is
 self-contained: it needs only ``math``, ``fractions`` and numpy, no scipy.
 """
@@ -116,13 +116,6 @@ def reg_inc_beta(x, shape: BetaShape):
     cf = _beta_cont_frac(np.where(low, a, b), np.where(low, b, a), np.where(low, flat, 1.0 - flat))
     out = np.where(low, front * cf / a, 1.0 - front * cf / b).reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def gen_reg_inc_beta(x0, x1, shape: BetaShape):
-    """Generalized regularized incomplete beta I_{x1}(a, b) - I_{x0}(a, b), elementwise."""
-    if np.any(np.greater(x0, x1)):
-        raise ValidationError(f"gen_reg_inc_beta requires x0 <= x1, got x0={x0} x1={x1}")
-    return reg_inc_beta(x1, shape) - reg_inc_beta(x0, shape)
 
 
 def _hurwitz_zeta(s: float, a: float) -> float:

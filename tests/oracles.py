@@ -212,12 +212,17 @@ def reg_inc_beta_scalar(x: float, a: float, b: float) -> float:
 
 
 def assignment_mass_scalar(theta1: float, theta2: float, theta3: float, tau: float):
-    """(mass below tau, mass above tau) of the two-component beta mixture,
-    from `reg_inc_beta_scalar`."""
-    mass2 = (1.0 - theta1) * (1.0 - reg_inc_beta_scalar(tau, theta2, theta3)) \
-        + theta1 * (1.0 - reg_inc_beta_scalar(tau, theta3, theta2))
-    mass2 = min(max(mass2, 0.0), 1.0)
-    return 1.0 - mass2, mass2
+    """(mass below tau, mass above tau) of the two-component beta mixture, each
+    a weighted sum of component tails from `reg_inc_beta_scalar`: the CDF at
+    tau below it, and above it the CDF of the mirror image (shapes swapped)
+    at 1 - tau for tau >= 1/2, else 1 minus the CDF at tau."""
+    cdf1, cdf2 = reg_inc_beta_scalar(tau, theta2, theta3), reg_inc_beta_scalar(tau, theta3, theta2)
+    if tau >= 0.5:
+        above1 = reg_inc_beta_scalar(1.0 - tau, theta3, theta2)
+        above2 = reg_inc_beta_scalar(1.0 - tau, theta2, theta3)
+    else:
+        above1, above2 = 1.0 - cdf1, 1.0 - cdf2
+    return (1.0 - theta1) * cdf1 + theta1 * cdf2, (1.0 - theta1) * above1 + theta1 * above2
 
 
 def random_pd_cov(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -528,9 +533,32 @@ def tsallis_mp(p, q: float) -> float:
         return float((1 - sum(x ** qm for x in _mp_distribution(p) if x > 0)) / (qm - 1))
 
 
+def mld_mp(p) -> float:
+    """Mean log deviation -mean_i log(n p_i): inf when some p_i is 0."""
+    with mpmath.workdps(50):
+        pm = _mp_distribution(p)
+        n = len(pm)
+        if min(pm) == 0:
+            return math.inf
+        return float(-sum(mpmath.log(n * x) for x in pm) / n)
+
+
+def theil_mp(p) -> float:
+    """Theil index sum_i p_i log(n p_i), a zero p_i adding nothing."""
+    with mpmath.workdps(50):
+        pm = _mp_distribution(p)
+        n = len(pm)
+        return float(sum(x * mpmath.log(n * x) for x in pm if x > 0))
+
+
 def gei_mp(p, q: float) -> float:
     """Generalized entropy index (sum_i n^(q-1) p_i^q - 1) / (q (q - 1)),
-    which is ((pi / n)^(1-q) - 1) / (q (q-1)) for the Renyi heterogeneity pi."""
+    which is ((pi / n)^(1-q) - 1) / (q (q-1)) for the Renyi heterogeneity pi;
+    its limits are `mld_mp` at q = 0 and `theil_mp` at q = 1."""
+    if q == 0.0:
+        return mld_mp(p)
+    if q == 1.0:
+        return theil_mp(p)
     with mpmath.workdps(50):
         qm = mpmath.mpf(q)
         pm = _mp_distribution(p)

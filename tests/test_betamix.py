@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import expit
+from scipy.special import betainc, betaincc, expit
 
 from hetlab import betamix
 from hetlab.betamix import (
@@ -159,6 +159,33 @@ class TestAssignmentMass:
         grid = assignment_mass(BetaMixtureParams(0.4, theta2, theta3), taus)
         assert [tuple(row) for row in grid.tolist()] == [
             assignment_mass_scalar(0.4, theta2, theta3, tau) for tau in taus.tolist()]
+
+    @pytest.mark.parametrize("theta2,theta3", [(5.0, 20.0), (50.0, 60.0), (0.3, 0.45),
+                                               (2.5, 20.5)])
+    def test_tails_against_scipy(self, theta2, theta3):
+        # oracle: scipy betainc below tau and betaincc above it. A tail far
+        # below an ulp of 1, such as 3.0e-26 below 1e-6 for (5, 20), keeps
+        # its digits on either side of the threshold.
+        taus = np.array([0.0, 1e-6, 1e-4, 0.5, 0.999, 1.0 - 1e-9, 1.0])
+        for t1 in (0.3, 0.7):
+            below = (1.0 - t1) * betainc(theta2, theta3, taus) + t1 * betainc(theta3, theta2, taus)
+            above = (1.0 - t1) * betaincc(theta2, theta3, taus) \
+                + t1 * betaincc(theta3, theta2, taus)
+            mass = assignment_mass(BetaMixtureParams(t1, theta2, theta3), taus)
+            assert mass[:, 0].tolist() == pytest.approx(below.tolist(), rel=1e-12, abs=0)
+            assert mass[:, 1].tolist() == pytest.approx(above.tolist(), rel=1e-12, abs=0)
+
+    def test_tiny_tau_under_an_unbounded_density(self):
+        # Beta(0.3, 0.45) has density ~ tau^-0.7 at 0: the mass above tau,
+        # read at the rounded 1 - tau, would be off by 5.9e-10 at tau = 1e-12
+        # and by 5.3e-9 at 1e-14, past the sum-to-1 check of every order
+        taus = np.array([1e-300, 1e-14, 1e-12])
+        mass = assignment_mass(BetaMixtureParams(0.5, 0.3, 0.45), taus)
+        for tail, side in ((betainc, 0), (betaincc, 1)):
+            want = 0.5 * tail(0.3, 0.45, taus) + 0.5 * tail(0.45, 0.3, taus)
+            assert mass[:, side].tolist() == pytest.approx(want.tolist(), rel=1e-12, abs=0)
+        assert bmm_between_rrh(BetaMixtureParams(0.5, 0.3, 0.45), taus, [0.0])[:, 0].tolist() \
+            == [2.0, 2.0, 2.0]
 
     def test_tau_outside_unit_interval(self):
         theta = BetaMixtureParams(0.5, 5.0, 20.0)

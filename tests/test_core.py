@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hetlab.core import (
     renyi_heterogeneity,
     table1_index,
 )
-from hetlab.errors import UndefinedOrderError, ValidationError
+from hetlab.errors import NumericalError, UndefinedOrderError, ValidationError
 
 from oracles import assert_near_one, gei_mp, renyi_mp, tsallis_mp
 
@@ -208,6 +209,22 @@ class TestTable1Indices:
         with pytest.raises(ValidationError):
             table1_index(self.p, "entropy")
 
+    def test_names_keep_their_order(self):
+        names = ("richness", "perplexity", "inverse_simpson", "berger_parker",
+                 "renyi_entropy", "shannon_entropy", "tsallis_entropy",
+                 "simpson_concentration", "gini_simpson", "generalized_entropy_index")
+        assert TABLE_INDICES == names
+        with pytest.raises(ValidationError) as err:
+            table1_index(self.p, "entropy")
+        assert str(err.value) == f"unknown index 'entropy'; choose from {names}"
+        for name in names:
+            needs_q = name in ("renyi_entropy", "tsallis_entropy", "generalized_entropy_index")
+            if needs_q:
+                with pytest.raises(ValidationError, match=f"^{name} requires an elasticity"):
+                    table1_index(self.p, name)
+            else:
+                assert table1_index(self.p, name) == table1_index(self.p, name, q=7.0)
+
     def test_q_required(self):
         with pytest.raises(ValidationError):
             table1_index(self.p, "renyi_entropy")
@@ -271,10 +288,8 @@ class TestTable1Indices:
     @pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.1, 0.3, 0.49])
     def test_gei_near_zero_order_matches_mpmath(self, q):
         # log(pi / n) cancels as q -> 0; 80 random distributions, the last 10
-        # with a zero entry. Near the uniform distribution the index is small
-        # and loses digits on every path, q >= 1/2 included (1.4e-12 at q = 0.49
-        # and 1.7e-12 at q = 0.5 for a two-state draw of mean log deviation
-        # 1.5e-4), so draws with a mean log deviation below 1e-2 are left out.
+        # with a zero entry. Draws near the uniform distribution, with a mean
+        # log deviation below 1e-2, are the next test's.
         rng = np.random.default_rng(2019)
         dists = [rng.dirichlet(np.full(rng.integers(2, 12), alpha))
                  for alpha in rng.uniform(0.2, 5.0, 80)]
@@ -284,6 +299,36 @@ class TestTable1Indices:
         for p in dists:
             got = table1_index(p, "generalized_entropy_index", q=q).value
             assert got == pytest.approx(gei_mp(p, q), rel=1e-12, abs=0), p
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.7, 0.99, 1.0, 1.001, 2.0, 7.0])
+    def test_gei_near_uniform_matches_mpmath(self, q):
+        # the index is about half the squared spread of n p_i, which every
+        # term of the mean carries without cancelling; a form through
+        # log(pi / n), which cancels here, is up to 3.4e-7 off (q = 0.99)
+        rng = np.random.default_rng(2020)
+        draws = [rng.dirichlet(np.full(rng.integers(2, 12), alpha))
+                 for alpha in rng.uniform(100.0, 2000.0, 20)]
+        dists = [np.array([0.2501, 0.2499, 0.25, 0.25]), np.array([0.3334, 0.3333, 0.3333])]
+        dists += [p for p in draws if -np.mean(np.log(p.size * p)) < 1e-2]
+        assert len(dists) == 22
+        for p in dists:
+            got = table1_index(p, "generalized_entropy_index", q=q)
+            assert got.value == pytest.approx(gei_mp(p, q), rel=5e-12, abs=0), p
+            assert got.limit_branch == (q in (0.0, 1.0))
+
+    @pytest.mark.parametrize("n,q_last,q_over", [(10 ** 6, 52.35, 52.4), (10, 309.25, 309.3)])
+    def test_gei_past_the_float_range_is_a_numerical_error(self, n, q_last, q_over):
+        # a point mass gives (n^(q-1) - 1) / (q (q - 1)), finite up to the
+        # order where n^(q-1) leaves the float range
+        p = np.zeros(n)
+        p[0] = 1.0
+        with mpmath.workdps(30):
+            qm = mpmath.mpf(q_last)
+            want = float((mpmath.mpf(n) ** (qm - 1) - 1) / (qm * (qm - 1)))
+        got = table1_index(p, "generalized_entropy_index", q=q_last).value
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        with pytest.raises(NumericalError, match="generalized entropy index at q=.* overflows"):
+            table1_index(p, "generalized_entropy_index", q=q_over)
 
     def test_gei_zero_prob(self):
         res = table1_index([0.5, 0.5, 0.0], "generalized_entropy_index", q=0.0)

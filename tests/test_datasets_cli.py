@@ -819,20 +819,33 @@ class TestCliSweeps:
         assert all(1.0 - 1e-9 <= v <= 2.0 + 1e-9 for v in rrh)
 
     def test_bmm_sweep_tau_grid_one_mass_per_tau(self, monkeypatch):
-        # the assignment mass takes four reg_inc_beta calls, each over the
-        # whole tau grid: 2 taus x 4 orders make 4 calls, not 8 or 32
+        # the assignment mass takes one reg_inc_beta call per component, each
+        # over the whole tau grid and its mirror: 2 taus x 4 orders make 2
+        # calls, not 4 or 32
         calls = []
-        inner = special.reg_inc_beta
+        inner = betamix.reg_inc_beta
+        assert inner is special.reg_inc_beta
 
         def counting(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(special, "reg_inc_beta", counting)
+        monkeypatch.setattr(betamix, "reg_inc_beta", counting)
         res = self.run(["bmm-sweep", "--tau-mode", "grid", "--grid", "0.2,0.5",
                         "--q", "0,1,2,inf"])
         assert res.exit_code == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
+        assert [np.shape(args[0]) for args in calls] == [(2, 2), (2, 2)]
+
+    def test_bmm_sweep_tau_grid_reads_tails_below_an_ulp_of_one(self):
+        # each component keeps a tail smaller than an ulp of 1 past both
+        # thresholds (scipy betainc: 3.0e-26 below 1e-6 and betaincc: 1.3e-41
+        # above 1 - 1e-9), so the support count is 2 at both
+        res = self.run(["bmm-sweep", "--tau-mode", "grid", "--grid", "0.000001,0.999999999",
+                        "--theta1", "0.3", "--q", "0", "--format", "json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert [r[5] for r in payload["rows"]] == [2, 2]
 
     @pytest.mark.parametrize("args", [
         ["--theta2", "1e306"], ["--theta3", "1e306"],

@@ -17,7 +17,6 @@ from hetlab.special import (
     BetaShape,
     _hurwitz_zeta,
     beta_pdf,
-    gen_reg_inc_beta,
     log_beta,
     log_gamma,
     reg_hyp3f2_unit,
@@ -157,32 +156,11 @@ class TestRegIncBetaArray:
         assert type(reg_inc_beta(np.float64(0.3), s)) is float
         assert reg_inc_beta([[0.0, 0.3], [0.6, 1.0]], s).shape == (2, 2)
         assert reg_inc_beta(np.empty(0), s).shape == (0,)
-        assert gen_reg_inc_beta([0.1, 0.2], 1.0, s).tolist() == \
-            [1.0 - reg_inc_beta(0.1, s), 1.0 - reg_inc_beta(0.2, s)]
 
     @pytest.mark.parametrize("x", [[0.5, -0.1], [1.5], [0.2, math.nan]])
     def test_any_entry_outside_the_domain_is_rejected(self, x):
         with pytest.raises(ValidationError, match="0 <= x <= 1"):
             reg_inc_beta(x, BetaShape(2.0, 3.0))
-
-    def test_gen_ordering_per_entry(self):
-        with pytest.raises(ValidationError, match="x0 <= x1"):
-            gen_reg_inc_beta([0.1, 0.7], [0.5, 0.3], BetaShape(2.0, 2.0))
-
-
-class TestGenRegIncBeta:
-    def test_full_interval(self):
-        assert gen_reg_inc_beta(0.0, 1.0, BetaShape(4, 9)) == pytest.approx(1.0, rel=1e-6, abs=0)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValidationError):
-            gen_reg_inc_beta(0.7, 0.3, BetaShape(2, 2))
-
-    def test_interval_mass(self):
-        # oracle: scipy betainc difference
-        s = BetaShape(5, 20)
-        ref = float(sps.betainc(5, 20, 0.4) - sps.betainc(5, 20, 0.1))
-        assert gen_reg_inc_beta(0.1, 0.4, s) == pytest.approx(ref, abs=1e-13)
 
 
 class TestHurwitzZeta:
