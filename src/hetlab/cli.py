@@ -28,9 +28,8 @@ import sys
 import click
 import numpy as np
 
-from . import betamix, classic, datasets
-from .core import renyi_heterogeneity
-from .decomposition import decompose
+# modules, not names: each one executes only when a command first reads it
+from . import betamix, classic, core, datasets, decomposition
 from .errors import NumericalError, ValidationError
 
 _VALIDATION_EXIT = 3
@@ -177,7 +176,7 @@ def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
             "u": u_list, "qe": classic.neqrqe(classic.rescale_distance(dist), p)[..., None, None],
             "fhn": np.stack([classic.functional_hill(dist, p, qv) for qv in q_list], 2)[..., None],
             "lci": np.stack([classic.leinster_cobbold(sims, p[:, None], qv) for qv in q_list], 2),
-            "rrh": np.stack([renyi_heterogeneity(p, qv) for qv in q_list], 1)[..., None],
+            "rrh": np.stack([core.renyi_heterogeneity(p, qv) for qv in q_list], 1)[..., None],
             "metric": np.reshape(classic.is_metric(dist), (H, 1, 1, 1)),
             "ultrametric": np.reshape(classic.is_ultrametric(dist), (H, 1, 1, 1))}),
         metadata={"command": "three-state-sweep", "b": b,
@@ -290,7 +289,7 @@ def assignments_rrh(file, q_list):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     ids, ensemble = _read_input(file, datasets.read_assignments)
     return datasets.SweepResult(
-        columns={"q": np.array(q_list), **decompose(ensemble, q_list)},
+        columns={"q": np.array(q_list), **decomposition.decompose(ensemble, q_list)},
         metadata={"command": "assignments-rrh", "n_records": len(ids),
                   "n_categories": ensemble.n_states},
     ).write

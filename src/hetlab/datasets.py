@@ -29,16 +29,18 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import SubsystemEnsemble
+# modules, not names: each one executes only when a call first reads it
+from . import decomposition, gaussian
 from .errors import ValidationError
-from .gaussian import PIVOT_FLOOR, GaussianEnsemble, gaussian_between, gaussian_decomposition
 
 _NEIGHBOR_BLOCK = 256  # records per block of neighbor distances: 256 x N x n floats
+_QUOTE_CHARS = re.compile('["\r\n]')  # with a comma, what csv quotes in a cell
 
 
 def _cells(column, fmt: str) -> list:
@@ -64,14 +66,23 @@ def _rows(columns: dict, fmt: str):
 def _write_csv(stream, columns: dict) -> None:
     """A table of columns as ``\\n``-terminated CSV that reads back losslessly.
 
-    csv quotes a field only when it holds the delimiter, the quote or a
-    character of the line terminator, so a bare ``\\r`` would go out
-    unquoted; a row holding one is written fully quoted instead.
+    A row is its cells joined by commas, unless a cell holds a comma, a
+    quote or a line break, or the row is one empty cell (an empty line
+    reads back as no record): such a row goes through csv, which quotes
+    those cells and writes an empty lone cell as ``""``. csv quotes a field
+    only when it holds the delimiter, the quote or a character of the line
+    terminator, so a bare ``\\r`` would go out unquoted; a row holding one
+    is written fully quoted instead.
     """
     plain = csv.writer(stream, lineterminator="\n")
     quoted = csv.writer(stream, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    commas = len(columns) - 1
     for row in itertools.chain([list(columns)], _rows(columns, "csv")):
-        (quoted if "\r" in "".join(row) else plain).writerow(row)
+        line = ",".join(row)
+        if line and line.count(",") == commas and not _QUOTE_CHARS.search(line):
+            stream.write(line + "\n")
+        else:
+            (quoted if "\r" in line else plain).writerow(row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +112,12 @@ class EmbeddingDataset:
         bad_mean = (means.shape[1] < 1) | ~np.isfinite(means).all(axis=1)
         with np.errstate(over="ignore"):
             var = np.exp(log_var)  # nan, inf or 0 where a log-variance is not finite
-        bad = bad_mean | ~((var >= PIVOT_FLOOR) & (var < np.inf)).all(axis=1)
+        bad = bad_mean | ~((var >= gaussian.PIVOT_FLOOR) & (var < np.inf)).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             what = ("mean must be a finite vector" if bad_mean[i] else
                     "log-variance must be a finite vector matching the mean, "
-                    f"with every exp(s) finite and >= {PIVOT_FLOOR}")
+                    f"with every exp(s) finite and >= {gaussian.PIVOT_FLOOR}")
             raise ValidationError(f"record {ids[i]!r}: {what}")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "labels", labels)
@@ -120,12 +131,12 @@ class EmbeddingDataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def ensemble(self, indices: Optional[Sequence[int]] = None) -> GaussianEnsemble:
+    def ensemble(self, indices: Optional[Sequence[int]] = None) -> gaussian.GaussianEnsemble:
         """Uniform-weight Gaussian ensemble over all records or a subset; a
         2-D ``(B, m)`` index array gives a stack of B ensembles of m members."""
         rows = slice(None) if indices is None else np.asarray(indices)
-        return GaussianEnsemble(means=self.means[rows],
-                                covariances=np.exp(self.log_var[rows]))
+        return gaussian.GaussianEnsemble(means=self.means[rows],
+                                         covariances=np.exp(self.log_var[rows]))
 
 
 def _header(text: tuple, prefixes: tuple, n: int) -> list:
@@ -138,19 +149,25 @@ def _embedding_header(nz: int) -> list:
     return _header(("id", "label"), ("m_", "s_"), nz)
 
 
-def _table_rows(rows, what: str, text: tuple, width: int) -> tuple:
+def _table_rows(rows, what: str, text: tuple, header: list) -> tuple:
     """The text cells and numbers of ``rows``, checked one record at a time
     so that the first bad record is named: its width, the floats after the
-    ``text`` columns, and (in JSON) that the text cells after the id are
+    ``text`` columns (a JSON ``true``/``false``, which ``float`` reads as
+    1/0, is no number), and (in JSON) that the text cells after the id are
     strings or null. An id is made a string."""
     cells, values = [], []
     try:
         for i, row in enumerate(rows):
-            if len(row) != width:
+            if len(row) != len(header):
                 raise ValidationError(
-                    f"{what} record {i}: expected {width} fields, got {len(row)}")
+                    f"{what} record {i}: expected {len(header)} fields, got {len(row)}")
+            numbers = row[len(text):]
+            if bool in map(type, numbers):
+                j = [type(v) for v in numbers].index(bool)
+                raise ValidationError(f"{what} record {i}: {header[len(text) + j]} must be "
+                                      f"a number, got {json.dumps(numbers[j])}")
             try:
-                values.append([float(v) for v in row[len(text):]])
+                values.append([float(v) for v in numbers])
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{what} record {i}: {exc}") from exc
             for name, v in zip(text[1:], row[1:len(text)]):
@@ -261,7 +278,7 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
                 if len(table) == _line_count(body):
                     return table["text"], np.ascontiguousarray(table["numbers"])
         rows = csv.reader(io.StringIO(body, newline=""))
-    return _table_rows(rows, what, text, len(header))
+    return _table_rows(rows, what, text, header)
 
 
 def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> None:
@@ -297,7 +314,7 @@ def read_assignments(stream) -> tuple:
     (ids, SubsystemEnsemble)."""
     cells, table = _read_table(stream, "assignment", ("id",), ("p_",))
     try:
-        ensemble = SubsystemEnsemble(table=table)
+        ensemble = decomposition.SubsystemEnsemble(table=table)
     except ValidationError as exc:
         raise ValidationError(f"assignment table rejected: {exc}") from exc
     return cells[:, 0].tolist(), ensemble
@@ -390,7 +407,7 @@ def group_decomposition(dataset: EmbeddingDataset, q_list: Sequence[float],
     else:
         items = [("*", list(range(len(dataset))))]
 
-    parts = [gaussian_decomposition(dataset.ensemble(idx), q_list) for _, idx in items]
+    parts = [gaussian.gaussian_decomposition(dataset.ensemble(idx), q_list) for _, idx in items]
     sizes = np.repeat([len(idx) for _, idx in items], len(q_list))
     return SweepResult(
         columns={"label": [label for label, _ in items for _ in q_list],
@@ -423,7 +440,7 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
         members[rows] = _nearest(d, k + 1)
     # in ascending record order, so that equal member sets pool bit for bit alike
     members.sort(axis=1)
-    return gaussian_between(dataset.ensemble(members), q)
+    return gaussian.gaussian_between(dataset.ensemble(members), q)
 
 
 def _nearest(d: np.ndarray, m: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -327,6 +328,17 @@ def bmm_index_comparison_loop(thetas, q_list, u: float = 1.0) -> dict:
                 except DegenerateDistanceError:
                     pass
     return out
+
+
+def csv_text_per_row(rows) -> str:
+    """The CSV text of ``rows`` (lists of str), each row through csv.writer
+    with ``\\n`` line ends, fully quoted where a cell holds a ``\\r``."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if "\r" in "".join(row) else plain).writerow(row)
+    return buf.getvalue()
 
 
 def csv_table_loop(stream, what: str, text: tuple, prefixes: tuple) -> tuple:

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlab import betamix, classic, cli, datasets, special
+from hetlab import betamix, classic, cli, core, datasets, decomposition, special
 from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
@@ -36,6 +36,7 @@ from hetlab.gaussian import GaussianComponent, gaussian_renyi, gaussian_within
 
 from oracles import (
     bmm_index_comparison_loop,
+    csv_text_per_row,
     gaussian_log_between_mp,
     neighborhood_between_loop,
     neighborhood_members,
@@ -268,6 +269,15 @@ class TestEmbeddingIO:
             with pytest.raises(ValidationError, match="record 0: label"):
                 read_embeddings(io.StringIO(bad))
 
+    @pytest.mark.parametrize("field", ["m_1", "s_1"])
+    def test_json_boolean_is_no_number(self, field):
+        # float(True) is 1.0, so a JSON true would read as a number where the
+        # CSV cell "true" does not
+        record = {"id": "a", "label": "x", "m_1": 1.0, "s_1": -1.0, field: False}
+        with pytest.raises(ValidationError,
+                           match=f"^embedding record 0: {field} must be a number, got false$"):
+            read_embeddings(io.StringIO(json.dumps({"records": [record]})))
+
 
 class TestAssignmentIO:
     def test_csv(self):
@@ -297,6 +307,18 @@ class TestAssignmentIO:
             with pytest.raises(ValidationError,
                                match="assignment record 0: expected 3 fields, got 2"):
                 read_assignments(io.StringIO(text))
+
+    def test_json_boolean_is_no_number(self, tmp_path):
+        rows = [{"id": "a", "p_1": 0.5, "p_2": 0.5}, {"id": "b", "p_1": True, "p_2": False}]
+        with pytest.raises(ValidationError,
+                           match="^assignment record 1: p_1 must be a number, got true$"):
+            read_assignments(io.StringIO(json.dumps({"records": rows})))
+        json_path, csv_path = tmp_path / "assign.json", tmp_path / "assign.csv"
+        json_path.write_text(json.dumps({"records": rows}))
+        csv_path.write_text("id,p_1,p_2\na,0.5,0.5\nb,true,false\n")
+        for path in (json_path, csv_path):
+            res = CliRunner().invoke(cli.main, ["assignments", "rrh", str(path)])
+            assert res.exit_code == 3 and "assignment record 1: " in res.output
 
     @pytest.mark.parametrize("text", [
         "",
@@ -505,6 +527,18 @@ class TestSweepResult:
         assert lines[2] == "a,b,c,d"
         assert lines[3] == "1,,false,3"
         assert lines[4] == ",x,true,-4"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.none() | _ID_TEXT, min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_csv_text_matches_csv_writer(self, rows):
+        # comma-joined rows, csv where a cell needs quotes or a lone cell is
+        # empty: the text a csv.writer per row gives, one-column tables included
+        columns = {f"c{j}": [row[j] for row in rows] for j in range(len(rows[0]))}
+        buf = io.StringIO()
+        SweepResult(columns=columns, metadata={}).write(buf)
+        cells = [["" if v is None else v for v in row] for row in rows]
+        assert buf.getvalue() == csv_text_per_row([list(columns), *cells])
 
     def test_json(self):
         payload = json.loads(to_text(self.make(), "json"))
@@ -964,7 +998,7 @@ class TestCliSweeps:
         calls = Counter()
         for module, name in ((classic, "similarity_from_distance"), (classic, "neqrqe"),
                              (classic, "functional_hill"), (classic, "leinster_cobbold"),
-                             (cli, "renyi_heterogeneity")):
+                             (core, "renyi_heterogeneity")):
             def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
@@ -1247,7 +1281,7 @@ class TestCliAssignments:
         path.write_text("id,p_1,p_2\na,0.5,0.5\n")
         def boom(*a, **k):
             raise SingularityError("forced")
-        monkeypatch.setattr(cli, "decompose", boom)
+        monkeypatch.setattr(decomposition, "decompose", boom)
         res = self.run(["assignments", "rrh", str(path)])
         assert res.exit_code == 4
         assert "forced" in res.output

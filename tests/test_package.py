@@ -1,13 +1,16 @@
 """Package metadata."""
 
+import ast
 import importlib
 import importlib.util
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -82,6 +85,103 @@ def test_tracer_spans_every_file_layer(tmp_path):
                   "neighborhood_between", "read_assignments"):
         assert f"datasets.{layer}" in names, layer
     assert cli._emit is emit  # restored on exit
+
+
+def test_tracer_patches_and_restores_lazy_modules():
+    # perfbench/trace.py imports only hetlab.cli, so every other module is
+    # still unexecuted when the tracer looks its targets up in sys.modules
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    proc = _python(textwrap.dedent(f"""
+        import importlib.util, sys, types
+        from hetlab import cli
+        spec = importlib.util.spec_from_file_location("_hetlab_tracing", {str(path)!r})
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert type(sys.modules["hetlab.special"]) is not types.ModuleType
+
+        def target(mod, attr):
+            owner = sys.modules[f"hetlab.{{mod}}"]
+            cls, _, meth = attr.rpartition(".")
+            return vars(getattr(owner, cls))[meth] if cls else getattr(owner, attr)
+
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            wrapped = {{key: target(*key) for key in [*tracing.SPANS, *tracing.COUNTS]}}
+            cli.main(["three-state-sweep", "--grid", "1", "--q", "1,2"], standalone_mode=False)
+        assert all(hasattr(fn, "__wrapped__") for fn in wrapped.values())
+        assert all(target(*key) is fn.__wrapped__ for key, fn in wrapped.items())
+        names = [span[0] for span in tracer.spans]
+        sys.stderr.write(repr((len(wrapped), names.count("core.renyi_heterogeneity"),
+                               names.count("classic.functional_hill"))))
+        """))
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stderr.decode()) == (24, 2, 2)
+
+
+def _executed(runs):
+    """The hetlab submodules executed, and whether ``fractions`` was loaded,
+    in a fresh interpreter that ran ``cli.main`` on each argument list."""
+    proc = _python(textwrap.dedent(f"""
+        import sys, types
+        from hetlab import cli
+        for args in {runs!r}:
+            try:
+                cli.main(args)
+            except SystemExit as exc:
+                assert not exc.code, (args, exc.code)
+        executed = {{name[len("hetlab."):] for name, module in sys.modules.items()
+                    if name.startswith("hetlab.") and type(module) is types.ModuleType}}
+        sys.stderr.write(repr((executed, "fractions" in sys.modules)))
+        """))
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stderr.decode())
+
+
+def _command_paths(group, path=()):
+    yield list(path)
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _command_paths(command, (*path, name))
+        else:
+            yield [*path, name]
+
+
+def test_help_executes_no_computing_module():
+    runs = [[*path, "--help"] for path in _command_paths(cli.main)]
+    assert len(runs) == 9
+    assert _executed(runs) == ({"cli", "errors"}, False)
+
+
+@pytest.mark.parametrize("args,modules", [
+    (["bmm-sweep"], {"core", "classic", "special", "betamix", "datasets"}),
+    (["bmm-sweep", "--tau-mode", "grid"], {"core", "classic", "special", "betamix", "datasets"}),
+    (["three-state-sweep"], {"core", "classic", "datasets"}),
+    (["embeddings", "synth", "--labels", "2", "--per-label", "3"],
+     {"core", "gaussian", "datasets"}),
+    (["embeddings", "decompose", "{emb}"], {"core", "gaussian", "datasets"}),
+    (["embeddings", "neighborhoods", "{emb}", "--k", "2"], {"core", "gaussian", "datasets"}),
+    (["assignments", "rrh", "{asg}"], {"core", "decomposition", "datasets"}),
+])
+def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
+    # fractions (with decimal) comes in with special, which only bmm-sweep calls
+    emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
+    emb.write_text("id,label,m_1,s_1\na,x,0,-1\nb,x,1,-1\nc,y,2,-1\n")
+    asg.write_text("id,p_1,p_2\na,0.5,0.5\nb,1,0\n")
+    args = [arg.format(emb=emb, asg=asg) for arg in args]
+    assert _executed([args]) == ({"cli", "errors", *modules}, args[0] == "bmm-sweep")
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from hetlab import *", namespace)
+    assert len(hetlab.__all__) == 66 and hetlab.__all__ == sorted(set(hetlab.__all__))
+    for name in hetlab.__all__:
+        assert namespace[name] is getattr(hetlab, name), name
+    assert set(hetlab.__all__) <= set(dir(hetlab))
+    assert hetlab.renyi_heterogeneity is hetlab.core.renyi_heterogeneity
+    assert hetlab.decomposition is sys.modules["hetlab.decomposition"]
+    with pytest.raises(AttributeError, match="'hetlab' has no attribute 'no_such_name'"):
+        hetlab.no_such_name
 
 
 def test_array_holding_records_compare_by_identity():
