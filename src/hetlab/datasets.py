@@ -39,7 +39,7 @@ import numpy as np
 from . import decomposition, gaussian
 from .errors import ValidationError
 
-_NEIGHBOR_BLOCK = 256  # records per block of neighbor distances: 256 x N x n floats
+_NEIGHBOR_BLOCK = 256  # records per block of neighbor distance estimates: 256 x N floats
 _QUOTE_CHARS = re.compile('["\r\n]')  # with a comma, what csv quotes in a cell
 
 
@@ -149,12 +149,22 @@ def _embedding_header(nz: int) -> list:
     return _header(("id", "label"), ("m_", "s_"), nz)
 
 
+def _is_number(cell) -> bool:
+    """Whether ``float`` reads ``cell`` as a number: a JSON ``true``/``false``,
+    which it reads as 1/0, is none."""
+    try:
+        float(cell)
+    except (TypeError, ValueError):
+        return False
+    return type(cell) is not bool
+
+
 def _table_rows(rows, what: str, text: tuple, header: list) -> tuple:
     """The text cells and numbers of ``rows``, checked one record at a time
     so that the first bad record is named: its width, the floats after the
-    ``text`` columns (a JSON ``true``/``false``, which ``float`` reads as
-    1/0, is no number), and (in JSON) that the text cells after the id are
-    strings or null. An id is made a string."""
+    ``text`` columns (the first cell that is no number is named by its
+    column), and (in JSON) that the text cells after the id are strings or
+    null. An id is made a string."""
     cells, values = [], []
     try:
         for i, row in enumerate(rows):
@@ -162,14 +172,15 @@ def _table_rows(rows, what: str, text: tuple, header: list) -> tuple:
                 raise ValidationError(
                     f"{what} record {i}: expected {len(header)} fields, got {len(row)}")
             numbers = row[len(text):]
-            if bool in map(type, numbers):
-                j = [type(v) for v in numbers].index(bool)
+            try:
+                floats = [float(v) for v in numbers]
+            except (TypeError, ValueError):
+                floats = None
+            if floats is None or bool in map(type, numbers):
+                j = next(j for j, v in enumerate(numbers) if not _is_number(v))
                 raise ValidationError(f"{what} record {i}: {header[len(text) + j]} must be "
                                       f"a number, got {json.dumps(numbers[j])}")
-            try:
-                values.append([float(v) for v in numbers])
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{what} record {i}: {exc}") from exc
+            values.append(floats)
             for name, v in zip(text[1:], row[1:len(text)]):
                 if not isinstance(v, (str, type(None))):
                     raise ValidationError(
@@ -432,28 +443,68 @@ def neighborhood_between(dataset: EmbeddingDataset, k: int, q: float) -> np.ndar
     n = len(dataset)
     if not 1 <= k < n:
         raise ValidationError(f"k must satisfy 1 <= k < N={n}, got {k}")
+    means = dataset.means
+    with np.errstate(over="ignore"):  # an infinite square makes every entry a candidate
+        sq = np.einsum("ij,ij->i", means, means)
     members = np.empty((n, k + 1), dtype=np.intp)
     for start in range(0, n, _NEIGHBOR_BLOCK):
         rows = np.arange(start, min(start + _NEIGHBOR_BLOCK, n))
-        d = np.linalg.norm(dataset.means - dataset.means[rows, None], axis=-1)
-        d[rows - start, rows] = -1.0  # the record itself always leads the ordering
-        members[rows] = _nearest(d, k + 1)
+        members[rows] = _nearest(means, rows, *_candidates(means, sq, rows, k), k + 1)
     # in ascending record order, so that equal member sets pool bit for bit alike
     members.sort(axis=1)
     return gaussian.gaussian_between(dataset.ensemble(members), q)
 
 
-def _nearest(d: np.ndarray, m: int) -> np.ndarray:
-    """The columns of the ``m`` smallest entries of each row of ``d``, in
-    ascending (distance, column) order: the first ``m`` of a stable argsort.
-    A partition finds each row's m-th distance; only the candidates at or
-    below it, ties on both sides of position m included, are sorted."""
-    kth = np.take_along_axis(d, np.argpartition(d, m - 1, axis=1)[:, m - 1:m], axis=1)
-    r, c = np.nonzero(d <= kth)  # row-major: ascending column within a row
-    order = np.lexsort((d[r, c], r))  # stable: by row, then distance, then column
-    counts = np.bincount(r, minlength=len(d))
+def _candidates(means: np.ndarray, sq: np.ndarray, rows: np.ndarray, k: int) -> tuple:
+    """The (row position, index) pairs, in row-major order, of the records
+    that may be among the k + 1 nearest of each record ``rows[i]``, itself
+    included, by the squared distances ``sq[i] + sq[j] - 2 means[i].means[j]``
+    estimated from one matrix product, ``sq`` being the squared norms.
+
+    Why no member is missed: with u = 2^-53, n the dimension and gamma_m =
+    m u / (1 - m u) (Higham 2002, sec. 3.1), let P = ||a||^2 + ||b||^2 and
+    d = ||a - b||, so d^2 <= 2P. Each of the three dot products is off by at
+    most gamma_n P (|a.b| <= P / 2), and the sum and difference add two
+    roundings of sizes up to P and 2P, so the estimate is off d^2 by at most
+    2 gamma_{n+2} P. ``np.linalg.norm`` rounds the n differences, the n
+    squares, the sum and the square root, so the square of the exact-pass
+    distance is d^2 (1 + theta) with |theta| <= gamma_{n+4}, off d^2 by at
+    most 2 gamma_{n+4} P. As P <= (sq_a + sq_b) / (1 - gamma_n), both errors
+    together are below E(a, b) = 5 gamma_{n+4} (sq_a + sq_b). Let t be a
+    row's (k + 1)-th estimate and S the k + 1 entries at or below it. A
+    member b is no farther, by the exact pass, than the farthest of S, so
+    its estimate is at most t + E(a, b) + max over S of E(a, .). The test
+    takes 8 gamma_{n+4} for 5: the rest covers the rounding of the test's
+    own sums, and the added ``tiny`` covers underflow, at most 2^-1075 per
+    operation. Squares near the float range void the bound, and there every
+    entry is a candidate (c = inf), as is every NaN estimate. When all means
+    are equal, so is every entry: the work of a dense pass."""
+    mu = (means.shape[1] + 4) * 2.0 ** -53
+    c = 8.0 * mu / (1.0 - mu) if sq.max() < np.finfo(float).max / 8.0 else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = sq[rows, None] + sq - 2.0 * (means[rows] @ means.T)
+        approx[np.arange(len(rows)), rows] = -np.inf  # the record itself always leads
+        part = np.argpartition(approx, k, axis=1)
+        t = np.take_along_axis(approx, part[:, k:k + 1], axis=1)[:, 0]
+        reach = (t + c * (2.0 * sq[rows] + sq[part[:, :k + 1]].max(axis=1))
+                 + np.finfo(float).tiny)
+        return np.nonzero(~(approx - c * sq > reach[:, None]))
+
+
+def _nearest(means: np.ndarray, rows: np.ndarray, r: np.ndarray, cand: np.ndarray,
+             m: int) -> np.ndarray:
+    """For each record ``rows[i]``, the ``m`` candidates ``cand[r == i]``
+    nearest by the exact distance ``norm(means[j] - means[rows[i]])`` (the
+    record itself first), in ascending (distance, index) order: the first
+    ``m`` of a stable argsort of the full row. The candidates come in
+    row-major order, ascending index within a row."""
+    i = rows[r]
+    d = np.linalg.norm(means[cand] - means[i], axis=-1)
+    d[cand == i] = -1.0
+    order = np.lexsort((d, r))  # stable: by row, then distance, then index
+    counts = np.bincount(r, minlength=len(rows))
     starts = np.cumsum(counts) - counts
-    return c[order][starts[:, None] + np.arange(m)]
+    return cand[order][starts[:, None] + np.arange(m)]
 
 
 def neighborhood_sweep(dataset: EmbeddingDataset, k: int, q: float,

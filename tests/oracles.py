@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -344,8 +345,9 @@ def csv_text_per_row(rows) -> str:
 def csv_table_loop(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
     """(rows, numbers) of a CSV input file, one record at a time: csv.reader
     over the stream's lines after the leading ``#`` block, the header
-    check, then a width check and ``float`` on every number cell of each
-    record, the first failure raising a ValidationError that names it."""
+    check, then a width check and ``float`` on each number cell of each
+    record in turn, the first failure raising a ValidationError that names
+    it (and its column)."""
     rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), stream))
     out, numbers = [], []
     try:
@@ -361,10 +363,13 @@ def csv_table_loop(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
             if len(row) != len(header):
                 raise ValidationError(
                     f"{what} record {i}: expected {len(header)} fields, got {len(row)}")
-            try:
-                numbers.append([float(v) for v in row[len(text):]])
-            except ValueError as exc:
-                raise ValidationError(f"{what} record {i}: {exc}") from exc
+            for name, v in zip(header[len(text):], row[len(text):]):
+                try:
+                    float(v)
+                except ValueError:
+                    raise ValidationError(f"{what} record {i}: {name} must be a number, "
+                                          f"got {json.dumps(v)}") from None
+            numbers.append([float(v) for v in row[len(text):]])
             out.append(row)
     except csv.Error as exc:
         raise ValidationError(f"{what} record {len(out)}: {exc}") from exc

@@ -320,6 +320,23 @@ class TestAssignmentIO:
             res = CliRunner().invoke(cli.main, ["assignments", "rrh", str(path)])
             assert res.exit_code == 3 and "assignment record 1: " in res.output
 
+    @pytest.mark.parametrize("fmt,value,shown", [
+        ("csv", "true", '"true"'), ("csv", "x", '"x"'),
+        ("json", "x", '"x"'), ("json", None, "null"),
+    ])
+    def test_non_number_names_its_column(self, tmp_path, fmt, value, shown):
+        rows = [{"id": "a", "p_1": 0.5, "p_2": 0.5}, {"id": "b", "p_1": 0.5, "p_2": value}]
+        text = (json.dumps({"records": rows}) if fmt == "json"
+                else f"id,p_1,p_2\na,0.5,0.5\nb,0.5,{value}\n")
+        message = f"assignment record 1: p_2 must be a number, got {shown}"
+        with pytest.raises(ValidationError) as info:
+            read_assignments(io.StringIO(text))
+        assert str(info.value) == message
+        path = tmp_path / "assign"
+        path.write_text(text)
+        res = CliRunner().invoke(cli.main, ["assignments", "rrh", str(path)])
+        assert res.exit_code == 3 and res.output == f"error: {message}\n"
+
     @pytest.mark.parametrize("text", [
         "",
         "id,q_1\na,1.0\n",                # wrong header
@@ -728,15 +745,20 @@ class TestNeighborhoods:
                 ref = neighborhood_between_loop(ds, k, q)
                 assert got == pytest.approx(ref, rel=1e-13, abs=0), (k, q)
 
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_members_match_stable_sort(self, ties, monkeypatch):
+    @pytest.mark.parametrize("ties,offset", [
+        pytest.param(False, 0.0, id="False"), pytest.param(True, 0.0, id="True"),
+        pytest.param(True, 1e6 + 1 / 3, id="far-from-origin ties")])
+    def test_members_match_stable_sort(self, ties, offset, monkeypatch):
         # More records than one block of rows. With ties, means on a small
         # integer grid repeat, so equal distances fall on both sides of
-        # position k and the index tie-break decides the members.
+        # position k and the index tie-break decides the members. Far from
+        # the origin the differences stay exact integers, but the squares
+        # near 10^12 that estimate the squared distances (0 to 18) round
+        # off by up to about 10^-4; the fraction 1/3 makes them round.
         if ties:
             rng = np.random.default_rng(44)
             ds = EmbeddingDataset(ids=[f"r{i}" for i in range(300)], labels=[None] * 300,
-                                  means=rng.integers(0, 4, size=(300, 2)).astype(float),
+                                  means=rng.integers(0, 4, size=(300, 2)) + offset,
                                   log_var=np.zeros((300, 2)))
         else:
             ds = synth_embeddings(10, 100, 2, seed=1)
@@ -1483,21 +1505,32 @@ class TestCliInputDetection:
         assert self.run(command, bom, flags) == self.run(command, plain, flags)
 
     def test_module_entry_point_matches_cli_runner(self, tmp_path):
-        # `python -m hetlab.cli` is the entry the benchmark times
+        # `python -m hetlab.cli` is the entry the benchmark times; its exit
+        # path (`cli.run`) keeps the exit code, stdout and stderr of `cli.main`
         emb = tmp_path / "emb.json"
         emb.write_text(_embedding_text("json"))
         assign = tmp_path / "assign.csv"
         assign.write_text(_assignment_text("csv"), encoding="utf-8-sig")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,p_1,p_2\na,0.5,0.5\nb,true,false\n")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for args in (["embeddings", "decompose", str(emb), "--q", "1,2"],
-                     ["assignments", "rrh", str(assign), "--q", "0,1,2,inf"]):
+        big = ["three-state-sweep", "--grid", "0.02:3:0.01", "--kappa", "0.25,1,4",
+               "--q", "0.5,1,2,inf", "--u", "0.5,1,2", "--format", "json"]
+        for args, code in ((["embeddings", "decompose", str(emb), "--q", "1,2"], 0),
+                           (["assignments", "rrh", str(assign), "--q", "0,1,2,inf"], 0),
+                           (["bmm-sweep", "--grid", "0.5", "--theta2", "-1"], 2),
+                           (["assignments", "rrh", str(bad)], 3),
+                           (["bmm-sweep", "--grid", "0.5", "--theta2", "50", "--theta3", "60"],
+                            4),
+                           (big, 0)):
             proc = subprocess.run([sys.executable, "-m", "hetlab.cli"] + args,
                                   capture_output=True, env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            res = CliRunner().invoke(cli.main, args)
-            assert res.exit_code == 0 and proc.stdout == res.stdout_bytes
+            res = CliRunner().invoke(cli.main, args, prog_name="python -m hetlab.cli")
+            assert res.exit_code == proc.returncode == code, (args, proc.stderr)
+            assert proc.stdout == res.stdout_bytes and proc.stderr == res.stderr_bytes, args
+        assert len(proc.stdout) > 2 ** 20  # the last table passes a pipe buffer many times
 
 
 def _fuzz_cases():

@@ -1,6 +1,7 @@
 """Package metadata."""
 
 import ast
+import gc
 import importlib
 import importlib.util
 import os
@@ -17,8 +18,6 @@ from click.testing import CliRunner
 import hetlab
 from hetlab import cli
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,12 +31,41 @@ def _python(code):
 
 
 def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     config = tomllib.loads(PYPROJECT.read_text())
     assert "version" not in config["project"]
     assert "version" in config["project"]["dynamic"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "hetlab.__version__"}
     assert hetlab.__version__ == "0.1.0"
+
+
+def test_both_launchers_end_in_run():
+    # the installed `hetlab` script and `python -m hetlab.cli`; pyproject.toml
+    # is read as text because tomllib is not in Python 3.10
+    scripts = PYPROJECT.read_text().split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'hetlab = "hetlab.cli:run"'
+    assert (SRC / "hetlab" / "cli.py").read_text().endswith(
+        '\nif __name__ == "__main__":\n    run()\n')
+
+
+def test_in_process_call_does_not_freeze():
+    # a frozen cycle is never collected, which a long-lived caller would leak
+    before = gc.get_freeze_count()
+    res = CliRunner().invoke(cli.main, ["bmm-sweep", "--grid", "0.5"])
+    assert res.exit_code == 0 and gc.get_freeze_count() == before
+
+
+def test_atexit_runs_after_the_exit_freeze():
+    proc = _python(textwrap.dedent("""
+        import atexit, gc, sys
+        atexit.register(lambda: sys.stderr.write(f"frozen: {gc.get_freeze_count()}"))
+        sys.argv = ["hetlab", "bmm-sweep", "--grid", "0.5"]
+        from hetlab import cli
+        cli.run()
+        """))
+    assert proc.returncode == 0 and proc.stdout.startswith(b"# command=bmm-sweep\n")
+    assert int(proc.stderr.decode().rsplit(": ", 1)[1]) > 0
 
 
 def _tracing():
@@ -210,6 +238,7 @@ def test_array_holding_records_compare_by_identity():
 
 
 def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     config = tomllib.loads(PYPROJECT.read_text())
 
     def names(reqs):
