@@ -52,8 +52,8 @@ _EXPORTS = {name: module for module, names in {
     "gaussian": ("GaussianComponent", "GaussianEnsemble", "gaussian_between",
                  "gaussian_decomposition", "gaussian_pool", "gaussian_renyi",
                  "gaussian_within"),
-    "special": ("BetaShape", "beta_pdf", "log_beta", "log_gamma", "reg_hyp3f2_unit",
-                "reg_inc_beta"),
+    "special": ("BetaShape", "beta_pdf", "beta_tails", "log_beta", "log_gamma",
+                "reg_hyp3f2_unit", "reg_inc_beta"),
 }.items() for name in names}
 
 

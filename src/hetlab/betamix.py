@@ -24,7 +24,7 @@ from .classic import (
 )
 from .core import check_orders, renyi_heterogeneity
 from .errors import DegenerateDistanceError, NumericalError, ValidationError
-from .special import BetaShape, beta_pdf, log_beta, log_gamma, reg_hyp3f2_unit, reg_inc_beta
+from .special import BetaShape, beta_pdf, beta_tails, log_beta, log_gamma, reg_hyp3f2_unit
 
 _EQUAL_SHAPE_TOL = 1e-12
 
@@ -95,18 +95,15 @@ def assignment_mass(theta: BetaMixtureParams, tau) -> np.ndarray:
     """Expected hard-assignment distribution (fbar(z=1), fbar(z=2)) at
     threshold tau: mass above tau goes to component 2. ``theta1`` and
     ``tau`` broadcast; the result has their shape plus a last axis of 2.
-    Each mass sums the component tails on its side of tau, so neither is 1
-    minus the other. For tau >= 1/2 a tail above tau is the CDF of the mirror
-    component at 1 - tau, which is exact (Sterbenz lemma); below 1/2, where
-    1 - tau rounds, it is 1 minus the CDF at tau, and the mass above is at
-    least min(theta1, 1 - theta1) / 2."""
+    Each mass is a weighted sum of the component tails on its side of tau,
+    from one `beta_tails` pass per component. Neither mass is 1 minus the
+    other, so a mass far below an ulp of 1 keeps its digits."""
     if not np.all(np.greater_equal(tau, 0.0) & np.less_equal(tau, 1.0)):
         raise ValidationError(f"tau must be in [0, 1], got {tau}")
-    ends = np.stack([tau, np.subtract(1.0, tau)])
-    cdf = np.stack([reg_inc_beta(ends, c) for c in (theta.component1, theta.component2)])
-    above = np.where(np.greater_equal(tau, 0.5), cdf[::-1, 1], 1.0 - cdf[:, 0])
+    (below1, above1), (below2, above2) = (beta_tails(tau, c)
+                                          for c in (theta.component1, theta.component2))
     w1, w2 = 1.0 - theta.theta1, theta.theta1
-    return np.stack([w1 * cdf[0, 0] + w2 * cdf[1, 0], w1 * above[0] + w2 * above[1]], axis=-1)
+    return np.stack([w1 * below1 + w2 * below2, w1 * above1 + w2 * above2], axis=-1)
 
 
 def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Self-contained special-function kernel for the beta-mixture machinery.
 
-Provides log-gamma, the beta density, the regularized incomplete beta
-function (the beta CDF) and the regularized hypergeometric 3F~2 at unit
-argument. All functions are pure and deterministic. The kernel is
+Provides log-gamma, the beta density, both tails of the beta
+distribution (the regularized incomplete beta function I_x(a, b) below x
+and 1 - I_x(a, b) above it) and the regularized hypergeometric 3F~2 at
+unit argument. All functions are pure and deterministic. The kernel is
 self-contained: it needs only ``math``, ``fractions`` and numpy, no scipy.
 """
 
@@ -99,23 +100,32 @@ def _beta_cont_frac(a, b, x) -> np.ndarray:
                            f"a={a[0]}, b={b[0]}, x={x[0]}")
 
 
-def reg_inc_beta(x, shape: BetaShape):
-    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x: a
-    float for one x, an array of its shape for an array of them."""
+def beta_tails(x, shape: BetaShape):
+    """Both tails of Beta(a, b) at x, (I_x(a, b), 1 - I_x(a, b)): two floats
+    for one x, two arrays of its shape for an array of them. The continued
+    fraction gives the tail on its own side of the symmetry switch directly,
+    and the other tail is 1 minus it."""
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValidationError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
+        raise ValidationError(f"beta_tails requires 0 <= x <= 1, got {x}")
     flat, a, b = xs.ravel(), shape.alpha, shape.beta
     ln_beta = log_beta(a, b)
     # math per entry: numpy's log1p and exp differ from libm in the last bit.
-    # The zero prefactor at x = 0 and x = 1 makes I exactly 0 and 1 there.
+    # The zero prefactor at x = 0 and x = 1 makes the tails exactly 0 and 1 there.
     front = np.array([math.exp(a * math.log(v) + b * math.log1p(-v) - ln_beta)
                       if 0.0 < v < 1.0 else 0.0 for v in flat.tolist()])
     # Symmetry switch keeps the continued fraction in its fast-converging regime.
     low = flat < (a + 1.0) / (a + b + 2.0)
     cf = _beta_cont_frac(np.where(low, a, b), np.where(low, b, a), np.where(low, flat, 1.0 - flat))
-    out = np.where(low, front * cf / a, 1.0 - front * cf / b).reshape(xs.shape)
-    return float(out) if out.ndim == 0 else out
+    tail = front * cf / np.where(low, a, b)
+    lower, upper = (np.where(side, tail, 1.0 - tail).reshape(xs.shape) for side in (low, ~low))
+    return (float(lower), float(upper)) if xs.ndim == 0 else (lower, upper)
+
+
+def reg_inc_beta(x, shape: BetaShape):
+    """Regularized incomplete beta I_x(a, b), the Beta(a, b) CDF at x: the
+    lower tail of `beta_tails`."""
+    return beta_tails(x, shape)[0]
 
 
 def _hurwitz_zeta(s: float, a: float) -> float:

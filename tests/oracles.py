@@ -201,30 +201,33 @@ def beta_cont_frac_scalar(a: float, b: float, x: float) -> float:
     raise AssertionError(f"no convergence for a={a}, b={b}, x={x}")
 
 
-def reg_inc_beta_scalar(x: float, a: float, b: float) -> float:
-    """I_x(a, b) for one x: the libm prefactor times the scalar continued
-    fraction, on the side of the symmetry switch where it converges fast."""
+def beta_tails_scalar(x: float, a: float, b: float):
+    """(I_x(a, b), 1 - I_x(a, b)) for one x: the libm prefactor times the
+    scalar continued fraction gives the tail on the side of the symmetry
+    switch where it converges fast, and the other tail is 1 minus it."""
     if x in (0.0, 1.0):
-        return x
+        return x, 1.0 - x
     log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * beta_cont_frac_scalar(a, b, x) / a
-    return 1.0 - front * beta_cont_frac_scalar(b, a, 1.0 - x) / b
+        lower = front * beta_cont_frac_scalar(a, b, x) / a
+        return lower, 1.0 - lower
+    upper = front * beta_cont_frac_scalar(b, a, 1.0 - x) / b
+    return 1.0 - upper, upper
+
+
+def reg_inc_beta_scalar(x: float, a: float, b: float) -> float:
+    """I_x(a, b) for one x: the lower tail of `beta_tails_scalar`."""
+    return beta_tails_scalar(x, a, b)[0]
 
 
 def assignment_mass_scalar(theta1: float, theta2: float, theta3: float, tau: float):
     """(mass below tau, mass above tau) of the two-component beta mixture, each
-    a weighted sum of component tails from `reg_inc_beta_scalar`: the CDF at
-    tau below it, and above it the CDF of the mirror image (shapes swapped)
-    at 1 - tau for tau >= 1/2, else 1 minus the CDF at tau."""
-    cdf1, cdf2 = reg_inc_beta_scalar(tau, theta2, theta3), reg_inc_beta_scalar(tau, theta3, theta2)
-    if tau >= 0.5:
-        above1 = reg_inc_beta_scalar(1.0 - tau, theta3, theta2)
-        above2 = reg_inc_beta_scalar(1.0 - tau, theta2, theta3)
-    else:
-        above1, above2 = 1.0 - cdf1, 1.0 - cdf2
-    return (1.0 - theta1) * cdf1 + theta1 * cdf2, (1.0 - theta1) * above1 + theta1 * above2
+    a weighted sum of the component tails on its side of tau from
+    `beta_tails_scalar`."""
+    below1, above1 = beta_tails_scalar(tau, theta2, theta3)
+    below2, above2 = beta_tails_scalar(tau, theta3, theta2)
+    return (1.0 - theta1) * below1 + theta1 * below2, (1.0 - theta1) * above1 + theta1 * above2
 
 
 def random_pd_cov(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from hetlab.betamix import BetaMixtureParams, bmm_between_rrh
+from hetlab.classic import functional_hill, leinster_cobbold
 from hetlab.core import (
     TABLE_INDICES,
     as_distribution,
@@ -18,7 +20,9 @@ from hetlab.core import (
     renyi_heterogeneity,
     table1_index,
 )
-from hetlab.errors import NumericalError, UndefinedOrderError, ValidationError
+from hetlab.decomposition import SubsystemEnsemble, decompose
+from hetlab.errors import HetlabError, NumericalError, UndefinedOrderError, ValidationError
+from hetlab.gaussian import GaussianEnsemble, gaussian_between, gaussian_within
 
 from oracles import assert_near_one, gei_mp, renyi_mp, tsallis_mp
 
@@ -338,3 +342,59 @@ class TestTable1Indices:
         for name in ("tsallis_entropy", "generalized_entropy_index"):
             with pytest.raises(UndefinedOrderError):
                 table1_index(self.p, name, q=math.inf)
+
+
+# One input per public order-taking function, each value as a float list.
+_P = np.array([0.5, 0.3, 0.2])
+_D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+_SUBSYSTEMS = SubsystemEnsemble(np.array([[0.6, 0.4, 0.0], [0.1, 0.3, 0.6], [0.2, 0.2, 0.6]]),
+                                np.array([0.5, 0.3, 0.2]))
+_GAUSSIANS = GaussianEnsemble(np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]]),
+                              np.array([[1.0, 0.5], [0.3, 2.0], [1.5, 1.5]]),
+                              np.array([0.2, 0.5, 0.3]))
+ORDER_FUNCTIONS = {
+    "renyi_heterogeneity": lambda q: renyi_heterogeneity(_P, q),
+    "renyi_entropy": lambda q: table1_index(_P, "renyi_entropy", q).value,
+    "tsallis_entropy": lambda q: table1_index(_P, "tsallis_entropy", q).value,
+    "generalized_entropy_index": lambda q: table1_index(_P, "generalized_entropy_index", q).value,
+    "functional_hill": lambda q: functional_hill(_D, _P, q),
+    "leinster_cobbold": lambda q: leinster_cobbold(np.exp(-_D), _P, q),
+    "decompose": lambda q: [decompose(_SUBSYSTEMS, [q])[k][0]
+                            for k in ("pooled", "within", "between")],
+    "gaussian_within": lambda q: gaussian_within(_GAUSSIANS, q),
+    "gaussian_between": lambda q: gaussian_between(_GAUSSIANS, q),
+    "bmm_between_rrh": lambda q: bmm_between_rrh(BetaMixtureParams(0.3, 5.0, 20.0),
+                                                 np.array([0.2, 0.5]), [q])[:, 0],
+}
+# ROADMAP item 7: the two functions whose value at q = inf is not their
+# value at q = 1e300 yet
+_NOT_THE_LIMIT_AT_INF = {
+    "functional_hill": "item 7: NaN at q = inf, the limit 2.5819888975 at q = 1e300",
+    "tsallis_entropy": "item 7: UndefinedOrderError at q = inf, 1e-300 at q = 1e300",
+}
+
+
+def _outcome(name, q):
+    """The function's values at q as a float list, or HetlabError if it raises one."""
+    try:
+        return np.ravel(ORDER_FUNCTIONS[name](q)).astype(float).tolist()
+    except HetlabError:
+        return HetlabError
+
+
+class TestContinuityInQ:
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=_NOT_THE_LIMIT_AT_INF[name]))
+        if name in _NOT_THE_LIMIT_AT_INF else name for name in ORDER_FUNCTIONS])
+    def test_inf_is_the_value_at_1e300(self, name):
+        at_inf, at_1e300 = _outcome(name, math.inf), _outcome(name, 1e300)
+        if at_1e300 is HetlabError:
+            assert at_inf is HetlabError
+        else:
+            assert at_inf == pytest.approx(at_1e300, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ORDER_FUNCTIONS)
+    def test_one_is_the_value_beside_it(self, name):
+        at_one = _outcome(name, 1.0)
+        for q in (1.0 - 1e-9, 1.0 + 1e-9):
+            assert _outcome(name, q) == pytest.approx(at_one, rel=1e-8, abs=0)

@@ -875,23 +875,22 @@ class TestCliSweeps:
         assert all(1.0 - 1e-9 <= v <= 2.0 + 1e-9 for v in rrh)
 
     def test_bmm_sweep_tau_grid_one_mass_per_tau(self, monkeypatch):
-        # the assignment mass takes one reg_inc_beta call per component, each
-        # over the whole tau grid and its mirror: 2 taus x 4 orders make 2
-        # calls, not 4 or 32
+        # the assignment mass takes one beta_tails call per component, each
+        # over the tau grid alone: 2 taus x 4 orders make 2 calls, not 4 or 32
         calls = []
-        inner = betamix.reg_inc_beta
-        assert inner is special.reg_inc_beta
+        inner = betamix.beta_tails
+        assert inner is special.beta_tails
 
         def counting(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(betamix, "reg_inc_beta", counting)
+        monkeypatch.setattr(betamix, "beta_tails", counting)
         res = self.run(["bmm-sweep", "--tau-mode", "grid", "--grid", "0.2,0.5",
                         "--q", "0,1,2,inf"])
         assert res.exit_code == 0
         assert len(calls) == 2
-        assert [np.shape(args[0]) for args in calls] == [(2, 2), (2, 2)]
+        assert [np.shape(args[0]) for args in calls] == [(2,), (2,)]
 
     def test_bmm_sweep_tau_grid_reads_tails_below_an_ulp_of_one(self):
         # each component keeps a tail smaller than an ulp of 1 past both

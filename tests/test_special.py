@@ -17,13 +17,14 @@ from hetlab.special import (
     BetaShape,
     _hurwitz_zeta,
     beta_pdf,
+    beta_tails,
     log_beta,
     log_gamma,
     reg_hyp3f2_unit,
     reg_inc_beta,
 )
 
-from oracles import reg_inc_beta_scalar
+from oracles import beta_tails_scalar, reg_inc_beta_scalar
 
 # high precision: mixed-sign parameter sets cancel catastrophically below
 # ~80 digits, producing a wrong *reference*, not a wrong result under test
@@ -123,6 +124,10 @@ class TestRegIncBeta:
 BENCHMARK_SHAPES = [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45)]
 BENCHMARK_SHAPES += [(b, a) for a, b in BENCHMARK_SHAPES]
 
+# each kernel's outputs as a tuple: the CDF alone, or both tails
+KERNELS = [pytest.param(lambda x, s: (reg_inc_beta(x, s),), id="reg_inc_beta"),
+           pytest.param(beta_tails, id="beta_tails")]
+
 
 class TestRegIncBetaArray:
     @staticmethod
@@ -141,6 +146,10 @@ class TestRegIncBetaArray:
         got = reg_inc_beta(xs, BetaShape(a, b))
         assert got.shape == xs.shape and got.tolist() == want
         assert [reg_inc_beta(x, BetaShape(a, b)) for x in xs.tolist()] == want
+        tails = [beta_tails_scalar(x, a, b) for x in xs.tolist()]
+        lower, upper = beta_tails(xs, BetaShape(a, b))
+        assert upper.shape == xs.shape and list(zip(lower.tolist(), upper.tolist())) == tails
+        assert [beta_tails(x, BetaShape(a, b)) for x in xs.tolist()] == tails
 
     def test_random_shapes_match_scalar_lentz_bitwise(self):
         rng = np.random.default_rng(42)
@@ -149,18 +158,36 @@ class TestRegIncBetaArray:
             xs = self.grid(rng, a, b, 10)
             assert reg_inc_beta(xs, BetaShape(a, b)).tolist() == \
                 [reg_inc_beta_scalar(x, a, b) for x in xs.tolist()]
+            lower, upper = beta_tails(xs, BetaShape(a, b))
+            assert list(zip(lower.tolist(), upper.tolist())) == \
+                [beta_tails_scalar(x, a, b) for x in xs.tolist()]
 
-    def test_shapes_and_types(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_shapes_and_types(self, kernel):
         s = BetaShape(2.0, 3.0)
-        assert type(reg_inc_beta(0.3, s)) is float
-        assert type(reg_inc_beta(np.float64(0.3), s)) is float
-        assert reg_inc_beta([[0.0, 0.3], [0.6, 1.0]], s).shape == (2, 2)
-        assert reg_inc_beta(np.empty(0), s).shape == (0,)
+        assert all(type(v) is float for v in kernel(0.3, s))
+        assert all(type(v) is float for v in kernel(np.float64(0.3), s))
+        assert all(v.shape == (2, 2) for v in kernel([[0.0, 0.3], [0.6, 1.0]], s))
+        assert all(v.shape == (0,) for v in kernel(np.empty(0), s))
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("x", [[0.5, -0.1], [1.5], [0.2, math.nan]])
-    def test_any_entry_outside_the_domain_is_rejected(self, x):
+    def test_any_entry_outside_the_domain_is_rejected(self, kernel, x):
         with pytest.raises(ValidationError, match="0 <= x <= 1"):
-            reg_inc_beta(x, BetaShape(2.0, 3.0))
+            kernel(x, BetaShape(2.0, 3.0))
+
+    @pytest.mark.parametrize("a,b", [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45), (50.0, 60.0),
+                                     (300.0, 250.0)])
+    def test_tails_against_scipy(self, a, b):
+        # oracle: scipy betainc for the lower tail and betaincc for the upper;
+        # a tail far below an ulp of 1 keeps its digits, and one that scipy
+        # rounds to 0 is exactly 0
+        xs = np.array([0.0, 1e-14, 1e-12, 1e-6, 1e-4, 0.1, 0.3, 0.5, 0.7, 0.999,
+                       1.0 - 1e-9, 1.0 - 2.0 ** -53, 1.0])
+        lower, upper = beta_tails(xs, BetaShape(a, b))
+        for got, want in ((lower, sps.betainc(a, b, xs)), (upper, sps.betaincc(a, b, xs))):
+            assert got.tolist() == pytest.approx(want.tolist(), rel=1e-12, abs=0)
+            assert (got == 0.0).tolist() == (want == 0.0).tolist()
 
 
 class TestHurwitzZeta:
