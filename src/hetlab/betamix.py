@@ -124,9 +124,14 @@ def bmm_between_rrh(theta: BetaMixtureParams, tau, q_list) -> np.ndarray:
 def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
     """Closed-form E|X - Y| for independent X ~ Beta(a), Y ~ Beta(b).
 
-    d = E[X] - E[Y] + eta * (Phi_a - alpha1 * Phi_b), where eta collects
-    the gamma/beta prefactors and Phi_a, Phi_b are regularized 3F~2 values
-    at unit argument.
+    d = E[X] - E[Y] + eta * 3F~2(alpha1, alpha1 + alpha2 + 1, 1 - beta1;
+    alpha1 + 2, alpha1 + alpha2 + beta2 + 1; 1), where eta collects the
+    gamma/beta prefactors and 3F~2 is regularized at unit argument. The one
+    series is Phi_a - alpha1 * Phi_b, the difference of the series with
+    (alpha1; alpha1 + 1) and (alpha1 + 1; alpha1 + 2) in the first
+    numerator and denominator places, folded term by term with
+    (alpha)_k / Gamma(alpha + 1 + k) - alpha (alpha + 1)_k / Gamma(alpha + 2 + k)
+    = (alpha)_k / Gamma(alpha + 2 + k).
     """
     a1, b1 = a.alpha, a.beta
     a2, b2 = b.alpha, b.beta
@@ -145,15 +150,10 @@ def beta_abs_distance(a: BetaShape, b: BetaShape) -> float:
         raise NumericalError(
             f"E|X - Y| for Beta({a1:g}, {b1:g}) and Beta({a2:g}, {b2:g}): the "
             f"prefactor exp({log_eta:.6g}) overflows a float") from None
-    phi_a = reg_hyp3f2_unit(
+    return mean_diff + eta * reg_hyp3f2_unit(
         (a1, a1 + a2 + 1.0, 1.0 - b1),
-        (a1 + 1.0, a1 + a2 + b2 + 1.0),
-    )
-    phi_b = reg_hyp3f2_unit(
-        (a1 + 1.0, a1 + a2 + 1.0, 1.0 - b1),
         (a1 + 2.0, a1 + a2 + b2 + 1.0),
     )
-    return mean_diff + eta * (phi_a - a1 * phi_b)
 
 
 def expected_distance_matrix(theta: BetaMixtureParams) -> np.ndarray:
@@ -162,12 +162,10 @@ def expected_distance_matrix(theta: BetaMixtureParams) -> np.ndarray:
     The diagonal holds the (positive) expected distance between two
     independent draws of the same component. Component 2 is component 1
     mirrored by x -> 1 - x, so both diagonal entries are one value,
-    evaluated on the component with alpha <= beta (the more accurate
-    orientation of the closed form).
+    evaluated on component 1.
     """
     c1, c2 = theta.component1, theta.component2
-    same = c1 if theta.theta2 <= theta.theta3 else c2
-    d_same = beta_abs_distance(same, same)
+    d_same = beta_abs_distance(c1, c1)
     d12 = beta_abs_distance(c1, c2)
     return np.array([[d_same, d12], [d12, d_same]])
 

@@ -27,6 +27,8 @@ _SERIES_MAX_TERMS = 100_000
 # expansion terms the tail keeps; the next one is its error estimate
 _TAIL_TERMS = 12
 _INT_SNAP_TOL = 1e-12
+# coefficients the exact prefix may add past its sign-alternating region
+_EXACT_EXTRA_TERMS = 300
 
 # B_2j / (2j)! for j = 1..8: the Euler-Maclaurin correction coefficients and
 # the Bernoulli numbers of the 3F~2 tail expansion.
@@ -160,14 +162,15 @@ def _snap_nonpositive_int(a: float) -> float:
     return a
 
 
-def _exact_coeff_sum(a, b, min_terms, budget=0):
+def _exact_coeff_sum(a, b, min_terms):
     """Sum series coefficients c_k (c_0 = 1, c_{k+1} = c_k
     (a1+k)(a2+k)(a3+k) / [(b1+k)(b2+k)(k+1)]) in exact rational arithmetic.
 
-    Always sums the first min_terms coefficients; with a budget it keeps
-    going until the next coefficient is negligible against the running sum
-    at double precision (or the budget runs out). Returns (sum, next
-    coefficient, number of terms consumed). Float parameters convert to
+    Always sums the first min_terms coefficients, then keeps going, for at
+    most ``_EXACT_EXTRA_TERMS`` more, until the next coefficient is
+    negligible against the running sum at double precision. A terminated
+    series stops at once: its next coefficient is exactly 0. Returns (sum,
+    next coefficient, number of terms consumed). Float parameters convert to
     Fractions exactly, so sign-alternating regions with huge intermediate
     terms incur no cancellation error.
     """
@@ -180,13 +183,9 @@ def _exact_coeff_sum(a, b, min_terms, budget=0):
     total_num = 0
     den = 1
     k = 0
-    while True:
-        if k >= min_terms:
-            if budget <= 0 or total_num == 0:
-                break
-            if abs(c_num) << 60 < abs(total_num):
-                break
-            budget -= 1
+    while k < min_terms + _EXACT_EXTRA_TERMS:
+        if k >= min_terms and (total_num == 0 or abs(c_num) << 60 < abs(total_num)):
+            break
         total_num += c_num
         step_num = 1
         step_den = k + 1
@@ -237,35 +236,25 @@ def _gamma_ratio_expansion(a, b):
 def reg_hyp3f2_unit(num, den) -> float:
     """Regularized 3F~2(num; den; 1) = sum_k prod (num)_k / [Gamma(den_1+k) Gamma(den_2+k) k!].
 
-    Terminating series (a numerator parameter is a non-positive integer) are
-    summed exactly in rational arithmetic. Otherwise any sign-alternating
-    prefix (negative numerator parameters) is summed exactly up to k0, the
-    float head t_k0 ... t_{K-1} with ``math.fsum``, and the same-sign tail
-    as C sum_j e_j zeta(1 + s + j, K) from the asymptotic series of its
-    terms, s = sum(den) - sum(num). K doubles from k0 + 64 until the first
-    omitted term is below ``_SERIES_REL_TOL`` / 10 of the result; no tail is
-    needed once the rest estimate |t_K| (K + 1) / s is below
-    ``_SERIES_REL_TOL``.
+    The sign-alternating prefix (k up to the largest -num_i, while a
+    numerator parameter plus k can still be negative or zero) is summed
+    exactly in rational arithmetic up to k0. A terminating series (a
+    numerator parameter is a non-positive integer) ends inside this prefix,
+    and its exact sum is the value. Otherwise the float head t_k0 ...
+    t_{K-1} is summed with ``math.fsum``, and the same-sign tail as C sum_j
+    e_j zeta(1 + s + j, K) from the asymptotic series of its terms, s =
+    sum(den) - sum(num). K doubles from k0 + 64 until the first omitted term
+    is below ``_SERIES_REL_TOL`` / 10 of the result; no tail is needed once
+    the rest estimate |t_K| (K + 1) / s is below ``_SERIES_REL_TOL``.
     """
     a = [_snap_nonpositive_int(float(v)) for v in num]
     b = [float(v) for v in den]
     if len(a) != 3 or len(b) != 2:
         raise ValidationError("reg_hyp3f2_unit takes three numerator and two denominator parameters")
-    for v in b:
-        r = round(v)
-        if r <= 0 and abs(v - r) <= _INT_SNAP_TOL:
-            raise ConvergenceError(f"denominator parameter {v} sits on a gamma pole")
-    if any(v <= 0 for v in b):
-        # a negative non-integer denominator flips term signs unpredictably;
-        # outside the domain this kernel needs
-        raise ConvergenceError("denominator parameters must be positive")
-
-    terminating = [int(-v) for v in a if v <= 0 and v == int(v)]
-    s_exp = b[0] + b[1] - a[0] - a[1] - a[2]
-    if not terminating and s_exp <= 0:
-        raise ConvergenceError(
-            f"series at unit argument diverges: sum(den) - sum(num) = {s_exp} <= 0"
-        )
+    # A denominator at or below 0 sits on a gamma pole or flips term signs
+    # unpredictably; outside the domain this kernel needs.
+    if not all(v > _INT_SNAP_TOL for v in b):
+        raise ConvergenceError(f"denominator parameters must exceed {_INT_SNAP_TOL:g}, got {b}")
     try:  # 1/(Gamma(b1) Gamma(b2)); exp(-lgamma - lgamma) is up to 2e-13 off
         prefactor = 1.0 / math.gamma(b[0]) / math.gamma(b[1])
     except OverflowError:
@@ -273,22 +262,23 @@ def reg_hyp3f2_unit(num, den) -> float:
     if prefactor < sys.float_info.min:  # not a normal float: the log-gamma form
         prefactor = math.exp(-log_gamma(b[0]) - log_gamma(b[1]))
 
-    if terminating:
-        coeff_sum, _, _ = _exact_coeff_sum(a, b, min(terminating) + 1)
-        return prefactor * float(coeff_sum)
-
-    # Exact prefix over the region where (a_i + k) can still be negative,
-    # extended until the coefficients stop mattering at double precision
-    # (fast-decay series finish entirely inside the budget).
-    k_min = 0
-    negs = [-v for v in a if v < 0]
-    if negs:
-        k_min = int(math.ceil(max(negs))) + 1
+    # Exact prefix over the region where (a_i + k) can still be negative or
+    # zero, extended until the coefficients stop mattering at double
+    # precision (fast-decay series finish entirely inside it).
+    negs = [-v for v in a if v <= 0]
+    k_min = int(math.ceil(max(negs))) + 1 if negs else 0
     if k_min > _SERIES_MAX_TERMS:
         raise ConvergenceError(
             f"sign-alternating prefix of {k_min} terms exceeds the {_SERIES_MAX_TERMS}-term budget"
         )
-    prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min, budget=300)
+    prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min)
+    if c_k0 == 0:  # the series terminated inside the prefix
+        return prefactor * float(prefix_sum)
+    s_exp = b[0] + b[1] - a[0] - a[1] - a[2]
+    if s_exp <= 0:
+        raise ConvergenceError(
+            f"series at unit argument diverges: sum(den) - sum(num) = {s_exp} <= 0"
+        )
 
     # Same-sign remainder: float terms t_k0 ... t_K, then the tail from K on.
     sign = 1.0 if c_k0 > 0 else -1.0

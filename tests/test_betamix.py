@@ -21,7 +21,7 @@ from hetlab.betamix import (
     optimal_threshold,
 )
 from hetlab.errors import ValidationError
-from hetlab.special import BetaShape
+from hetlab.special import BetaShape, reg_hyp3f2_unit
 
 from oracles import (
     assignment_mass_scalar,
@@ -306,6 +306,17 @@ class TestBetaAbsDistance:
             d = beta_abs_distance(a, b)
             assert 0.0 <= d < 1.0
 
+    def test_one_series_per_call(self, monkeypatch):
+        calls = []
+
+        def record(num, den):
+            calls.append((num, den))
+            return reg_hyp3f2_unit(num, den)
+
+        monkeypatch.setattr(betamix, "reg_hyp3f2_unit", record)
+        beta_abs_distance(BetaShape(2.5, 20.5), BetaShape(20.5, 2.5))
+        assert len(calls) == 1
+
 
 COLUMNS = ("tau", "rrh", "fhn", "neqrqe", "lci")
 
@@ -457,3 +468,20 @@ class TestExpectedDistanceMatrix:
                 d = expected_distance_matrix(BetaMixtureParams(0.5, t2, t3))
                 assert d[0, 0] == pytest.approx(ref, rel=5e-13, abs=0), (t2, t3)
                 assert d[1, 1] == pytest.approx(ref, rel=5e-13, abs=0), (t2, t3)
+
+    # integral of F (1 - G) + G (1 - F) over [0, 1] for the component CDFs
+    # F of Beta(alpha, beta) and G of Beta(beta, alpha), by the recipe above
+    # split at both means, alpha / (alpha + beta) and beta / (alpha + beta);
+    # dps = 45 agrees to 4e-32.
+    OFF_DIAGONAL = {
+        (5.0, 20.0): 0.600000216279326319528065113254,
+        (2.5, 20.5): 0.782608695794124748053732626338,
+        (0.3, 0.45): 0.455589348388183986923401653509,
+    }
+
+    def test_off_diagonal_against_mpmath(self):
+        for (a, b), ref in self.OFF_DIAGONAL.items():
+            for t2, t3 in [(a, b), (b, a)]:
+                d = expected_distance_matrix(BetaMixtureParams(0.5, t2, t3))
+                assert d[0, 1] == pytest.approx(ref, rel=1e-13, abs=0), (t2, t3)
+                assert d[1, 0] == d[0, 1]

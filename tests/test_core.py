@@ -49,6 +49,10 @@ class TestValidation:
         assert np.allclose(normalize([2, 2]), [0.5, 0.5])
         with pytest.raises(ValidationError):
             normalize([0.0, 0.0])
+        with pytest.raises(ValidationError, match="1-D"):
+            normalize([[1.0, 2.0]])
+        with pytest.raises(ValidationError, match="non-negative"):
+            normalize([2.0, -1.0])
 
     def test_bad_order(self):
         with pytest.raises(UndefinedOrderError):

@@ -617,6 +617,8 @@ class TestSynth:
         for lo, hi in [(-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0)]:
             with pytest.raises(ValidationError, match="finite width"):
                 synth_embeddings(1, 1, 1, seed=0, log_var_range=(lo, hi))
+        with pytest.raises(ValidationError, match="separation/spread"):
+            synth_embeddings(2, 5, 2, seed=0, separation=-1.0)
 
 
 class TestGroupDecomposition:
@@ -689,6 +691,8 @@ class TestNeighborhoods:
             neighborhood_between(ds, 0, 1.0)
         with pytest.raises(ValidationError):
             neighborhood_between(ds, 5, 1.0)
+        with pytest.raises(ValidationError, match="top must be >= 1"):
+            neighborhood_sweep(ds, 2, 1.0, top=0)
 
     def test_identical_records_give_one(self):
         ds = make_dataset(*(
@@ -961,6 +965,7 @@ class TestCliSweeps:
         (["--tau-mode", "grid", "--theta1", "1.5"], "--theta1"),
         (["--tau-mode", "grid", "--grid", "0.5,1.5"], "--grid"),
         (["--grid", "0.5,1"], "--grid"),  # theta1 = 1 is inside [0, 1], outside (0, 1)
+        (["--q", "2:1:0.5"], "--q"), (["--q", "0:1:0"], "--q"),  # stop < start, step 0
     ])
     def test_bmm_option_out_of_range_is_a_usage_error(self, args, option):
         res = self.run(["bmm-sweep", "--grid", "0.5", *args])
@@ -1236,6 +1241,15 @@ class TestCliEmbeddings:
                         *command[1:]])
         assert res.exit_code == 4
         assert "overflows a float" in res.output
+
+    def test_singular_pool_exits_4(self, tmp_path):
+        # two records far apart with variances e^-23: the pooled covariance
+        # is rank one to double precision
+        path = tmp_path / "emb.csv"
+        path.write_text("id,label,m_1,m_2,s_1,s_2\na,x,0,0,-23,-23\nb,x,1e8,1e8,-23,-23\n")
+        res = self.run(["embeddings", "decompose", str(path)])
+        assert res.exit_code == 4, res.output
+        assert "pooled covariance is numerically singular" in res.output
 
     def test_overflowing_volumes_give_finite_neighborhoods(self, tmp_path):
         # between is exp(log pooled - log within), an ordinary number although

@@ -45,6 +45,7 @@ class TestValidation:
          "row 2 is not a valid distribution: distribution entries must be finite"),
         ([[math.inf, 0.0], [0.6, 0.6]],
          "row 0 is not a valid distribution: distribution entries must be finite"),
+        ([0.5, 0.5], "ensemble table must be a non-empty N x n matrix"),
     ])
     def test_first_bad_row_message(self, table, message):
         with pytest.raises(ValidationError) as err:

@@ -106,6 +106,10 @@ class TestEnsembleValidation:
         with pytest.raises(ValidationError, match="means"):
             ens([[0.0, 0.0], [1.0, bad]], [[1.0, 1.0], [1.0, 1.0]])
 
+    def test_infinite_covariance(self):
+        with pytest.raises(ValidationError, match="covariance entries must be finite"):
+            ens([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, math.inf]])
+
     def test_asymmetric_member(self):
         covs = np.stack([np.eye(2), [[1.0, 0.3], [0.1, 1.0]], np.eye(2)])
         with pytest.raises(ValidationError, match="symmetric"):
@@ -341,6 +345,12 @@ class TestGaussianPool:
         pool = gaussian_pool(ens([[0.0]] * 2, [[1e-10]] * 2))
         assert float(pool.covariance[0]) >= 1e-10
         assert DegeneratePoolError is not None  # defensive path kept for roundoff
+
+    def test_rank_one_spread_is_degenerate(self):
+        # means 1e4 apart along the diagonal: the spread term 2.5e7 [[1, 1], [1, 1]]
+        # swamps the member variances of 1e-10, so the second pivot is lost
+        with pytest.raises(DegeneratePoolError, match="numerically singular"):
+            gaussian_pool(ens([[0.0, 0.0], [1e4, 1e4]], [[1e-10, 1e-10]] * 2))
 
 
 class TestStacks:

@@ -256,6 +256,24 @@ class TestRegHyp3F2Unit:
         for num, den in cases:
             assert reg_hyp3f2_unit(num, den) == pytest.approx(
                 mp_reg_hyp3f2(num, den), rel=1e-12, abs=0)
+        pinned = [
+            # The E|X - Y| series of Beta(5, 20) against Beta(20, 5) and
+            # against itself: mpmath.hyp3f2(*num, *den, 1) / (gamma(den[0])
+            # gamma(den[1])) at dps 80; dps 100 and 120 agree to 1e-81.
+            ((5.0, 26.0, -19.0), (7.0, 31.0), 1.4869061300661739959e-39),
+            ((5.0, 11.0, -19.0), (7.0, 31.0), 9.1889170853054885445e-38),
+            # s = -5 and s = -7: a terminating series is a finite sum, whatever
+            # the sign of s. 40-digit mpmath; a zero numerator leaves
+            # 1 / Gamma(3/2)^2 = 4 / pi.
+            ((-2.0, 5.0, 5.0), (1.5, 1.5), 54.46635830255973712979578),
+            ((0.0, 5.0, 5.0), (1.5, 1.5), 4.0 / math.pi),
+        ]
+        for num, den, ref in pinned:
+            assert reg_hyp3f2_unit(num, den) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_terminating_past_the_term_budget_rejected(self):
+        with pytest.raises(ConvergenceError, match="100000-term budget"):
+            reg_hyp3f2_unit((-200000.0, 1.0, 1.0), (1.0, 1.0))
 
     def test_nonterminating_against_mpmath(self):
         # oracle: non-integer beta parameters force the infinite series.
@@ -300,6 +318,13 @@ class TestRegHyp3F2Unit:
         ((8.045, 19.16, 0.702), (9.045, 19.314), 1.3971267791140446e-20),
         # large parameters: the expansion needs K well past k0 + 64
         ((47.553, 48.056, 0.87), (48.553, 49.043), 8.619757586186131e-121),
+        # the E|X - Y| series of Beta(2.5, 20.5) and Beta(0.3, 0.45), each
+        # against its mirror and against itself: dps 80, 100 and 120 agree
+        # to 1e-81
+        ((2.5, 24.0, -19.5), (4.5, 26.5), 7.0033878427092181672e-30),
+        ((2.5, 6.0, -19.5), (4.5, 26.5), 1.6505686859061118456e-28),
+        ((0.3, 1.75, 0.55), (2.3, 2.05), 0.92002500421714421651),
+        ((0.3, 1.6, 0.55), (2.3, 2.05), 0.91021745530192432606),
     ])
     def test_remainder_against_mpmath(self, num, den, value):
         assert reg_hyp3f2_unit(num, den) == pytest.approx(value, rel=1e-14, abs=0)
@@ -314,9 +339,11 @@ class TestRegHyp3F2Unit:
         with pytest.raises(ConvergenceError):
             reg_hyp3f2_unit((2.0, 2.0, 2.0), (1.5, 1.5))
 
-    def test_denominator_pole_rejected(self):
+    # on a gamma pole, negative, and within 1e-12 of a pole at 0 and -2
+    @pytest.mark.parametrize("den", [(-1.0, 3.0), (-1.5, 3.0), (1e-13, 3.0), (-2.0 + 1e-13, 3.0)])
+    def test_denominator_pole_rejected(self, den):
         with pytest.raises(ConvergenceError):
-            reg_hyp3f2_unit((0.5, 0.5, 0.5), (-1.0, 3.0))
+            reg_hyp3f2_unit((0.5, 0.5, 0.5), den)
 
     def test_parameter_count(self):
         with pytest.raises(ValidationError):
