@@ -19,7 +19,10 @@ a UTF-8 byte-order mark is the opener's to drop: the CLI opens inputs with
 floats at 12 significant digits (the JSON value is the written number) and
 booleans as ``true``/``false``; an undefined value (NaN or None) is an empty
 CSV cell and a JSON ``null``, +-inf the JSON string of its CSV text ``"inf"``
-or ``"-inf"``. No timestamps: identical inputs give byte-identical files.
+or ``"-inf"``. A CSV text cell that holds a comma, a quote, CR or LF is
+quoted, with its quotes doubled (RFC 4180); nothing else is quoted, and a
+lone empty cell is written ``""``. No timestamps: identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ from . import decomposition, gaussian
 from .errors import ValidationError
 
 _NEIGHBOR_BLOCK = 256  # records per block of neighbor distance estimates: 256 x N floats
-_QUOTE_CHARS = re.compile('["\r\n]')  # with a comma, what csv quotes in a cell
+_QUOTE_CHARS = re.compile('[,"\r\n]')  # what a CSV field must be quoted for
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, if it needs it."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTE_CHARS.search(text) else text
 
 
 def _cells(column, fmt: str) -> list:
@@ -48,7 +56,7 @@ def _cells(column, fmt: str) -> list:
     values, by the rule of the module docstring. A column is a float, int or
     bool array, or a sequence of str or None."""
     if not isinstance(column, np.ndarray):
-        return ["" if v is None else v for v in column] if fmt == "csv" else list(column)
+        return ["" if v is None else _quoted(v) for v in column] if fmt == "csv" else list(column)
     values = column.tolist()
     if column.dtype.kind in "biu":
         return [str(v).lower() for v in values] if fmt == "csv" else values
@@ -64,25 +72,11 @@ def _rows(columns: dict, fmt: str):
 
 
 def _write_csv(stream, columns: dict) -> None:
-    """A table of columns as ``\\n``-terminated CSV that reads back losslessly.
-
-    A row is its cells joined by commas, unless a cell holds a comma, a
-    quote or a line break, or the row is one empty cell (an empty line
-    reads back as no record): such a row goes through csv, which quotes
-    those cells and writes an empty lone cell as ``""``. csv quotes a field
-    only when it holds the delimiter, the quote or a character of the line
-    terminator, so a bare ``\\r`` would go out unquoted; a row holding one
-    is written fully quoted instead.
-    """
-    plain = csv.writer(stream, lineterminator="\n")
-    quoted = csv.writer(stream, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    commas = len(columns) - 1
-    for row in itertools.chain([list(columns)], _rows(columns, "csv")):
-        line = ",".join(row)
-        if line and line.count(",") == commas and not _QUOTE_CHARS.search(line):
-            stream.write(line + "\n")
-        else:
-            (quoted if "\r" in line else plain).writerow(row)
+    """A table of columns as ``\\n``-terminated CSV that reads back losslessly:
+    each row is its cells joined by commas, and a row that joins to nothing
+    is ``""`` (an empty line reads back as no record)."""
+    for row in itertools.chain([_cells(list(columns), "csv")], _rows(columns, "csv")):
+        stream.write((",".join(row) or '""') + "\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -192,11 +192,15 @@ def gaussian_pool(ensemble: GaussianEnsemble) -> GaussianComponent:
     mu* = sum w_i mu_i; Sigma* = sum w_i Sigma_i + sum w_i (mu_i - mu*)(mu_i - mu*)^T,
     stored diagonal only when every pool of the stack is (within SYM_TOL).
     The spread of the means is taken about mu*, so no mu_i mu_i^T is formed
-    that cancels against mu* mu*^T when the means lie far from the origin.
+    that cancels against mu* mu*^T when the means lie far from the origin,
+    and sum w_i Sigma_i about the entrywise least Sigma_i, so that equal
+    covariances pool to themselves exactly.
     """
     w, means, n = ensemble.weights, ensemble.means, ensemble.dim
     mu = w @ means
-    mixed = w @ ensemble.covariances.reshape(means.shape[:-1] + (-1,))
+    covs = ensemble.covariances.reshape(means.shape[:-1] + (-1,))
+    floor = covs.min(axis=-2, keepdims=True)
+    mixed = floor[..., 0, :] + w @ (covs - floor)
     if ensemble.is_diagonal:
         mixed = mixed[..., None] * np.eye(n)
     centred = means - mu[..., None, :]

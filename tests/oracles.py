@@ -335,14 +335,15 @@ def bmm_index_comparison_loop(thetas, q_list, u: float = 1.0) -> dict:
 
 
 def csv_text_per_row(rows) -> str:
-    """The CSV text of ``rows`` (lists of str), each row through csv.writer
-    with ``\\n`` line ends, fully quoted where a cell holds a ``\\r``."""
-    buf = io.StringIO()
-    plain = csv.writer(buf, lineterminator="\n")
-    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    """The CSV text of ``rows`` (lists of str), each row through its own
+    csv.writer with ``\\r\\n`` line ends, so that a cell holding a ``\\r`` or
+    a ``\\n`` is quoted, and the final ``\\r\\n`` of each row made ``\\n``."""
+    out = []
     for row in rows:
-        (quoted if "\r" in "".join(row) else plain).writerow(row)
-    return buf.getvalue()
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
 
 
 def csv_table_loop(stream, what: str, text: tuple, prefixes: tuple) -> tuple:

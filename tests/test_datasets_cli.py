@@ -549,8 +549,9 @@ class TestSweepResult:
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
         st.lists(st.none() | _ID_TEXT, min_size=n, max_size=n), min_size=1, max_size=4)))
     def test_csv_text_matches_csv_writer(self, rows):
-        # comma-joined rows, csv where a cell needs quotes or a lone cell is
-        # empty: the text a csv.writer per row gives, one-column tables included
+        # comma-joined rows of cells quoted where they need it, and a lone
+        # empty cell as "": the text a csv.writer per row gives, one-column
+        # tables included
         columns = {f"c{j}": [row[j] for row in rows] for j in range(len(rows[0]))}
         buf = io.StringIO()
         SweepResult(columns=columns, metadata={}).write(buf)
@@ -1320,6 +1321,50 @@ class TestCliAssignments:
         res = self.run(["assignments", "rrh", str(path)])
         assert res.exit_code == 4
         assert "forced" in res.output
+
+
+# every command that takes orders, with its files; "q" is appended
+_ORDER_COMMANDS = {
+    "three-state-sweep": ["three-state-sweep", "--grid", "0.5,1", "--kappa", "1,2"],
+    "bmm-sweep": ["bmm-sweep", "--grid", "0.3,0.6"],
+    "bmm-sweep-grid": ["bmm-sweep", "--tau-mode", "grid", "--grid", "0.2,0.5"],
+    "embeddings-decompose": ["embeddings", "decompose", "{emb}"],
+    "embeddings-neighborhoods": ["embeddings", "neighborhoods", "{emb}", "--k", "3",
+                                 "--top", "2"],
+    "assignments-rrh": ["assignments", "rrh", "{asg}"],
+}
+_FHN_AT_INF = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 7: fhn is empty at q = inf, its limit at q = 1e300")
+
+
+class TestCliContinuityInQ:
+    """The CLI half of test_core.py::TestContinuityInQ: each command prints
+    the same cells at q = inf as at q = 1e300, its q column aside."""
+
+    def table(self, tmp_path, name, q):
+        emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
+        with open(emb, "w", newline="") as fh:
+            write_embeddings(synth_embeddings(2, 4, 2, seed=1), fh)
+        asg.write_text("id,p_1,p_2,p_3\na,0.5,0.3,0.2\nb,0.1,0.3,0.6\nc,0.2,0.2,0.6\n")
+        args = [a.format(emb=emb, asg=asg) for a in _ORDER_COMMANDS[name]]
+        res = CliRunner().invoke(cli.main, [*args, "--q", q])
+        assert res.exit_code == 0, res.output
+        return [line.split(",") for line in res.output.splitlines() if not line.startswith("#")]
+
+    @pytest.mark.parametrize("name, columns", [
+        *((name, "rest") for name in _ORDER_COMMANDS),
+        pytest.param("three-state-sweep", "fhn", marks=_FHN_AT_INF),
+        pytest.param("bmm-sweep", "fhn", marks=_FHN_AT_INF),
+    ])
+    def test_inf_prints_the_cells_of_1e300(self, tmp_path, name, columns):
+        # columns: "fhn", or "rest" for every column but q and fhn
+        at_1e300, at_inf = (self.table(tmp_path, name, q) for q in ("1e300", "inf"))
+        header = at_1e300[0]
+        assert at_inf[0] == header and len(at_inf) == len(at_1e300) > 1
+        checked = [h for h in header if h not in ("q", "fhn")] if columns == "rest" else [columns]
+        for column in checked:
+            j = header.index(column)
+            assert [r[j] for r in at_inf] == [r[j] for r in at_1e300], column
 
 
 _EMBEDDING_BYTES = b"id,label,m_1,s_1\na\xff,0,1.0,-1.0\nb,0,2.0,-1.0\n"

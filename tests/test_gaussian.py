@@ -11,6 +11,7 @@ from hetlab.errors import (
     ValidationError,
 )
 from hetlab.gaussian import (
+    PIVOT_FLOOR,
     GaussianComponent,
     GaussianEnsemble,
     gaussian_between,
@@ -346,6 +347,13 @@ class TestGaussianPool:
         assert float(pool.covariance[0]) >= 1e-10
         assert DegeneratePoolError is not None  # defensive path kept for roundoff
 
+    @pytest.mark.parametrize("n_members", [3, 5, 6, 7, 10])
+    def test_members_at_the_floor_pool_to_it(self, n_members):
+        # weights of 1/N must not round N equal variances below the floor
+        # that each of them passed (as 9.999999999999999e-11 at N = 5)
+        pool = gaussian_pool(ens(np.zeros((n_members, 1)), np.full((n_members, 1), PIVOT_FLOOR)))
+        assert pool.covariance[0] == PIVOT_FLOOR
+
     def test_rank_one_spread_is_degenerate(self):
         # means 1e4 apart along the diagonal: the spread term 2.5e7 [[1, 1], [1, 1]]
         # swamps the member variances of 1e-10, so the second pivot is lost
@@ -430,6 +438,21 @@ class TestGaussianBetween:
         e = ens([[1.0, 2.0]] * 4, [[1.0, 1.0]] * 4)
         for q in (0.5, 1.0, 2.0):
             assert gaussian_between(e, q) == pytest.approx(1.0, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("n_members", [3, 5, 6, 7, 10])
+    def test_identical_members_give_exactly_one(self, n_members):
+        # 200 draws of identical 2-D members per size, diagonal and full: a
+        # pool rounded by the weights of 1/N reads 0.9999999999999996
+        rng = np.random.default_rng(n_members)
+        shape = (200, n_members, 2)
+        means = np.broadcast_to(rng.standard_normal((200, 1, 2)), shape)
+        var = rng.uniform(1e-3, 10.0, (200, 1, 2))
+        a = rng.standard_normal((200, 1, 2, 2))
+        full = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(2)
+        for covs in (np.broadcast_to(var, shape), np.broadcast_to(full, shape + (2,))):
+            e = ens(means, covs)
+            for q in (0.5, 1.0, 2.0, math.inf):
+                assert np.all(gaussian_between(e, q) == 1.0)
 
     def test_two_separated_components(self):
         # the parametric (moment-matched) ratio grows with separation,

@@ -915,7 +915,7 @@ id,label,m_1,m_2,s_1,s_2
         '"two\n'
         'lines","l,1",2,-0.666666666667\n'
         '"cr\r'
-        'here","y","-0.5","0"\n'
+        'here",y,-0.5,0\n'
     ),
     ('write', 'json'): (
         '{\n'
