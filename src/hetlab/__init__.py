@@ -42,8 +42,7 @@ _EXPORTS = {name: module for module, names in {
     "classic": ("functional_hill", "is_metric", "is_ultrametric", "leinster_cobbold",
                 "neqrqe", "rescale_distance", "rqe", "similarity_from_distance",
                 "three_state_distance", "three_state_probs"),
-    "core": ("TABLE_INDICES", "IndexValue", "as_distribution", "normalize",
-             "renyi_heterogeneity", "table1_index"),
+    "core": ("TABLE_INDICES", "IndexValue", "renyi_heterogeneity", "table1_index"),
     "datasets": ("EmbeddingDataset", "SweepResult", "group_decomposition",
                  "neighborhood_between", "neighborhood_sweep", "read_assignments",
                  "read_embeddings", "synth_embeddings", "write_embeddings"),

@@ -9,7 +9,9 @@ matrices', so a sweep makes one call per index over its whole grid. One
 matrix and one p give a float (a bool for the predicates); otherwise the
 result is an array of the broadcast leading shape. Stacks are validated
 as a whole, each member held to the single-matrix or single-vector rules
-and messages.
+and messages. The testbed builds such stacks: an array of heights gives
+an (..., 3, 3) stack of triangles, an array of skews an (..., 3) stack of
+distributions.
 """
 
 from __future__ import annotations
@@ -207,54 +209,59 @@ def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True):
     # maximum and take log (Sp)_i = 0 beside their log p_i = -inf in the sum.
     if math.isinf(qf):
         return _per_member(1.0 / np.where(pv > 0.0, sp, 0.0).max(axis=-1))
-    log_sp = np.log(np.where(pv > 0.0, sp, 1.0))
+    with np.errstate(divide="ignore"):  # (Sp)_i = 0 on the support: log 0 = -inf
+        log_sp = np.log(np.where(pv > 0.0, sp, 1.0))
     log_pv = np.log(pv, out=np.full(pv.shape, -np.inf), where=pv > 0.0)
     return _per_member(np.exp(_log_hill(log_sp, pv, qf, log_pv)))
 
 
-def is_metric(d, tol: float = DEFAULT_METRIC_TOL):
-    """True iff off-diagonal distances exceed tol (distinct states are at
-    nonzero distance) and every triangle inequality holds within tol; one
-    bool per member of a stack."""
+def is_metric(d):
+    """True iff off-diagonal distances exceed `DEFAULT_METRIC_TOL` (distinct
+    states are at nonzero distance) and every triangle inequality holds
+    within it; one bool per member of a stack."""
     dm = as_distance_matrix(d)
     n = dm.shape[-1]
-    distinct = np.all(dm[..., ~np.eye(n, dtype=bool)] > tol, axis=-1)
-    # d(x,z) <= d(x,y) + d(y,z) + tol over all triples, vectorized over y.
+    distinct = np.all(dm[..., ~np.eye(n, dtype=bool)] > DEFAULT_METRIC_TOL, axis=-1)
+    # d(x,z) <= d(x,y) + d(y,z) within the tolerance over all triples, vectorized over y.
     detours = (dm[..., :, :, None] + dm[..., None, :, :]).min(axis=-2)
-    return _per_member(distinct & np.all(dm <= detours + tol, axis=(-2, -1)), bool)
+    triangles = np.all(dm <= detours + DEFAULT_METRIC_TOL, axis=(-2, -1))
+    return _per_member(distinct & triangles, bool)
 
 
-def is_ultrametric(d, tol: float = DEFAULT_METRIC_TOL):
-    """True iff is_metric and d(x,z) <= max(d(x,y), d(y,z)) + tol holds."""
+def is_ultrametric(d):
+    """True iff is_metric and d(x,z) <= max(d(x,y), d(y,z)) holds within
+    `DEFAULT_METRIC_TOL`."""
     dm = as_distance_matrix(d)
     maxes = np.maximum(dm[..., :, :, None], dm[..., None, :, :]).min(axis=-2)
-    return _per_member(is_metric(dm, tol) & np.all(dm <= maxes + tol, axis=(-2, -1)), bool)
+    ultra = np.all(dm <= maxes + DEFAULT_METRIC_TOL, axis=(-2, -1))
+    return _per_member(is_metric(dm) & ultra, bool)
 
 
-def three_state_probs(kappa: float) -> np.ndarray:
-    """Parametric 3-state distribution with skewness kappa >= 0
-    (kappa=0, 1 and inf select the degenerate, even and opposite-degenerate
-    branches exactly)."""
-    if math.isnan(kappa) or kappa < 0:
-        raise ValidationError(f"kappa must be >= 0, got {kappa}")
-    if kappa == 0.0:
-        return np.array([1.0, 0.0, 0.0])
-    if kappa == 1.0:
-        return np.full(3, 1.0 / 3.0)
-    if math.isinf(kappa):
-        return np.array([0.0, 0.0, 1.0])
-    root = math.sqrt(kappa)
-    return np.array([1.0, root, kappa]) / (1.0 + root + kappa)
+def three_state_probs(kappa) -> np.ndarray:
+    """The 3-state distribution (1, sqrt(kappa), kappa) / (1 + sqrt(kappa) +
+    kappa) of skewness kappa >= 0, exact at kappa = 0 (a point mass) and 1
+    (even); kappa = inf gives the opposite point mass (0, 0, 1). An array of
+    skews gives an (..., 3) stack, one row per skew."""
+    k = np.asarray(kappa, dtype=float)
+    bad = ~(k >= 0)
+    if bad.any():
+        raise ValidationError(f"kappa must be >= 0, got {k[bad].flat[0]}")
+    root = np.sqrt(k)
+    with np.errstate(invalid="ignore"):  # inf / inf at kappa = inf
+        p = np.stack([np.ones_like(k), root, k], axis=-1) / (1.0 + root + k)[..., None]
+    return np.where(np.isinf(k)[..., None], [0.0, 0.0, 1.0], p)
 
 
-def three_state_distance(h: float, b: float) -> np.ndarray:
+def three_state_distance(h, b: float) -> np.ndarray:
     """Triangle distance matrix with base b (states 1-2) and legs
-    sqrt(b^2/4 + h^2) (states 1-3 and 2-3)."""
-    if not (h > 0 and b > 0):
+    sqrt(b^2/4 + h^2) (states 1-3 and 2-3). An array of heights h gives an
+    (..., 3, 3) stack, one matrix per height."""
+    h = np.asarray(h, dtype=float)
+    if not (np.all(h > 0) and b > 0):
         raise ValidationError("triangle height and base must be positive")
-    leg = math.sqrt(b * b / 4.0 + h * h)
-    return np.array([
-        [0.0, b, leg],
-        [b, 0.0, leg],
-        [leg, leg, 0.0],
-    ])
+    with np.errstate(over="ignore"):  # an infinite leg, which as_distance_matrix refuses
+        leg = np.sqrt(b * b / 4.0 + h * h)
+    d = np.zeros(h.shape + (3, 3))
+    d[..., 0, 1] = d[..., 1, 0] = b
+    d[..., :2, 2] = d[..., 2, :2] = leg[..., None]
+    return d

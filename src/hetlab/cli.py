@@ -166,8 +166,8 @@ def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
     # Every index is evaluated once per order on the (H, K[, U]) broadcast of
     # the heights (and scaling factors) against the (K, 3) stack of
     # distributions: dist is (H, 1, 3, 3), sims (H, 1, U, 3, 3) against p[:, None].
-    dist = np.stack([classic.three_state_distance(h, b) for h in h_list])[:, None]
-    p = np.array([classic.three_state_probs(kap) for kap in kappa_list])
+    dist = classic.three_state_distance(h_list, b)[:, None]
+    p = classic.three_state_probs(kappa_list)
     sims = classic.similarity_from_distance(dist[:, :, None], np.array(u_list)[:, None, None])
     shape = H, K, Q, U = len(h_list), len(kappa_list), len(q_list), len(u_list)
     return datasets.SweepResult(

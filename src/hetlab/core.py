@@ -65,7 +65,8 @@ def first_invalid_row(table: np.ndarray):
 
 def as_distributions(p) -> np.ndarray:
     """Validate one probability vector or an (..., n) stack of them, each
-    row held to the rules and messages of `as_distribution`."""
+    row held to the rules and messages of `first_invalid_row`. Rejects
+    rather than renormalizes."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim < 1 or arr.size < 1:
         raise ValidationError("distribution must be a non-empty 1-D vector")
@@ -73,14 +74,6 @@ def as_distributions(p) -> np.ndarray:
     if bad is not None:
         raise ValidationError(bad[1])
     return arr
-
-
-def as_distribution(p) -> np.ndarray:
-    """Validate a probability vector. Rejects rather than renormalizes."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError("distribution must be a non-empty 1-D vector")
-    return as_distributions(arr)
 
 
 def check_weights(weights, n: int, members: str) -> np.ndarray:
@@ -95,19 +88,6 @@ def check_weights(weights, n: int, members: str) -> np.ndarray:
     if bad is not None:
         raise ValidationError(f"weights: {bad[1]}")
     return w
-
-
-def normalize(p) -> np.ndarray:
-    """Explicitly rescale a non-negative vector to sum to 1."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError("expected a non-empty 1-D vector")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValidationError("entries must be finite and non-negative")
-    total = float(arr.sum())
-    if total <= 0:
-        raise ValidationError("cannot normalize a zero vector")
-    return arr / total
 
 
 def check_order(q) -> float:
@@ -186,8 +166,8 @@ def renyi_heterogeneity(p, q):
     at q=1, inverse maximum probability at q=inf. Always in [1, n].
 
     ``p`` is one distribution, giving a float, or an (..., n) stack of them,
-    giving an array of the leading shape; every row is validated as
-    `as_distribution` validates one.
+    giving an array of the leading shape; every row is validated by
+    `as_distributions`.
     """
     arr = as_distributions(p)
     qf = check_order(q)
@@ -244,7 +224,9 @@ def table1_index(p, index: str, q=None) -> IndexValue:
     """
     if index not in _TABLE:
         raise ValidationError(f"unknown index {index!r}; choose from {TABLE_INDICES}")
-    arr = as_distribution(p)
+    if np.ndim(p) != 1:
+        raise ValidationError("distribution must be a non-empty 1-D vector")
+    arr = as_distributions(p)
     order, transform = _TABLE[index]
     if order is None:
         if q is None:

@@ -6,11 +6,12 @@ File formats
 Embedding CSV: header ``id,label,m_1..m_{nz},s_1..s_{nz}``, one record per
 row; ``label`` may be empty. Soft-assignment CSV: header ``id,p_1..p_{nz}``.
 Both have JSON mirrors ``{"records": [...]}`` with the same field names
-(``label`` may be null). The readers take the format from the content: a
-file whose first non-blank character is ``{`` or ``[`` is JSON, anything
-else is CSV after an optional leading ``#`` comment block (a ``#`` line
-after the header is a record whose id starts with ``#``). Both formats go
-through one header check. A CSV body is converted in one bulk pass; JSON
+(``label`` may be null; an integer ``id`` reads as its digits). The
+readers take the format from the content: a file whose first non-blank
+character is ``{`` or ``[`` is JSON, anything else is CSV after an
+optional leading ``#`` comment block (a ``#`` line after the header is a
+record whose id starts with ``#``). Both formats go through one header
+check. A CSV body is converted in one bulk pass; JSON
 records, and a CSV body that pass rejects, go through one record loop that
 names the first bad record, so errors read alike in both formats (``record
 {i}`` counts records from 0). The readers take a text stream, so
@@ -157,8 +158,9 @@ def _table_rows(rows, what: str, text: tuple, header: list) -> tuple:
     """The text cells and numbers of ``rows``, checked one record at a time
     so that the first bad record is named: its width, the floats after the
     ``text`` columns (the first cell that is no number is named by its
-    column), and (in JSON) that the text cells after the id are strings or
-    null. An id is made a string."""
+    column), and (in JSON) that the id is a string or an integer, which is
+    read as its decimal digits, and the text cells after it are strings or
+    null."""
     cells, values = [], []
     try:
         for i, row in enumerate(rows):
@@ -175,11 +177,15 @@ def _table_rows(rows, what: str, text: tuple, header: list) -> tuple:
                 raise ValidationError(f"{what} record {i}: {header[len(text) + j]} must be "
                                       f"a number, got {json.dumps(numbers[j])}")
             values.append(floats)
+            rid = str(row[0]) if type(row[0]) is int else row[0]  # a bool is no id
+            if not isinstance(rid, str):
+                raise ValidationError(f"{what} record {i}: id must be a string or an "
+                                      f"integer, got {json.dumps(rid)}")
             for name, v in zip(text[1:], row[1:len(text)]):
                 if not isinstance(v, (str, type(None))):
-                    raise ValidationError(
-                        f"{what} record {i}: {name} must be a string or null, got {v!r}")
-            cells.append([str(row[0]), *row[1:len(text)]])
+                    raise ValidationError(f"{what} record {i}: {name} must be a string "
+                                          f"or null, got {json.dumps(v)}")
+            cells.append([rid, *row[1:len(text)]])
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise ValidationError(f"{what} record {len(cells)}: {exc}") from exc
     if not cells:
@@ -239,7 +245,7 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
     if head and head[-1].lstrip()[:1] in ("{", "["):
         try:
             payload = json.loads("".join(head) + stream.read())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
             raise ValidationError(f"{what} file is not valid JSON: {exc}") from exc
         records = payload.get("records") if isinstance(payload, dict) else None
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
@@ -493,7 +499,8 @@ def _nearest(means: np.ndarray, rows: np.ndarray, r: np.ndarray, cand: np.ndarra
     ``m`` of a stable argsort of the full row. The candidates come in
     row-major order, ascending index within a row."""
     i = rows[r]
-    d = np.linalg.norm(means[cand] - means[i], axis=-1)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf, sorting last
+        d = np.linalg.norm(means[cand] - means[i], axis=-1)
     d[cand == i] = -1.0
     order = np.lexsort((d, r))  # stable: by row, then distance, then index
     counts = np.bincount(r, minlength=len(rows))

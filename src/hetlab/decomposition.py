@@ -36,16 +36,8 @@ class SubsystemEnsemble:
                            check_weights(self.weights, table.shape[0], "rows"))
 
     @property
-    def n_subsystems(self) -> int:
-        return self.table.shape[0]
-
-    @property
     def n_states(self) -> int:
         return self.table.shape[1]
-
-    def has_equal_weights(self) -> bool:
-        w = self.weights
-        return float(w.max() - w.min()) <= _WEIGHT_EQUAL_TOL
 
 
 def pooled_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
@@ -82,6 +74,6 @@ def decompose(ensemble: SubsystemEnsemble, q_list) -> dict:
     orders = check_orders(q_list)
     pooled = np.array([pooled_heterogeneity(ensemble, q) for q in orders])
     within = np.array([within_heterogeneity(ensemble, q) for q in orders])
-    unequal = not ensemble.has_equal_weights()
+    unequal = np.ptp(ensemble.weights) > _WEIGHT_EQUAL_TOL
     return {"pooled": pooled, "within": within, "between": pooled / within,
             "lande_warning": np.array([unequal and q not in (0.0, 1.0) for q in orders])}

@@ -28,7 +28,7 @@ class TestPointHeterogeneity:
 class TestBatch:
     def test_shape_properties(self):
         ens = SubsystemEnsemble(table=[[0.5, 0.5], [1.0, 0.0]])
-        assert ens.n_subsystems == 2
+        assert len(ens.table) == 2
         assert ens.n_states == 2
         assert np.array_equal(ens.table, [[0.5, 0.5], [1.0, 0.0]])
 

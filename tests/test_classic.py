@@ -156,8 +156,7 @@ class TestNeqrqe:
         # rises until the equilateral height, falls afterwards
         p = np.full(3, 1 / 3)
         hs = np.arange(0.1, 3.01, 0.1)
-        vals = [neqrqe(rescale_distance(three_state_distance(h, 1.0)), p)
-                for h in hs]
+        vals = neqrqe(rescale_distance(three_state_distance(hs, 1.0)), p).tolist()
         peak = int(np.argmax(vals))
         assert hs[peak] == pytest.approx(0.9, abs=1e-9)  # first grid point past sqrt(3)/2
         assert all(a < b for a, b in zip(vals[:peak], vals[1:peak + 1]))
@@ -332,7 +331,7 @@ class TestMetricPredicates:
         assert not is_ultrametric(d)
 
     def test_equilateral_boundary_ultrametric(self):
-        assert is_ultrametric(three_state_distance(ROOT3_2, 1.0), tol=1e-9)
+        assert is_ultrametric(three_state_distance(ROOT3_2, 1.0))
 
     def test_tall_triangle_ultrametric(self):
         assert is_ultrametric(three_state_distance(2.0, 1.0))
@@ -342,16 +341,54 @@ class TestMetricPredicates:
         assert not is_metric(d)
 
 
+# testbed stacks: heights with sqrt(3)/2 and near both ends of the float range,
+# and skews at each branch and near both ends
+THREE_STATE_HEIGHTS = np.array([[1e-300, 0.5, ROOT3_2], [1.0, 2.0, 1e200]])
+THREE_STATE_KAPPAS = (0.0, 0.25, 1.0, 4.0, math.inf, 1e-300, 1e300)
+
+
 class TestThreeState:
     def test_branches(self):
-        assert np.allclose(three_state_probs(0.0), [1, 0, 0])
-        assert np.allclose(three_state_probs(1.0), [1 / 3, 1 / 3, 1 / 3])
-        assert np.allclose(three_state_probs(math.inf), [0, 0, 1])
+        # the one form is exact at kappa = 0 and 1; only inf has its own value
+        assert three_state_probs(0.0).tolist() == [1.0, 0.0, 0.0]
+        assert three_state_probs(1.0).tolist() == [1 / 3, 1 / 3, 1 / 3]
+        assert three_state_probs(math.inf).tolist() == [0.0, 0.0, 1.0]
         assert np.allclose(three_state_probs(4.0), [1 / 7, 2 / 7, 4 / 7])
 
     def test_negative_kappa(self):
-        with pytest.raises(ValidationError):
-            three_state_probs(-0.1)
+        # one message, for one skew or for any entry of a stack
+        for bad in (-0.1, -math.inf, math.nan):
+            stacks = [np.insert([0.0, 1.0, 4.0], at, bad).reshape(2, 2) for at in range(4)]
+            for kappa in (bad, *stacks):
+                with pytest.raises(ValidationError, match=f"^kappa must be >= 0, got {bad}$"):
+                    three_state_probs(kappa)
+
+    def test_probs_stack_matches_points(self):
+        # bit for bit, against each point and against the per-point form
+        kappas = np.array(THREE_STATE_KAPPAS)
+        for shape in ((7,), (7, 1)):
+            stack = three_state_probs(kappas.reshape(shape))
+            assert stack.shape == shape + (3,)
+            for idx, kap in zip(np.ndindex(shape), THREE_STATE_KAPPAS):
+                root = math.sqrt(kap)
+                want = ([0.0, 0.0, 1.0] if math.isinf(kap)
+                        else (np.array([1.0, root, kap]) / (1.0 + root + kap)).tolist())
+                assert stack[idx].tobytes() == three_state_probs(kap).tobytes()
+                assert stack[idx].tolist() == want, kap
+        assert three_state_probs(4.0).shape == (3,)
+
+    @pytest.mark.parametrize("b", [1.0, 1.3])
+    def test_distance_stack_matches_points(self, b):
+        stack = three_state_distance(THREE_STATE_HEIGHTS, b)
+        assert stack.shape == THREE_STATE_HEIGHTS.shape + (3, 3)
+        for idx in np.ndindex(THREE_STATE_HEIGHTS.shape):
+            h = float(THREE_STATE_HEIGHTS[idx])
+            leg = math.sqrt(b * b / 4.0 + h * h)
+            assert stack[idx].tobytes() == three_state_distance(h, b).tobytes()
+            assert stack[idx].tolist() == [[0.0, b, leg], [b, 0.0, leg], [leg, leg, 0.0]]
+        assert three_state_distance(0.5, b).shape == (3, 3)
+        # a leg past the float range is inf, without a warning
+        assert three_state_distance([1.0, 1e155], 1e155)[1, 0, 2] == math.inf
 
     def test_distance_values(self):
         d = three_state_distance(0.5, 1.0)
@@ -363,21 +400,25 @@ class TestThreeState:
         assert np.allclose(eq[~np.eye(3, dtype=bool)], 1.0)
 
     def test_invalid_geometry(self):
-        with pytest.raises(ValidationError):
-            three_state_distance(0.0, 1.0)
-        with pytest.raises(ValidationError):
+        message = "^triangle height and base must be positive$"
+        with pytest.raises(ValidationError, match=message):
             three_state_distance(1.0, -1.0)
+        # one message, for one height or for any entry of a stack
+        for bad in (0.0, -1.0, math.nan):
+            stacks = [np.where(np.arange(6).reshape(2, 3) == at, bad, THREE_STATE_HEIGHTS)
+                      for at in range(6)]
+            for h in (bad, *stacks):
+                with pytest.raises(ValidationError, match=message):
+                    three_state_distance(h, 1.0)
 
 
 STACK_QS = (0.0, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.001, 2.0, 7.5, math.inf)
 # kappa = 0 and inf are point masses: p has zeros and Q_1 = 0.
-STACK_PS = [three_state_probs(k) for k in (0.0, 0.25, 1.0, 4.0, math.inf)]
+STACK_PS = three_state_probs(np.array([0.0, 0.25, 1.0, 4.0, math.inf]))
 
 
 def distance_stack(rng, shape=(4, 2)):
-    hs = rng.uniform(0.05, 3.0, size=shape)
-    return np.stack([three_state_distance(h, 1.3) for h in hs.ravel()]).reshape(
-        shape + (3, 3))
+    return three_state_distance(rng.uniform(0.05, 3.0, size=shape), 1.3)
 
 
 def relaxed_stack(rng, shape=(3, 2)):
@@ -527,13 +568,12 @@ class TestStacks:
     ], ids=["neqrqe", "functional_hill", "functional_hill_inf", "rescale_distance",
             "similarity_from_distance", "is_metric"])
     def test_one_bad_distance_member_raises_its_message(self, bad, index):
-        good = [rescale_distance(three_state_distance(h, 1.0)) for h in (0.2, 0.9, 2.0)]
+        good = rescale_distance(three_state_distance(np.array([0.2, 0.9, 2.0]), 1.0))
         self.assert_stack_raises_member_message(index, good, self._BAD_DISTANCE[bad](good[1]))
 
     @pytest.mark.parametrize("bad", sorted(_BAD_SIMILARITY))
     def test_one_bad_similarity_member_raises_its_message(self, bad):
-        good = [similarity_from_distance(three_state_distance(h, 1.0), 1.0)
-                for h in (0.2, 0.9, 2.0)]
+        good = similarity_from_distance(three_state_distance(np.array([0.2, 0.9, 2.0]), 1.0), 1.0)
         self.assert_stack_raises_member_message(
             lambda s: leinster_cobbold(s, three_state_probs(4.0), 2.0), good,
             self._BAD_SIMILARITY[bad](good[1]))

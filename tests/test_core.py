@@ -13,10 +13,9 @@ from hetlab.betamix import BetaMixtureParams, bmm_between_rrh
 from hetlab.classic import functional_hill, leinster_cobbold
 from hetlab.core import (
     TABLE_INDICES,
-    as_distribution,
+    as_distributions,
     check_orders,
     logsumexp,
-    normalize,
     renyi_heterogeneity,
     table1_index,
 )
@@ -32,27 +31,27 @@ orders = st.one_of(st.just(0.0), st.just(1.0), st.just(math.inf),
                    st.floats(0.01, 50.0))
 
 
+_ONE_DISTRIBUTION = (as_distributions, lambda p: table1_index(p, "richness"))
+
+
 class TestValidation:
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            as_distribution([0.5, 0.4])
+        for check in _ONE_DISTRIBUTION:
+            with pytest.raises(ValidationError, match="must sum to 1"):
+                check([0.5, 0.4])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            as_distribution([1.2, -0.2])
+        for check in _ONE_DISTRIBUTION:
+            with pytest.raises(ValidationError, match="non-negative"):
+                check([1.2, -0.2])
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValidationError):
-            as_distribution([[0.5, 0.5]])
-
-    def test_normalize(self):
-        assert np.allclose(normalize([2, 2]), [0.5, 0.5])
-        with pytest.raises(ValidationError):
-            normalize([0.0, 0.0])
-        with pytest.raises(ValidationError, match="1-D"):
-            normalize([[1.0, 2.0]])
-        with pytest.raises(ValidationError, match="non-negative"):
-            normalize([2.0, -1.0])
+        # table1_index takes one p, valid rows or not; as_distributions a stack
+        for p in ([[0.5, 0.5]], [[0.6, 0.6]], 1.0):
+            with pytest.raises(ValidationError,
+                               match="^distribution must be a non-empty 1-D vector$"):
+                table1_index(p, "richness")
+        assert as_distributions([[0.5, 0.5]]).shape == (1, 2)
 
     def test_bad_order(self):
         with pytest.raises(UndefinedOrderError):

@@ -264,10 +264,13 @@ class TestEmbeddingIO:
         with pytest.raises(ValidationError):
             read_embeddings(io.StringIO(bad))
         # a non-string label would later fail to sort or hash into a group
-        for label in ("5", "[\"y\"]"):
+        for label in ("5", "[\"y\"]", "true"):
             bad = f'{{"records": [{{"id": "a", "label": {label}, "m_1": 1.0, "s_1": 0.0}}]}}'
-            with pytest.raises(ValidationError, match="record 0: label"):
+            with pytest.raises(ValidationError) as info:
                 read_embeddings(io.StringIO(bad))
+            # the value as JSON, as an id or a number cell is shown
+            assert str(info.value) == ("embedding record 0: label must be a string or null, "
+                                       f"got {label}")
 
     @pytest.mark.parametrize("field", ["m_1", "s_1"])
     def test_json_boolean_is_no_number(self, field):
@@ -284,7 +287,7 @@ class TestAssignmentIO:
         text = "id,p_1,p_2\na,0.3,0.7\nb,1.0,0.0\n"
         ids, ens = read_assignments(io.StringIO(text))
         assert ids == ["a", "b"]
-        assert ens.n_subsystems == 2 and ens.n_states == 2
+        assert len(ens.table) == 2 and ens.n_states == 2
         assert np.array_equal(ens.table, [[0.3, 0.7], [1.0, 0.0]])
 
     def test_csv_hash_ids_after_header(self):
@@ -298,7 +301,7 @@ class TestAssignmentIO:
             {"id": "a", "p_1": 0.25, "p_2": 0.75},
         ]})
         ids, ens = read_assignments(io.StringIO(text))
-        assert ids == ["a"] and ens.n_subsystems == 1
+        assert ids == ["a"] and len(ens.table) == 1
 
     def test_json_missing_field_fails_like_short_row(self):
         for text in ("id,p_1,p_2\na,1.0\n",
@@ -346,6 +349,53 @@ class TestAssignmentIO:
     def test_rejects(self, text):
         with pytest.raises(ValidationError):
             read_assignments(io.StringIO(text))
+
+
+# reader, command and the other fields of a valid record, per file kind
+_JSON_READERS = {
+    "embedding": (read_embeddings, ["embeddings", "neighborhoods", "--k", "1", "--top", "4"],
+                  {"label": "x", "m_1": 0.0, "s_1": -1.0}),
+    "assignment": (read_assignments, ["assignments", "rrh"], {"p_1": 0.5, "p_2": 0.5}),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_JSON_READERS))
+class TestJsonIds:
+    """A JSON id is a string, or an integer (not a bool) read as its decimal
+    digits; any other value is named by its record, as JSON."""
+
+    @pytest.mark.parametrize("rid,shown", [
+        (None, "null"), (True, "true"), (False, "false"), (1.5, "1.5"), (1e2, "100.0"),
+        ([1, 2], "[1, 2]"), ({"a": 1}, '{"a": 1}'),
+    ])
+    def test_other_values_exit_3(self, tmp_path, what, rid, shown):
+        read, command, fields = _JSON_READERS[what]
+        text = json.dumps({"records": [{"id": "a", **fields}, {"id": rid, **fields}]})
+        message = f"{what} record 1: id must be a string or an integer, got {shown}"
+        with pytest.raises(ValidationError) as info:
+            read(io.StringIO(text))
+        assert str(info.value) == message
+        path = tmp_path / "ids.json"
+        path.write_text(text)
+        res = CliRunner().invoke(cli.main, [*command, str(path)])
+        assert res.exit_code == 3 and res.output == f"error: {message}\n"
+
+    def test_integer_reads_as_its_digits(self, tmp_path, what):
+        read, command, fields = _JSON_READERS[what]
+        rids = [0, -7, 12345678901234567890, "s"]
+        records = [{"id": rid, **fields, **({"m_1": float(i)} if "m_1" in fields else {})}
+                   for i, rid in enumerate(rids)]
+        text = json.dumps({"records": records})
+        got = read(io.StringIO(text))
+        ids = got.ids if what == "embedding" else got[0]
+        assert list(ids) == ["0", "-7", "12345678901234567890", "s"]
+        path = tmp_path / "ids.json"
+        path.write_text(text)
+        res = CliRunner().invoke(cli.main, [*command, str(path)])
+        assert res.exit_code == 0, res.output
+        if what == "embedding":  # the neighborhood table prints the ids
+            assert {line.split(",")[2] for line in res.output.splitlines()
+                    if line[:1] in "hl"} == {"0", "-7", "12345678901234567890", "s"}
 
 
 def _spelled(value):
@@ -917,6 +967,13 @@ class TestCliSweeps:
         assert isinstance(res.exception, SystemExit)
         assert "error: log_gamma(1e+306) overflows" in res.output
 
+    def test_bmm_sweep_infinite_lci_warns_nothing(self):
+        # exp(-1e308 D) is 0 off the diagonal and (Sp)_i may be 0: log 0 = -inf
+        res = self.run(["bmm-sweep", "--grid", "0.5", "--u", "1e308"])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert [line.split(",")[-1] for line in res.stdout.splitlines()[-2:]] == ["inf", "inf"]
+
     def test_bmm_sweep_distance_overflow_exits_4(self):
         res = self.run(["bmm-sweep", "--grid", "0.5", "--theta2", "12",
                         "--theta3", "150", "--q", "1"])
@@ -1021,9 +1078,11 @@ class TestCliSweeps:
 
     def test_three_state_sweep_one_kernel_call_per_order(self, monkeypatch):
         # Each index takes the stack of all heights, skewness values (and
-        # scaling factors) at once; neqrqe does not depend on the order.
+        # scaling factors) at once; neqrqe does not depend on the order, and
+        # one testbed call builds each stack.
         calls = Counter()
-        for module, name in ((classic, "similarity_from_distance"), (classic, "neqrqe"),
+        for module, name in ((classic, "three_state_distance"), (classic, "three_state_probs"),
+                             (classic, "similarity_from_distance"), (classic, "neqrqe"),
                              (classic, "functional_hill"), (classic, "leinster_cobbold"),
                              (core, "renyi_heterogeneity")):
             def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
@@ -1033,7 +1092,8 @@ class TestCliSweeps:
         res = self.run(["three-state-sweep", "--grid", "1,2", "--kappa", "0.25,1",
                         "--q", "1,2,inf", "--u", "0.5,1,2"])
         assert res.exit_code == 0, res.output
-        assert calls == {"similarity_from_distance": 1, "neqrqe": 1, "functional_hill": 3,
+        assert calls == {"three_state_distance": 1, "three_state_probs": 1,
+                         "similarity_from_distance": 1, "neqrqe": 1, "functional_hill": 3,
                          "leinster_cobbold": 3, "renyi_heterogeneity": 3}
 
     def test_three_state_rows_match_single_matrix_calls(self):
@@ -1242,6 +1302,19 @@ class TestCliEmbeddings:
                         *command[1:]])
         assert res.exit_code == 4
         assert "overflows a float" in res.output
+
+    def test_distances_past_the_float_range_warn_nothing(self, tmp_path):
+        # means near 1e299: the exact neighbour distances overflow to inf, and
+        # the pools are singular, which is the one line on stderr
+        path = tmp_path / "far.csv"
+        res = self.run(["embeddings", "synth", "--labels", "2", "--per-label", "3",
+                        "--separation", "1e300", "--out", str(path)])
+        assert res.exit_code == 0, res.output
+        res = self.run(["embeddings", "neighborhoods", str(path), "--k", "2"])
+        assert res.exit_code == 4, res.output
+        assert res.stdout == ""
+        assert res.stderr == ("error: pooled covariance is numerically singular: "
+                              "covariance entries must be finite\n")
 
     def test_singular_pool_exits_4(self, tmp_path):
         # two records far apart with variances e^-23: the pooled covariance
@@ -1476,8 +1549,10 @@ class TestCliMalformedInput:
         assert "error:" in res.output and "Traceback" not in res.output
 
     @pytest.mark.parametrize("text", [
-        '{"records": [', "[1,2]", '{"records": [1]}', '{"records": {"a": 1}}'],
-        ids=["truncated", "array", "non-object-record", "records-object"])
+        '{"records": [', "[1,2]", '{"records": [1]}', '{"records": {"a": 1}}',
+        '{"records": [{"id": 1%s}]}' % ("0" * 5000)],
+        ids=["truncated", "array", "non-object-record", "records-object",
+             "integer-past-the-digit-limit"])
     @pytest.mark.parametrize("command", [["embeddings", "decompose"],
                                          ["assignments", "rrh"]],
                              ids=["decompose", "rrh"])

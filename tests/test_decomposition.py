@@ -66,7 +66,7 @@ class TestValidation:
     def test_default_weights_uniform(self):
         ens = SubsystemEnsemble(table=[[0.5, 0.5], [1.0, 0.0]])
         assert np.allclose(ens.weights, [0.5, 0.5])
-        assert ens.has_equal_weights()
+        assert not decompose(ens, [0.5, 2.0])["lande_warning"].any()
 
 
 class TestBranches:
@@ -209,3 +209,8 @@ class TestIdentityAndWarnings:
             True, False, False, True]
         eq = SubsystemEnsemble(table=[[0.9, 0.1], [0.2, 0.8]])
         assert not decompose(eq, [2.0])["lande_warning"][0]
+        # weights count as equal while max - min stays within 1e-12
+        for half_gap, flag in ((4e-13, False), (1e-11, True)):
+            near = SubsystemEnsemble(table=[[0.9, 0.1], [0.2, 0.8]],
+                                     weights=[0.5 + half_gap, 0.5 - half_gap])
+            assert decompose(near, [2.0])["lande_warning"].tolist() == [flag]

@@ -202,7 +202,7 @@ def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
 def test_public_names_resolve():
     namespace = {}
     exec("from hetlab import *", namespace)
-    assert len(hetlab.__all__) == 67 and hetlab.__all__ == sorted(set(hetlab.__all__))
+    assert len(hetlab.__all__) == 65 and hetlab.__all__ == sorted(set(hetlab.__all__))
     for name in hetlab.__all__:
         assert namespace[name] is getattr(hetlab, name), name
     assert set(hetlab.__all__) <= set(dir(hetlab))
