@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import SYM_TOL, _log_hill, as_distributions, check_order
+from .core import _HUGE_ORDER, SYM_TOL, _log_hill, as_distributions, check_order
 from .errors import DegenerateDistanceError, SingularityError, ValidationError
 
 DEFAULT_METRIC_TOL = 1e-9
@@ -197,7 +197,9 @@ def similarity_from_distance(d, u, *, require_zero_diagonal: bool = True) -> np.
 
 
 def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True):
-    """Similarity-sensitive heterogeneity [sum_i p_i (Sp)_i^(q-1)]^(1/(1-q))."""
+    """Similarity-sensitive heterogeneity [sum_i p_i (Sp)_i^(q-1)]^(1/(1-q)),
+    with the limit 1 / max (Sp)_i over the support at q=inf and every order
+    above 10**300."""
     sm = as_similarity_matrix(s, require_unit_diagonal=require_unit_diagonal)
     pv = as_distributions(p)
     qf = check_order(q)
@@ -207,7 +209,7 @@ def leinster_cobbold(s, p, q, *, require_unit_diagonal: bool = True):
     pv = np.compress(support, pv, axis=-1)
     # A row's own zeros inside the union of supports are no candidate for the
     # maximum and take log (Sp)_i = 0 beside their log p_i = -inf in the sum.
-    if math.isinf(qf):
+    if qf > _HUGE_ORDER:
         return _per_member(1.0 / np.where(pv > 0.0, sp, 0.0).max(axis=-1))
     with np.errstate(divide="ignore"):  # (Sp)_i = 0 on the support: log 0 = -inf
         log_sp = np.log(np.where(pv > 0.0, sp, 1.0))

@@ -16,6 +16,8 @@ points). A value that conflicts with the input file (``--k`` >= N) or with
 another option keeps its own exit code.
 
 Exit codes: 0 success, 2 usage, 3 validation/ingestion, 4 numerical error.
+An input ``FILE`` or an ``--out`` path that cannot be opened is a usage
+error naming it (exit 2), as click's own path checks are.
 """
 
 from __future__ import annotations
@@ -89,27 +91,39 @@ _POSITIVE_ORDER = _Real(0, min_open=True)                     # (0, inf]
 _FINITE = _Real(-math.inf, math.inf, min_open=True, max_open=True)
 
 
+def _open(path: str, hint: str, mode: str, **kwargs):
+    """``open(path, mode)``, where an ``OSError`` is a usage error naming the
+    parameter ``hint``, as click's own path checks are."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise click.BadParameter(f"cannot open {path!r}: {exc.strerror or exc}",
+                                 param_hint=hint) from exc
+
+
 def _read_input(path: str, reader):
     """Parse an input file with ``reader``. The file is read as UTF-8 with
     ``newline=""`` so that line breaks inside quoted CSV fields survive; a
     leading byte-order mark is dropped, and a byte sequence that is not
     UTF-8 is a validation error naming the file."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        with _open(path, "'FILE'", "r", encoding="utf-8-sig", newline="") as fh:
             return reader(fh)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _emit(write, out, fmt: str) -> None:
-    """Write through ``write(stream, fmt)`` to the file ``out`` or to stdout."""
+    """Write through ``write(stream, fmt)`` to the file ``out`` or to stdout;
+    ``out`` is opened only once the text is whole, so a failed command
+    leaves no file behind."""
     buf = io.StringIO()
     write(buf, fmt)
     if out is None:
         # color=True: click strips escape sequences (as in ids) when stdout is no terminal
         click.echo(buf.getvalue(), nl=False, color=True)
     else:
-        with open(out, "w", newline="") as fh:
+        with _open(out, "'--out'", "w", newline="") as fh:
             fh.write(buf.getvalue())
 
 

@@ -1,11 +1,13 @@
 """Categorical Renyi heterogeneity of a single distribution, plus the
 classical diversity/inequality indices it generalizes or transforms into.
 
-The elasticity order q is a plain non-negative float. The values 0.0, 1.0
-and math.inf are distinguished encodings selecting the richness, perplexity
-and Berger-Parker branches. Every other order goes through `_log_hill`, the
-one power-mean kernel behind all numbers-equivalent indices of the package:
-it keeps full accuracy for orders close to 1 and log-sum-exp elsewhere.
+The elasticity order q is a plain non-negative float. The values 0.0 and
+1.0 are distinguished encodings selecting the richness and perplexity
+branches, and every order above `_HUGE_ORDER` (10**300), math.inf included,
+selects the Berger-Parker branch. Every other order goes through
+`_log_hill`, the one power-mean kernel behind all numbers-equivalent indices
+of the package: it keeps full accuracy for orders close to 1 and
+log-sum-exp elsewhere.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ PROB_TOL = 1e-9
 SYM_TOL = 1e-12
 
 _NEAR_ONE = 1e-2  # |q - 1| below which _log_hill uses its expm1/log1p form
-_HUGE_ORDER = 1e300  # q above which _log_hill takes its q = inf limit
+_HUGE_ORDER = 1e300  # q above which every order-taking function takes its q = inf limit
 
 # Table 1: index -> (order, transform of the Renyi heterogeneity pi at that
 # order). Order None takes the caller's q; transform None marks the two
@@ -163,7 +165,8 @@ def renyi_heterogeneity(p, q):
     """Effective number of equally probable states of order q.
 
     (sum p_i^q)^(1/(1-q)) for generic q; support count at q=0, perplexity
-    at q=1, inverse maximum probability at q=inf. Always in [1, n].
+    at q=1, inverse maximum probability at q=inf and every order above
+    `_HUGE_ORDER`. Always in [1, n].
 
     ``p`` is one distribution, giving a float, or an (..., n) stack of them,
     giving an array of the leading shape; every row is validated by
@@ -173,7 +176,7 @@ def renyi_heterogeneity(p, q):
     qf = check_order(q)
     if qf == 0.0:
         out = np.count_nonzero(arr > 0.0, axis=-1).astype(float)
-    elif math.isinf(qf):
+    elif qf > _HUGE_ORDER:
         out = 1.0 / arr.max(axis=-1)
     else:
         log_p = np.log(arr, out=np.full(arr.shape, -np.inf), where=arr > 0.0)

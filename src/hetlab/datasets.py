@@ -6,10 +6,13 @@ File formats
 Embedding CSV: header ``id,label,m_1..m_{nz},s_1..s_{nz}``, one record per
 row; ``label`` may be empty. Soft-assignment CSV: header ``id,p_1..p_{nz}``.
 Both have JSON mirrors ``{"records": [...]}`` with the same field names
-(``label`` may be null; an integer ``id`` reads as its digits). The
-readers take the format from the content: a file whose first non-blank
-character is ``{`` or ``[`` is JSON, anything else is CSV after an
-optional leading ``#`` comment block (a ``#`` line after the header is a
+(``label`` may be null; an integer ``id`` reads as its digits), in any key
+order. A JSON record is judged by the CSV row rule: one that lacks a header
+field is a short row, and one that holds every header field and another is
+a long row (``expected N fields, got M``); no key is dropped. The readers
+take the format from the content: a file whose first non-blank character
+is ``{`` or ``[`` is JSON, anything else is CSV after an optional leading
+``#`` comment block (a ``#`` line after the header is a
 record whose id starts with ``#``). Both formats go through one header
 check. A CSV body is converted in one bulk pass; JSON
 records, and a CSV body that pass rejects, go through one record loop that
@@ -255,7 +258,11 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
             raise ValidationError(f"{what} file holds no records")
         header = _header(text, prefixes,
                          sum(1 for key in records[0] if key.startswith(prefixes[0])))
-        rows = ([rec[key] for key in header if key in rec] for rec in records)
+        keys = set(header)
+        # a record is a row of its values in header order; one holding every
+        # header field and more is a row of all its values, so a long row
+        rows = (list(rec.values()) if rec.keys() > keys
+                else [rec[key] for key in header if key in rec] for rec in records)
     else:
         lines = itertools.dropwhile(lambda line: line.startswith("#"),
                                     itertools.chain(head, stream))

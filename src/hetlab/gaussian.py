@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SYM_TOL, _log_hill, check_order, check_orders, check_weights
+from .core import _HUGE_ORDER, SYM_TOL, _log_hill, check_order, check_orders, check_weights
 from .errors import DegeneratePoolError, NumericalError, UndefinedOrderError, ValidationError
 
 PIVOT_FLOOR = 1e-10
@@ -131,11 +131,12 @@ def _exp_volume(log_val):
 
 def _log_volume(logdet, n: int, qf: float):
     """Log effective volume of an n-dimensional Gaussian with log|Sigma| =
-    logdet (a float or an array) at a positive order qf."""
+    logdet (a float or an array) at a positive order qf; every order above
+    10**300 takes the q=inf limit, as `_log_hill` does."""
     log_val = 0.5 * (n * _LOG_2PI + logdet)
     if qf == 1.0:
         log_val += 0.5 * n
-    elif not math.isinf(qf):
+    elif qf <= _HUGE_ORDER:
         log_val += n * math.log(qf) / (2.0 * (qf - 1.0))
     return log_val
 

@@ -246,6 +246,9 @@ def reg_hyp3f2_unit(num, den) -> float:
     sum(den) - sum(num). K doubles from k0 + 64 until the first omitted term
     is below ``_SERIES_REL_TOL`` / 10 of the result; no tail is needed once
     the rest estimate |t_K| (K + 1) / s is below ``_SERIES_REL_TOL``.
+    Where the sum or its product with 1/(Gamma(den_1) Gamma(den_2)) is no
+    finite float, the result is a ``ConvergenceError``: it is lost to
+    double precision even where it is finite.
     """
     a = [_snap_nonpositive_int(float(v)) for v in num]
     b = [float(v) for v in den]
@@ -261,7 +264,20 @@ def reg_hyp3f2_unit(num, den) -> float:
         prefactor = 0.0
     if prefactor < sys.float_info.min:  # not a normal float: the log-gamma form
         prefactor = math.exp(-log_gamma(b[0]) - log_gamma(b[1]))
+    try:
+        value = prefactor * _unit_series(a, b)
+    except OverflowError:  # the float of an exact sum, or an fsum, past the float range
+        value = math.inf
+    if not math.isfinite(value):  # NaN: an inf sum times a prefactor that underflowed to 0
+        raise ConvergenceError(f"3F~2 at unit argument with num={a}, den={b} is not a "
+                               "finite float: its series or prefactor leaves the range")
+    return value
 
+
+def _unit_series(a: list, b: list) -> float:
+    """The unregularized 3F2(a; b; 1) of `reg_hyp3f2_unit`, for denominators
+    above ``_INT_SNAP_TOL``: inf, NaN or an ``OverflowError`` where it leaves
+    the float range."""
     # Exact prefix over the region where (a_i + k) can still be negative or
     # zero, extended until the coefficients stop mattering at double
     # precision (fast-decay series finish entirely inside it).
@@ -273,7 +289,7 @@ def reg_hyp3f2_unit(num, den) -> float:
         )
     prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min)
     if c_k0 == 0:  # the series terminated inside the prefix
-        return prefactor * float(prefix_sum)
+        return float(prefix_sum)
     s_exp = b[0] + b[1] - a[0] - a[1] - a[2]
     if s_exp <= 0:
         raise ConvergenceError(
@@ -299,7 +315,7 @@ def reg_hyp3f2_unit(num, den) -> float:
         # At unit argument the terms decay only like k^-(1+s), so the rest
         # after t_K is about |t_K| K / s, not |t_K|.
         if abs(t_big) * (big_k + 1.0) / s_exp <= _SERIES_REL_TOL * abs(head + t_big):
-            return prefactor * (head + t_big)
+            return head + t_big
         e = e or _gamma_ratio_expansion(a, b)
         if (1.0 + s_exp + _TAIL_TERMS) * math.log(big_k) > 700.0:  # K^(1+s), zeta out of range
             raise ConvergenceError("series tail underflows double precision")
@@ -308,6 +324,6 @@ def reg_hyp3f2_unit(num, den) -> float:
         zetas = [_hurwitz_zeta(1.0 + s_exp + j, big_k) for j in range(len(e))]
         result = head + amp * math.fsum(c * z for c, z in zip(e[:-1], zetas))
         if abs(amp * e[-1] * zetas[-1]) <= 0.1 * _SERIES_REL_TOL * abs(result):
-            return prefactor * result
+            return result
         n *= 2
     raise ConvergenceError(f"series tail expansion not converged within {_SERIES_MAX_TERMS} terms")

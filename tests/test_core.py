@@ -1,6 +1,7 @@
 """Single-distribution heterogeneity and the classical index transforms."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,7 +22,12 @@ from hetlab.core import (
 )
 from hetlab.decomposition import SubsystemEnsemble, decompose
 from hetlab.errors import HetlabError, NumericalError, UndefinedOrderError, ValidationError
-from hetlab.gaussian import GaussianEnsemble, gaussian_between, gaussian_within
+from hetlab.gaussian import (
+    GaussianEnsemble,
+    gaussian_between,
+    gaussian_decomposition,
+    gaussian_within,
+)
 
 from oracles import assert_near_one, gei_mp, renyi_mp, tsallis_mp
 
@@ -395,6 +401,30 @@ class TestContinuityInQ:
             assert at_inf is HetlabError
         else:
             assert at_inf == pytest.approx(at_1e300, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("q", [1e301, 1e308, sys.float_info.max])
+    def test_orders_above_1e300_are_the_inf_branch(self, q):
+        # one threshold for every order-taking function: above 1e300 each
+        # takes its exact q = inf branch, not exp of the kernel's log limit
+        rng = np.random.default_rng(0)
+        p = rng.dirichlet(np.ones(5), 2000)
+        s = np.exp(-rng.uniform(0.0, 2.0, (5, 5)))
+        s = 0.5 * (s + s.T)
+        np.fill_diagonal(s, 1.0)
+        stack = GaussianEnsemble(rng.normal(size=(50, 4, 3)),
+                                 np.exp(rng.normal(size=(50, 4, 3))))
+        at_q, at_inf = (gaussian_decomposition(stack, [v]) for v in (q, math.inf))
+        pairs = [
+            (renyi_heterogeneity(p[0], q), renyi_heterogeneity(p[0], math.inf)),
+            (renyi_heterogeneity(p, q), renyi_heterogeneity(p, math.inf)),
+            (leinster_cobbold(s, p[0], q), leinster_cobbold(s, p[0], math.inf)),
+            (leinster_cobbold(s, p, q), leinster_cobbold(s, p, math.inf)),
+            *((f(ens, q), f(ens, math.inf)) for f in (gaussian_within, gaussian_between)
+              for ens in (_GAUSSIANS, stack)),
+            *((at_q[k], at_inf[k]) for k in ("pooled", "within", "between")),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ORDER_FUNCTIONS)
     def test_one_is_the_value_beside_it(self, name):

@@ -226,6 +226,26 @@ class TestEmbeddingIO:
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "embedding record 0: expected 6 fields, got 5"
 
+    def test_json_extra_field_fails_like_long_row(self):
+        # an extra m_2/s_2 pair is not dropped: the record is a long row
+        long_csv = "id,label,m_1,s_1\na,x,1.0,-1.0\nb,x,1.0,-1.0,2.0,-1.0\n"
+        long_json = json.dumps({"records": [
+            {"id": "a", "label": "x", "m_1": 1.0, "s_1": -1.0},
+            {"id": "b", "label": "x", "m_1": 1.0, "s_1": -1.0, "m_2": 2.0, "s_2": -1.0}]})
+        messages = []
+        for text in (long_csv, long_json):
+            with pytest.raises(ValidationError) as err:
+                read_embeddings(io.StringIO(text))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "embedding record 1: expected 4 fields, got 6"
+
+    def test_json_key_order_is_free(self):
+        records = [{"s_1": -1.0, "m_1": 1.0, "label": "x", "id": "a"},
+                   {"id": "b", "m_1": 2.0, "label": None, "s_1": -2.0}]
+        ds = read_embeddings(io.StringIO(json.dumps({"records": records})))
+        assert ds.ids == ("a", "b") and ds.labels == ("x", None)
+        assert ds.means.tolist() == [[1.0], [2.0]] and ds.log_var.tolist() == [[-1.0], [-2.0]]
+
     def test_hash_id_round_trip(self):
         ds = make_dataset(
             ("x", "0", [0.0], [-1.0]),
@@ -310,6 +330,22 @@ class TestAssignmentIO:
             with pytest.raises(ValidationError,
                                match="assignment record 0: expected 3 fields, got 2"):
                 read_assignments(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "id,p_1\na,1\nb,1,0.5\n",
+        json.dumps({"records": [{"id": "a", "p_1": 1}, {"id": "b", "p_1": 1, "p_2": 0.5}]}),
+        json.dumps({"records": [{"id": "a", "p_1": 1}, {"p_1": 1, "note": "x", "id": "b"}]}),
+    ], ids=["csv", "json", "json-other-key"])
+    def test_extra_field_is_a_long_row(self, tmp_path, text):
+        # a JSON record keeps every key: an extra one is not dropped
+        message = "assignment record 1: expected 2 fields, got 3"
+        with pytest.raises(ValidationError) as info:
+            read_assignments(io.StringIO(text))
+        assert str(info.value) == message
+        path = tmp_path / "assign"
+        path.write_text(text)
+        res = CliRunner().invoke(cli.main, ["assignments", "rrh", str(path)])
+        assert res.exit_code == 3 and res.output == f"error: {message}\n"
 
     def test_json_boolean_is_no_number(self, tmp_path):
         rows = [{"id": "a", "p_1": 0.5, "p_2": 0.5}, {"id": "b", "p_1": True, "p_2": False}]
@@ -928,6 +964,16 @@ class TestCliSweeps:
         rrh = [r[5] for r in payload["rows"]]
         assert len(rrh) == 5
         assert all(1.0 - 1e-9 <= v <= 2.0 + 1e-9 for v in rrh)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the beta continued fraction "
+                       "does not converge for Beta(1e6, 1e6) at x = 0.5, which exits 4")
+    def test_bmm_sweep_tau_grid_at_large_shapes(self):
+        # two copies of Beta(1e6, 1e6) split at their mean: each tail is 1/2,
+        # so the mass is (1/2, 1/2) and rrh is 2 at every order
+        res = self.run(["bmm-sweep", "--tau-mode", "grid", "--theta1", "0.5",
+                        "--theta2", "1e6", "--theta3", "1e6", "--grid", "0.5"])
+        assert res.exit_code == 0, res.output
+        assert [line.split(",")[-1] for line in res.output.splitlines()[-2:]] == ["2", "2"]
 
     def test_bmm_sweep_tau_grid_one_mass_per_tau(self, monkeypatch):
         # the assignment mass takes one beta_tails call per component, each
@@ -1585,6 +1631,103 @@ class TestCliMalformedInput:
             res = self.run(["assignments", "rrh", str(path)])
             self.assert_exit_3(res)
             assert "assignment record 0: field larger than field limit" in res.output
+
+
+def _leaf_commands(group, path=()):
+    """(command path, command) for every command of ``group`` and its subgroups."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, (*path, name))
+        else:
+            yield (*path, name), command
+
+
+# a valid input per file kind; the malformed inputs below, per file kind
+_VALID_INPUT = {"embedding": b"id,label,m_1,s_1\na,x,0,0\nb,x,1,0\n",
+                "assignment": b"id,p_1,p_2\na,0.5,0.5\nb,1,0\n"}
+_MALFORMED_INPUT = {
+    "empty": {"embedding": b"", "assignment": b""},
+    "non-utf8": {"embedding": b"id,label,m_1,s_1\na\xff,x,0,0\n",
+                 "assignment": b"id,p_1,p_2\na\xff,0.5,0.5\n"},
+    "json-empty-array": {"embedding": b"[]", "assignment": b"[]"},
+    "json-extra-field": {
+        "embedding": b'{"records": [{"id": "a", "label": "x", "m_1": 0, "s_1": 0, "m_2": 1}]}',
+        "assignment": b'{"records": [{"id": "a", "p_1": 1, "p_2": 0, "x": 0}]}'},
+    "csv-extra-column": {"embedding": b"id,label,m_1,s_1\na,x,0,0,1\n",
+                         "assignment": b"id,p_1,p_2\na,1,0,0\n"},
+}
+_COMMANDS = dict(_leaf_commands(cli.main))
+
+
+def _invocation(tmp_path, path, case=None) -> list:
+    """The arguments that run the command ``path`` on an input file holding
+    the ``_MALFORMED_INPUT`` of ``case`` (default: a valid input), if the
+    command takes a file."""
+    kind = "assignment" if path[0] == "assignments" else "embedding"
+    file = tmp_path / "input"
+    file.write_bytes(_MALFORMED_INPUT.get(case, _VALID_INPUT)[kind])
+    files = [str(file) for p in _COMMANDS[path].params if isinstance(p, click.Argument)]
+    return [*path, *files, *(["--k", "1"] if path[-1] == "neighborhoods" else [])]
+
+
+_NO_TRACEBACK_CASES = [
+    (path, case) for path, command in _COMMANDS.items()
+    for case in ([*_MALFORMED_INPUT, "out-missing-dir", "nan-option"]
+                 if any(isinstance(p, click.Argument) for p in command.params)
+                 else ["out-missing-dir", "nan-option"])]
+
+
+class TestCliNoTraceback:
+    """Every command, on each malformed input it can be given, exits 2, 3 or
+    4 through ``SystemExit``, never with another exception."""
+
+    def test_every_command_is_covered(self):
+        assert len(_COMMANDS) == 6
+        assert len(_NO_TRACEBACK_CASES) == 3 * 7 + 3 * 2
+
+    @pytest.mark.parametrize("path,case", _NO_TRACEBACK_CASES,
+                             ids=[" ".join((*p, c)) for p, c in _NO_TRACEBACK_CASES])
+    def test_malformed_input_exits_cleanly(self, tmp_path, path, case):
+        args = _invocation(tmp_path, path, case)
+        if case == "out-missing-dir":
+            args += ["--out", str(tmp_path / "missing" / "out.csv")]
+        if case == "nan-option":
+            option = next(o for p, _, o in _FLOAT_OPTIONS if p == path)
+            args += [option.opts[0], "nan"]
+        res = CliRunner().invoke(cli.main, args)
+        assert res.exit_code in (2, 3, 4), res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "Traceback" not in res.output
+
+
+class TestCliUnopenablePath:
+    """A path that cannot be opened is a usage error naming its parameter,
+    as click's own path checks are."""
+
+    def test_out_into_a_missing_directory(self, tmp_path):
+        # every command writes through cli._emit; TestCliNoTraceback runs each
+        out = tmp_path / "missing" / "out.csv"
+        res = CliRunner().invoke(cli.main, ["bmm-sweep", "--grid", "0.5", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"Invalid value for '--out': cannot open {str(out)!r}: " in res.output
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("path", [("embeddings", "decompose"),
+                                      ("embeddings", "neighborhoods"), ("assignments", "rrh")],
+                             ids=" ".join)
+    def test_input_file(self, tmp_path, monkeypatch, path):
+        # the file passes click's existence check and then fails to open
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        args = _invocation(tmp_path, path)
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        res = CliRunner().invoke(cli.main, args)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        file = str(tmp_path / "input")
+        assert f"Invalid value for 'FILE': cannot open {file!r}: Permission denied" in res.output
 
 
 def _assignment_text(fmt):

@@ -189,6 +189,24 @@ class TestRegIncBetaArray:
             assert got.tolist() == pytest.approx(want.tolist(), rel=1e-12, abs=0)
             assert (got == 0.0).tolist() == (want == 0.0).tolist()
 
+    # ROADMAP item 6: x^a (1 - x)^b / B(a, b) is formed from terms that grow
+    # like a + b and cancel, so large shapes lose digits in the prefactor, and
+    # at 10^6 the 400-step continued fraction does not converge at the mean
+    @pytest.mark.parametrize("a", [
+        pytest.param(1e5, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 6: up to 6.5e-10 relative off within 4 sd of the mean")),
+        pytest.param(1e6, marks=pytest.mark.xfail(
+            strict=True, raises=ConvergenceError,
+            reason="ROADMAP item 6: the continued fraction does not converge at x = 0.5")),
+    ])
+    def test_large_shape_tails_against_scipy(self, a):
+        sd = 0.5 / math.sqrt(2.0 * a + 1.0)  # of Beta(a, a), whose mean is 0.5
+        xs = 0.5 + sd * np.linspace(-4.0, 4.0, 81)
+        lower, upper = beta_tails(xs, BetaShape(a, a))
+        for got, want in ((lower, sps.betainc(a, a, xs)), (upper, sps.betaincc(a, a, xs))):
+            assert got.tolist() == pytest.approx(want.tolist(), rel=1e-12, abs=0)
+
 
 class TestHurwitzZeta:
     @pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 3.75])
@@ -334,6 +352,20 @@ class TestRegHyp3F2Unit:
         # K within 100,000 terms of k0
         with pytest.raises(ConvergenceError, match="100000 terms"):
             reg_hyp3f2_unit((30000.3, 30001.0, 0.2), (30001.3, 30000.6))
+
+    @pytest.mark.parametrize("num,den,message", [
+        # terms past e^700 before the series turns to decay
+        ((1000.5, 1000.5, 0.5), (1.5, 2000.5), "series terms overflow double precision"),
+        # (1 + s + 12) log K passes 700 at the first K, with s = 201
+        ((600.5, 600.5, -0.5), (1.5, 1400.0), "series tail underflows double precision"),
+        # the tail amplitude overflows while 1/Gamma(700) underflows to 0
+        ((300.5, 300.5, -0.5), (1.5, 700.0), "is not a finite float"),
+        # the exact sum of a terminating series is past the float range
+        ((-2000.0, 3000.5, 3000.5), (0.5, 0.5), "is not a finite float"),
+    ])
+    def test_out_of_range_is_a_convergence_error(self, num, den, message):
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
+            reg_hyp3f2_unit(num, den)
 
     def test_divergent_rejected(self):
         with pytest.raises(ConvergenceError):
