@@ -13,9 +13,10 @@ attributes is first read, through ``hetlab.<module>.<name>``,
 ``hetlab.<name>`` or ``from hetlab.<module> import <name>``. So a CLI
 process executes only the modules its command calls: ``--help`` none
 beyond ``errors``, ``three-state-sweep`` ``core``, ``classic`` and
-``datasets``, ``bmm-sweep`` those and ``special`` and ``betamix``, an
-``embeddings`` command ``core``, ``gaussian`` and ``datasets``, and
-``assignments rrh`` ``core``, ``decomposition`` and ``datasets``.
+``tables``, ``bmm-sweep`` those and ``special`` and ``betamix``, an
+``embeddings`` command ``core``, ``gaussian``, ``datasets`` and
+``tables``, and ``assignments rrh`` ``core``, ``decomposition``,
+``datasets`` and ``tables``. A sweep command does not import ``csv``.
 """
 
 import importlib.util as _util
@@ -43,9 +44,9 @@ _EXPORTS = {name: module for module, names in {
                 "neqrqe", "rescale_distance", "rqe", "similarity_from_distance",
                 "three_state_distance", "three_state_probs"),
     "core": ("TABLE_INDICES", "IndexValue", "renyi_heterogeneity", "table1_index"),
-    "datasets": ("EmbeddingDataset", "SweepResult", "group_decomposition",
-                 "neighborhood_between", "neighborhood_sweep", "read_assignments",
-                 "read_embeddings", "synth_embeddings", "write_embeddings"),
+    "datasets": ("EmbeddingDataset", "group_decomposition", "neighborhood_between",
+                 "neighborhood_sweep", "read_assignments", "read_embeddings",
+                 "synth_embeddings", "write_embeddings"),
     "decomposition": ("SubsystemEnsemble", "decompose", "pooled_heterogeneity",
                       "within_heterogeneity"),
     "gaussian": ("GaussianComponent", "GaussianEnsemble", "gaussian_between",
@@ -53,6 +54,7 @@ _EXPORTS = {name: module for module, names in {
                  "gaussian_within"),
     "special": ("BetaShape", "beta_pdf", "beta_tails", "log_beta", "log_gamma",
                 "reg_hyp3f2_unit", "reg_inc_beta"),
+    "tables": ("SweepResult",),
 }.items() for name in names}
 
 

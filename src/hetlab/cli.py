@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 # modules, not names: each one executes only when a command first reads it
-from . import betamix, classic, core, datasets, decomposition
+from . import betamix, classic, core, datasets, decomposition, tables
 from .errors import NumericalError, ValidationError
 
 _VALIDATION_EXIT = 3
@@ -127,11 +127,6 @@ def _emit(write, out, fmt: str) -> None:
             fh.write(buf.getvalue())
 
 
-def _grid(shape: tuple, columns: dict) -> dict:
-    """Each column broadcast to the sweep grid ``shape`` and read in row order."""
-    return {name: np.broadcast_to(values, shape).ravel() for name, values in columns.items()}
-
-
 def _command(group, name: str):
     """Register the decorated function as the command ``name`` of ``group``,
     with ``--out`` and ``--format`` after its own options. The function
@@ -183,17 +178,19 @@ def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
     dist = classic.three_state_distance(h_list, b)[:, None]
     p = classic.three_state_probs(kappa_list)
     sims = classic.similarity_from_distance(dist[:, :, None], np.array(u_list)[:, None, None])
-    shape = H, K, Q, U = len(h_list), len(kappa_list), len(q_list), len(u_list)
-    return datasets.SweepResult(
-        columns=_grid(shape, {
+    H, K, Q, U = len(h_list), len(kappa_list), len(q_list), len(u_list)
+    # the columns broadcast to the (H, K, Q, U) grid as they are written
+    return tables.SweepResult(
+        columns={
             "h": np.reshape(h_list, (H, 1, 1, 1)), "b": b,
             "kappa": np.reshape(kappa_list, (K, 1, 1)), "q": np.reshape(q_list, (Q, 1)),
-            "u": u_list, "qe": classic.neqrqe(classic.rescale_distance(dist), p)[..., None, None],
+            "u": np.array(u_list),
+            "qe": classic.neqrqe(classic.rescale_distance(dist), p)[..., None, None],
             "fhn": np.stack([classic.functional_hill(dist, p, qv) for qv in q_list], 2)[..., None],
             "lci": np.stack([classic.leinster_cobbold(sims, p[:, None], qv) for qv in q_list], 2),
             "rrh": np.stack([core.renyi_heterogeneity(p, qv) for qv in q_list], 1)[..., None],
             "metric": np.reshape(classic.is_metric(dist), (H, 1, 1, 1)),
-            "ultrametric": np.reshape(classic.is_ultrametric(dist), (H, 1, 1, 1))}),
+            "ultrametric": np.reshape(classic.is_ultrametric(dist), (H, 1, 1, 1))},
         metadata={"command": "three-state-sweep", "b": b,
                   "n_h": H, "n_kappa": K, "n_q": Q, "n_u": U},
     ).write
@@ -216,23 +213,23 @@ def three_state_sweep(h_list, b, kappa_list, q_list, u_list):
 def bmm_sweep(grid_vals, theta1, theta2, theta3, q_list, u, tau_mode):
     """Sweep the two-component beta mixture; optimal mode emits the full
     index comparison per theta1, grid mode emits the RRH curve over tau."""
-    shape = (len(grid_vals), len(q_list))
+    # the columns broadcast to the (len(grid_vals), len(q_list)) grid as they are written
     if tau_mode == "optimal":
         if min(grid_vals) <= 0.0 or max(grid_vals) >= 1.0:
             raise click.BadParameter("theta1 must lie in (0, 1) with --tau-mode optimal",
                                      param_hint="'--grid'")
         columns = {"theta1": np.reshape(grid_vals, (-1, 1)), "theta2": theta2,
-                   "theta3": theta3, "q": q_list, "u": u,
+                   "theta3": theta3, "q": np.array(q_list), "u": u,
                    **betamix.bmm_index_comparison(
                        betamix.BetaMixtureParams(np.array(grid_vals), theta2, theta3),
                        q_list, u)}
     else:
         theta = betamix.BetaMixtureParams(theta1, theta2, theta3)
         columns = {"theta1": theta1, "theta2": theta2, "theta3": theta3,
-                   "tau": np.reshape(grid_vals, (-1, 1)), "q": q_list,
+                   "tau": np.reshape(grid_vals, (-1, 1)), "q": np.array(q_list),
                    "rrh": betamix.bmm_between_rrh(theta, grid_vals, q_list)}
-    return datasets.SweepResult(
-        columns=_grid(shape, columns),
+    return tables.SweepResult(
+        columns=columns,
         metadata={"command": "bmm-sweep", "tau_mode": tau_mode,
                   "theta2": theta2, "theta3": theta3, "u": u,
                   "n_grid": len(grid_vals), "n_q": len(q_list)},
@@ -303,7 +300,7 @@ def assignments():
 def assignments_rrh(file, q_list):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
     ids, ensemble = _read_input(file, datasets.read_assignments)
-    return datasets.SweepResult(
+    return tables.SweepResult(
         columns={"q": np.array(q_list), **decomposition.decompose(ensemble, q_list)},
         metadata={"command": "assignments-rrh", "n_records": len(ids),
                   "n_categories": ensemble.n_states},

@@ -1,5 +1,5 @@
-"""Dataset ingestion, synthetic embedding generation, tabular sweep
-results, and the per-group / per-neighborhood embedding analyses.
+"""Dataset ingestion, synthetic embedding generation, and the per-group /
+per-neighborhood embedding analyses.
 
 File formats
 ------------
@@ -7,9 +7,12 @@ Embedding CSV: header ``id,label,m_1..m_{nz},s_1..s_{nz}``, one record per
 row; ``label`` may be empty. Soft-assignment CSV: header ``id,p_1..p_{nz}``.
 Both have JSON mirrors ``{"records": [...]}`` with the same field names
 (``label`` may be null; an integer ``id`` reads as its digits), in any key
-order. A JSON record is judged by the CSV row rule: one that lacks a header
-field is a short row, and one that holds every header field and another is
-a long row (``expected N fields, got M``); no key is dropped. The readers
+order. The JSON header has as many numbered fields per prefix as the
+first record has keys named by the first prefix and a number (``p_1``,
+``p_7``; not ``p_note``), and a JSON record is judged by the CSV row rule:
+one that lacks a header field is a short row, and one that holds every
+header field and another is a long row (``expected N fields, got M``); no
+key is dropped. The readers
 take the format from the content: a file whose first non-blank character
 is ``{`` or ``[`` is JSON, anything else is CSV after an optional leading
 ``#`` comment block (a ``#`` line after the header is a
@@ -19,14 +22,8 @@ records, and a CSV body that pass rejects, go through one record loop that
 names the first bad record, so errors read alike in both formats (``record
 {i}`` counts records from 0). The readers take a text stream, so
 a UTF-8 byte-order mark is the opener's to drop: the CLI opens inputs with
-``encoding="utf-8-sig"``. Output is written column by column, by one rule:
-floats at 12 significant digits (the JSON value is the written number) and
-booleans as ``true``/``false``; an undefined value (NaN or None) is an empty
-CSV cell and a JSON ``null``, +-inf the JSON string of its CSV text ``"inf"``
-or ``"-inf"``. A CSV text cell that holds a comma, a quote, CR or LF is
-quoted, with its quotes doubled (RFC 4180); nothing else is quoted, and a
-lone empty cell is written ``""``. No timestamps: identical inputs give
-byte-identical files.
+``encoding="utf-8-sig"``. Output tables, embedding files included, are
+written by the cell rule of `hetlab.tables`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import io
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,42 +41,9 @@ import numpy as np
 # modules, not names: each one executes only when a call first reads it
 from . import decomposition, gaussian
 from .errors import ValidationError
+from .tables import SweepResult, _rows, _write_csv
 
 _NEIGHBOR_BLOCK = 256  # records per block of neighbor distance estimates: 256 x N floats
-_QUOTE_CHARS = re.compile('[,"\r\n]')  # what a CSV field must be quoted for
-
-
-def _quoted(text: str) -> str:
-    """``text`` as one CSV field: quoted, its quotes doubled, if it needs it."""
-    return '"' + text.replace('"', '""') + '"' if _QUOTE_CHARS.search(text) else text
-
-
-def _cells(column, fmt: str) -> list:
-    """The cells of one column as CSV strings (``fmt`` "csv") or as JSON
-    values, by the rule of the module docstring. A column is a float, int or
-    bool array, or a sequence of str or None."""
-    if not isinstance(column, np.ndarray):
-        return ["" if v is None else _quoted(v) for v in column] if fmt == "csv" else list(column)
-    values = column.tolist()
-    if column.dtype.kind in "biu":
-        return [str(v).lower() for v in values] if fmt == "csv" else values
-    text = list(map("%.12g".__mod__, values))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        text[i] = ""
-    return text if fmt == "csv" else [t if "inf" in t else float(t) if t else None for t in text]
-
-
-def _rows(columns: dict, fmt: str):
-    """The rows of a table of columns, their cells in ``fmt``."""
-    return zip(*(_cells(column, fmt) for column in columns.values()))
-
-
-def _write_csv(stream, columns: dict) -> None:
-    """A table of columns as ``\\n``-terminated CSV that reads back losslessly:
-    each row is its cells joined by commas, and a row that joins to nothing
-    is ``""`` (an empty line reads back as no record)."""
-    for row in itertools.chain([_cells(list(columns), "csv")], _rows(columns, "csv")):
-        stream.write((",".join(row) or '""') + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +219,10 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
                 f'{what} file must be a JSON object whose "records" is a list of objects')
         if not records:
             raise ValidationError(f"{what} file holds no records")
-        header = _header(text, prefixes,
-                         sum(1 for key in records[0] if key.startswith(prefixes[0])))
+        # the width is the count of numbered keys (p_1, p_3, ...) in the first record
+        header = _header(text, prefixes, sum(
+            1 for key in records[0]
+            if key.startswith(prefixes[0]) and key[len(prefixes[0]):].isdecimal()))
         keys = set(header)
         # a record is a row of its values in header order; one holding every
         # header field and more is a row of all its values, so a long row
@@ -336,35 +301,6 @@ def read_assignments(stream) -> tuple:
     except ValidationError as exc:
         raise ValidationError(f"assignment table rejected: {exc}") from exc
     return cells[:, 0].tolist(), ensemble
-
-
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Named columns of one length plus run metadata for the emitters. A
-    column is a float array (NaN where a value is not defined), an int or a
-    bool array, or a sequence of str (None where a value is missing)."""
-
-    columns: dict
-    metadata: dict
-
-    def write(self, stream, fmt: str = "csv") -> None:
-        # each metadata value is a column of one cell
-        meta = {key: _cells([v] if v is None or isinstance(v, str) else np.array([v]), fmt)[0]
-                for key, v in self.metadata.items()}
-        if fmt == "csv":
-            for key, text in meta.items():
-                stream.write(f"# {key}={text}\n")
-            _write_csv(stream, self.columns)
-        elif fmt == "json":
-            payload = {
-                "metadata": meta,
-                "columns": list(self.columns),
-                "rows": list(_rows(self.columns, fmt)),
-            }
-            json.dump(payload, stream, indent=1, allow_nan=False)
-            stream.write("\n")
-        else:
-            raise ValidationError(f"unknown format {fmt!r}")
 
 
 def synth_embeddings(n_labels: int, per_label: int, n_z: int, seed: int, *,

@@ -239,6 +239,15 @@ class TestEmbeddingIO:
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "embedding record 1: expected 4 fields, got 6"
 
+    def test_json_header_counts_only_numbered_keys(self):
+        # m_note is no numbered field, so the header is id,label,m_1,s_1 and
+        # the record, holding all of it and m_note, is a long row
+        text = json.dumps({"records": [
+            {"id": "a", "label": None, "m_1": 0.0, "s_1": 0.0, "m_note": 0.0}]})
+        with pytest.raises(ValidationError) as err:
+            read_embeddings(io.StringIO(text))
+        assert str(err.value) == "embedding record 0: expected 4 fields, got 5"
+
     def test_json_key_order_is_free(self):
         records = [{"s_1": -1.0, "m_1": 1.0, "label": "x", "id": "a"},
                    {"id": "b", "m_1": 2.0, "label": None, "s_1": -2.0}]
@@ -330,6 +339,19 @@ class TestAssignmentIO:
             with pytest.raises(ValidationError,
                                match="assignment record 0: expected 3 fields, got 2"):
                 read_assignments(io.StringIO(text))
+
+    def test_json_header_counts_only_numbered_keys(self, tmp_path):
+        # p_note is no numbered field: the header is id,p_1 and the record a
+        # long row, not a short row of a 3-field header
+        text = json.dumps({"records": [{"id": "a", "p_1": 1, "p_note": 0}]})
+        message = "assignment record 0: expected 2 fields, got 3"
+        with pytest.raises(ValidationError) as err:
+            read_assignments(io.StringIO(text))
+        assert str(err.value) == message
+        path = tmp_path / "assign.json"
+        path.write_text(text)
+        res = CliRunner().invoke(cli.main, ["assignments", "rrh", str(path)])
+        assert res.exit_code == 3 and res.output == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", [
         "id,p_1\na,1\nb,1,0.5\n",
@@ -650,6 +672,58 @@ class TestSweepResult:
         assert payload["rows"][0] == [1.0, None, False, 3]
         assert payload["rows"][1] == [None, "x", True, -4]
         assert payload["metadata"] == {"command": "demo", "n": 2}
+
+    # grid-shaped columns, each broadcast to the table shape when written
+    GRID_TABLES = {
+        "mixed": {
+            "x": np.array([[1.0], [math.nan], [-0.0]]),
+            "y": np.array([math.inf, -math.inf, 1e300, 1.0 / 3.0]),
+            "flag": np.array([True, False, True, False]),
+            "n": np.array([[3], [-4], [0]]),
+            "full": np.arange(12.0).reshape(3, 4) / 7.0,
+            "s": 2.5, "k": 7, "t": True, "nan": math.nan, "inf": -math.inf,
+        },
+        "three-d": {"a": np.array([[[0.1]], [[math.nan]]]), "b": np.array([[1, 2, 3]]),
+                    "c": np.array([False, True, True])},
+        "scalars": {"a": 1e300, "b": -0.0, "c": False},
+        "single": {"v": np.array([[math.nan], [1.0]])},
+        "length-1": {"a": np.array([1.0, 2.0, 3.0]), "b": np.array([math.inf])},
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(GRID_TABLES))
+    def test_broadcast_columns_write_as_raveled(self, name, fmt):
+        columns = self.GRID_TABLES[name]
+        shape = np.broadcast_shapes(*map(np.shape, columns.values()))
+        raveled = {key: np.broadcast_to(col, shape).ravel() for key, col in columns.items()}
+        meta = {"command": "demo", "q": math.inf}
+        text = to_text(SweepResult(columns=columns, metadata=meta), fmt)
+        assert text == to_text(SweepResult(columns=raveled, metadata=meta), fmt)
+        if name == "single" and fmt == "csv":
+            assert text.splitlines()[-2:] == ['""', "1"]
+        if name == "length-1" and fmt == "csv":
+            assert text.splitlines()[-3:] == ["1,inf", "2,inf", "3,inf"]
+
+    @pytest.mark.parametrize("columns,message", [
+        ({"a": np.array([1.0, 2.0, 3.0]), "b": np.array([1.0, 2.0])},
+         "column 'b' of shape (2,) does not broadcast against the table shape (3,)"),
+        ({"a": np.zeros((2, 3)), "b": np.zeros((3, 2))},
+         "column 'b' of shape (3, 2) does not broadcast"),
+        ({"a": np.array([1.0, 2.0, 3.0]), "b": ["x"]}, "text column 'b' has 1 cells for 3 rows"),
+        ({"a": [1.0, 2.0, 3.0], "b": [1.0]}, "text column 'b' has 1 cells for 3 rows"),
+        ({"a": np.zeros((3, 1)), "b": ["x", "y", "z"]},
+         "text column 'b' has 3 cells for 9 rows"),
+        ({"a": ("x", "y"), "b": 1.0, "c": ("z",)}, "text column 'c' has 1 cells for 2 rows"),
+    ])
+    def test_columns_that_do_not_fit_are_refused(self, columns, message):
+        # a table is never cut to its shortest column
+        with pytest.raises(ValidationError) as err:
+            SweepResult(columns=columns, metadata={})
+        assert str(err.value).startswith(message)
+
+    def test_text_column_sets_a_scalar_table_length(self):
+        table = SweepResult(columns={"id": ["a", "b"], "v": 0.5}, metadata={})
+        assert to_text(table, "csv") == "id,v\na,0.5\nb,0.5\n"
 
     def test_unknown_format(self):
         with pytest.raises(ValidationError, match="unknown format"):

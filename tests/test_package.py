@@ -147,8 +147,9 @@ def test_tracer_patches_and_restores_lazy_modules():
 
 
 def _executed(runs):
-    """The hetlab submodules executed, and whether ``fractions`` was loaded,
-    in a fresh interpreter that ran ``cli.main`` on each argument list."""
+    """The hetlab submodules executed, and which of ``fractions`` and ``csv``
+    were loaded, in a fresh interpreter that ran ``cli.main`` on each
+    argument list."""
     proc = _python(textwrap.dedent(f"""
         import sys, types
         from hetlab import cli
@@ -159,7 +160,7 @@ def _executed(runs):
                 assert not exc.code, (args, exc.code)
         executed = {{name[len("hetlab."):] for name, module in sys.modules.items()
                     if name.startswith("hetlab.") and type(module) is types.ModuleType}}
-        sys.stderr.write(repr((executed, "fractions" in sys.modules)))
+        sys.stderr.write(repr((executed, {{"fractions", "csv"}} & set(sys.modules))))
         """))
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr.decode())
@@ -177,37 +178,43 @@ def _command_paths(group, path=()):
 def test_help_executes_no_computing_module():
     runs = [[*path, "--help"] for path in _command_paths(cli.main)]
     assert len(runs) == 9
-    assert _executed(runs) == ({"cli", "errors"}, False)
+    assert _executed(runs) == ({"cli", "errors"}, set())
 
 
 @pytest.mark.parametrize("args,modules", [
-    (["bmm-sweep"], {"core", "classic", "special", "betamix", "datasets"}),
-    (["bmm-sweep", "--tau-mode", "grid"], {"core", "classic", "special", "betamix", "datasets"}),
-    (["three-state-sweep"], {"core", "classic", "datasets"}),
+    (["bmm-sweep"], {"core", "classic", "special", "betamix", "tables"}),
+    (["bmm-sweep", "--tau-mode", "grid"], {"core", "classic", "special", "betamix", "tables"}),
+    (["three-state-sweep"], {"core", "classic", "tables"}),
     (["embeddings", "synth", "--labels", "2", "--per-label", "3"],
-     {"core", "gaussian", "datasets"}),
-    (["embeddings", "decompose", "{emb}"], {"core", "gaussian", "datasets"}),
-    (["embeddings", "neighborhoods", "{emb}", "--k", "2"], {"core", "gaussian", "datasets"}),
-    (["assignments", "rrh", "{asg}"], {"core", "decomposition", "datasets"}),
+     {"core", "gaussian", "datasets", "tables"}),
+    (["embeddings", "decompose", "{emb}"], {"core", "gaussian", "datasets", "tables"}),
+    (["embeddings", "neighborhoods", "{emb}", "--k", "2"],
+     {"core", "gaussian", "datasets", "tables"}),
+    (["assignments", "rrh", "{asg}"], {"core", "decomposition", "datasets", "tables"}),
 ])
 def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
-    # fractions (with decimal) comes in with special, which only bmm-sweep calls
+    # fractions (with decimal) comes in with special, which only bmm-sweep
+    # calls, and csv with datasets, which no sweep command executes
     emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
     emb.write_text("id,label,m_1,s_1\na,x,0,-1\nb,x,1,-1\nc,y,2,-1\n")
     asg.write_text("id,p_1,p_2\na,0.5,0.5\nb,1,0\n")
     args = [arg.format(emb=emb, asg=asg) for arg in args]
-    assert _executed([args]) == ({"cli", "errors", *modules}, args[0] == "bmm-sweep")
+    stdlib = {"fractions"} if args[0] == "bmm-sweep" else set()
+    if not args[0].endswith("-sweep"):
+        stdlib.add("csv")
+    assert _executed([args]) == ({"cli", "errors", *modules}, stdlib)
 
 
 def test_public_names_resolve():
     namespace = {}
     exec("from hetlab import *", namespace)
-    assert len(hetlab.__all__) == 65 and hetlab.__all__ == sorted(set(hetlab.__all__))
+    assert len(hetlab.__all__) == 66 and hetlab.__all__ == sorted(set(hetlab.__all__))
     for name in hetlab.__all__:
         assert namespace[name] is getattr(hetlab, name), name
     assert set(hetlab.__all__) <= set(dir(hetlab))
     assert hetlab.renyi_heterogeneity is hetlab.core.renyi_heterogeneity
     assert hetlab.decomposition is sys.modules["hetlab.decomposition"]
+    assert hetlab.SweepResult is hetlab.tables.SweepResult is hetlab.datasets.SweepResult
     with pytest.raises(AttributeError, match="'hetlab' has no attribute 'no_such_name'"):
         hetlab.no_such_name
 
@@ -216,10 +223,11 @@ def test_array_holding_records_compare_by_identity():
     # a generated field-tuple __eq__ would ask numpy for the truth value of an
     # array comparison, and __hash__ would hash the arrays
     from hetlab.betamix import BetaMixtureParams
-    from hetlab.datasets import EmbeddingDataset, SweepResult
+    from hetlab.datasets import EmbeddingDataset
     from hetlab.decomposition import SubsystemEnsemble
     from hetlab.gaussian import GaussianComponent, GaussianEnsemble
     from hetlab.special import BetaShape
+    from hetlab.tables import SweepResult
 
     makers = [
         lambda: BetaMixtureParams([0.2, 0.5], 5.0, 20.0),
