@@ -52,8 +52,9 @@ class _Real(click.FloatRange):
 
 class _Reals(_Real):
     """A non-empty list of floats in a declared range, ``a,b,c`` or
-    ``start:stop:step`` inclusive of stop (within half a step) of at most
-    ``_MAX_GRID_POINTS`` points: one NaN scan, two range checks (min, max)."""
+    ``start:stop:step`` inclusive of stop, which no point passes by more than
+    rounding, of at most ``_MAX_GRID_POINTS`` points: one NaN scan, two range
+    checks (min, max)."""
 
     name = "floats"
 
@@ -77,7 +78,9 @@ class _Reals(_Real):
         steps = (stop - start) / step
         if not all(map(math.isfinite, (start, stop, step, steps))):
             self.fail(f"range {text!r} must be finite, in finitely many steps", param, ctx)
-        count = int(math.floor(steps + 0.5)) + 1
+        # a step count up to 1e-9 relative short of a whole number, as a rounded
+        # (stop - start) / step can be, still reaches the stop; none passes it
+        count = int(math.floor(steps * (1.0 + 1e-9))) + 1
         if count > _MAX_GRID_POINTS:
             self.fail(f"range {text!r} has {count} points, more than the limit "
                       f"{_MAX_GRID_POINTS}", param, ctx)

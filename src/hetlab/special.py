@@ -4,7 +4,7 @@ Provides log-gamma, the beta density, both tails of the beta
 distribution (the regularized incomplete beta function I_x(a, b) below x
 and 1 - I_x(a, b) above it) and the regularized hypergeometric 3F~2 at
 unit argument. All functions are pure and deterministic. The kernel is
-self-contained: it needs only ``math``, ``fractions`` and numpy, no scipy.
+self-contained: it needs only ``math`` and numpy, no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -162,6 +161,14 @@ def _snap_nonpositive_int(a: float) -> float:
     return a
 
 
+def _common_denominator(values):
+    """The floats ``values`` as exact Python ints over one power-of-two
+    denominator D: returns (ints, D) with each value = int / D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [num * (den // d) for num, d in ratios], den
+
+
 def _exact_coeff_sum(a, b, min_terms):
     """Sum series coefficients c_k (c_0 = 1, c_{k+1} = c_k
     (a1+k)(a2+k)(a3+k) / [(b1+k)(b2+k)(k+1)]) in exact rational arithmetic.
@@ -170,43 +177,26 @@ def _exact_coeff_sum(a, b, min_terms):
     most ``_EXACT_EXTRA_TERMS`` more, until the next coefficient is
     negligible against the running sum at double precision. A terminated
     series stops at once: its next coefficient is exactly 0. Returns (sum,
-    next coefficient, number of terms consumed). Float parameters convert to
-    Fractions exactly, so sign-alternating regions with huge intermediate
-    terms incur no cancellation error.
+    next coefficient, number of terms consumed), the two rationals as
+    (numerator, denominator) int pairs over one positive denominator. With
+    the parameters exact ints A_i, B_j over D, step k multiplies c_k by
+    prod(A_i + kD) / [D (k+1) prod(B_j + kD)], so sign-alternating regions
+    with huge intermediate terms incur no cancellation error.
     """
-    af = [Fraction(v) for v in a]
-    bf = [Fraction(v) for v in b]
-    # Common-denominator integer arithmetic: Fraction would normalize with a
-    # gcd on every operation, which dominates once terms grow to thousands
-    # of bits.
-    c_num = 1
-    total_num = 0
-    den = 1
+    (a1, a2, a3, b1, b2), d = _common_denominator((*a, *b))
+    c_num, total_num, den = 1, 0, 1
     k = 0
     while k < min_terms + _EXACT_EXTRA_TERMS:
         if k >= min_terms and (total_num == 0 or abs(c_num) << 60 < abs(total_num)):
             break
         total_num += c_num
-        step_num = 1
-        step_den = k + 1
-        for fr in af:
-            t = fr + k
-            step_num *= t.numerator
-            step_den *= t.denominator
-        for fr in bf:
-            t = fr + k
-            step_num *= t.denominator
-            step_den *= t.numerator
-        c_num *= step_num
+        kd = k * d
+        step_den = d * (k + 1) * (b1 + kd) * (b2 + kd)
+        c_num *= (a1 + kd) * (a2 + kd) * (a3 + kd)
         total_num *= step_den
         den *= step_den
         k += 1
-    return Fraction(total_num, den), Fraction(c_num, den), k
-
-
-def _fraction_log_abs(fr: Fraction) -> float:
-    # math.log takes arbitrary-size ints, so this never overflows
-    return math.log(abs(fr.numerator)) - math.log(fr.denominator)
+    return (total_num, den), (c_num, den), k
 
 
 def _gamma_ratio_expansion(a, b):
@@ -218,9 +208,7 @@ def _gamma_ratio_expansion(a, b):
     integers over a common power-of-two denominator: their leading terms
     cancel.
     """
-    ratios = [v.as_integer_ratio() for v in (*a, *b, 1.0)]
-    den = max(d for _, d in ratios)
-    ints = [num * (den // d) for num, d in ratios]
+    ints, den = _common_denominator((*a, *b, 1.0))
     power = [(sum(x ** p for x in ints[:3]) - sum(x ** p for x in ints[3:])) / den ** p
              for p in range(_TAIL_TERMS + 2)]
     bern = [1.0, -0.5] + [v for c in _EM_COEFFS for v in (c, 0.0)]  # B_i / i!
@@ -287,9 +275,9 @@ def _unit_series(a: list, b: list) -> float:
         raise ConvergenceError(
             f"sign-alternating prefix of {k_min} terms exceeds the {_SERIES_MAX_TERMS}-term budget"
         )
-    prefix_sum, c_k0, k0 = _exact_coeff_sum(a, b, k_min)
-    if c_k0 == 0:  # the series terminated inside the prefix
-        return float(prefix_sum)
+    (sum_num, den), (c_num, _), k0 = _exact_coeff_sum(a, b, k_min)
+    if c_num == 0:  # the series terminated inside the prefix
+        return sum_num / den
     s_exp = b[0] + b[1] - a[0] - a[1] - a[2]
     if s_exp <= 0:
         raise ConvergenceError(
@@ -297,8 +285,11 @@ def _unit_series(a: list, b: list) -> float:
         )
 
     # Same-sign remainder: float terms t_k0 ... t_K, then the tail from K on.
-    sign = 1.0 if c_k0 > 0 else -1.0
-    log_c0 = _fraction_log_abs(c_k0)
+    sign = 1.0 if c_num > 0 else -1.0
+    # log|c_k0| in lowest terms, so its bits do not depend on how den was
+    # built; math.log takes arbitrary-size ints, so this never overflows
+    g = math.gcd(c_num, den)
+    log_c0 = math.log(abs(c_num) // g) - math.log(den // g)
     e = None
     n = 64
     while n <= _SERIES_MAX_TERMS:
@@ -311,7 +302,7 @@ def _unit_series(a: list, b: list) -> float:
         if np.max(log_terms) > 700.0:
             raise ConvergenceError("series terms overflow double precision")
         *head, t_big = (sign * np.exp(log_terms)).tolist()
-        head = math.fsum([float(prefix_sum), *head])
+        head = math.fsum([sum_num / den, *head])
         # At unit argument the terms decay only like k^-(1+s), so the rest
         # after t_K is about |t_K| K / s, not |t_K|.
         if abs(t_big) * (big_k + 1.0) / s_exp <= _SERIES_REL_TOL * abs(head + t_big):

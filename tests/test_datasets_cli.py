@@ -1163,6 +1163,27 @@ class TestCliSweeps:
         with pytest.raises(click.BadParameter, match="has 1000001 points"):
             grid.convert("1:1000001:1", None, None)
 
+    @pytest.mark.parametrize("args,column,values", [
+        (["three-state-sweep", "--grid", "1", "--kappa", "0:1:0.4"], "kappa", [0.0, 0.4, 0.8]),
+        (["three-state-sweep", "--grid", "0.5:2:0.6"], "h", [0.5, 1.1, 1.7]),
+        # a point count rounded to nearest gave tau = 1.2, outside [0, 1]
+        (["bmm-sweep", "--tau-mode", "grid", "--grid", "0:1:0.4"], "tau", [0.0, 0.4, 0.8]),
+    ])
+    def test_grid_range_ends_at_or_below_its_stop(self, args, column, values):
+        res = self.run([*args, "--format", "json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        column = [row[payload["columns"].index(column)] for row in payload["rows"]]
+        assert sorted(set(column)) == pytest.approx(values, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("text,count,last", [
+        ("0.1:3.0:0.1", 30, 3.0), ("0.5:0.95:0.05", 10, 0.95), ("0:1:0.1", 11, 1.0),
+    ])
+    def test_grid_range_keeps_a_stop_a_rounded_step_falls_short_of(self, text, count, last):
+        # (3.0 - 0.1) / 0.1 is 28.999999999999996: the stop still counts
+        vals = cli._Reals(0).convert(text, None, None)
+        assert len(vals) == count and vals[-1] == pytest.approx(last, rel=1e-15, abs=0)
+
     def test_bmm_sweep_one_distance_matrix_per_sweep(self, monkeypatch):
         # The whole theta1 grid shares one E|X - Y| matrix, one threshold and
         # one mass call, and each index takes the stack of priors once per order.

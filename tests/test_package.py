@@ -147,8 +147,8 @@ def test_tracer_patches_and_restores_lazy_modules():
 
 
 def _executed(runs):
-    """The hetlab submodules executed, and which of ``fractions`` and ``csv``
-    were loaded, in a fresh interpreter that ran ``cli.main`` on each
+    """The hetlab submodules executed, and which of ``fractions``, ``decimal``
+    and ``csv`` were loaded, in a fresh interpreter that ran ``cli.main`` on each
     argument list."""
     proc = _python(textwrap.dedent(f"""
         import sys, types
@@ -160,7 +160,7 @@ def _executed(runs):
                 assert not exc.code, (args, exc.code)
         executed = {{name[len("hetlab."):] for name, module in sys.modules.items()
                     if name.startswith("hetlab.") and type(module) is types.ModuleType}}
-        sys.stderr.write(repr((executed, {{"fractions", "csv"}} & set(sys.modules))))
+        sys.stderr.write(repr((executed, {{"fractions", "decimal", "csv"}} & set(sys.modules))))
         """))
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr.decode())
@@ -193,15 +193,13 @@ def test_help_executes_no_computing_module():
     (["assignments", "rrh", "{asg}"], {"core", "decomposition", "datasets", "tables"}),
 ])
 def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
-    # fractions (with decimal) comes in with special, which only bmm-sweep
-    # calls, and csv with datasets, which no sweep command executes
+    # no command loads fractions or decimal: the exact 3F~2 prefix works in
+    # plain ints. csv comes in with datasets, which no sweep command executes
     emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
     emb.write_text("id,label,m_1,s_1\na,x,0,-1\nb,x,1,-1\nc,y,2,-1\n")
     asg.write_text("id,p_1,p_2\na,0.5,0.5\nb,1,0\n")
     args = [arg.format(emb=emb, asg=asg) for arg in args]
-    stdlib = {"fractions"} if args[0] == "bmm-sweep" else set()
-    if not args[0].endswith("-sweep"):
-        stdlib.add("csv")
+    stdlib = set() if args[0].endswith("-sweep") else {"csv"}
     assert _executed([args]) == ({"cli", "errors", *modules}, stdlib)
 
 

@@ -1,7 +1,10 @@
 """Special-function kernel against mpmath and scipy references."""
 
+import itertools
 import math
 import re
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -385,3 +388,64 @@ class TestRegHyp3F2Unit:
         exact = reg_hyp3f2_unit((-3.0, 2.5, 4.0), (1.5, 7.2))
         fuzzy = reg_hyp3f2_unit((-3.0 + 5e-13, 2.5, 4.0), (1.5, 7.2))
         assert fuzzy == exact
+
+
+def fraction_coeff_sum(a, b, min_terms):
+    """The exact prefix of `special._exact_coeff_sum` in normalized
+    Fractions: the same coefficients c_k and the same stopping rule."""
+    af, bf = [Fraction(v) for v in a], [Fraction(v) for v in b]
+    c, total, k = Fraction(1), Fraction(0), 0
+    while k < min_terms + special._EXACT_EXTRA_TERMS:
+        if k >= min_terms and (total == 0 or abs(c) * 2 ** 60 < abs(total)):
+            break
+        total += c
+        c *= math.prod(x + k for x in af) / (math.prod(x + k for x in bf) * (k + 1))
+        k += 1
+    return total, c, k
+
+
+def exact_prefix_cases():
+    """(num, den) parameter sets for the exact prefix: random mixes of the
+    kinds below, then the 3F~2 of E|X - Y| for the benchmark's three shape
+    families, every same and cross pair."""
+    rng = np.random.default_rng(20261021)
+    kinds = [
+        lambda: -float(rng.integers(0, 40)),                           # terminating
+        lambda: -float(rng.integers(0, 40)) + rng.choice([-8e-13, 8e-13]),  # snapped
+        lambda: -float(rng.integers(0, 40)) + rng.uniform(0.01, 0.99),  # negative non-integer
+        lambda: float(rng.uniform(0.01, 40)),                          # 53-bit fraction
+        lambda: float(rng.integers(1, 80)) / 2 ** int(rng.integers(1, 6)),  # short dyadic
+        lambda: float(rng.choice([0.3, 20.5, 0.45, 33.1, 2.25])),
+    ]
+    # a series that does not terminate runs to the 300 extra terms of the
+    # cap, which is slow in Fractions: about one set in five
+    weights = [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]
+    cases = []
+    for _ in range(200):
+        num = [kinds[rng.choice(len(kinds), p=weights)]() for _ in range(3)]
+        den = [kinds[rng.integers(3, len(kinds))]() for _ in range(2)]
+        cases.append((num, den))
+    for t2, t3 in [(5.0, 20.0), (2.5, 20.5), (0.3, 0.45)]:
+        for (a1, b1), (a2, b2) in itertools.product([(t2, t3), (t3, t2)], repeat=2):
+            # the parameters of betamix.beta_abs_distance
+            cases.append(((a1, a1 + a2 + 1.0, 1.0 - b1), (a1 + 2.0, a1 + a2 + b2 + 1.0)))
+    return cases
+
+
+def test_exact_prefix_matches_fractions():
+    # The prefix reg_hyp3f2_unit sums: snapped numerators, and at least the
+    # terms while a numerator plus k can be negative or zero.
+    cases = exact_prefix_cases()
+    assert len(cases) == 212
+    kinds = Counter()
+    for num, den in cases:
+        a = [special._snap_nonpositive_int(v) for v in num]
+        negs = [-v for v in a if v <= 0]
+        k_min = math.ceil(max(negs)) + 1 if negs else 0
+        (sum_num, den_int), (c_num, c_den), k = special._exact_coeff_sum(a, den, k_min)
+        total, c, k_ref = fraction_coeff_sum(a, den, k_min)
+        assert (Fraction(sum_num, den_int), Fraction(c_num, c_den), k) == (total, c, k_ref), \
+            (num, den)
+        kinds["terminating" if c == 0 else "alternating" if negs else "positive"] += 1
+        kinds["snapped"] += a != list(num)
+    assert min(kinds.values()) >= 12, kinds
