@@ -16,7 +16,10 @@ beyond ``errors``, ``three-state-sweep`` ``core``, ``classic`` and
 ``tables``, ``bmm-sweep`` those and ``special`` and ``betamix``, an
 ``embeddings`` command ``core``, ``gaussian``, ``datasets`` and
 ``tables``, and ``assignments rrh`` ``core``, ``decomposition``,
-``datasets`` and ``tables``. A sweep command does not import ``csv``.
+``datasets`` and ``tables``. A sweep command does not import ``csv``,
+no command imports ``dataclasses``, and ``json`` loads only for JSON
+input or output, or for a CSV body read through the record loop of
+``hetlab.datasets``.
 """
 
 import importlib.util as _util

@@ -10,7 +10,6 @@ non-categorical indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,24 +28,20 @@ from .special import BetaShape, beta_pdf, beta_tails, log_beta, log_gamma, reg_h
 _EQUAL_SHAPE_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class BetaMixtureParams:
     """Mixture (1-theta1) Beta(theta2, theta3) + theta1 Beta(theta3, theta2); a
     theta1 array is a stack of mixtures sharing (theta2, theta3), such as a grid."""
 
-    theta1: float | np.ndarray
-    theta2: float
-    theta3: float
-
-    def __post_init__(self):
-        theta1 = np.array(self.theta1, dtype=float)
-        if theta1.ndim > 1 or not theta1.size or not np.all((theta1 > 0.0) & (theta1 < 1.0)):
+    def __init__(self, theta1: float | np.ndarray, theta2: float, theta3: float):
+        arr = np.array(theta1, dtype=float)
+        if arr.ndim > 1 or not arr.size or not np.all((arr > 0.0) & (arr < 1.0)):
             raise ValidationError(
-                f"theta1 must be in (0, 1), a float or a non-empty 1-D array, got {self.theta1}")
-        object.__setattr__(self, "theta1", theta1 if theta1.ndim else float(theta1))
-        for name, value in (("theta2", self.theta2), ("theta3", self.theta3)):
+                f"theta1 must be in (0, 1), a float or a non-empty 1-D array, got {theta1}")
+        for name, value in (("theta2", theta2), ("theta3", theta3)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
+        self.theta1 = arr if arr.ndim else float(arr)
+        self.theta2, self.theta3 = theta2, theta3
 
     @property
     def component1(self) -> BetaShape:

@@ -126,7 +126,7 @@ def _emit(write, out, fmt: str) -> None:
         # color=True: click strips escape sequences (as in ids) when stdout is no terminal
         click.echo(buf.getvalue(), nl=False, color=True)
     else:
-        with _open(out, "'--out'", "w", newline="") as fh:
+        with _open(out, "'--out'", "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
 
 

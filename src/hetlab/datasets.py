@@ -31,9 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,24 +44,18 @@ from .tables import SweepResult, _rows, _write_csv
 _NEIGHBOR_BLOCK = 256  # records per block of neighbor distance estimates: 256 x N floats
 
 
-@dataclass(frozen=True, eq=False)
 class EmbeddingDataset:
     """N embedded observations: diagonal-Gaussian posterior means and
     log-variances as ``(N, n)`` arrays, with an id and an optional label
     per row."""
 
-    ids: tuple
-    labels: tuple
-    means: np.ndarray
-    log_var: np.ndarray
-
-    def __post_init__(self):
-        ids, labels = tuple(self.ids), tuple(self.labels)
+    def __init__(self, ids: tuple, labels: tuple, means: np.ndarray, log_var: np.ndarray):
+        ids, labels = tuple(ids), tuple(labels)
         if not ids:
             raise ValidationError("embedding dataset must contain at least one record")
         try:
-            means = np.asarray(self.means, dtype=float)
-            log_var = np.asarray(self.log_var, dtype=float)
+            means = np.asarray(means, dtype=float)
+            log_var = np.asarray(log_var, dtype=float)
         except ValueError as exc:  # ragged rows
             raise ValidationError("all records must share the same latent dimension") from exc
         if len(labels) != len(ids) or means.ndim != 2 or means.shape[0] != len(ids):
@@ -80,10 +72,7 @@ class EmbeddingDataset:
                     "log-variance must be a finite vector matching the mean, "
                     f"with every exp(s) finite and >= {gaussian.PIVOT_FLOOR}")
             raise ValidationError(f"record {ids[i]!r}: {what}")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "log_var", log_var)
+        self.ids, self.labels, self.means, self.log_var = ids, labels, means, log_var
 
     @property
     def n_z(self) -> int:
@@ -127,6 +116,7 @@ def _table_rows(rows, what: str, text: tuple, header: list) -> tuple:
     column), and (in JSON) that the id is a string or an integer, which is
     read as its decimal digits, and the text cells after it are strings or
     null."""
+    import json  # names a bad cell as its JSON text
     cells, values = [], []
     try:
         for i, row in enumerate(rows):
@@ -209,6 +199,7 @@ def _read_table(stream, what: str, text: tuple, prefixes: tuple) -> tuple:
         if not line.isspace():
             break
     if head and head[-1].lstrip()[:1] in ("{", "["):
+        import json
         try:
             payload = json.loads("".join(head) + stream.read())
         except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
@@ -273,6 +264,7 @@ def write_embeddings(dataset: EmbeddingDataset, stream, fmt: str = "csv") -> Non
     if fmt == "csv":
         _write_csv(stream, columns)
     elif fmt == "json":
+        import json
         json.dump({"records": [dict(zip(header, row)) for row in _rows(columns, fmt)]},
                   stream, indent=1, allow_nan=False)
         stream.write("\n")

@@ -7,8 +7,6 @@ is attempted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import check_orders, check_weights, first_invalid_row, renyi_heterogeneity
@@ -17,12 +15,12 @@ from .errors import ValidationError
 _WEIGHT_EQUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class SubsystemEnsemble:
     """N aligned subsystem distributions (rows) with normalized weights."""
 
-    table: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    def __init__(self, table: np.ndarray, weights: np.ndarray = None):
+        self.table, self.weights = table, weights
+        self.__post_init__()  # a step of its own: perfbench/tracing.py times it
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=float)
@@ -31,9 +29,8 @@ class SubsystemEnsemble:
         bad = first_invalid_row(table)
         if bad is not None:
             raise ValidationError(f"row {bad[0]} is not a valid distribution: {bad[1]}")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "weights",
-                           check_weights(self.weights, table.shape[0], "rows"))
+        self.table = table
+        self.weights = check_weights(self.weights, table.shape[0], "rows")
 
     @property
     def n_states(self) -> int:

@@ -16,7 +16,6 @@ ensemble and a stack. One validator checks ensembles and components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,45 +60,32 @@ def _validate_gaussians(means, covs, min_ndim: int) -> tuple:
     return means, arr, 2.0 * np.sum(np.log(pivots), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianComponent:
     """One multivariate Gaussian or a stack: mean ``(..., n)``, covariance of
     its shape (diagonal entries) or ``(..., n, n)``, and ``logdet`` ``(...)``."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    logdet: float = field(init=False, repr=False)
+    def __init__(self, mean: np.ndarray, covariance: np.ndarray):
+        self.mean, self.covariance = mean, covariance
+        self.__post_init__()  # a step of its own: perfbench/tracing.py counts it
 
     def __post_init__(self):
-        mean, cov, logdet = _validate_gaussians(self.mean, self.covariance, 1)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "logdet", logdet[()])
+        self.mean, self.covariance, logdet = _validate_gaussians(self.mean, self.covariance, 1)
+        self.logdet = logdet[()]
 
     @property
     def is_diagonal(self) -> bool:
         return self.covariance.shape == self.mean.shape
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianEnsemble:
     """N Gaussians of a shared dimension n: means ``(..., N, n)``, covariances
     ``(..., N, n)`` (diagonal entries) or ``(..., N, n, n)`` (full), weights
     ``(N,)`` shared by the stack (None means uniform), and the derived
     per-member log-determinants ``logdets`` ``(..., N)``."""
 
-    means: np.ndarray
-    covariances: np.ndarray
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
-    logdets: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        means, covs, logdets = _validate_gaussians(self.means, self.covariances, 2)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
-        object.__setattr__(self, "logdets", logdets)
-        object.__setattr__(self, "weights",
-                           check_weights(self.weights, len(self), "members"))
+    def __init__(self, means: np.ndarray, covariances: np.ndarray, weights: np.ndarray = None):
+        self.means, self.covariances, self.logdets = _validate_gaussians(means, covariances, 2)
+        self.weights = check_weights(weights, len(self), "members")
 
     @property
     def dim(self) -> int:

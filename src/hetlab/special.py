@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +35,24 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
 _EM_SHIFT = 20.0
 
 
-@dataclass(frozen=True)
 class BetaShape:
-    """Shape parameters (alpha, beta) of a beta distribution, both > 0."""
+    """Shape parameters (alpha, beta) of a beta distribution, both > 0;
+    shapes of equal parameters are equal."""
 
-    alpha: float
-    beta: float
+    def __init__(self, alpha: float, beta: float):
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ValidationError(f"beta must be positive and finite, got {beta}")
+        self.alpha, self.beta = alpha, beta
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError(f"beta must be positive and finite, got {self.beta}")
+    def __eq__(self, other):
+        if type(other) is not BetaShape:
+            return NotImplemented
+        return (self.alpha, self.beta) == (other.alpha, other.beta)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
 
 
 def log_gamma(x: float) -> float:
@@ -275,14 +280,16 @@ def _unit_series(a: list, b: list) -> float:
         raise ConvergenceError(
             f"sign-alternating prefix of {k_min} terms exceeds the {_SERIES_MAX_TERMS}-term budget"
         )
-    (sum_num, den), (c_num, _), k0 = _exact_coeff_sum(a, b, k_min)
-    if c_num == 0:  # the series terminated inside the prefix
-        return sum_num / den
+    # only a non-positive integer numerator ends the series, inside the prefix;
+    # any other series with s <= 0 diverges, so its prefix is not summed
     s_exp = b[0] + b[1] - a[0] - a[1] - a[2]
-    if s_exp <= 0:
+    if s_exp <= 0 and not any(v <= 0 and v.is_integer() for v in a):
         raise ConvergenceError(
             f"series at unit argument diverges: sum(den) - sum(num) = {s_exp} <= 0"
         )
+    (sum_num, den), (c_num, _), k0 = _exact_coeff_sum(a, b, k_min)
+    if c_num == 0:  # the series terminated inside the prefix
+        return sum_num / den
 
     # Same-sign remainder: float terms t_k0 ... t_K, then the tail from K on.
     sign = 1.0 if c_num > 0 else -1.0

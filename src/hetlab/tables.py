@@ -23,10 +23,8 @@ identical inputs give byte-identical files.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,18 +97,15 @@ def _write_csv(stream, columns: dict) -> None:
     stream.write("".join(f"{line}\n" if line else '""\n' for line in lines))
 
 
-@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Named columns plus run metadata for the emitters. The columns follow
     the rule of the module docstring: numeric ones broadcast to the table
     shape (a float array holds NaN where a value is not defined), and a text
     column holds one str or None per row. A metadata value is one cell."""
 
-    columns: dict
-    metadata: dict
-
-    def __post_init__(self):
-        _shape(self.columns)
+    def __init__(self, columns: dict, metadata: dict):
+        _shape(columns)
+        self.columns, self.metadata = columns, metadata
 
     def write(self, stream, fmt: str = "csv") -> None:
         meta = {key: _cells([v] if v is None or isinstance(v, str) else v, fmt)[0]
@@ -120,6 +115,7 @@ class SweepResult:
                 stream.write(f"# {key}={text}\n")
             _write_csv(stream, self.columns)
         elif fmt == "json":
+            import json
             payload = {
                 "metadata": meta,
                 "columns": list(self.columns),

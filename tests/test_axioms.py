@@ -1,7 +1,8 @@
 """Diversity axioms for the numbers-equivalent indices beside categorical
 Rényi heterogeneity: monotonicity in q (Leinster & Cobbold 2012, Ecology
-93:477; Chiu & Chao 2014, PLoS ONE 9:e100014), the naive case S = I, and
-the equal-weight bound 1 <= between <= N (Jost 2007, Ecology 88:2427).
+93:477; Chiu & Chao 2014, PLoS ONE 9:e100014), the naive case S = I,
+replication on a block-diagonal S (Leinster & Cobbold 2012), and the
+equal-weight bound 1 <= between <= N (Jost 2007, Ecology 88:2427).
 
 Each property runs on 1,000 random instances, as stacks where the function
 takes them. An ordering or a bound that holds with equality (a uniform
@@ -86,6 +87,22 @@ def test_leinster_cobbold_with_identity_similarity_is_renyi():
         for q in [*ORDERS, math.inf]:
             np.testing.assert_allclose(leinster_cobbold(np.eye(n), p, q),
                                        renyi_heterogeneity(p, q), rtol=1e-14, atol=0)
+
+
+def test_leinster_cobbold_replicates_on_a_block_diagonal_similarity():
+    # N copies of one community, completely dissimilar to each other and
+    # each of weight 1/N, hold N times its diversity at every order
+    rng = np.random.default_rng(9007)
+    for n in SIZES:
+        for copies in (2, 3, 4):
+            count = -(-INSTANCES // (3 * len(SIZES)))
+            s = random_symmetric(rng, count, n, diagonal=1.0)
+            p = random_distributions(rng, count, n)
+            blocks, tiled = np.kron(np.eye(copies)[None], s), np.tile(p / copies, copies)
+            for q in [0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 5.0, 50.0, math.inf]:
+                np.testing.assert_allclose(leinster_cobbold(blocks, tiled, q),
+                                           copies * leinster_cobbold(s, p, q),
+                                           rtol=1e-12, atol=0)
 
 
 def test_gaussian_renyi_is_non_increasing_in_q():

@@ -1904,6 +1904,27 @@ class TestCliInputDetection:
         assert len(proc.stdout) > 2 ** 20  # the last table passes a pipe buffer many times
 
 
+class TestCliOutputEncoding:
+    def test_out_file_is_utf8_in_an_ascii_locale(self, tmp_path):
+        # the C locale encodes text files as ASCII, where a label é cannot go
+        emb = tmp_path / "emb.csv"
+        emb.write_text("id,label,m_1,s_1\na,é,0,-1\nb,é,1,-1\nc,x,2,-1\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for name, locale in (("ascii", {"PYTHONUTF8": "0", "LC_ALL": "C"}),
+                             ("utf8", {"PYTHONUTF8": "1"})):
+            out = tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "hetlab.cli", "embeddings", "decompose", str(emb),
+                 "--out", str(out)],
+                capture_output=True, env=dict(os.environ, PYTHONPATH=path, **locale),
+                timeout=120)
+            assert proc.returncode == 0, (name, proc.stderr)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and "\né,".encode() in outputs[0]
+
+
 def _fuzz_cases():
     """(command, input format, valid input bytes) for each file-reading
     command; the format only names the seed, the reader detects it."""

@@ -147,9 +147,9 @@ def test_tracer_patches_and_restores_lazy_modules():
 
 
 def _executed(runs):
-    """The hetlab submodules executed, and which of ``fractions``, ``decimal``
-    and ``csv`` were loaded, in a fresh interpreter that ran ``cli.main`` on each
-    argument list."""
+    """The hetlab submodules executed, and which of ``fractions``, ``decimal``,
+    ``csv``, ``dataclasses`` and ``json`` were loaded, in a fresh interpreter
+    that ran ``cli.main`` on each argument list."""
     proc = _python(textwrap.dedent(f"""
         import sys, types
         from hetlab import cli
@@ -160,7 +160,8 @@ def _executed(runs):
                 assert not exc.code, (args, exc.code)
         executed = {{name[len("hetlab."):] for name, module in sys.modules.items()
                     if name.startswith("hetlab.") and type(module) is types.ModuleType}}
-        sys.stderr.write(repr((executed, {{"fractions", "decimal", "csv"}} & set(sys.modules))))
+        stdlib = {{"fractions", "decimal", "csv", "dataclasses", "json"}}
+        sys.stderr.write(repr((executed, stdlib & set(sys.modules))))
         """))
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr.decode())
@@ -191,15 +192,21 @@ def test_help_executes_no_computing_module():
     (["embeddings", "neighborhoods", "{emb}", "--k", "2"],
      {"core", "gaussian", "datasets", "tables"}),
     (["assignments", "rrh", "{asg}"], {"core", "decomposition", "datasets", "tables"}),
+    (["assignments", "rrh", "{asg}", "--format", "json"],
+     {"core", "decomposition", "datasets", "tables"}),
 ])
 def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
     # no command loads fractions or decimal: the exact 3F~2 prefix works in
-    # plain ints. csv comes in with datasets, which no sweep command executes
+    # plain ints. csv comes in with datasets, which no sweep command executes,
+    # json only with a JSON input or output, and dataclasses never: the
+    # records are plain classes
     emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
     emb.write_text("id,label,m_1,s_1\na,x,0,-1\nb,x,1,-1\nc,y,2,-1\n")
     asg.write_text("id,p_1,p_2\na,0.5,0.5\nb,1,0\n")
     args = [arg.format(emb=emb, asg=asg) for arg in args]
     stdlib = set() if args[0].endswith("-sweep") else {"csv"}
+    if "json" in args:
+        stdlib.add("json")
     assert _executed([args]) == ({"cli", "errors", *modules}, stdlib)
 
 

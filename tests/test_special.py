@@ -374,6 +374,20 @@ class TestRegHyp3F2Unit:
         with pytest.raises(ConvergenceError):
             reg_hyp3f2_unit((2.0, 2.0, 2.0), (1.5, 1.5))
 
+    def test_divergent_rejected_before_the_exact_prefix(self, monkeypatch):
+        # s <= 0 and no numerator ends the series: refused without summing
+        # the 319 exact prefix terms
+        def summed(*args):
+            raise AssertionError("the exact prefix of a divergent series was summed")
+        monkeypatch.setattr(special, "_exact_coeff_sum", summed)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "series at unit argument diverges: sum(den) - sum(num) = ")):
+            reg_hyp3f2_unit((28.182835898435524, 33.1, -17.17111152524565), (2.25, 5.375))
+
+    def test_terminating_series_with_nonpositive_s(self):
+        # s = -6, but the series ends after three terms: 1 - 50 + 225
+        assert reg_hyp3f2_unit((-2, 5, 5), (1, 1)) == 176.0
+
     # on a gamma pole, negative, and within 1e-12 of a pole at 0 and -2
     @pytest.mark.parametrize("den", [(-1.0, 3.0), (-1.5, 3.0), (1e-13, 3.0), (-2.0 + 1e-13, 3.0)])
     def test_denominator_pole_rejected(self, den):
