@@ -14,12 +14,12 @@ attributes is first read, through ``hetlab.<module>.<name>``,
 process executes only the modules its command calls: ``--help`` none
 beyond ``errors``, ``three-state-sweep`` ``core``, ``classic`` and
 ``tables``, ``bmm-sweep`` those and ``special`` and ``betamix``, an
-``embeddings`` command ``core``, ``gaussian``, ``datasets`` and
-``tables``, and ``assignments rrh`` ``core``, ``decomposition``,
-``datasets`` and ``tables``. A sweep command does not import ``csv``,
+``embeddings`` command ``core``, ``gaussian``, ``datasets``, ``ingest``
+and ``tables``, and ``assignments rrh`` ``core``, ``decomposition``,
+``ingest`` and ``tables``. A sweep command does not import ``csv``,
 no command imports ``dataclasses``, and ``json`` loads only for JSON
 input or output, or for a CSV body read through the record loop of
-``hetlab.datasets``.
+``hetlab.ingest``.
 """
 
 import importlib.util as _util
@@ -48,13 +48,14 @@ _EXPORTS = {name: module for module, names in {
                 "three_state_distance", "three_state_probs"),
     "core": ("TABLE_INDICES", "IndexValue", "renyi_heterogeneity", "table1_index"),
     "datasets": ("EmbeddingDataset", "group_decomposition", "neighborhood_between",
-                 "neighborhood_sweep", "read_assignments", "read_embeddings",
-                 "synth_embeddings", "write_embeddings"),
+                 "neighborhood_sweep", "read_embeddings", "synth_embeddings",
+                 "write_embeddings"),
     "decomposition": ("SubsystemEnsemble", "decompose", "pooled_heterogeneity",
                       "within_heterogeneity"),
     "gaussian": ("GaussianComponent", "GaussianEnsemble", "gaussian_between",
                  "gaussian_decomposition", "gaussian_pool", "gaussian_renyi",
                  "gaussian_within"),
+    "ingest": ("read_assignments",),
     "special": ("BetaShape", "beta_pdf", "beta_tails", "log_beta", "log_gamma",
                 "reg_hyp3f2_unit", "reg_inc_beta"),
     "tables": ("SweepResult",),

@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 # modules, not names: each one executes only when a command first reads it
-from . import betamix, classic, core, datasets, decomposition, tables
+from . import betamix, classic, core, datasets, decomposition, ingest, tables
 from .errors import NumericalError, ValidationError
 
 _VALIDATION_EXIT = 3
@@ -302,7 +302,7 @@ def assignments():
               help="Orders: a,b,c or start:stop:step.")
 def assignments_rrh(file, q_list):
     """Pooled/within/between heterogeneity of a soft-assignment table."""
-    ids, ensemble = _read_input(file, datasets.read_assignments)
+    ids, ensemble = _read_input(file, ingest.read_assignments)
     return tables.SweepResult(
         columns={"q": np.array(q_list), **decomposition.decompose(ensemble, q_list)},
         metadata={"command": "assignments-rrh", "n_records": len(ids),

@@ -16,7 +16,13 @@ _WEIGHT_EQUAL_TOL = 1e-12
 
 
 class SubsystemEnsemble:
-    """N aligned subsystem distributions (rows) with normalized weights."""
+    """N aligned subsystem distributions (rows) with normalized weights.
+
+    Construction validates the rows and weights and forms, once, the two
+    distributions that every order is evaluated on: ``pooled``, the
+    weight-averaged rows, and ``joint``, the positive cells of w_i p_ij.
+    Rows and weights each sum to 1 only within PROB_TOL, so both are
+    renormalised."""
 
     def __init__(self, table: np.ndarray, weights: np.ndarray = None):
         self.table, self.weights = table, weights
@@ -31,6 +37,14 @@ class SubsystemEnsemble:
             raise ValidationError(f"row {bad[0]} is not a valid distribution: {bad[1]}")
         self.table = table
         self.weights = check_weights(self.weights, table.shape[0], "rows")
+        pooled = self.weights @ table
+        self.pooled = pooled / pooled.sum()
+        joint = (self.weights[:, None] * table).ravel()
+        # Zero cells count for nothing at any order; dropping them once spares
+        # every later pass over the joint.
+        joint = joint[joint > 0.0]
+        joint /= joint.sum()
+        self.joint = joint
 
     @property
     def n_states(self) -> int:
@@ -39,10 +53,7 @@ class SubsystemEnsemble:
 
 def pooled_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
     """Heterogeneity of the weight-averaged pooled distribution."""
-    pooled = ensemble.weights @ ensemble.table
-    # Row/weight validation guarantees the pool sums to 1 up to roundoff.
-    pooled = pooled / pooled.sum()
-    return renyi_heterogeneity(pooled, q)
+    return renyi_heterogeneity(ensemble.pooled, q)
 
 
 def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
@@ -52,15 +63,10 @@ def within_heterogeneity(ensemble: SubsystemEnsemble, q) -> float:
 
     `renyi_heterogeneity` takes both limits, so they are exact: q=0 is the
     mean support size of the rows with w_i > 0, q=1 is exp(sum_i w_i H(p_i)),
-    and q=inf is max_i w_i / max_ij (w_i p_ij). Rows and weights each sum to
-    1 only within PROB_TOL, so the joint is renormalised first.
+    and q=inf is max_i w_i / max_ij (w_i p_ij). The joint is the one formed,
+    renormalised, when the ensemble was built and validated.
     """
-    joint = (ensemble.weights[:, None] * ensemble.table).ravel()
-    # Zero cells count for nothing at any order; dropping them once spares
-    # every later pass over the joint.
-    joint = joint[joint > 0.0]
-    joint /= joint.sum()
-    return renyi_heterogeneity(joint, q) / renyi_heterogeneity(ensemble.weights, q)
+    return renyi_heterogeneity(ensemble.joint, q) / renyi_heterogeneity(ensemble.weights, q)
 
 
 def decompose(ensemble: SubsystemEnsemble, q_list) -> dict:

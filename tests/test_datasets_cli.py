@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetlab import betamix, classic, cli, core, datasets, decomposition, special
+from hetlab import betamix, classic, cli, core, datasets, decomposition, ingest, special
 from hetlab.core import renyi_heterogeneity
 from hetlab.datasets import (
     EmbeddingDataset,
@@ -584,7 +584,7 @@ class TestCsvIngestion:
             body = "".join(rng.choice(list("ab\n"), size=rng.integers(0, 60),
                                       p=[0.45, 0.45, 0.1]))
             limit = int(rng.integers(0, 25))
-            assert datasets._has_long_line(body, limit) == \
+            assert ingest._has_long_line(body, limit) == \
                 (max(map(len, body.split("\n"))) > limit), (body, limit)
 
     def test_line_count_matches_splitlines(self):
@@ -592,14 +592,14 @@ class TestCsvIngestion:
         for _ in range(3000):
             body = "".join(rng.choice(list("ab\n\r"), size=rng.integers(1, 40),
                                       p=[0.4, 0.4, 0.1, 0.1]))
-            assert datasets._line_count(body) == len(body.splitlines()), body
+            assert ingest._line_count(body) == len(body.splitlines()), body
 
     def test_quoted_line_break_takes_the_record_loop(self, monkeypatch):
         # np.loadtxt reads the record too; one record on two lines is counted
         # as fewer records than lines, which sends the body to csv.reader
         calls = []
-        inner = datasets._table_rows
-        monkeypatch.setattr(datasets, "_table_rows",
+        inner = ingest._table_rows
+        monkeypatch.setattr(ingest, "_table_rows",
                             lambda *args: calls.append(args) or inner(*args))
         ids, _ = read_assignments(io.StringIO('id,p_1,p_2\n"a\nb",1,0\nc,0,1\n', newline=""))
         assert ids == ["a\nb", "c"] and len(calls) == 1
@@ -625,7 +625,7 @@ class TestCsvIngestion:
 
         def no_loop(*args):
             raise AssertionError("a valid CSV body went through the record loop")
-        monkeypatch.setattr(datasets, "_table_rows", no_loop)
+        monkeypatch.setattr(ingest, "_table_rows", no_loop)
         ids, ens = read_assignments(io.StringIO(assign, newline=""))
         ds = read_embeddings(io.StringIO(emb, newline=""))
         assert ids == want_ids and _bits(ens.table) == _bits(want.table)

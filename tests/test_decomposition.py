@@ -214,3 +214,58 @@ class TestIdentityAndWarnings:
             near = SubsystemEnsemble(table=[[0.9, 0.1], [0.2, 0.8]],
                                      weights=[0.5 + half_gap, 0.5 - half_gap])
             assert decompose(near, [2.0])["lande_warning"].tolist() == [flag]
+
+
+def _pooled_per_call(ens, q):
+    """pooled_heterogeneity as written when it formed the pool at every call."""
+    pooled = ens.weights @ ens.table
+    pooled = pooled / pooled.sum()
+    return renyi_heterogeneity(pooled, q)
+
+
+def _within_per_call(ens, q):
+    """within_heterogeneity as written when it formed the joint at every call."""
+    joint = (ens.weights[:, None] * ens.table).ravel()
+    joint = joint[joint > 0.0]
+    joint /= joint.sum()
+    return renyi_heterogeneity(joint, q) / renyi_heterogeneity(ens.weights, q)
+
+
+class TestFormedOnce:
+    """The pooled and joint distributions are formed once, when the ensemble
+    is built; every order gives the bits it gave when each call formed them."""
+
+    ORDERS = [0.0, 0.5, 1.0, 1.0 + 1e-9, 2.0, 50.0, math.inf]
+
+    @staticmethod
+    def ensembles(count):
+        rng = np.random.default_rng(2024)
+        for i in range(count):
+            n_rows, n_states = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            table = np.stack([random_distribution(rng, n_states, zeros=True)
+                              for _ in range(n_rows)])
+            if i % 5 == 0:  # rows summing to 1 + ~1e-9, within PROB_TOL
+                table[:, 0] += 0.9e-9
+            if i % 4 == 0:
+                yield SubsystemEnsemble(table=table)
+                continue
+            weights = random_distribution(rng, n_rows, zeros=True)  # zero-weight rows
+            yield SubsystemEnsemble(table=table, weights=weights)
+
+    def test_bit_identical_to_per_call_formulas(self):
+        seen = {"zero cell": 0, "zero weight": 0, "unequal weights": 0}
+        for ens in self.ensembles(240):
+            seen["zero cell"] += bool((ens.table == 0.0).any())
+            seen["zero weight"] += bool((ens.weights == 0.0).any())
+            seen["unequal weights"] += bool(np.ptp(ens.weights) > 0.0)
+            pooled = np.array([_pooled_per_call(ens, q) for q in self.ORDERS])
+            within = np.array([_within_per_call(ens, q) for q in self.ORDERS])
+            got_pooled = np.array([pooled_heterogeneity(ens, q) for q in self.ORDERS])
+            got_within = np.array([within_heterogeneity(ens, q) for q in self.ORDERS])
+            assert np.array_equal(got_pooled, pooled)
+            assert np.array_equal(got_within, within)
+            res = decompose(ens, self.ORDERS)
+            assert np.array_equal(res["pooled"], pooled)
+            assert np.array_equal(res["within"], within)
+            assert np.array_equal(res["between"], pooled / within)
+        assert min(seen.values()) >= 50, seen

@@ -9,7 +9,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from hetlab import cli, datasets
+from hetlab import cli, ingest
 from hetlab.datasets import EmbeddingDataset, write_embeddings
 from hetlab.decomposition import SubsystemEnsemble
 
@@ -77,8 +77,8 @@ def run_case(name, fmt, tmp_path, monkeypatch, out=None):
         with open(files[key], "w", newline="") as fh:
             fh.write(text)
     if name == "rrh-weighted":
-        monkeypatch.setattr(datasets, "read_assignments",
-                            _weighted(datasets.read_assignments))
+        monkeypatch.setattr(ingest, "read_assignments",
+                            _weighted(ingest.read_assignments))
     args = [a.format(**files) for a in CASES[name]] + ["--format", fmt]
     if out is not None:
         args += ["--out", str(out)]

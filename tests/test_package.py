@@ -187,17 +187,18 @@ def test_help_executes_no_computing_module():
     (["bmm-sweep", "--tau-mode", "grid"], {"core", "classic", "special", "betamix", "tables"}),
     (["three-state-sweep"], {"core", "classic", "tables"}),
     (["embeddings", "synth", "--labels", "2", "--per-label", "3"],
-     {"core", "gaussian", "datasets", "tables"}),
-    (["embeddings", "decompose", "{emb}"], {"core", "gaussian", "datasets", "tables"}),
+     {"core", "gaussian", "datasets", "ingest", "tables"}),
+    (["embeddings", "decompose", "{emb}"],
+     {"core", "gaussian", "datasets", "ingest", "tables"}),
     (["embeddings", "neighborhoods", "{emb}", "--k", "2"],
-     {"core", "gaussian", "datasets", "tables"}),
-    (["assignments", "rrh", "{asg}"], {"core", "decomposition", "datasets", "tables"}),
+     {"core", "gaussian", "datasets", "ingest", "tables"}),
+    (["assignments", "rrh", "{asg}"], {"core", "decomposition", "ingest", "tables"}),
     (["assignments", "rrh", "{asg}", "--format", "json"],
-     {"core", "decomposition", "datasets", "tables"}),
+     {"core", "decomposition", "ingest", "tables"}),
 ])
 def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
     # no command loads fractions or decimal: the exact 3F~2 prefix works in
-    # plain ints. csv comes in with datasets, which no sweep command executes,
+    # plain ints. csv comes in with ingest, which no sweep command executes,
     # json only with a JSON input or output, and dataclasses never: the
     # records are plain classes
     emb, asg = tmp_path / "emb.csv", tmp_path / "asg.csv"
@@ -213,13 +214,15 @@ def test_command_executes_only_the_modules_it_calls(tmp_path, args, modules):
 def test_public_names_resolve():
     namespace = {}
     exec("from hetlab import *", namespace)
-    assert len(hetlab.__all__) == 66 and hetlab.__all__ == sorted(set(hetlab.__all__))
+    assert len(hetlab.__all__) == 67 and hetlab.__all__ == sorted(set(hetlab.__all__))
     for name in hetlab.__all__:
         assert namespace[name] is getattr(hetlab, name), name
     assert set(hetlab.__all__) <= set(dir(hetlab))
     assert hetlab.renyi_heterogeneity is hetlab.core.renyi_heterogeneity
     assert hetlab.decomposition is sys.modules["hetlab.decomposition"]
     assert hetlab.SweepResult is hetlab.tables.SweepResult is hetlab.datasets.SweepResult
+    assert hetlab.read_assignments is hetlab.ingest.read_assignments \
+        is hetlab.datasets.read_assignments
     with pytest.raises(AttributeError, match="'hetlab' has no attribute 'no_such_name'"):
         hetlab.no_such_name
 
